@@ -6,13 +6,23 @@ the double-ket layout. The quadrature convention is X_phi =
 (e^{i phi} a^dag + e^{-i phi} a) / 2, so X_0 and X_{pi/2} have commutator i/2
 and the vacuum variance is 1/4.
 
-All Gaussian unitaries are exponentials of the *truncated* generator, which is
-exactly anti-Hermitian, so the resulting matrices are unitary to rounding; the
-truncation shows up instead as a deviation from the untruncated operator near
-the cutoff. Two diagnostics track this:
+Every Gaussian unitary is the exponential of its generator truncated to the
+cutoff. Each truncated generator is block-diagonal in a conserved photon-number
+quantity, and inside a block it is a tridiagonal chain with zero diagonal: the
+displacement is one chain over n, the squeezer two (even and odd n), the beam
+splitter and mode mixer one per sector of total photon number, and the optical
+parametric amplifier one per sector of photon-number difference.
+``_chain_expm`` exponentiates such a chain through a diagonal phase gauge that
+turns i G into a real symmetric tridiagonal matrix, whose eigendecomposition
+(``scipy.linalg.eigh_tridiagonal``) gives exp(G); a zero chain gives exactly
+the identity. The truncated generator is exactly anti-Hermitian, so the
+matrices are unitary to the rounding of the eigenvectors, and the truncation
+shows up instead as a deviation from the untruncated operator near the cutoff.
+Two diagnostics track this:
 
 * ``unitarity_defect`` (max entry of U^dag U - I), attached as a warning when
-  it exceeds 1e-8 (rare for this construction);
+  it exceeds 1e-8; it measures the rounding of the exponential, not the
+  truncation;
 * ``cutoff_convergence_defect``, the column-wise difference against the same
   constructor at a padded cutoff, the honest measure of truncation error.
 
@@ -21,11 +31,12 @@ double-ket as a two-mode squeezed vacuum with weight lambda^n, and quadrature
 eigenvectors as rotated displaced squeezed vacua with sharpness s. Each
 regularized constructor records its parameters and an estimated tail mass
 above the cutoff; tails above 1e-8 attach a warning, and the identity
-double-ket refuses lambda so large that the tail exceeds 1e-4.
+double-ket refuses lambda so large that the tail exceeds 1e-4. The beam
+splitter acts on two-mode states sector by sector, so no state path builds a
+dense two-mode matrix.
 
-Exponentials that conserve total photon number (beam splitters, mode mixers)
-or the photon-number difference (the optical parametric amplifier) are
-evaluated per invariant sector, which is exact and keeps large cutoffs cheap.
+Stored arrays are read-only: the dataclasses are frozen, and so are their
+matrices and amplitudes.
 """
 
 from __future__ import annotations
@@ -62,6 +73,7 @@ class FockOperator:
                 f"matrix shape {self.matrix.shape} inconsistent with cutoff"
                 f" {self.cutoff} and {self.modes} mode(s)"
             )
+        self.matrix.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -83,6 +95,7 @@ class RegularizedState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != dim:
             raise ValueError("amplitude count inconsistent with cutoff and modes")
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -119,41 +132,87 @@ def quadrature(cutoff: int, phi: float) -> FockOperator:
     return FockOperator(cutoff, 1, x)
 
 
+def _require_finite(name: str, value: complex) -> None:
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _gram_defect(u: np.ndarray) -> float:
+    return float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
+
+
 def unitarity_defect(op: FockOperator) -> float:
     """Max entry of U^dag U - I."""
-    return float(
-        np.abs(op.matrix.conj().T @ op.matrix - np.eye(op.dim)).max()
-    )
+    return _gram_defect(op.matrix)
 
 
-def _unitary_from_generator(cutoff: int, modes: int, gen: np.ndarray, label: str) -> FockOperator:
-    op = FockOperator(cutoff, modes, scipy.linalg.expm(gen))
+def _chain_expm(sub: np.ndarray) -> np.ndarray:
+    """expm(G) for the anti-Hermitian tridiagonal G with zero diagonal,
+    G[i+1, i] = sub[i] and G[i, i+1] = -conj(sub[i]).
+
+    The diagonal gauge P, p_0 = 1 and p_{i+1} = p_i i sub_i / |sub_i| (a zero
+    link keeps the phase), makes H = P^* (i G) P real symmetric with
+    off-diagonals |sub|. With H = V diag(w) V^T from ``eigh_tridiagonal``,
+    expm(G) = P V e^{-i w} V^T P^*. An all-zero chain gives exactly the identity.
+    """
+    sub = np.asarray(sub, dtype=complex)
+    n = sub.size + 1
+    if not sub.any():
+        return np.eye(n, dtype=complex)
+    mod = np.abs(sub)
+    link = np.ones(n - 1, dtype=complex)
+    np.divide(1j * sub, mod, out=link, where=mod > 0)
+    p = np.concatenate(([1.0 + 0j], np.cumprod(link)))
+    w, v = scipy.linalg.eigh_tridiagonal(np.zeros(n), mod)
+    return (p[:, None] * v * np.exp(-1j * w)) @ (v.T * p.conj())
+
+
+def _assemble(dim: int, blocks) -> np.ndarray:
+    """Dense matrix from (indices, block) pairs that partition the basis."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for idx, block in blocks:
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
+def _checked_unitary(cutoff: int, matrix: np.ndarray, label: str) -> FockOperator:
+    op = FockOperator(cutoff, 1, matrix)
     defect = unitarity_defect(op)
     if defect > UNITARITY_WARN_TOL:
         op = FockOperator(
-            cutoff, modes, op.matrix,
+            cutoff, 1, matrix,
             (f"truncation: {label} unitarity defect {defect:.2e} at cutoff {cutoff}",),
         )
     return op
 
 
 def displacement(cutoff: int, alpha: complex) -> FockOperator:
-    """exp(alpha a^dag - conj(alpha) a) at the given cutoff."""
-    a = _ladder(cutoff)
-    return _unitary_from_generator(
-        cutoff, 1, alpha * a.conj().T - np.conj(alpha) * a, f"D({alpha})"
-    )
+    """exp(alpha a^dag - conj(alpha) a) at the given cutoff.
+
+    The truncated generator is one chain with subdiagonal alpha sqrt(n),
+    exponentiated by ``_chain_expm``.
+    """
+    _require_finite("alpha", alpha)
+    sub = alpha * np.sqrt(np.arange(1, cutoff + 1))
+    return _checked_unitary(cutoff, _chain_expm(sub), f"D({alpha})")
 
 
 def squeezer(cutoff: int, r: float) -> FockOperator:
-    """exp(log(r)(a^dag^2 - a^2)/2); maps x -> r x, p -> p / r in the Heisenberg picture."""
+    """exp(log(r)(a^dag^2 - a^2)/2); maps x -> r x, p -> p / r in the Heisenberg picture.
+
+    The truncated generator couples n to n + 2 only, so it is two chains, over
+    even and over odd n, each with subdiagonal log(r) sqrt((n+1)(n+2)) / 2 and
+    exponentiated by ``_chain_expm``.
+    """
+    _require_finite("r", r)
     if r <= 0:
         raise ValueError("squeezing parameter must be positive")
-    a = _ladder(cutoff)
-    ad = a.conj().T
-    return _unitary_from_generator(
-        cutoff, 1, 0.5 * np.log(r) * (ad @ ad - a @ a), f"S({r})"
-    )
+    chains = []
+    for first in (0, 1):
+        ns = np.arange(first, cutoff + 1, 2)
+        sub = 0.5 * np.log(r) * np.sqrt((ns[:-1] + 1) * (ns[:-1] + 2))
+        chains.append((ns, _chain_expm(sub)))
+    return _checked_unitary(cutoff, _assemble(cutoff + 1, chains), f"S({r})")
 
 
 def phase_shift(cutoff: int, theta: float) -> FockOperator:
@@ -163,21 +222,32 @@ def phase_shift(cutoff: int, theta: float) -> FockOperator:
     )
 
 
-def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
-    """expm of theta (a^dag b - a b^dag), per total-photon sector (exact)."""
+def _sector_expms(cutoff: int, conserved: str, scale: float):
+    """Yield (indices, block) for each sector of a conserved two-mode quantity.
+
+    ``conserved`` is "total" for the generator scale (a^dag b - a b^dag),
+    which conserves n_a + n_b, or "difference" for scale (a^dag b^dag - a b),
+    which conserves n_a - n_b. Ordered by rising n_a, a sector is a chain
+    whose link from n_a to n_a + 1 moves n_b between m and m' with matrix
+    element scale sqrt((n_a + 1) max(m, m')); the block is its
+    ``_chain_expm``, and the indices are the sector's two-mode basis states.
+    """
     n1 = cutoff + 1
-    out = np.zeros((n1 * n1, n1 * n1), dtype=complex)
-    for tot in range(2 * cutoff + 1):
-        ks = np.arange(max(0, tot - cutoff), min(tot, cutoff) + 1)
-        idx = ks * n1 + (tot - ks)
-        g = np.zeros((len(ks), len(ks)), dtype=complex)
-        for i, k in enumerate(ks):
-            if k + 1 <= cutoff and tot - k - 1 >= 0:
-                g[i + 1, i] += np.sqrt((k + 1) * (tot - k))
-            if k - 1 >= max(0, tot - cutoff):
-                g[i - 1, i] -= np.sqrt(k * (tot - k + 1))
-        out[np.ix_(idx, idx)] = scipy.linalg.expm(theta * g)
-    return out
+    ks = np.arange(n1)
+    if conserved == "total":
+        mode_b = [tot - ks for tot in range(2 * cutoff + 1)]
+    else:
+        mode_b = [ks - diff for diff in range(-cutoff, cutoff + 1)]
+    for ms in mode_b:
+        inside = (ms >= 0) & (ms <= cutoff)
+        k, m = ks[inside], ms[inside]
+        sub = scale * np.sqrt((k[:-1] + 1) * np.maximum(m[:-1], m[1:]))
+        yield k * n1 + m, _chain_expm(sub)
+
+
+def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
+    """expm of theta (a^dag b - a b^dag), assembled from its total-photon sectors."""
+    return _assemble((cutoff + 1) ** 2, _sector_expms(cutoff, "total", theta))
 
 
 def beam_splitter_5050(cutoff: int) -> FockOperator:
@@ -187,32 +257,25 @@ def beam_splitter_5050(cutoff: int) -> FockOperator:
 
 def mode_mixer(cutoff: int, theta: float) -> FockOperator:
     """exp(theta (a^dag b - a b^dag)) for a general mixing angle."""
+    _require_finite("theta", theta)
     return FockOperator(cutoff, 2, _mixing_expm(cutoff, theta))
 
 
 def opa(cutoff: int, alpha_param: float) -> FockOperator:
-    """exp(-(alpha/2)(a^dag b^dag - a b)), per photon-number-difference sector."""
-    n1 = cutoff + 1
-    out = np.zeros((n1 * n1, n1 * n1), dtype=complex)
-    for diff in range(-cutoff, cutoff + 1):
-        ks = np.array([k for k in range(n1) if 0 <= k - diff <= cutoff])
-        idx = ks * n1 + (ks - diff)
-        g = np.zeros((len(ks), len(ks)), dtype=complex)
-        for i, k in enumerate(ks):
-            if k + 1 <= cutoff and k - diff + 1 <= cutoff:
-                g[i + 1, i] += -(alpha_param / 2.0) * np.sqrt((k + 1) * (k - diff + 1))
-            if k - 1 >= 0 and k - diff - 1 >= 0:
-                g[i - 1, i] += (alpha_param / 2.0) * np.sqrt(k * (k - diff))
-        out[np.ix_(idx, idx)] = scipy.linalg.expm(g)
-    op = FockOperator(cutoff, 2, out)
-    defect = unitarity_defect(op)
+    """exp(-(alpha/2)(a^dag b^dag - a b)), assembled from its photon-number-difference sectors.
+
+    The unitarity defect is the largest over the sector blocks: the operator
+    is exactly zero outside them, so this is the max entry of U^dag U - I.
+    """
+    _require_finite("alpha_param", alpha_param)
+    blocks = list(_sector_expms(cutoff, "difference", -alpha_param / 2.0))
+    out = _assemble((cutoff + 1) ** 2, blocks)
+    defect = max(_gram_defect(block) for _, block in blocks)
+    warns = ()
     if defect > UNITARITY_WARN_TOL:
-        op = FockOperator(
-            cutoff, 2, out,
-            (f"truncation: OPA({alpha_param}) unitarity defect {defect:.2e}"
-             f" at cutoff {cutoff}",),
-        )
-    return op
+        warns = (f"truncation: OPA({alpha_param}) unitarity defect {defect:.2e}"
+                 f" at cutoff {cutoff}",)
+    return FockOperator(cutoff, 2, out, warns)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +472,8 @@ def phase_aligned_block_distance(
     ab = np.where(sel, a, 0.0)
     bb = np.where(sel, b, 0.0)
     i, j = np.unravel_index(np.argmax(np.abs(bb)), bb.shape)
+    if bb[i, j] == 0:
+        raise ValueError("b vanishes on the block: no entry to align the phase to")
     phase = ab[i, j] / bb[i, j]
     phase /= abs(phase)
     return float(np.abs(ab - phase * bb).max())
@@ -434,12 +499,18 @@ def matched_lambda(s: float) -> float:
 
 
 def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
-    """Beam-splitter image of |x/sqrt2>_0 kron |y/sqrt2>_{pi/2} at sharpness s."""
+    """Beam-splitter image of |x/sqrt2>_0 kron |y/sqrt2>_{pi/2} at sharpness s.
+
+    The 50-50 splitter is applied sector by sector to the product vector, so
+    no dense two-mode matrix is built; ``beam_splitter_5050`` assembles the
+    same blocks.
+    """
     in_a = quad_eigenstate_approx(cutoff, x / np.sqrt(2.0), 0.0, s)
     in_b = quad_eigenstate_approx(cutoff, y / np.sqrt(2.0), np.pi / 2.0, s)
-    out = beam_splitter_5050(cutoff).matrix @ np.kron(
-        in_a.amplitudes, in_b.amplitudes
-    )
+    product = np.kron(in_a.amplitudes, in_b.amplitudes)
+    out = np.empty_like(product)
+    for idx, block in _sector_expms(cutoff, "total", np.pi / 4):
+        out[idx] = block @ product[idx]
     return RegularizedState(
         cutoff, 2, out, {"x": x, "y": y, "s": s},
         in_a.warnings + in_b.warnings,

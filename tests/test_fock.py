@@ -1,10 +1,16 @@
 """Tests for the truncated Fock-space operators and regularized states."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from bellgate import fock
+
+# cutoffs at which the chain exponentials are pinned to dense Pade expm:
+# the one- and two-state edge cases, an odd cutoff and a large one
+CHAIN_CUTOFFS = [1, 2, 13, 40]
 
 
 def vacuum_expectation(op: np.ndarray) -> complex:
@@ -74,6 +80,15 @@ class TestDisplacement:
     def test_unitary_to_rounding(self):
         assert fock.unitarity_defect(fock.displacement(30, 1 + 1j)) <= 1e-12
 
+    @pytest.mark.parametrize("cutoff", CHAIN_CUTOFFS)
+    @pytest.mark.parametrize("alpha", [0.8, 0.6j, 1 - 0.5j])
+    def test_chain_route_matches_dense_expm(self, cutoff, alpha):
+        a = fock._ladder(cutoff)
+        gen = alpha * a.conj().T - np.conj(alpha) * a
+        np.testing.assert_allclose(
+            fock.displacement(cutoff, alpha).matrix, scipy.linalg.expm(gen), rtol=0, atol=1e-12
+        )
+
 
 class TestSqueezer:
     def test_unit_parameter_is_identity(self):
@@ -87,6 +102,16 @@ class TestSqueezer:
     def test_invalid_parameter(self):
         with pytest.raises(ValueError):
             fock.squeezer(6, -0.5)
+
+    @pytest.mark.parametrize("cutoff", CHAIN_CUTOFFS)
+    @pytest.mark.parametrize("r", [0.6, 1.3])
+    def test_chain_route_matches_dense_expm(self, cutoff, r):
+        a = fock._ladder(cutoff)
+        ad = a.conj().T
+        gen = 0.5 * np.log(r) * (ad @ ad - a @ a)
+        np.testing.assert_allclose(
+            fock.squeezer(cutoff, r).matrix, scipy.linalg.expm(gen), rtol=0, atol=1e-12
+        )
 
 
 class TestPhaseShift:
@@ -141,6 +166,9 @@ class TestBeamSplitter:
         np.testing.assert_allclose(
             fock.beam_splitter_5050(n).matrix, scipy.linalg.expm(gen), atol=1e-12
         )
+
+    def test_zero_angle_mixer_is_identity(self):
+        np.testing.assert_array_equal(fock.mode_mixer(6, 0.0).matrix, np.eye(49))
 
 
 class TestOpa:
@@ -335,6 +363,25 @@ class TestEntbs:
         out = fock.entbs_output(30, 0.5, -0.3, 0.5)
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
+    def test_sector_route_matches_dense_beam_splitter(self):
+        n, x, y, s = 30, 0.5, -0.3, 0.5
+        in_a = fock.quad_eigenstate_approx(n, x / np.sqrt(2.0), 0.0, s)
+        in_b = fock.quad_eigenstate_approx(n, y / np.sqrt(2.0), np.pi / 2.0, s)
+        dense = fock.beam_splitter_5050(n).matrix @ np.kron(in_a.amplitudes, in_b.amplitudes)
+        np.testing.assert_allclose(
+            fock.entbs_output(n, x, y, s).amplitudes, dense, rtol=0, atol=1e-13
+        )
+
+    def test_output_builds_no_two_mode_matrix(self):
+        # a dense N=60 two-mode matrix alone is 3721^2 complex entries, 221 MB
+        tracemalloc.start()
+        try:
+            fock.entbs_output(60, 1.0, -0.5, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
 
 class TestSu11Generators:
     def test_commutator_on_inner_block(self):
@@ -366,6 +413,11 @@ class TestTruncationDiagnostics:
         d_large = fock.cutoff_convergence_defect(build, 32)
         assert d_large < d_small
 
+    def test_block_distance_rejects_zero_pivot(self):
+        mask = fock.block_mask(4, 2)
+        with pytest.raises(ValueError, match="vanishes"):
+            fock.phase_aligned_block_distance(np.eye(25), np.zeros((25, 25)), mask)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fock.FockOperator(3, 2, np.eye(4))
@@ -373,3 +425,22 @@ class TestTruncationDiagnostics:
             fock.RegularizedState(3, 1, np.zeros(3))
         with pytest.raises(ValueError):
             fock.basis_state(4, 5)
+
+
+class TestLibraryBoundary:
+    @pytest.mark.parametrize(
+        "builder, name",
+        [("displacement", "alpha"), ("squeezer", "r"), ("mode_mixer", "theta"), ("opa", "alpha_param")],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, builder, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            getattr(fock, builder)(8, value)
+
+    def test_stored_arrays_are_read_only(self):
+        op = fock.displacement(4, 0.5)
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 7
+        state = fock.identity_doubleket(4, 0.3)
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 1
