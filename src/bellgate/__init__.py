@@ -18,6 +18,7 @@ from .dket import (
     vec,
 )
 from .fock import (
+    FockColumns,
     FockOperator,
     RegularizedState,
     beam_splitter_5050,

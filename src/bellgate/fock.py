@@ -35,6 +35,14 @@ double-ket refuses lambda so large that the tail exceeds 1e-4. The beam
 splitter acts on two-mode states sector by sector, so no state path builds a
 dense two-mode matrix.
 
+The optical SUM-gate chain (``sum_gate_circuit``) is applied the same way to a
+batch of basis columns: the two-mode factors as their sector blocks, the
+squeezer pairs as a M b^T on each column's amplitude matrix M. A caller that
+reads a few columns asks for those (``FockColumns``), and the direct
+``sum_gate`` likewise builds only a principal block; the dense operators are
+the same routes over every basis state. Dense two-mode builders refuse, before
+allocating, a matrix larger than ``DENSE_BYTES_LIMIT``.
+
 Stored arrays are read-only: the dataclasses are frozen, and so are their
 matrices and amplitudes.
 """
@@ -53,6 +61,9 @@ UNITARITY_WARN_TOL = 1e-8
 TAIL_WARN_TOL = 1e-8
 TAIL_ERROR_TOL = 1e-4
 _TAIL_PAD = 12
+# largest dense complex matrix a builder may allocate; a two-mode operator
+# exceeds it from cutoff 90 on
+DENSE_BYTES_LIMIT = 2**30
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +89,27 @@ class FockOperator:
     @property
     def dim(self) -> int:
         return (self.cutoff + 1) ** self.modes
+
+
+@dataclass(frozen=True, eq=False)
+class FockColumns:
+    """Images of selected two-mode basis states under an operator: column j of
+    ``matrix`` is the image of basis state ``columns[j]``."""
+
+    cutoff: int
+    columns: np.ndarray
+    matrix: np.ndarray
+    warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        shape = ((self.cutoff + 1) ** 2, len(self.columns))
+        if self.matrix.shape != shape:
+            raise ValueError(
+                f"matrix shape {self.matrix.shape} inconsistent with cutoff"
+                f" {self.cutoff} and {len(self.columns)} column(s)"
+            )
+        self.columns.setflags(write=False)
+        self.matrix.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +199,20 @@ def _chain_expm(sub: np.ndarray) -> np.ndarray:
     return (p[:, None] * v * np.exp(-1j * w)) @ (v.T * p.conj())
 
 
-def _assemble(dim: int, blocks) -> np.ndarray:
+def _require_dense_fits(cutoff: int, modes: int) -> None:
+    """Refuse a dense operator whose complex matrix would exceed DENSE_BYTES_LIMIT."""
+    requested = 16 * (cutoff + 1) ** (2 * modes)
+    if requested > DENSE_BYTES_LIMIT:
+        raise ValueError(
+            f"a dense {modes}-mode operator at cutoff {cutoff} needs {requested}"
+            f" bytes, more than the limit of {DENSE_BYTES_LIMIT} bytes"
+        )
+
+
+def _assemble(cutoff: int, modes: int, blocks) -> np.ndarray:
     """Dense matrix from (indices, block) pairs that partition the basis."""
+    _require_dense_fits(cutoff, modes)
+    dim = (cutoff + 1) ** modes
     out = np.zeros((dim, dim), dtype=complex)
     for idx, block in blocks:
         out[np.ix_(idx, idx)] = block
@@ -212,7 +256,7 @@ def squeezer(cutoff: int, r: float) -> FockOperator:
         ns = np.arange(first, cutoff + 1, 2)
         sub = 0.5 * np.log(r) * np.sqrt((ns[:-1] + 1) * (ns[:-1] + 2))
         chains.append((ns, _chain_expm(sub)))
-    return _checked_unitary(cutoff, _assemble(cutoff + 1, chains), f"S({r})")
+    return _checked_unitary(cutoff, _assemble(cutoff, 1, chains), f"S({r})")
 
 
 def phase_shift(cutoff: int, theta: float) -> FockOperator:
@@ -245,9 +289,26 @@ def _sector_expms(cutoff: int, conserved: str, scale: float):
         yield k * n1 + m, _chain_expm(sub)
 
 
+def _apply_sectors(vectors: np.ndarray, blocks) -> np.ndarray:
+    """Apply (indices, block) pairs that partition the basis to the rows of
+    ``vectors``, a two-mode vector or a batch of them as columns."""
+    out = np.empty_like(vectors)
+    for idx, block in blocks:
+        out[idx] = block @ vectors[idx]
+    return out
+
+
+def _apply_kron(a: np.ndarray, b: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """kron(a, b) applied to a batch of two-mode column vectors: on each column
+    reshaped to an (N+1) x (N+1) amplitude matrix M it acts as a M b^T."""
+    n1 = len(a)
+    t = (a @ vectors.reshape(n1, -1)).reshape(n1, n1, -1)
+    return np.matmul(b, t).reshape(n1 * n1, -1)
+
+
 def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
     """expm of theta (a^dag b - a b^dag), assembled from its total-photon sectors."""
-    return _assemble((cutoff + 1) ** 2, _sector_expms(cutoff, "total", theta))
+    return _assemble(cutoff, 2, _sector_expms(cutoff, "total", theta))
 
 
 def beam_splitter_5050(cutoff: int) -> FockOperator:
@@ -261,21 +322,27 @@ def mode_mixer(cutoff: int, theta: float) -> FockOperator:
     return FockOperator(cutoff, 2, _mixing_expm(cutoff, theta))
 
 
-def opa(cutoff: int, alpha_param: float) -> FockOperator:
-    """exp(-(alpha/2)(a^dag b^dag - a b)), assembled from its photon-number-difference sectors.
+def _opa_sectors(cutoff: int, alpha_param: float):
+    """The OPA's photon-number-difference sector blocks and its warnings.
 
     The unitarity defect is the largest over the sector blocks: the operator
     is exactly zero outside them, so this is the max entry of U^dag U - I.
     """
-    _require_finite("alpha_param", alpha_param)
     blocks = list(_sector_expms(cutoff, "difference", -alpha_param / 2.0))
-    out = _assemble((cutoff + 1) ** 2, blocks)
     defect = max(_gram_defect(block) for _, block in blocks)
     warns = ()
     if defect > UNITARITY_WARN_TOL:
         warns = (f"truncation: OPA({alpha_param}) unitarity defect {defect:.2e}"
                  f" at cutoff {cutoff}",)
-    return FockOperator(cutoff, 2, out, warns)
+    return blocks, warns
+
+
+def opa(cutoff: int, alpha_param: float) -> FockOperator:
+    """exp(-(alpha/2)(a^dag b^dag - a b)), assembled from its photon-number-difference sectors."""
+    _require_finite("alpha_param", alpha_param)
+    _require_dense_fits(cutoff, 2)
+    blocks, warns = _opa_sectors(cutoff, alpha_param)
+    return FockOperator(cutoff, 2, _assemble(cutoff, 2, blocks), warns)
 
 
 # ---------------------------------------------------------------------------
@@ -421,45 +488,82 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
 # The SUM gate: direct exponential and the optical five-factor chain
 # ---------------------------------------------------------------------------
 
-def sum_gate(cutoff: int) -> FockOperator:
+def _basis_indices(cutoff: int, indices) -> np.ndarray:
+    """Validated non-empty 1-D array of two-mode basis indices, as a copy."""
+    dim = (cutoff + 1) ** 2
+    idx = np.array(indices)
+    if (idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer)
+            or idx.min() < 0 or idx.max() >= dim):
+        raise ValueError(
+            f"basis indices must be a non-empty 1-D integer array within [0, {dim})"
+        )
+    return idx
+
+
+def sum_gate(cutoff: int, block=None) -> FockOperator | np.ndarray:
     """exp(-2i X_{pi/2} kron X_0), evaluated spectrally.
 
     Both quadratures are Hermitian, so the exponential of the Kronecker
-    product factorizes over their eigenbases; this is exact and avoids a
-    dense two-mode Pade exponential.
+    product factorizes over their eigenbases: U = W diag(e^{-2i p x}) W^dag
+    with W = kron(up, ux). This is exact and avoids a dense two-mode Pade
+    exponential. Given ``block``, an array of two-mode basis indices, only the
+    rows of W for those basis states are built and the principal block
+    U[block][:, block] is returned as an array; without it the same route over
+    every basis state gives the dense ``FockOperator``.
     """
-    p = quadrature(cutoff, np.pi / 2).matrix
-    x = quadrature(cutoff, 0.0).matrix
-    dp, up = np.linalg.eigh(p)
-    dx, ux = np.linalg.eigh(x)
-    u = np.kron(up, ux)
+    n1 = cutoff + 1
+    if block is None:
+        _require_dense_fits(cutoff, 2)
+        idx = np.arange(n1 * n1)
+    else:
+        idx = _basis_indices(cutoff, block)
+    dp, up = np.linalg.eigh(quadrature(cutoff, np.pi / 2).matrix)
+    dx, ux = np.linalg.eigh(quadrature(cutoff, 0.0).matrix)
+    w = (up[idx // n1, :, None] * ux[idx % n1, None, :]).reshape(idx.size, -1)
     phases = np.exp(-2j * np.outer(dp, dx).reshape(-1))
-    return FockOperator(cutoff, 2, (u * phases) @ u.conj().T)
+    u = (w * phases) @ w.conj().T
+    return FockOperator(cutoff, 2, u) if block is None else u
 
 
 def sum_gate_circuit(
-    cutoff: int, params: gaussian.DecompositionParams | None = None
-) -> FockOperator:
+    cutoff: int, params: gaussian.DecompositionParams | None = None, columns=None
+) -> FockOperator | FockColumns:
     """The optical realization of the SUM gate as a five-factor product.
 
     50-50 beam splitter, squeezer pair (r1, r1^dag), two-mode squeezer of
     exponent alpha, mode mixer of angle beta/2, squeezer pair (r2^dag, r2),
-    multiplied in operator order. Warnings of the factors are propagated.
+    in operator order. The factors act one at a time, rightmost first, on a
+    batch of basis columns: the mixer, the OPA and the beam splitter as their
+    sector blocks, and each squeezer pair as a M b^T on every column reshaped
+    to its amplitude matrix M, so no factor is built as a two-mode matrix.
+
+    Given ``columns``, an array of two-mode basis indices, the result is a
+    ``FockColumns`` holding their images; without it the same route over
+    every basis column gives the dense ``FockOperator``. Either way the
+    warnings of the squeezers and the OPA come with the result.
     """
     if params is None:
         params = gaussian.decomposition_params()
+    dim = (cutoff + 1) ** 2
+    if columns is None:
+        _require_dense_fits(cutoff, 2)
+        cols = np.arange(dim)
+    else:
+        cols = _basis_indices(cutoff, columns)
     s1 = squeezer(cutoff, params.r1)
     s2 = squeezer(cutoff, params.r2)
-    opa_op = opa(cutoff, params.alpha)
-    mat = (
-        beam_splitter_5050(cutoff).matrix
-        @ np.kron(s1.matrix, s1.matrix.conj().T)
-        @ opa_op.matrix
-        @ _mixing_expm(cutoff, params.beta / 2.0)
-        @ np.kron(s2.matrix.conj().T, s2.matrix)
-    )
-    warns = s1.warnings + s2.warnings + opa_op.warnings
-    return FockOperator(cutoff, 2, mat, warns)
+    opa_blocks, opa_warns = _opa_sectors(cutoff, params.alpha)
+    images = np.zeros((dim, cols.size), dtype=complex)
+    images[cols, np.arange(cols.size)] = 1.0
+    images = _apply_kron(s2.matrix.conj().T, s2.matrix, images)
+    images = _apply_sectors(images, _sector_expms(cutoff, "total", params.beta / 2.0))
+    images = _apply_sectors(images, opa_blocks)
+    images = _apply_kron(s1.matrix, s1.matrix.conj().T, images)
+    images = _apply_sectors(images, _sector_expms(cutoff, "total", np.pi / 4))
+    warns = s1.warnings + s2.warnings + opa_warns
+    if columns is None:
+        return FockOperator(cutoff, 2, images, warns)
+    return FockColumns(cutoff, cols, images, warns)
 
 
 def phase_aligned_block_distance(
@@ -481,10 +585,15 @@ def phase_aligned_block_distance(
 
 def sum_gate_block_distance(cutoff: int, block_photons: int = 10) -> float:
     """Distance between the optical chain and the direct exponential on the
-    subspace of total photon number <= block_photons, modulo global phase."""
-    mask = block_mask(cutoff, block_photons)
+    subspace of total photon number <= block_photons, modulo global phase.
+
+    Only that block is built: the chain's images of the block's basis columns,
+    restricted to the block's rows, against ``sum_gate``'s block.
+    """
+    block = np.flatnonzero(block_mask(cutoff, block_photons))
+    images = sum_gate_circuit(cutoff, columns=block).matrix[block]
     return phase_aligned_block_distance(
-        sum_gate(cutoff).matrix, sum_gate_circuit(cutoff).matrix, mask
+        sum_gate(cutoff, block), images, np.ones(block.size, dtype=bool)
     )
 
 
@@ -508,9 +617,7 @@ def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
     in_a = quad_eigenstate_approx(cutoff, x / np.sqrt(2.0), 0.0, s)
     in_b = quad_eigenstate_approx(cutoff, y / np.sqrt(2.0), np.pi / 2.0, s)
     product = np.kron(in_a.amplitudes, in_b.amplitudes)
-    out = np.empty_like(product)
-    for idx, block in _sector_expms(cutoff, "total", np.pi / 4):
-        out[idx] = block @ product[idx]
+    out = _apply_sectors(product, _sector_expms(cutoff, "total", np.pi / 4))
     return RegularizedState(
         cutoff, 2, out, {"x": x, "y": y, "s": s},
         in_a.warnings + in_b.warnings,
@@ -596,6 +703,7 @@ def su11_generators(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Kz = (a^dag^2 - a^2 + b^dag^2 - b^2)/4; on states far enough from the
     cutoff they satisfy Kz = i [Kx, Ky], and X_0 kron X_0 = (Kx - i Ky)/2.
     """
+    _require_dense_fits(cutoff, 2)
     a = _ladder(cutoff)
     ad = a.conj().T
     eye = np.eye(cutoff + 1)

@@ -6,11 +6,34 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bellgate import fock
+from bellgate import fock, gaussian
 
 # cutoffs at which the chain exponentials are pinned to dense Pade expm:
 # the one- and two-state edge cases, an odd cutoff and a large one
 CHAIN_CUTOFFS = [1, 2, 13, 40]
+
+
+def dense_sum_gate_chain(n: int, params: gaussian.DecompositionParams) -> np.ndarray:
+    """The optical five-factor chain multiplied out from dense Pade exponentials
+    of its generators, independent of the sector and chain builders."""
+    a = fock._ladder(n)
+    ad = a.conj().T
+
+    def squeeze(r):
+        return scipy.linalg.expm(0.5 * np.log(r) * (ad @ ad - a @ a))
+
+    def mix(theta):
+        return scipy.linalg.expm(theta * (np.kron(ad, a) - np.kron(a, ad)))
+
+    s1, s2 = squeeze(params.r1), squeeze(params.r2)
+    amp = scipy.linalg.expm(-(params.alpha / 2) * (np.kron(ad, ad) - np.kron(a, a)))
+    return (
+        mix(np.pi / 4)
+        @ np.kron(s1, s1.conj().T)
+        @ amp
+        @ mix(params.beta / 2)
+        @ np.kron(s2.conj().T, s2)
+    )
 
 
 def vacuum_expectation(op: np.ndarray) -> complex:
@@ -164,7 +187,7 @@ class TestBeamSplitter:
         a = fock._ladder(n)
         gen = (np.pi / 4) * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
         np.testing.assert_allclose(
-            fock.beam_splitter_5050(n).matrix, scipy.linalg.expm(gen), atol=1e-12
+            fock.beam_splitter_5050(n).matrix, scipy.linalg.expm(gen), rtol=0, atol=1e-12
         )
 
     def test_zero_angle_mixer_is_identity(self):
@@ -187,7 +210,7 @@ class TestOpa:
         ad = a.conj().T
         gen = -(alpha / 2) * (np.kron(ad, ad) - np.kron(a, a))
         np.testing.assert_allclose(
-            fock.opa(n, alpha).matrix, scipy.linalg.expm(gen), atol=1e-12
+            fock.opa(n, alpha).matrix, scipy.linalg.expm(gen), rtol=0, atol=1e-12
         )
 
     def test_truncation_defect_decreases_with_cutoff(self):
@@ -321,7 +344,7 @@ class TestSumGate:
         p = fock.quadrature(n, np.pi / 2).matrix
         x = fock.quadrature(n, 0.0).matrix
         dense = scipy.linalg.expm(-2j * np.kron(p, x))
-        np.testing.assert_allclose(fock.sum_gate(n).matrix, dense, atol=1e-12)
+        np.testing.assert_allclose(fock.sum_gate(n).matrix, dense, rtol=0, atol=1e-12)
 
     def test_circuit_unitary_on_inner_block(self):
         n = 20
@@ -344,6 +367,109 @@ class TestSumGate:
         phase = np.vdot(circuit, target)
         phase /= abs(phase)
         assert np.linalg.norm(target - phase * circuit) <= 1e-4
+
+
+class TestSumGateColumns:
+    @pytest.fixture(scope="class", params=[12, 20])
+    def dense_chain(self, request):
+        n = request.param
+        return n, dense_sum_gate_chain(n, gaussian.decomposition_params())
+
+    @staticmethod
+    def column_set(n: int, which: str) -> np.ndarray:
+        dim = (n + 1) ** 2
+        return {
+            "half_block": np.flatnonzero(fock.block_mask(n, n // 2)),
+            # unsorted, from the top corner |N, N> down to the vacuum
+            "scattered": np.array([dim - 1, 3 * (n + 1) + 5, 0, n, 7 * (n + 1)]),
+            "all": np.arange(dim),
+        }[which]
+
+    @pytest.mark.parametrize("which", ["half_block", "scattered", "all"])
+    def test_column_images_match_dense_chain(self, dense_chain, which):
+        n, dense = dense_chain
+        columns = self.column_set(n, which)
+        out = fock.sum_gate_circuit(n, columns=columns)
+        np.testing.assert_array_equal(out.columns, columns)
+        np.testing.assert_allclose(out.matrix, dense[:, columns], rtol=0, atol=1e-13)
+
+    def test_dense_route_matches_dense_chain(self, dense_chain):
+        n, dense = dense_chain
+        np.testing.assert_allclose(
+            fock.sum_gate_circuit(n).matrix, dense, rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("n", [12, 20])
+    @pytest.mark.parametrize("which", ["half_block", "scattered"])
+    def test_sum_gate_block_matches_dense(self, n, which):
+        block = self.column_set(n, which)
+        np.testing.assert_allclose(
+            fock.sum_gate(n, block), fock.sum_gate(n).matrix[np.ix_(block, block)],
+            rtol=0, atol=1e-13,
+        )
+
+    def test_warnings_match_dense_factors(self, monkeypatch):
+        # every defect exceeds a negative threshold, so each factor warns
+        monkeypatch.setattr(fock, "UNITARITY_WARN_TOL", -1.0)
+        n, params = 12, gaussian.decomposition_params()
+        expected = (
+            fock.squeezer(n, params.r1).warnings
+            + fock.squeezer(n, params.r2).warnings
+            + fock.opa(n, params.alpha).warnings
+        )
+        assert len(expected) == 3
+        assert fock.sum_gate_circuit(n, columns=[0, 5, 40]).warnings == expected
+        assert fock.sum_gate_circuit(n).warnings == expected
+
+    def test_half_block_builds_no_two_mode_matrix(self):
+        # the dense route held 1681^2 complex factors: a 172.6 MB peak at N=40
+        n = 40
+        half = np.flatnonzero(fock.block_mask(n, n // 2))
+        tracemalloc.start()
+        try:
+            fock.sum_gate_circuit(n, columns=half)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize(
+        "columns", [[], [[0, 1]], [0, 169], [-1], np.ones(169, dtype=bool), [0.0, 1.0]]
+    )
+    def test_bad_indices_rejected(self, columns):
+        with pytest.raises(ValueError, match="basis indices"):
+            fock.sum_gate_circuit(12, columns=columns)
+        with pytest.raises(ValueError, match="basis indices"):
+            fock.sum_gate(12, columns)
+
+
+class TestDenseGuard:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: fock.beam_splitter_5050(400),
+            lambda: fock.opa(400, 0.5),
+            lambda: fock.sum_gate_circuit(400),
+            lambda: fock.sum_gate(400),
+            lambda: fock.su11_generators(400),
+        ],
+    )
+    def test_oversized_two_mode_operator_refused_before_allocating(self, build):
+        # 401^4 complex entries are 413711385616 bytes, far above the limit
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cutoff 400 needs 413711385616 bytes"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_column_route_runs_beyond_the_dense_limit(self):
+        # 91^4 complex entries are 1097199376 bytes: cutoff 90 is the first refused
+        with pytest.raises(ValueError, match="cutoff 90 needs 1097199376 bytes"):
+            fock.sum_gate_circuit(90)
+        assert fock.sum_gate_circuit(90, columns=[0]).matrix.shape == (91 ** 2, 1)
 
 
 class TestEntbs:
@@ -444,3 +570,10 @@ class TestLibraryBoundary:
         state = fock.identity_doubleket(4, 0.3)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1
+        requested = np.array([0, 3])
+        images = fock.sum_gate_circuit(4, columns=requested)
+        with pytest.raises(ValueError):
+            images.matrix[0, 0] = 7
+        with pytest.raises(ValueError):
+            images.columns[0] = 1
+        requested[0] = 1  # the caller's array is copied, not frozen
