@@ -35,10 +35,7 @@ def main() -> None:
             lambda m: fock.opa(m, params.alpha), n
         )
         het_lo = fock.heterodyne_eigen_residual(n, 0.5, 1.0)
-        lam_hi = next(
-            lam for lam in (0.9, 0.8, 0.7, 0.6)
-            if lam ** (2 * (n + 1)) <= fock.TAIL_ERROR_TOL
-        )
+        lam_hi = next(lam for lam in (0.9, 0.8, 0.7, 0.6) if fock.lambda_fits(n, lam))
         het_hi = fock.heterodyne_eigen_residual(n, lam_hi, 1.0)
         print(f"{n:>4} {dist:>12.3e} {opa_defect:>12.3e} {het_lo:>10.6f}"
               f" {het_hi:>8.6f} @{lam_hi}")
@@ -53,7 +50,7 @@ def main() -> None:
           f" {'fid(1,-0.5)':>12}")
     for s in (0.6, 0.5, 0.4, 0.3):
         lam = fock.matched_lambda(s)
-        if lam ** (2 * (n + 1)) > fock.TAIL_ERROR_TOL:
+        if not fock.lambda_fits(n, lam):
             print(f"{s:>5} {lam:>12.4f}   (matched damping needs a larger cutoff)")
             continue
         fid0 = fock.entbs_fidelity(n, 0.0, 0.0, s)

@@ -10,6 +10,7 @@ checked against its exact 4x4 symplectic representation.
 from .dket import (
     DoubleKet,
     apply_sandwich,
+    frobenius_norm,
     hs_inner,
     is_maximally_entangled,
     ptrace_first,
@@ -21,7 +22,6 @@ from .fock import (
     FockColumns,
     FockOperator,
     RegularizedState,
-    beam_splitter_5050,
     cutoff_convergence_defect,
     displacement,
     displaced_identity_doubleket,
@@ -43,17 +43,14 @@ from .fock import (
 )
 from .gaussian import (
     DecompositionParams,
-    HardwareParams,
     circuit_symplectic,
     circuit_vs_target_error,
+    consistency_notes,
     decomposition_params,
-    hardware_params,
     su11_pauli_defect,
     sum_gate_symplectic,
     symplectic_defect,
-    symplectic_of,
 )
-from .linalg import expm, frobenius_norm, kron, matmul
 from .qudit import (
     QuditGateSet,
     bell_map_max_error,

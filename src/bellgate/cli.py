@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -51,6 +52,11 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _tol(tol: float | None, default: float) -> float:
+    """The ``--tol`` override when one is given, else the check's default."""
+    return default if tol is None else tol
+
+
 def _check(name: str, error: float, tol: float, passed=None) -> CheckResult:
     if passed is None:
         passed = error <= tol
@@ -63,33 +69,32 @@ def _check(name: str, error: float, tol: float, passed=None) -> CheckResult:
 # qudit verify
 # ---------------------------------------------------------------------------
 
+def _validate_d_range(d_min: int, d_max: int) -> None:
+    if d_min < 2 or d_min > d_max:
+        raise ValueError(f"invalid dimension range {d_min}..{d_max}: need 2 <= d_min <= d_max")
+
+
 def run_qudit_verify(d_min: int, d_max: int, tol: float | None = None) -> VerificationReport:
+    _validate_d_range(d_min, d_max)
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
     for d in range(d_min, d_max + 1):
         gs = qudit.make_gateset(d)
         checks.append(_check(
-            f"d={d}:bell_map",
-            qudit.bell_map_max_error(gs),
-            tol if tol is not None else TOL_BELL_MAP,
+            f"d={d}:bell_map", qudit.bell_map_max_error(gs), _tol(tol, TOL_BELL_MAP)
         ))
         checks.append(_check(
             f"d={d}:construction_equivalence",
             float(np.abs(qudit.v_from_bell_basis(gs) - gs.V).max()),
-            tol if tol is not None else TOL_EQUIVALENCE,
+            _tol(tol, TOL_EQUIVALENCE),
         ))
         checks.append(_check(
-            f"d={d}:bell_gram",
-            qudit.orthonormality_max_error(gs) / d,
-            tol if tol is not None else TOL_GRAM,
+            f"d={d}:bell_gram", qudit.orthonormality_max_error(gs) / d, _tol(tol, TOL_GRAM)
         ))
         if d == 2:
-            cnot = np.zeros((4, 4), dtype=complex)
-            cnot[0, 0] = cnot[1, 1] = cnot[2, 3] = cnot[3, 2] = 1.0
+            cnot = np.eye(4)[[0, 1, 3, 2]]
             checks.append(_check(
-                "V==CNOT",
-                float(np.abs(gs.V - cnot).max()),
-                tol if tol is not None else TOL_CNOT,
+                "V==CNOT", float(np.abs(gs.V - cnot).max()), _tol(tol, TOL_CNOT)
             ))
     return VerificationReport(
         suite="qudit",
@@ -103,86 +108,64 @@ def run_qudit_verify(d_min: int, d_max: int, tol: float | None = None) -> Verifi
 # cv verify
 # ---------------------------------------------------------------------------
 
-def _entbs_s_values(cutoff: int) -> list[float]:
-    """Sharpness values whose matched lambda survives the tail guard at this cutoff."""
-    return [
-        s for s in _ENTBS_S_CANDIDATES
-        if fock.matched_lambda(s) ** (2 * (cutoff + 1)) <= fock.TAIL_ERROR_TOL
-    ]
-
-
-def _heterodyne_lambda_hi(cutoff: int) -> float:
-    for lam in _HETERODYNE_LAMBDAS:
-        if lam ** (2 * (cutoff + 1)) <= fock.TAIL_ERROR_TOL:
-            return lam
-    return 0.55
+def _validate_cutoffs(cutoffs: list[int]) -> None:
+    if not cutoffs:
+        raise ValueError("cutoff list must not be empty")
+    if not all(isinstance(n, int) for n in cutoffs):
+        raise ValueError(f"cutoffs must be integers, got {cutoffs!r}")
+    if min(cutoffs) < 12:
+        raise ValueError("cutoffs below 12 are too small for the verification sweeps")
+    if any(lo >= hi for lo, hi in zip(cutoffs, cutoffs[1:])):
+        raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs!r}")
 
 
 def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationReport:
+    _validate_cutoffs(cutoffs)
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
     warnings: list[str] = []
     params = gaussian.decomposition_params()
 
-    def tol_or(default: float) -> float:
-        return tol if tol is not None else default
-
     _log("exact symplectic layer:")
     checks.append(_check(
-        "su11_pauli_identity", gaussian.su11_pauli_defect(params), tol_or(TOL_SU11)
+        "su11_pauli_identity", gaussian.su11_pauli_defect(params), _tol(tol, TOL_SU11)
     ))
     checks.append(_check(
         "symplectic_decomposition_vs_target",
         gaussian.circuit_vs_target_error(params),
-        tol_or(TOL_SYMPLECTIC),
+        _tol(tol, TOL_SYMPLECTIC),
     ))
-    target = gaussian.sum_gate_symplectic()
-    no_opa = (
-        gaussian.beam_splitter_symplectic()
-        @ gaussian.squeezer_symplectic(params.r1, 0)
-        @ gaussian.squeezer_symplectic(1 / params.r1, 1)
-        @ gaussian.beam_splitter_symplectic(params.beta / 2)
-        @ gaussian.squeezer_symplectic(1 / params.r2, 0)
-        @ gaussian.squeezer_symplectic(params.r2, 1)
+    # opa_symplectic(0) is exactly the identity, so alpha = 0 drops the OPA
+    ablations = (
+        ("drop_opa", dataclasses.replace(params, alpha=0.0)),
+        ("swap_squeezers", dataclasses.replace(params, r1=params.r2, r2=params.r1)),
     )
-    err = float(np.abs(no_opa - target).max())
-    checks.append(_check(
-        "symplectic_ablation_drop_opa_exceeds_floor", err, ABLATION_FLOOR,
-        passed=err > ABLATION_FLOOR,
-    ))
-    swapped = gaussian.circuit_symplectic(
-        gaussian.DecompositionParams(
-            alpha=params.alpha, beta=params.beta, gamma=params.gamma,
-            r1=params.r2, r2=params.r1, tau1=params.tau1, g=params.g,
-        )
-    )
-    err = float(np.abs(swapped - target).max())
-    checks.append(_check(
-        "symplectic_ablation_swap_squeezers_exceeds_floor", err, ABLATION_FLOOR,
-        passed=err > ABLATION_FLOOR,
-    ))
-    hw = gaussian.hardware_params(params)
+    for label, variant in ablations:
+        err = gaussian.circuit_vs_target_error(variant)
+        checks.append(_check(
+            f"symplectic_ablation_{label}_exceeds_floor", err, ABLATION_FLOOR,
+            passed=err > ABLATION_FLOOR,
+        ))
     checks.append(_check(
         "tau1_matches_mixing_angle",
-        abs(hw.tau1 - float(np.cos(params.beta / 2) ** 2)),
-        tol_or(TOL_TAU1),
+        abs(params.tau1 - float(np.cos(params.beta / 2) ** 2)),
+        _tol(tol, TOL_TAU1),
     ))
-    warnings.extend(hw.consistency_notes)
+    warnings.extend(gaussian.consistency_notes(params))
 
-    block = max(4, min(10, min(cutoffs) // 2))
+    block = min(10, min(cutoffs) // 2)
     distances = []
     for n in cutoffs:
         _log(f"cutoff N={n}:")
         # both SUM-gate checks read only the columns of the total <= N/2
-        # block. It holds the block_photons block: block <= N/2 for every
-        # N >= 8, and a cutoff below 9 makes the entbs checks' tail guard raise.
+        # block, which holds the block_photons block
         half = np.flatnonzero(fock.block_mask(n, n // 2))
         circuit = fock.sum_gate_circuit(n, params, columns=half)
         warnings.extend(circuit.warnings)
         images = circuit.matrix
         gram_defect = float(np.abs(images.conj().T @ images - np.eye(half.size)).max())
         checks.append(_check(
-            f"N={n}:sum_gate_unitarity_block", gram_defect, tol_or(TOL_UNITARITY_BLOCK)
+            f"N={n}:sum_gate_unitarity_block", gram_defect, _tol(tol, TOL_UNITARITY_BLOCK)
         ))
         dist = fock.phase_aligned_block_distance(
             fock.sum_gate(n, half), images[half], fock.block_mask(n, block)[half]
@@ -190,14 +173,17 @@ def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationR
         distances.append(dist)
         checks.append(_check(
             f"N={n}:sum_gate_block_distance", dist,
-            tol_or(TOL_FINAL_DISTANCE) if n >= 40 else 1.0,
+            _tol(tol, TOL_FINAL_DISTANCE) if n >= 40 else 1.0,
         ))
 
         fid0 = fock.entbs_fidelity(n, 0.0, 0.0, 0.5)
         checks.append(_check(
-            f"N={n}:entbs_origin_fidelity", 1.0 - fid0, tol_or(TOL_ENTBS_ORIGIN)
+            f"N={n}:entbs_origin_fidelity", 1.0 - fid0, _tol(tol, TOL_ENTBS_ORIGIN)
         ))
-        svals = _entbs_s_values(n)
+        # sharpness values whose matched lambda survives the tail guard
+        svals = [
+            s for s in _ENTBS_S_CANDIDATES if fock.lambda_fits(n, fock.matched_lambda(s))
+        ]
         fids = []
         for s in svals:
             f = fock.entbs_fidelity(n, 1.0, -0.5, s)
@@ -224,9 +210,9 @@ def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationR
         checks.append(_check(
             f"N={n}:heterodyne_closed_form_lam0.5",
             abs(res_half - closed),
-            tol_or(TOL_HETERODYNE_CLOSED) if grade else 1.0,
+            _tol(tol, TOL_HETERODYNE_CLOSED) if grade else 1.0,
         ))
-        lam_hi = _heterodyne_lambda_hi(n)
+        lam_hi = next(lam for lam in _HETERODYNE_LAMBDAS if fock.lambda_fits(n, lam))
         res_lo = fock.heterodyne_eigen_residual(n, 0.5, 1.0)
         res_hi = fock.heterodyne_eigen_residual(n, lam_hi, 1.0)
         checks.append(_check(
@@ -240,7 +226,7 @@ def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationR
         )
         checks.append(_check(
             f"N={n}:heterodyne_z_independence", spread,
-            tol_or(TOL_Z_INDEPENDENCE) if grade else 1.0,
+            _tol(tol, TOL_Z_INDEPENDENCE) if grade else 1.0,
         ))
 
     if len(distances) >= 2:
@@ -350,17 +336,10 @@ def run_qudit_synth(d: int, fmt: str, out: str | None) -> list[Path]:
 
 def params_payload() -> dict:
     p = gaussian.decomposition_params()
-    hw = gaussian.hardware_params(p)
     return {
         "schema": 1,
-        "alpha": p.alpha,
-        "beta": p.beta,
-        "gamma": p.gamma,
-        "r1": p.r1,
-        "r2": p.r2,
-        "tau1": p.tau1,
-        "g": p.g,
-        "consistency_notes": list(hw.consistency_notes),
+        **dataclasses.asdict(p),
+        "consistency_notes": list(gaussian.consistency_notes(p)),
     }
 
 
@@ -395,8 +374,10 @@ def _parse_d_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, int
             d_min = d_max = int(text)
     except ValueError:
         parser.error(f"invalid --d range: {text!r} (expected A..B or a single integer)")
-    if d_min < 2 or d_min > d_max:
-        parser.error(f"invalid --d range: need 2 <= A <= B, got {text!r}")
+    try:
+        _validate_d_range(d_min, d_max)
+    except ValueError as exc:
+        parser.error(str(exc))
     return d_min, d_max
 
 
@@ -405,10 +386,10 @@ def _parse_cutoffs(parser: argparse.ArgumentParser, text: str) -> list[int]:
         cutoffs = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         parser.error(f"invalid --cutoffs list: {text!r}")
-    if not cutoffs:
-        parser.error("cutoff list must not be empty")
-    if any(n < 12 for n in cutoffs):
-        parser.error("cutoffs below 12 are too small for the verification sweeps")
+    try:
+        _validate_cutoffs(cutoffs)
+    except ValueError as exc:
+        parser.error(str(exc))
     return cutoffs
 
 

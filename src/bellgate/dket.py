@@ -2,9 +2,8 @@
 
 An operator A on a d_a-dimensional space, written A = sum_{mn} A_mn |m><n|,
 corresponds to the vector |A>> = sum_{mn} A_mn |m>|n> in the tensor product
-of a d_a- and a d_b-dimensional space. With the row-major layout of the
-linalg module, the amplitudes of |A>> are exactly ``A.reshape(-1)`` (m is
-the slow index).
+of a d_a- and a d_b-dimensional space. With numpy's row-major layout, the
+amplitudes of |A>> are exactly ``A.reshape(-1)`` (m is the slow index).
 
 Useful identities, all taken in the computational basis:
 
@@ -23,7 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce input to a 2-D complex128 array, validating the shape."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        raise ValueError(f"expected a 2-D matrix, got shape {np.shape(a)}")
+    return m
+
+
+def frobenius_norm(a) -> float:
+    """sqrt of the sum of squared moduli of the entries."""
+    return float(np.linalg.norm(as_matrix(a)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -153,10 +153,6 @@ def mode_ops(cutoff: int) -> tuple[FockOperator, FockOperator]:
     )
 
 
-def number_op(cutoff: int) -> np.ndarray:
-    return np.diag(np.arange(cutoff + 1).astype(complex))
-
-
 def quadrature(cutoff: int, phi: float) -> FockOperator:
     """Hermitian quadrature (e^{i phi} a^dag + e^{-i phi} a) / 2."""
     a = _ladder(cutoff)
@@ -311,13 +307,8 @@ def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
     return _assemble(cutoff, 2, _sector_expms(cutoff, "total", theta))
 
 
-def beam_splitter_5050(cutoff: int) -> FockOperator:
-    """exp((pi/4)(a^dag b - a b^dag)); conserves total photon number exactly."""
-    return FockOperator(cutoff, 2, _mixing_expm(cutoff, np.pi / 4))
-
-
 def mode_mixer(cutoff: int, theta: float) -> FockOperator:
-    """exp(theta (a^dag b - a b^dag)) for a general mixing angle."""
+    """exp(theta (a^dag b - a b^dag)); theta = pi/4 is the 50-50 beam splitter."""
     _require_finite("theta", theta)
     return FockOperator(cutoff, 2, _mixing_expm(cutoff, theta))
 
@@ -377,6 +368,12 @@ def block_mask(cutoff: int, max_total: int) -> np.ndarray:
 # Regularized Dirac states
 # ---------------------------------------------------------------------------
 
+def lambda_fits(cutoff: int, lam: float) -> bool:
+    """True iff the tail mass lambda^(2(N+1)) that the cutoff drops from
+    sum_n lambda^n |n, n> is at most ``TAIL_ERROR_TOL``."""
+    return lam ** (2 * (cutoff + 1)) <= TAIL_ERROR_TOL
+
+
 def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     """Normalized two-mode squeezed vacuum sum_n lambda^n |n, n>.
 
@@ -387,7 +384,7 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     tail = lam ** (2 * (cutoff + 1))
-    if tail > TAIL_ERROR_TOL:
+    if not lambda_fits(cutoff, lam):
         raise ValueError(
             f"lambda = {lam} too close to 1 for cutoff {cutoff}:"
             f" tail mass {tail:.2e}"
@@ -611,8 +608,8 @@ def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
     """Beam-splitter image of |x/sqrt2>_0 kron |y/sqrt2>_{pi/2} at sharpness s.
 
     The 50-50 splitter is applied sector by sector to the product vector, so
-    no dense two-mode matrix is built; ``beam_splitter_5050`` assembles the
-    same blocks.
+    no dense two-mode matrix is built; ``mode_mixer(cutoff, pi/4)`` assembles
+    the same blocks.
     """
     in_a = quad_eigenstate_approx(cutoff, x / np.sqrt(2.0), 0.0, s)
     in_b = quad_eigenstate_approx(cutoff, y / np.sqrt(2.0), np.pi / 2.0, s)

@@ -47,13 +47,6 @@ class DecompositionParams:
     g: float
 
 
-@dataclass(frozen=True)
-class HardwareParams:
-    tau1: float
-    g: float
-    consistency_notes: tuple[str, ...]
-
-
 def decomposition_params() -> DecompositionParams:
     t = 2.0 - np.sqrt(3.0)
     return DecompositionParams(
@@ -140,20 +133,6 @@ def sum_gate_symplectic() -> np.ndarray:
     )
 
 
-def symplectic_of(kind: str, **params) -> np.ndarray:
-    """Dispatch a named Gaussian element to its exact 4x4 Heisenberg action."""
-    builders = {
-        "squeezer": squeezer_symplectic,
-        "beam_splitter": beam_splitter_symplectic,
-        "phase_shift": phase_shift_symplectic,
-        "opa": opa_symplectic,
-        "sum_gate": sum_gate_symplectic,
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown Gaussian element kind: {kind!r}")
-    return builders[kind](**params)
-
-
 def symplectic_defect(m: np.ndarray) -> float:
     """Entrywise max of M Omega M^T - Omega (zero for exact symplectic matrices)."""
     return float(np.abs(m @ OMEGA @ m.T - OMEGA).max())
@@ -188,8 +167,8 @@ def circuit_vs_target_error(params: DecompositionParams) -> float:
     return float(np.abs(circuit_symplectic(params) - sum_gate_symplectic()).max())
 
 
-def hardware_params(params: DecompositionParams) -> HardwareParams:
-    """Beam-splitter transmissivity and OPA gain quoted for the optical scheme.
+def consistency_notes(params: DecompositionParams) -> tuple[str, ...]:
+    """Cross-checks of the quoted beam-splitter transmissivity and OPA gain.
 
     tau1 is cross-checked against the mixing angle (tau = cos^2(beta/2)); the
     quoted gain g is negative as defined and its modulus equals cosh^2(alpha/2)
@@ -209,6 +188,4 @@ def hardware_params(params: DecompositionParams) -> HardwareParams:
             f" (|diff| = {abs(abs(params.g) - amp_gain ** 2):.2e}),"
             f" amplitude gain cosh(alpha/2) = {amp_gain:.15g}"
         )
-    return HardwareParams(
-        tau1=params.tau1, g=params.g, consistency_notes=tuple(notes)
-    )
+    return tuple(notes)

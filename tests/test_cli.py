@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bellgate import cli, qudit
 from bellgate.reports import VerificationReport
+
+REPO = Path(__file__).resolve().parents[1]
 
 CNOT_ROWS = [
     [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
@@ -50,6 +56,16 @@ class TestQuditVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["qudit", "verify", "--d", "two..four"])
         assert exc.value.code == 2
+
+    def test_reversed_range_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["qudit", "verify", "--d", "5..3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("d_min,d_max", [(1, 3), (5, 3)])
+    def test_library_rejects_bad_range(self, d_min, d_max):
+        with pytest.raises(ValueError, match="dimension range"):
+            cli.run_qudit_verify(d_min, d_max)
 
     def test_report_written_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -132,6 +148,47 @@ class TestCvVerify:
             c.error for c in report.checks if c.name.endswith("sum_gate_block_distance")
         ]
         assert distances == sorted(distances, reverse=True)
+        # the report's shape: no check may be renamed, reordered or loosened
+        assert [(c.name, c.tolerance) for c in report.checks] == [
+            ("su11_pauli_identity", 1e-14),
+            ("symplectic_decomposition_vs_target", 1e-12),
+            ("symplectic_ablation_drop_opa_exceeds_floor", 0.1),
+            ("symplectic_ablation_swap_squeezers_exceeds_floor", 0.1),
+            ("tau1_matches_mixing_angle", 1e-05),
+            ("N=20:sum_gate_unitarity_block", 1e-06),
+            ("N=20:sum_gate_block_distance", 1.0),
+            ("N=20:entbs_origin_fidelity", 0.001),
+            ("N=20:entbs_fidelity_s=0.6_at_(1,-0.5)", 1.0),
+            ("N=20:entbs_fidelity_s=0.5_at_(1,-0.5)", 1.0),
+            ("N=20:entbs_fidelity_s=0.4_at_(1,-0.5)", 1.0),
+            ("N=20:entbs_sharpening_trend", 0.0),
+            ("N=20:heterodyne_closed_form_lam0.5", 1.0),
+            ("N=20:heterodyne_monotone_lam0.5_to_0.8", 0.0),
+            ("N=20:heterodyne_z_independence", 1.0),
+            ("N=30:sum_gate_unitarity_block", 1e-06),
+            ("N=30:sum_gate_block_distance", 1.0),
+            ("N=30:entbs_origin_fidelity", 0.001),
+            ("N=30:entbs_fidelity_s=0.6_at_(1,-0.5)", 1.0),
+            ("N=30:entbs_fidelity_s=0.5_at_(1,-0.5)", 1.0),
+            ("N=30:entbs_fidelity_s=0.4_at_(1,-0.5)", 1.0),
+            ("N=30:entbs_fidelity_s=0.3_at_(1,-0.5)", 1.0),
+            ("N=30:entbs_sharpening_trend", 0.0),
+            ("N=30:heterodyne_closed_form_lam0.5", 1.0),
+            ("N=30:heterodyne_monotone_lam0.5_to_0.8", 0.0),
+            ("N=30:heterodyne_z_independence", 1.0),
+            ("N=40:sum_gate_unitarity_block", 1e-06),
+            ("N=40:sum_gate_block_distance", 1e-11),
+            ("N=40:entbs_origin_fidelity", 0.001),
+            ("N=40:entbs_fidelity_s=0.6_at_(1,-0.5)", 1.0),
+            ("N=40:entbs_fidelity_s=0.5_at_(1,-0.5)", 1.0),
+            ("N=40:entbs_fidelity_s=0.4_at_(1,-0.5)", 1.0),
+            ("N=40:entbs_fidelity_s=0.3_at_(1,-0.5)", 1.0),
+            ("N=40:entbs_sharpening_trend", 0.0),
+            ("N=40:heterodyne_closed_form_lam0.5", 1e-09),
+            ("N=40:heterodyne_monotone_lam0.5_to_0.8", 0.0),
+            ("N=40:heterodyne_z_independence", 1e-08),
+            ("sum_gate_convergence_monotone", 0.0),
+        ]
 
     def test_single_cutoff_skips_convergence_row(self, capsys):
         code, out, _ = run_cli(capsys, "cv", "verify", "--cutoffs", "14")
@@ -148,6 +205,37 @@ class TestCvVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["cv", "verify", "--cutoffs", "4,8"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", ["16,12", "12,12", "12.5", ","])
+    def test_unordered_repeated_or_fractional_cutoffs_usage_error(self, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cv", "verify", "--cutoffs", text])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "cutoffs,message",
+        [
+            ([], "empty"),
+            ([12.5], "integers"),
+            ([20, "30"], "integers"),
+            ([8, 20], "below 12"),
+            ([16, 12], "strictly increasing"),
+            ([12, 12], "strictly increasing"),
+        ],
+    )
+    def test_library_rejects_bad_cutoffs(self, cutoffs, message):
+        with pytest.raises(ValueError, match=message):
+            cli.run_cv_verify(cutoffs)
+
+    def test_convergence_script_runs(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        )}
+        result = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "cv_convergence.py"), "12,16"],
+            cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestParams:

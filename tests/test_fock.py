@@ -158,13 +158,13 @@ class TestPhaseShift:
 
 class TestBeamSplitter:
     def test_vacuum_invariant(self):
-        v = fock.beam_splitter_5050(8).matrix
+        v = fock.mode_mixer(8, np.pi / 4).matrix
         np.testing.assert_allclose(
             v @ fock.basis_state(8, 0, 0), fock.basis_state(8, 0, 0), atol=1e-14
         )
 
     def test_single_photon_splits_evenly(self):
-        v = fock.beam_splitter_5050(8).matrix
+        v = fock.mode_mixer(8, np.pi / 4).matrix
         out = v @ fock.basis_state(8, 1, 0)
         p10 = abs(np.vdot(fock.basis_state(8, 1, 0), out)) ** 2
         p01 = abs(np.vdot(fock.basis_state(8, 0, 1), out)) ** 2
@@ -173,11 +173,11 @@ class TestBeamSplitter:
         assert p10 + p01 == pytest.approx(1.0, abs=1e-12)
 
     def test_unitary(self):
-        assert fock.unitarity_defect(fock.beam_splitter_5050(12)) <= 1e-10
+        assert fock.unitarity_defect(fock.mode_mixer(12, np.pi / 4)) <= 1e-10
 
     def test_number_conservation(self):
         n_tot = np.diag(fock.total_photon_numbers(10).astype(complex))
-        v = fock.beam_splitter_5050(10).matrix
+        v = fock.mode_mixer(10, np.pi / 4).matrix
         assert np.abs(v @ n_tot - n_tot @ v).max() <= 1e-12
         rot = np.kron(np.eye(11), fock.phase_shift(10, np.pi / 2).matrix)
         assert np.abs(rot @ n_tot - n_tot @ rot).max() <= 1e-12
@@ -187,7 +187,7 @@ class TestBeamSplitter:
         a = fock._ladder(n)
         gen = (np.pi / 4) * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
         np.testing.assert_allclose(
-            fock.beam_splitter_5050(n).matrix, scipy.linalg.expm(gen), rtol=0, atol=1e-12
+            fock.mode_mixer(n, np.pi / 4).matrix, scipy.linalg.expm(gen), rtol=0, atol=1e-12
         )
 
     def test_zero_angle_mixer_is_identity(self):
@@ -447,7 +447,7 @@ class TestDenseGuard:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: fock.beam_splitter_5050(400),
+            lambda: fock.mode_mixer(400, np.pi / 4),
             lambda: fock.opa(400, 0.5),
             lambda: fock.sum_gate_circuit(400),
             lambda: fock.sum_gate(400),
@@ -493,7 +493,7 @@ class TestEntbs:
         n, x, y, s = 30, 0.5, -0.3, 0.5
         in_a = fock.quad_eigenstate_approx(n, x / np.sqrt(2.0), 0.0, s)
         in_b = fock.quad_eigenstate_approx(n, y / np.sqrt(2.0), np.pi / 2.0, s)
-        dense = fock.beam_splitter_5050(n).matrix @ np.kron(in_a.amplitudes, in_b.amplitudes)
+        dense = fock.mode_mixer(n, np.pi / 4).matrix @ np.kron(in_a.amplitudes, in_b.amplitudes)
         np.testing.assert_allclose(
             fock.entbs_output(n, x, y, s).amplitudes, dense, rtol=0, atol=1e-13
         )

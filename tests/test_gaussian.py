@@ -5,6 +5,8 @@ unitary of each element and compares against the claimed 4x4 action on a
 low-total-photon block, pinning every sign convention numerically.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -81,19 +83,15 @@ class TestSu11PauliIdentity:
 class TestElementSymplectics:
     def test_squeezer_action(self):
         np.testing.assert_allclose(
-            gaussian.symplectic_of("squeezer", r=1.3, mode=0),
+            gaussian.squeezer_symplectic(1.3, mode=0),
             np.diag([1.3, 1 / 1.3, 1.0, 1.0]),
         )
 
     def test_phase_shift_quarter_turn(self):
-        m = gaussian.symplectic_of("phase_shift", theta=np.pi / 2, mode=1)
+        m = gaussian.phase_shift_symplectic(np.pi / 2, mode=1)
         expected = np.eye(4)
         expected[2:, 2:] = [[0, 1], [-1, 0]]
         np.testing.assert_allclose(m, expected, atol=1e-15)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            gaussian.symplectic_of("kerr")
 
     @pytest.mark.parametrize(
         "kind,kw",
@@ -108,7 +106,8 @@ class TestElementSymplectics:
         ],
     )
     def test_symplectic_invariant(self, kind, kw):
-        assert gaussian.symplectic_defect(gaussian.symplectic_of(kind, **kw)) <= 1e-13
+        m = getattr(gaussian, f"{kind}_symplectic")(**kw)
+        assert gaussian.symplectic_defect(m) <= 1e-13
 
     @pytest.mark.parametrize(
         "kind,kw,build",
@@ -118,22 +117,22 @@ class TestElementSymplectics:
             ("phase_shift", {"theta": np.pi / 2, "mode": 1},
              lambda n: np.kron(np.eye(n + 1), fock.phase_shift(n, np.pi / 2).matrix)),
             ("beam_splitter", {},
-             lambda n: fock.beam_splitter_5050(n).matrix),
+             lambda n: fock.mode_mixer(n, np.pi / 4).matrix),
             ("opa", {"alpha": 0.7},
              lambda n: fock.opa(n, 0.7).matrix),
         ],
     )
     def test_fock_oracle_confirms_elements(self, kind, kw, build):
         cutoff = 30
-        err = fock_block_error(build(cutoff), gaussian.symplectic_of(kind, **kw), cutoff)
-        assert err <= 1e-6
+        m = getattr(gaussian, f"{kind}_symplectic")(**kw)
+        assert fock_block_error(build(cutoff), m, cutoff) <= 1e-6
 
     def test_composition_homomorphism_via_fock(self):
         cutoff = 30
         u1 = fock.opa(cutoff, 0.4).matrix
-        u2 = fock.beam_splitter_5050(cutoff).matrix
-        m1 = gaussian.symplectic_of("opa", alpha=0.4)
-        m2 = gaussian.symplectic_of("beam_splitter")
+        u2 = fock.mode_mixer(cutoff, np.pi / 4).matrix
+        m1 = gaussian.opa_symplectic(0.4)
+        m2 = gaussian.beam_splitter_symplectic()
         assert fock_block_error(u1 @ u2, m1 @ m2, cutoff) <= 1e-6
 
 
@@ -172,12 +171,11 @@ class TestDecompositionVsTarget:
             @ gaussian.squeezer_symplectic(params.r2, 1)
         )
         assert np.abs(without - gaussian.sum_gate_symplectic()).max() > 0.1
+        # opa_symplectic(0) is exactly the identity, so alpha = 0 drops the OPA
+        assert np.array_equal(without, gaussian.circuit_symplectic(replace(params, alpha=0.0)))
 
     def test_swapping_squeezers_breaks_identity(self, params):
-        swapped = gaussian.DecompositionParams(
-            alpha=params.alpha, beta=params.beta, gamma=params.gamma,
-            r1=params.r2, r2=params.r1, tau1=params.tau1, g=params.g,
-        )
+        swapped = replace(params, r1=params.r2, r2=params.r1)
         assert gaussian.circuit_vs_target_error(swapped) > 0.1
 
     def test_both_identities_share_one_params_instance(self, params):
@@ -187,11 +185,9 @@ class TestDecompositionVsTarget:
 
 class TestHardwareParams:
     def test_tau1_value_and_angle_consistency(self, params):
-        hw = gaussian.hardware_params(params)
-        assert hw.tau1 == pytest.approx(0.93301, abs=1e-5)
-        assert abs(hw.tau1 - np.cos(params.beta / 2) ** 2) <= 1e-5
+        assert params.tau1 == pytest.approx(0.93301, abs=1e-5)
+        assert abs(params.tau1 - np.cos(params.beta / 2) ** 2) <= 1e-5
 
     def test_negative_gain_is_flagged(self, params):
-        hw = gaussian.hardware_params(params)
-        assert hw.g == pytest.approx(-1.0774, abs=1e-4)
-        assert any("negative" in note for note in hw.consistency_notes)
+        assert params.g == pytest.approx(-1.0774, abs=1e-4)
+        assert any("negative" in note for note in gaussian.consistency_notes(params))
