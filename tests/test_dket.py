@@ -187,20 +187,3 @@ class TestMaximalEntanglement:
         for _ in range(100):
             u = _random_unitary(rng, d)
             assert dket.is_maximally_entangled(dket.vec(u / np.sqrt(d)), 1e-9)
-
-
-class TestFrobeniusNorm:
-    @pytest.mark.parametrize("d", [2, 3, 7])
-    def test_identity(self, d):
-        assert dket.frobenius_norm(np.eye(d)) == pytest.approx(np.sqrt(d), abs=1e-14)
-
-    def test_pauli(self):
-        assert dket.frobenius_norm(SX) == pytest.approx(np.sqrt(2), abs=1e-14)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_consistent_with_hs_inner(self, seed):
-        rng = np.random.default_rng(seed)
-        a = _random_complex(rng, 5, 5)
-        assert dket.frobenius_norm(a) == pytest.approx(
-            np.sqrt(dket.hs_inner(a, a).real), abs=1e-13
-        )

@@ -1,154 +1,29 @@
-"""Unit tests for the dense matrix kernel, checked against naive oracles."""
+"""Unit tests for the Frobenius norm used by the d-ket checks."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bellgate import linalg
-from bellgate.dket import hs_inner
+from bellgate.dket import frobenius_norm, hs_inner
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def _naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0 + 0.0j
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        np.testing.assert_array_equal(linalg.matmul(np.eye(2), SX), SX)
-
-    def test_clock_times_shift(self):
-        np.testing.assert_allclose(
-            linalg.matmul(SZ, SX), np.array([[0, 1], [-1, 0]]), atol=1e-15
-        )
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_naive_triple_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        a = _random_complex(rng, 4, 3)
-        b = _random_complex(rng, 3, 5)
-        np.testing.assert_allclose(
-            linalg.matmul(a, b), _naive_matmul(a, b), atol=1e-13
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            linalg.matmul(np.eye(2), np.eye(3))
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_convention(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        b = np.array([[0, 5], [6, 7]], dtype=complex)
-        k = linalg.kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                np.testing.assert_array_equal(
-                    k[2 * i:2 * i + 2, 2 * j:2 * j + 2], a[i, j] * b
-                )
-
-    def test_controlled_mix_is_not_unitary(self):
-        # |0><0| kron sigma_x + |1><1| kron I summed as plain matrices is not
-        # unitary; a sanity guard against confusing sums with controlled gates
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        m = linalg.kron(p0, SX) + linalg.kron(p1, np.eye(2)) + linalg.kron(p0, np.eye(2))
-        assert np.abs(m.conj().T @ m - np.eye(4)).max() > 0.5
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1))
-    def test_mixed_product_property(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (_random_complex(rng, 3, 3) for _ in range(4))
-        np.testing.assert_allclose(
-            linalg.kron(a, b) @ linalg.kron(c, d),
-            linalg.kron(a @ c, b @ d),
-            atol=1e-13,
-        )
-
-
-class TestExpm:
-    def test_zero(self):
-        np.testing.assert_array_equal(linalg.expm(np.zeros((3, 3))), np.eye(3))
-
-    def test_pauli_rotation(self):
-        # closed form: exp(i t sigma_x) = cos(t) I + i sin(t) sigma_x
-        np.testing.assert_allclose(
-            linalg.expm(1j * np.pi / 2 * SX), 1j * SX, atol=1e-13
-        )
-
-    def test_diagonal(self):
-        lam = np.array([0.3, -1.2 + 0.7j, 2.0j])
-        np.testing.assert_allclose(
-            linalg.expm(np.diag(lam)), np.diag(np.exp(lam)), atol=1e-13
-        )
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            linalg.expm(np.ones((2, 3)))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_normal_matrix_spectral_accuracy(self, seed):
-        # normal input with known spectrum: eigenvalue-wise relative error
-        rng = np.random.default_rng(seed)
-        lam = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        q, _ = np.linalg.qr(_random_complex(rng, 6, 6))
-        a = q @ np.diag(lam) @ q.conj().T
-        expected = q @ np.diag(np.exp(lam)) @ q.conj().T
-        rel = np.abs(linalg.expm(a) - expected).max() / np.abs(np.exp(lam)).max()
-        assert rel <= 1e-12
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1))
-    def test_inverse_property(self, seed):
-        rng = np.random.default_rng(seed)
-        a = _random_complex(rng, 4, 4)
-        a *= 5.0 / max(1.0, np.linalg.norm(a, 2))
-        np.testing.assert_allclose(
-            linalg.expm(a) @ linalg.expm(-a), np.eye(4), atol=1e-11
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_similarity_property(self, seed):
-        rng = np.random.default_rng(seed)
-        a = _random_complex(rng, 4, 4)
-        q, _ = np.linalg.qr(_random_complex(rng, 4, 4))
-        p = q @ np.diag(rng.uniform(0.5, 2.0, size=4))
-        p_inv = np.linalg.inv(p)
-        np.testing.assert_allclose(
-            linalg.expm(p @ a @ p_inv), p @ linalg.expm(a) @ p_inv, atol=1e-10
-        )
-
-
 class TestFrobeniusNorm:
     @pytest.mark.parametrize("d", [2, 3, 7])
     def test_identity(self, d):
-        assert linalg.frobenius_norm(np.eye(d)) == pytest.approx(np.sqrt(d), abs=1e-14)
+        assert frobenius_norm(np.eye(d)) == pytest.approx(np.sqrt(d), abs=1e-14)
 
     def test_pauli(self):
-        assert linalg.frobenius_norm(SX) == pytest.approx(np.sqrt(2), abs=1e-14)
+        assert frobenius_norm(SX) == pytest.approx(np.sqrt(2), abs=1e-14)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_consistent_with_hs_inner(self, seed):
         rng = np.random.default_rng(seed)
         a = _random_complex(rng, 5, 5)
-        assert linalg.frobenius_norm(a) == pytest.approx(
+        assert frobenius_norm(a) == pytest.approx(
             np.sqrt(hs_inner(a, a).real), abs=1e-13
         )
