@@ -30,7 +30,7 @@ def main() -> None:
 
     print(f"{'N':>4} {'chain_dist':>12} {'opa_defect':>12} {'het(0.5)':>10} {'het(sharp)':>16}")
     for n in cutoffs:
-        dist = fock.sum_gate_block_distance(n)
+        _, dist, _ = fock.sum_gate_block_checks(n, 10)
         opa_defect = fock.cutoff_convergence_defect(
             lambda m: fock.opa(m, params.alpha), n
         )

@@ -38,7 +38,7 @@ from .fock import (
     quadrature,
     squeezer,
     sum_gate,
-    sum_gate_block_distance,
+    sum_gate_block_checks,
     sum_gate_circuit,
 )
 from .gaussian import (

@@ -35,13 +35,16 @@ double-ket refuses lambda so large that the tail exceeds 1e-4. The beam
 splitter acts on two-mode states sector by sector, so no state path builds a
 dense two-mode matrix.
 
-The optical SUM-gate chain (``sum_gate_circuit``) is applied the same way to a
-batch of basis columns: the two-mode factors as their sector blocks, the
-squeezer pairs as a M b^T on each column's amplitude matrix M. A caller that
-reads a few columns asks for those (``FockColumns``), and the direct
-``sum_gate`` likewise builds only a principal block; the dense operators are
-the same routes over every basis state. Dense two-mode builders refuse, before
-allocating, a matrix larger than ``DENSE_BYTES_LIMIT``.
+The optical SUM-gate chain (``sum_gate_circuit``) is applied the same way to
+the basis columns a caller reads (``FockColumns``): the two-mode factors as
+their sector blocks, the squeezer pairs as a M b^T on each column's amplitude
+matrix M. The direct ``sum_gate`` likewise builds only the principal block of
+the requested basis states, and ``sum_gate_block_checks`` reads both SUM-gate
+checks from one pass of the chain.
+
+One guard, ``_require_fits``, refuses a route whose complex arrays would exceed
+``DENSE_BYTES_LIMIT`` before it allocates them: a dense matrix, the chain's
+column images, ``sum_gate``'s eigenbasis rows and the OPA's sector blocks.
 
 Stored arrays are read-only: the dataclasses are frozen, and so are their
 matrices and amplitudes.
@@ -61,8 +64,8 @@ UNITARITY_WARN_TOL = 1e-8
 TAIL_WARN_TOL = 1e-8
 TAIL_ERROR_TOL = 1e-4
 _TAIL_PAD = 12
-# largest dense complex matrix a builder may allocate; a two-mode operator
-# exceeds it from cutoff 90 on
+# most bytes of complex arrays one route may allocate; a dense two-mode
+# operator exceeds it from cutoff 90 on
 DENSE_BYTES_LIMIT = 2**30
 
 
@@ -166,7 +169,8 @@ def _require_finite(name: str, value: complex) -> None:
 
 
 def _gram_defect(u: np.ndarray) -> float:
-    return float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
+    """Max entry of U^dag U - I over the columns of U."""
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[1])).max())
 
 
 def unitarity_defect(op: FockOperator) -> float:
@@ -195,19 +199,20 @@ def _chain_expm(sub: np.ndarray) -> np.ndarray:
     return (p[:, None] * v * np.exp(-1j * w)) @ (v.T * p.conj())
 
 
-def _require_dense_fits(cutoff: int, modes: int) -> None:
-    """Refuse a dense operator whose complex matrix would exceed DENSE_BYTES_LIMIT."""
-    requested = 16 * (cutoff + 1) ** (2 * modes)
+def _require_fits(cutoff: int, entries: int) -> None:
+    """Refuse, before allocating, complex arrays of ``entries`` entries in all
+    that would exceed DENSE_BYTES_LIMIT."""
+    requested = 16 * entries
     if requested > DENSE_BYTES_LIMIT:
         raise ValueError(
-            f"a dense {modes}-mode operator at cutoff {cutoff} needs {requested}"
-            f" bytes, more than the limit of {DENSE_BYTES_LIMIT} bytes"
+            f"cutoff {cutoff} needs {requested} bytes of complex arrays,"
+            f" more than the limit of {DENSE_BYTES_LIMIT} bytes"
         )
 
 
 def _assemble(cutoff: int, modes: int, blocks) -> np.ndarray:
     """Dense matrix from (indices, block) pairs that partition the basis."""
-    _require_dense_fits(cutoff, modes)
+    _require_fits(cutoff, (cutoff + 1) ** (2 * modes))
     dim = (cutoff + 1) ** modes
     out = np.zeros((dim, dim), dtype=complex)
     for idx, block in blocks:
@@ -316,9 +321,11 @@ def mode_mixer(cutoff: int, theta: float) -> FockOperator:
 def _opa_sectors(cutoff: int, alpha_param: float):
     """The OPA's photon-number-difference sector blocks and its warnings.
 
+    The blocks hold sum_d (N + 1 - |d|)^2 = (N + 1)(2N^2 + 4N + 3)/3 entries.
     The unitarity defect is the largest over the sector blocks: the operator
     is exactly zero outside them, so this is the max entry of U^dag U - I.
     """
+    _require_fits(cutoff, (cutoff + 1) * (2 * cutoff**2 + 4 * cutoff + 3) // 3)
     blocks = list(_sector_expms(cutoff, "difference", -alpha_param / 2.0))
     defect = max(_gram_defect(block) for _, block in blocks)
     warns = ()
@@ -331,7 +338,7 @@ def _opa_sectors(cutoff: int, alpha_param: float):
 def opa(cutoff: int, alpha_param: float) -> FockOperator:
     """exp(-(alpha/2)(a^dag b^dag - a b)), assembled from its photon-number-difference sectors."""
     _require_finite("alpha_param", alpha_param)
-    _require_dense_fits(cutoff, 2)
+    _require_fits(cutoff, (cutoff + 1) ** 4)
     blocks, warns = _opa_sectors(cutoff, alpha_param)
     return FockOperator(cutoff, 2, _assemble(cutoff, 2, blocks), warns)
 
@@ -486,70 +493,56 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
 # ---------------------------------------------------------------------------
 
 def _basis_indices(cutoff: int, indices) -> np.ndarray:
-    """Validated non-empty 1-D array of two-mode basis indices, as a copy."""
+    """Validated non-empty 1-D array of two-mode basis indices, as a copy. The
+    guard runs first: both SUM-gate routes hold (N+1)^2 entries per index."""
     dim = (cutoff + 1) ** 2
-    idx = np.array(indices)
+    idx = np.asarray(indices)
     if (idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer)
             or idx.min() < 0 or idx.max() >= dim):
         raise ValueError(
             f"basis indices must be a non-empty 1-D integer array within [0, {dim})"
         )
-    return idx
+    _require_fits(cutoff, dim * idx.size)
+    return idx.copy()
 
 
-def sum_gate(cutoff: int, block=None) -> FockOperator | np.ndarray:
-    """exp(-2i X_{pi/2} kron X_0), evaluated spectrally.
+def sum_gate(cutoff: int, block) -> np.ndarray:
+    """exp(-2i X_{pi/2} kron X_0) on a principal block, evaluated spectrally.
 
     Both quadratures are Hermitian, so the exponential of the Kronecker
     product factorizes over their eigenbases: U = W diag(e^{-2i p x}) W^dag
     with W = kron(up, ux). This is exact and avoids a dense two-mode Pade
-    exponential. Given ``block``, an array of two-mode basis indices, only the
-    rows of W for those basis states are built and the principal block
-    U[block][:, block] is returned as an array; without it the same route over
-    every basis state gives the dense ``FockOperator``.
+    exponential. Only the rows of W for the basis states in ``block``, an
+    array of two-mode basis indices, are built, and the principal block
+    U[block][:, block] is returned.
     """
     n1 = cutoff + 1
-    if block is None:
-        _require_dense_fits(cutoff, 2)
-        idx = np.arange(n1 * n1)
-    else:
-        idx = _basis_indices(cutoff, block)
+    idx = _basis_indices(cutoff, block)
     dp, up = np.linalg.eigh(quadrature(cutoff, np.pi / 2).matrix)
     dx, ux = np.linalg.eigh(quadrature(cutoff, 0.0).matrix)
     w = (up[idx // n1, :, None] * ux[idx % n1, None, :]).reshape(idx.size, -1)
     phases = np.exp(-2j * np.outer(dp, dx).reshape(-1))
-    u = (w * phases) @ w.conj().T
-    return FockOperator(cutoff, 2, u) if block is None else u
+    return (w * phases) @ w.conj().T
 
 
-def sum_gate_circuit(
-    cutoff: int, params: gaussian.DecompositionParams | None = None, columns=None
-) -> FockOperator | FockColumns:
-    """The optical realization of the SUM gate as a five-factor product.
+def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
+    """The optical realization of the SUM gate as a five-factor product,
+    applied to the basis states ``columns`` (an array of two-mode indices).
 
     50-50 beam splitter, squeezer pair (r1, r1^dag), two-mode squeezer of
     exponent alpha, mode mixer of angle beta/2, squeezer pair (r2^dag, r2),
-    in operator order. The factors act one at a time, rightmost first, on a
-    batch of basis columns: the mixer, the OPA and the beam splitter as their
-    sector blocks, and each squeezer pair as a M b^T on every column reshaped
-    to its amplitude matrix M, so no factor is built as a two-mode matrix.
-
-    Given ``columns``, an array of two-mode basis indices, the result is a
-    ``FockColumns`` holding their images; without it the same route over
-    every basis column gives the dense ``FockOperator``. Either way the
-    warnings of the squeezers and the OPA come with the result.
+    in operator order, with ``gaussian.decomposition_params()``. The factors
+    act one at a time, rightmost first: the mixer, the OPA and the beam
+    splitter as their sector blocks, and each squeezer pair as a M b^T on
+    every column reshaped to its amplitude matrix M, so no factor is built as
+    a two-mode matrix. The squeezers' and the OPA's warnings come with it.
     """
-    if params is None:
-        params = gaussian.decomposition_params()
+    params = gaussian.decomposition_params()
     dim = (cutoff + 1) ** 2
-    if columns is None:
-        _require_dense_fits(cutoff, 2)
-        cols = np.arange(dim)
-    else:
-        cols = _basis_indices(cutoff, columns)
+    cols = _basis_indices(cutoff, columns)
+    opa_blocks, opa_warns = _opa_sectors(cutoff, params.alpha)
     s1 = squeezer(cutoff, params.r1)
     s2 = squeezer(cutoff, params.r2)
-    opa_blocks, opa_warns = _opa_sectors(cutoff, params.alpha)
     images = np.zeros((dim, cols.size), dtype=complex)
     images[cols, np.arange(cols.size)] = 1.0
     images = _apply_kron(s2.matrix.conj().T, s2.matrix, images)
@@ -557,10 +550,7 @@ def sum_gate_circuit(
     images = _apply_sectors(images, opa_blocks)
     images = _apply_kron(s1.matrix, s1.matrix.conj().T, images)
     images = _apply_sectors(images, _sector_expms(cutoff, "total", np.pi / 4))
-    warns = s1.warnings + s2.warnings + opa_warns
-    if columns is None:
-        return FockOperator(cutoff, 2, images, warns)
-    return FockColumns(cutoff, cols, images, warns)
+    return FockColumns(cutoff, cols, images, s1.warnings + s2.warnings + opa_warns)
 
 
 def phase_aligned_block_distance(
@@ -580,18 +570,24 @@ def phase_aligned_block_distance(
     return float(np.abs(ab - phase * bb).max())
 
 
-def sum_gate_block_distance(cutoff: int, block_photons: int = 10) -> float:
-    """Distance between the optical chain and the direct exponential on the
-    subspace of total photon number <= block_photons, modulo global phase.
+def sum_gate_block_checks(
+    cutoff: int, block_photons: int
+) -> tuple[float, float, tuple[str, ...]]:
+    """Both SUM-gate checks at one cutoff, from one pass of the optical chain
+    over the basis columns of total photon number <= max(N/2, block_photons).
 
-    Only that block is built: the chain's images of the block's basis columns,
-    restricted to the block's rows, against ``sum_gate``'s block.
+    Returns ``(gram_defect, distance, warnings)``: the max entry of
+    C^dag C - I for those columns' images C; the phase-aligned distance
+    between the chain and the direct ``sum_gate`` on the subspace of total
+    photon number <= ``block_photons``; and the chain's warnings.
     """
-    block = np.flatnonzero(block_mask(cutoff, block_photons))
-    images = sum_gate_circuit(cutoff, columns=block).matrix[block]
-    return phase_aligned_block_distance(
-        sum_gate(cutoff, block), images, np.ones(block.size, dtype=bool)
+    cols = np.flatnonzero(block_mask(cutoff, max(cutoff // 2, block_photons)))
+    circuit = sum_gate_circuit(cutoff, cols)
+    distance = phase_aligned_block_distance(
+        sum_gate(cutoff, cols), circuit.matrix[cols],
+        block_mask(cutoff, block_photons)[cols],
     )
+    return _gram_defect(circuit.matrix), distance, circuit.warnings
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +696,7 @@ def su11_generators(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Kz = (a^dag^2 - a^2 + b^dag^2 - b^2)/4; on states far enough from the
     cutoff they satisfy Kz = i [Kx, Ky], and X_0 kron X_0 = (Kx - i Ky)/2.
     """
-    _require_dense_fits(cutoff, 2)
+    _require_fits(cutoff, (cutoff + 1) ** 4)
     a = _ladder(cutoff)
     ad = a.conj().T
     eye = np.eye(cutoff + 1)

@@ -119,7 +119,7 @@ def test_06_symplectic_decomposition(params):
 
 
 def test_07_fock_convergence_of_sum_gate():
-    distances = [fock.sum_gate_block_distance(n) for n in (20, 30, 40)]
+    distances = [fock.sum_gate_block_checks(n, 10)[1] for n in (20, 30, 40)]
     monotone = distances[0] > distances[1] > distances[2]
     # measured 9.6e-14 at N=40; frozen threshold leaves two decades of margin
     final_ok = distances[2] <= 1e-11

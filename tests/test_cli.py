@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,10 @@ CNOT_ROWS = [
     [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
     [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
 ]
+
+
+# NaN, both infinities and a negative value
+BAD_TOLERANCES = ["nan", "inf", "-inf", "-0.5"]
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +80,20 @@ class TestQuditVerify:
         assert code == 0
         assert VerificationReport.from_json(out_path.read_text()) == \
             VerificationReport.from_json(out)
+
+    def test_checks_and_tolerances_are_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "qudit", "verify", "--d", "2..3")
+        assert code == 0
+        # the report's shape: no check may be renamed, reordered or loosened
+        assert [(c.name, c.tolerance) for c in VerificationReport.from_json(out).checks] == [
+            ("d=2:bell_map", 1e-11),
+            ("d=2:construction_equivalence", 1e-12),
+            ("d=2:bell_gram", 1e-12),
+            ("V==CNOT", 1e-14),
+            ("d=3:bell_map", 1e-11),
+            ("d=3:construction_equivalence", 1e-12),
+            ("d=3:bell_gram", 1e-12),
+        ]
 
     def test_deterministic_reports(self):
         first = cli.run_qudit_verify(2, 4)
@@ -206,7 +225,7 @@ class TestCvVerify:
             cli.main(["cv", "verify", "--cutoffs", "4,8"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("text", ["16,12", "12,12", "12.5", ","])
+    @pytest.mark.parametrize("text", ["16,12", "12,12", "12.5", ",", "12,,16", "12,16,"])
     def test_unordered_repeated_or_fractional_cutoffs_usage_error(self, text):
         with pytest.raises(SystemExit) as exc:
             cli.main(["cv", "verify", "--cutoffs", text])
@@ -227,6 +246,26 @@ class TestCvVerify:
         with pytest.raises(ValueError, match=message):
             cli.run_cv_verify(cutoffs)
 
+    def test_oversized_cutoff_refused_before_allocating(self):
+        # the total <= 100 block's 5151 image columns of length 201^2 would
+        # take 3329688816 bytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cutoff 200 needs 3329688816 bytes"):
+                cli.run_cv_verify([200])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_oversized_cutoff_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cv", "verify", "--cutoffs", "200"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cutoff 200 needs 3329688816 bytes" in err
+        assert "Traceback" not in err
+
     def test_convergence_script_runs(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
@@ -236,6 +275,26 @@ class TestCvVerify:
             cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
+
+
+class TestBadTolerance:
+    @pytest.mark.parametrize("text", BAD_TOLERANCES)
+    def test_library_rejects_bad_tolerance(self, text):
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            cli.run_qudit_verify(2, 3, float(text))
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            cli.run_cv_verify([12], float(text))
+
+    @pytest.mark.parametrize("text", BAD_TOLERANCES)
+    @pytest.mark.parametrize(
+        "argv", [["qudit", "verify", "--d", "2..3"], ["cv", "verify", "--cutoffs", "12"]],
+        ids=["qudit", "cv"],
+    )
+    def test_bad_tolerance_usage_error(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, f"--tol={text}"])
+        assert exc.value.code == 2
+        assert "tolerance must be finite and non-negative" in capsys.readouterr().err
 
 
 class TestParams:

@@ -13,6 +13,15 @@ from bellgate import fock, gaussian
 CHAIN_CUTOFFS = [1, 2, 13, 40]
 
 
+def every_state(n: int) -> np.ndarray:
+    """Indices of all (N+1)^2 two-mode basis states."""
+    return np.arange((n + 1) ** 2)
+
+
+# built at import, so the memory the guard tests trace holds none of it
+EVERY_STATE_400 = every_state(400)
+
+
 def dense_sum_gate_chain(n: int, params: gaussian.DecompositionParams) -> np.ndarray:
     """The optical five-factor chain multiplied out from dense Pade exponentials
     of its generators, independent of the sector and chain builders."""
@@ -344,26 +353,36 @@ class TestSumGate:
         p = fock.quadrature(n, np.pi / 2).matrix
         x = fock.quadrature(n, 0.0).matrix
         dense = scipy.linalg.expm(-2j * np.kron(p, x))
-        np.testing.assert_allclose(fock.sum_gate(n).matrix, dense, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            fock.sum_gate(n, every_state(n)), dense, rtol=0, atol=1e-12
+        )
 
     def test_circuit_unitary_on_inner_block(self):
-        n = 20
-        circuit = fock.sum_gate_circuit(n)
-        sel = np.outer(fock.block_mask(n, n // 2), fock.block_mask(n, n // 2))
-        defect = np.abs(
-            (circuit.matrix.conj().T @ circuit.matrix - np.eye(circuit.dim)) * sel
-        ).max()
-        assert defect <= 1e-6
+        # the Gram defect of the images of the total <= N/2 basis columns
+        gram_defect, _, _ = fock.sum_gate_block_checks(20, 10)
+        assert gram_defect <= 1e-6
 
     def test_block_distance_shrinks_with_cutoff(self):
-        d20 = fock.sum_gate_block_distance(20)
-        d30 = fock.sum_gate_block_distance(30)
+        _, d20, _ = fock.sum_gate_block_checks(20, 10)
+        _, d30, _ = fock.sum_gate_block_checks(30, 10)
         assert d30 < d20
+
+    @pytest.mark.parametrize("n", [12, 20, 30])
+    def test_block_distance_matches_direct_block_route(self, n):
+        # the 10-photon block holds more than the total <= N/2 block at N=12,
+        # the same at N=20 and less at N=30
+        block = np.flatnonzero(fock.block_mask(n, 10))
+        direct = fock.phase_aligned_block_distance(
+            fock.sum_gate(n, block), fock.sum_gate_circuit(n, block).matrix[block],
+            np.ones(block.size, dtype=bool),
+        )
+        _, distance, _ = fock.sum_gate_block_checks(n, 10)
+        assert distance == pytest.approx(direct, rel=0, abs=1e-15)
 
     def test_vacuum_image_agreement(self):
         n = 30
-        target = fock.sum_gate(n).matrix @ fock.basis_state(n, 0, 0)
-        circuit = fock.sum_gate_circuit(n).matrix @ fock.basis_state(n, 0, 0)
+        target = fock.sum_gate(n, every_state(n))[:, 0]
+        circuit = fock.sum_gate_circuit(n, [0]).matrix[:, 0]
         phase = np.vdot(circuit, target)
         phase /= abs(phase)
         assert np.linalg.norm(target - phase * circuit) <= 1e-4
@@ -393,18 +412,12 @@ class TestSumGateColumns:
         np.testing.assert_array_equal(out.columns, columns)
         np.testing.assert_allclose(out.matrix, dense[:, columns], rtol=0, atol=1e-13)
 
-    def test_dense_route_matches_dense_chain(self, dense_chain):
-        n, dense = dense_chain
-        np.testing.assert_allclose(
-            fock.sum_gate_circuit(n).matrix, dense, rtol=0, atol=1e-13
-        )
-
     @pytest.mark.parametrize("n", [12, 20])
     @pytest.mark.parametrize("which", ["half_block", "scattered"])
     def test_sum_gate_block_matches_dense(self, n, which):
         block = self.column_set(n, which)
         np.testing.assert_allclose(
-            fock.sum_gate(n, block), fock.sum_gate(n).matrix[np.ix_(block, block)],
+            fock.sum_gate(n, block), fock.sum_gate(n, every_state(n))[np.ix_(block, block)],
             rtol=0, atol=1e-13,
         )
 
@@ -419,7 +432,7 @@ class TestSumGateColumns:
         )
         assert len(expected) == 3
         assert fock.sum_gate_circuit(n, columns=[0, 5, 40]).warnings == expected
-        assert fock.sum_gate_circuit(n).warnings == expected
+        assert fock.sum_gate_block_checks(n, 6)[2] == expected
 
     def test_half_block_builds_no_two_mode_matrix(self):
         # the dense route held 1681^2 complex factors: a 172.6 MB peak at N=40
@@ -449,13 +462,14 @@ class TestDenseGuard:
         [
             lambda: fock.mode_mixer(400, np.pi / 4),
             lambda: fock.opa(400, 0.5),
-            lambda: fock.sum_gate_circuit(400),
-            lambda: fock.sum_gate(400),
+            lambda: fock.sum_gate_circuit(400, EVERY_STATE_400),
+            lambda: fock.sum_gate(400, EVERY_STATE_400),
             lambda: fock.su11_generators(400),
         ],
     )
     def test_oversized_two_mode_operator_refused_before_allocating(self, build):
-        # 401^4 complex entries are 413711385616 bytes, far above the limit
+        # 401^4 complex entries are 413711385616 bytes, far above the limit: a
+        # dense operator, or every basis state's image column or eigenbasis row
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="cutoff 400 needs 413711385616 bytes"):
@@ -468,8 +482,20 @@ class TestDenseGuard:
     def test_column_route_runs_beyond_the_dense_limit(self):
         # 91^4 complex entries are 1097199376 bytes: cutoff 90 is the first refused
         with pytest.raises(ValueError, match="cutoff 90 needs 1097199376 bytes"):
-            fock.sum_gate_circuit(90)
+            fock.sum_gate_circuit(90, every_state(90))
         assert fock.sum_gate_circuit(90, columns=[0]).matrix.shape == (91 ** 2, 1)
+
+    def test_opa_sector_blocks_refused_before_allocating(self):
+        # sum_d (1001 - |d|)^2 = 668669001 complex entries in the OPA's sector
+        # blocks at cutoff 1000, though a single column's image is 16 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cutoff 1000 needs 10698704016 bytes"):
+                fock.sum_gate_circuit(1000, columns=[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestEntbs:

@@ -148,8 +148,9 @@ class TestSumGateTarget:
 
     def test_fock_oracle_confirms_target_signs(self):
         cutoff = 40
+        every_state = np.arange((cutoff + 1) ** 2)
         err = fock_block_error(
-            fock.sum_gate(cutoff).matrix, gaussian.sum_gate_symplectic(), cutoff
+            fock.sum_gate(cutoff, every_state), gaussian.sum_gate_symplectic(), cutoff
         )
         assert err <= 1e-6
 
