@@ -55,6 +55,7 @@ from .qudit import (
     QuditGateSet,
     bell_map_max_error,
     bell_vector,
+    dense_v,
     make_gateset,
     orthonormality_max_error,
     shift_multiply,

@@ -91,7 +91,7 @@ def run_qudit_verify(d_min: int, d_max: int, tol: float | None = None) -> Verifi
         ))
         checks.append(_check(
             f"d={d}:construction_equivalence",
-            float(np.abs(qudit.v_from_bell_basis(gs) - gs.V).max()),
+            float(np.abs(qudit.v_from_bell_basis(gs) - np.eye(d)).max()),
             _tol(tol, TOL_EQUIVALENCE),
         ))
         checks.append(_check(
@@ -100,7 +100,7 @@ def run_qudit_verify(d_min: int, d_max: int, tol: float | None = None) -> Verifi
         if d == 2:
             cnot = np.eye(4)[[0, 1, 3, 2]]
             checks.append(_check(
-                "V==CNOT", float(np.abs(gs.V - cnot).max()), _tol(tol, TOL_CNOT)
+                "V==CNOT", float(np.abs(qudit.dense_v(gs) - cnot).max()), _tol(tol, TOL_CNOT)
             ))
     return VerificationReport(
         suite="qudit",
@@ -114,7 +114,10 @@ def run_qudit_verify(d_min: int, d_max: int, tol: float | None = None) -> Verifi
 # cv verify
 # ---------------------------------------------------------------------------
 
-def _validate_cutoffs(cutoffs: list[int]) -> None:
+def _validate_cutoffs(cutoffs: list[int]) -> int:
+    """Refuse a bad cutoff list, and any cutoff whose SUM-gate checks would
+    not fit in memory, before the first check runs; returns the photon
+    number of the SUM-gate block."""
     if not cutoffs:
         raise ValueError("cutoff list must not be empty")
     if not all(isinstance(n, int) for n in cutoffs):
@@ -123,10 +126,14 @@ def _validate_cutoffs(cutoffs: list[int]) -> None:
         raise ValueError("cutoffs below 12 are too small for the verification sweeps")
     if any(lo >= hi for lo, hi in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs!r}")
+    block = min(10, min(cutoffs) // 2)
+    for n in cutoffs:
+        fock.require_block_checks_fit(n, block)
+    return block
 
 
 def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationReport:
-    _validate_cutoffs(cutoffs)
+    block = _validate_cutoffs(cutoffs)
     _validate_tol(tol)
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
@@ -160,7 +167,6 @@ def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationR
     ))
     warnings.extend(gaussian.consistency_notes(params))
 
-    block = min(10, min(cutoffs) // 2)
     distances = []
     for n in cutoffs:
         _log(f"cutoff N={n}:")
@@ -252,6 +258,22 @@ def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationR
 # qudit synth
 # ---------------------------------------------------------------------------
 
+# Peak bytes that ``qudit synth`` allocates per exported entry (one complex
+# number of Z, W, F, V or a Bell vector), from tracemalloc at d = 3..16: the
+# JSON export, which holds the whole payload and its text, peaks at 405 to 460
+# bytes per entry, the CSV export, which writes row by row, at less.
+SYNTH_BYTES_PER_ENTRY = 460
+
+
+def _require_synth_fits(d: int) -> None:
+    """Refuse, before building anything, an export whose 3 d^2 + 2 d^4
+    entries would take more than DENSE_BYTES_LIMIT (from d = 33 on)."""
+    entries = 3 * d * d + 2 * d**4
+    fock.require_memory(
+        f"qudit synth at d = {d} ({entries} entries)", SYNTH_BYTES_PER_ENTRY * entries
+    )
+
+
 def _matrix_payload(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
@@ -268,7 +290,7 @@ def synth_payload(gs: qudit.QuditGateSet) -> dict:
             "Z": _matrix_payload(gs.Z),
             "W": _matrix_payload(gs.W),
             "F": _matrix_payload(gs.F),
-            "V": _matrix_payload(gs.V),
+            "V": _matrix_payload(qudit.dense_v(gs)),
         },
         "bell_vectors": bell,
     }
@@ -279,12 +301,17 @@ def gateset_from_payload(payload: dict) -> qudit.QuditGateSet:
         return np.array([[complex(re, im) for re, im in row] for row in rows])
 
     mats = payload["matrices"]
+    d = int(payload["d"])
+    v = to_matrix(mats["V"])
+    if (v.shape != (d * d, d * d) or not ((v == 0) | (v == 1)).all()
+            or not (v.sum(axis=0) == 1).all() or not (v.sum(axis=1) == 1).all()):
+        raise ValueError(f"payload V is not a {d * d} x {d * d} permutation matrix")
     return qudit.QuditGateSet(
-        d=int(payload["d"]),
+        d=d,
         Z=to_matrix(mats["Z"]),
         W=to_matrix(mats["W"]),
         F=to_matrix(mats["F"]),
-        V=to_matrix(mats["V"]),
+        v_perm=np.argmax(v.real, axis=0),
     )
 
 
@@ -298,6 +325,7 @@ def _write_csv_matrix(path: Path, m: np.ndarray) -> None:
 
 
 def run_qudit_synth(d: int, fmt: str, out: str | None) -> list[Path]:
+    _require_synth_fits(d)
     gs = qudit.make_gateset(d)
     written: list[Path] = []
     if fmt == "json":
@@ -307,7 +335,7 @@ def run_qudit_synth(d: int, fmt: str, out: str | None) -> list[Path]:
     else:
         outdir = Path(out) if out else Path(f"qudit_d{d}_csv")
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, m in (("Z", gs.Z), ("W", gs.W), ("F", gs.F), ("V", gs.V)):
+        for name, m in (("Z", gs.Z), ("W", gs.W), ("F", gs.F), ("V", qudit.dense_v(gs))):
             path = outdir / f"{name}.csv"
             _write_csv_matrix(path, m)
             written.append(path)
@@ -433,15 +461,13 @@ def main(argv=None) -> int:
         else:
             print(format_params_text())
         return 0
-    if args.subcommand == "synth":
-        if args.d < 2:
-            parser.error(f"--d must be >= 2, got {args.d}")
-        written = run_qudit_synth(args.d, args.format, args.out)
-        print(json.dumps({"written": [str(p) for p in written]}))
-        return 0
-    # qudit verify or cv verify: each suite raises ValueError for input it
-    # refuses, a cutoff whose arrays would not fit in memory included
+    # each command raises ValueError for input it refuses, a size whose
+    # arrays would not fit in memory included
     try:
+        if args.subcommand == "synth":
+            written = run_qudit_synth(args.d, args.format, args.out)
+            print(json.dumps({"written": [str(p) for p in written]}))
+            return 0
         if args.command == "qudit":
             report = run_qudit_verify(*_parse_d_range(parser, args.d), args.tol)
         else:

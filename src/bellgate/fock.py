@@ -42,9 +42,13 @@ matrix M. The direct ``sum_gate`` likewise builds only the principal block of
 the requested basis states, and ``sum_gate_block_checks`` reads both SUM-gate
 checks from one pass of the chain.
 
-One guard, ``_require_fits``, refuses a route whose complex arrays would exceed
-``DENSE_BYTES_LIMIT`` before it allocates them: a dense matrix, the chain's
-column images, ``sum_gate``'s eigenbasis rows and the OPA's sector blocks.
+One guard, ``require_memory``, refuses a route whose arrays would exceed
+``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix, the
+chain's column images, ``sum_gate``'s eigenbasis rows and the OPA's sector
+blocks, and also the qudit layer's dense V and the ``qudit synth`` export.
+``require_block_checks_fit`` applies the same sizes to a cutoff before any
+of ``sum_gate_block_checks`` runs, so a caller can refuse a whole cutoff list
+up front.
 
 Stored arrays are read-only: the dataclasses are frozen, and so are their
 matrices and amplitudes.
@@ -199,15 +203,30 @@ def _chain_expm(sub: np.ndarray) -> np.ndarray:
     return (p[:, None] * v * np.exp(-1j * w)) @ (v.T * p.conj())
 
 
-def _require_fits(cutoff: int, entries: int) -> None:
-    """Refuse, before allocating, complex arrays of ``entries`` entries in all
-    that would exceed DENSE_BYTES_LIMIT."""
-    requested = 16 * entries
+def require_memory(label: str, requested: int) -> None:
+    """Refuse, before allocating, ``requested`` bytes above DENSE_BYTES_LIMIT;
+    ``label`` names the size in the message."""
     if requested > DENSE_BYTES_LIMIT:
         raise ValueError(
-            f"cutoff {cutoff} needs {requested} bytes of complex arrays,"
+            f"{label} needs {requested} bytes,"
             f" more than the limit of {DENSE_BYTES_LIMIT} bytes"
         )
+
+
+def _require_fits(cutoff: int, entries: int) -> None:
+    """Refuse complex arrays of ``entries`` entries in all, 16 bytes each."""
+    require_memory(f"cutoff {cutoff}", 16 * entries)
+
+
+def _require_columns_fit(cutoff: int, columns: int) -> None:
+    """Both SUM-gate routes hold (N+1)^2 entries per two-mode basis column."""
+    _require_fits(cutoff, (cutoff + 1) ** 2 * columns)
+
+
+def _require_opa_sectors_fit(cutoff: int) -> None:
+    """The OPA's photon-number-difference sector blocks hold
+    sum_d (N + 1 - |d|)^2 = (N + 1)(2N^2 + 4N + 3)/3 entries."""
+    _require_fits(cutoff, (cutoff + 1) * (2 * cutoff**2 + 4 * cutoff + 3) // 3)
 
 
 def _assemble(cutoff: int, modes: int, blocks) -> np.ndarray:
@@ -321,11 +340,10 @@ def mode_mixer(cutoff: int, theta: float) -> FockOperator:
 def _opa_sectors(cutoff: int, alpha_param: float):
     """The OPA's photon-number-difference sector blocks and its warnings.
 
-    The blocks hold sum_d (N + 1 - |d|)^2 = (N + 1)(2N^2 + 4N + 3)/3 entries.
     The unitarity defect is the largest over the sector blocks: the operator
     is exactly zero outside them, so this is the max entry of U^dag U - I.
     """
-    _require_fits(cutoff, (cutoff + 1) * (2 * cutoff**2 + 4 * cutoff + 3) // 3)
+    _require_opa_sectors_fit(cutoff)
     blocks = list(_sector_expms(cutoff, "difference", -alpha_param / 2.0))
     defect = max(_gram_defect(block) for _, block in blocks)
     warns = ()
@@ -493,8 +511,8 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
 # ---------------------------------------------------------------------------
 
 def _basis_indices(cutoff: int, indices) -> np.ndarray:
-    """Validated non-empty 1-D array of two-mode basis indices, as a copy. The
-    guard runs first: both SUM-gate routes hold (N+1)^2 entries per index."""
+    """Validated non-empty 1-D array of two-mode basis indices, copied only
+    after the memory guard has passed."""
     dim = (cutoff + 1) ** 2
     idx = np.asarray(indices)
     if (idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer)
@@ -502,7 +520,7 @@ def _basis_indices(cutoff: int, indices) -> np.ndarray:
         raise ValueError(
             f"basis indices must be a non-empty 1-D integer array within [0, {dim})"
         )
-    _require_fits(cutoff, dim * idx.size)
+    _require_columns_fit(cutoff, idx.size)
     return idx.copy()
 
 
@@ -570,6 +588,31 @@ def phase_aligned_block_distance(
     return float(np.abs(ab - phase * bb).max())
 
 
+def _states_up_to(cutoff: int, max_total: int) -> int:
+    """Number of two-mode basis states with total photon number <= max_total."""
+    def triangle(k: int) -> int:
+        return (k + 1) * (k + 2) // 2 if k >= 0 else 0
+
+    if max_total <= cutoff:
+        return triangle(max_total)
+    # the complement, a + b > max_total, mirrors to (N-a) + (N-b) < 2N - max_total
+    return (cutoff + 1) ** 2 - triangle(2 * cutoff - max_total - 1)
+
+
+def require_block_checks_fit(cutoff: int, block_photons: int) -> int:
+    """Refuse, before anything is allocated, a cutoff whose
+    :func:`sum_gate_block_checks` arrays would exceed DENSE_BYTES_LIMIT.
+
+    Returns the total photon number max(N/2, block_photons) of the columns
+    those checks read. Their count is computed, not masked, so that a huge
+    cutoff is refused without an (N+1)^2 mask.
+    """
+    photons = max(cutoff // 2, block_photons)
+    _require_columns_fit(cutoff, _states_up_to(cutoff, photons))
+    _require_opa_sectors_fit(cutoff)
+    return photons
+
+
 def sum_gate_block_checks(
     cutoff: int, block_photons: int
 ) -> tuple[float, float, tuple[str, ...]]:
@@ -581,7 +624,7 @@ def sum_gate_block_checks(
     between the chain and the direct ``sum_gate`` on the subspace of total
     photon number <= ``block_photons``; and the chain's warnings.
     """
-    cols = np.flatnonzero(block_mask(cutoff, max(cutoff // 2, block_photons)))
+    cols = np.flatnonzero(block_mask(cutoff, require_block_checks_fit(cutoff, block_photons)))
     circuit = sum_gate_circuit(cutoff, cols)
     distance = phase_aligned_block_distance(
         sum_gate(cutoff, cols), circuit.matrix[cols],

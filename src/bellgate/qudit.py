@@ -19,6 +19,23 @@ U(m, n) = Z^m (W^T)^n. This labeling is the one V actually transports onto
 the Bell basis; relabeling n -> -n recovers the plain product Z^m W^n. The
 d^2 operators are trace-orthogonal, so the vectors form an orthonormal,
 maximally entangled basis.
+
+Every operator here is monomial, a permutation times phases, and the module
+keeps it so:
+
+* a phase w^k is always exp(2 pi i (k mod d) / d), the exponent reduced in
+  integers, so no entry drifts with k;
+* V is held as its permutation, |i, j> -> |i, i+j mod d> on the row-major
+  index i*d + j; ``dense_v`` builds the d^2 x d^2 matrix only on request,
+  and refuses one above ``fock.DENSE_BYTES_LIMIT``;
+* the d^2 Bell vectors are two d x d tables: vector (m, n) sits on the rows
+  i*d + (i+n mod d) and holds w^(i m) / sqrt(d) there, the same values for
+  every n.
+
+The three checks compare these tables, support rows as integers and values
+as d x d arrays, so none of them builds a d^2 x d^2 array. The dense routes
+they replace (V @ kron(F, I), the dense Bell matrix and the dense basis-sum
+V) are kept in tests/test_qudit.py as references up to d = 16.
 """
 
 from __future__ import annotations
@@ -28,38 +45,68 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dket import DoubleKet, vec
+from .fock import require_memory
 
 
 @dataclass(frozen=True, eq=False)
 class QuditGateSet:
-    """Clock, shift, Fourier and controlled-shift matrices for one dimension."""
+    """Clock, shift and Fourier matrices for one dimension, and the
+    controlled shift as its permutation: V|k> = |v_perm[k]>."""
 
     d: int
     Z: np.ndarray
     W: np.ndarray
     F: np.ndarray
-    V: np.ndarray
+    v_perm: np.ndarray
+
+
+def _roots(d: int, k) -> np.ndarray:
+    """w^k = exp(2 pi i (k mod d) / d) for integer exponents k."""
+    return np.exp(1j * (2 * np.pi * (np.asarray(k) % d) / d))
+
+
+def _phase_table(d: int) -> np.ndarray:
+    """w^(i m) / sqrt(d) at [i, m]: the entries of F, and the values of the
+    Bell vector (m, n) on its support rows, for every n."""
+    k = np.arange(d)
+    return _roots(d, np.outer(k, k)) / np.sqrt(d)
+
+
+def _bell_supports(d: int) -> np.ndarray:
+    """Row of U(m, n)[i, i+n] in vec(U(m, n)), at [i, n]: i*d + (i+n mod d)."""
+    i = np.arange(d)[:, None]
+    return i * d + (i + np.arange(d)) % d
 
 
 def make_gateset(d: int) -> QuditGateSet:
     """Build the gate set for dimension d >= 2 from the defining formulas."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    omega = np.exp(2j * np.pi / d)
-    Z = np.diag(omega ** np.arange(d))
+    k = np.arange(d)
     W = np.zeros((d, d), dtype=complex)
-    W[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    F = omega ** np.outer(np.arange(d), np.arange(d)) / np.sqrt(d)
-    V = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        V[i * d:(i + 1) * d, i * d:(i + 1) * d] = np.linalg.matrix_power(W, i)
-    return QuditGateSet(d=d, Z=Z, W=W, F=F, V=V)
+    W[(k + 1) % d, k] = 1.0
+    # the block |i><i| kron W^i sends |i, j> to |i, j+i mod d>
+    v_perm = (k[:, None] * d + (k[:, None] + k) % d).reshape(-1)
+    return QuditGateSet(d=d, Z=np.diag(_roots(d, k)), W=W, F=_phase_table(d), v_perm=v_perm)
+
+
+def dense_v(gs: QuditGateSet) -> np.ndarray:
+    """V as a dense d^2 x d^2 matrix, refused before allocating when it would
+    exceed ``fock.DENSE_BYTES_LIMIT`` (from d = 91 on)."""
+    dim = gs.d ** 2
+    require_memory(f"dense V at d = {gs.d}", 16 * dim * dim)
+    v = np.zeros((dim, dim), dtype=complex)
+    v[gs.v_perm, np.arange(dim)] = 1.0
+    return v
 
 
 def shift_multiply(gs: QuditGateSet, m: int, n: int) -> np.ndarray:
     """The operator U(m, n) = Z^m (W^T)^n, with elements w^(im) delta_{j, i+n mod d}."""
     _check_index(gs, m, n)
-    return np.linalg.matrix_power(gs.Z, m) @ np.linalg.matrix_power(gs.W.T, n)
+    i = np.arange(gs.d)
+    u = np.zeros((gs.d, gs.d), dtype=complex)
+    u[i, (i + n) % gs.d] = _roots(gs.d, i * m)
+    return u
 
 
 def bell_vector(gs: QuditGateSet, m: int, n: int) -> DoubleKet:
@@ -68,38 +115,48 @@ def bell_vector(gs: QuditGateSet, m: int, n: int) -> DoubleKet:
     return vec(shift_multiply(gs, m, n) / np.sqrt(gs.d))
 
 
-def _bell_matrix(gs: QuditGateSet) -> np.ndarray:
-    """d^2 x d^2 matrix whose column m*d+n is the Bell vector for (m, n)."""
-    d = gs.d
-    cols = np.empty((d * d, d * d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            cols[:, m * d + n] = bell_vector(gs, m, n).amplitudes
-    return cols
-
-
 def bell_map_max_error(gs: QuditGateSet) -> float:
-    """Max over (m, n) of || V (F|m> kron |n>) - vec(U(m, n))/sqrt(d) ||."""
+    """Max over (m, n) of || V (F|m> kron |n>) - vec(U(m, n))/sqrt(d) ||.
+
+    Column (m, n) of F kron I holds F[i, m] on the rows i*d + n, and V moves
+    row i*d + n to v_perm[i*d + n] without changing the value. So the image
+    and the Bell vector are compared in two parts: their support rows, as
+    integer arrays that must be equal (else the error is inf), and their
+    values, whose difference F[i, m] - w^(i m)/sqrt(d) is the same for every n.
+    """
     d = gs.d
-    mapped = gs.V @ np.kron(gs.F, np.eye(d))
-    return float(np.linalg.norm(mapped - _bell_matrix(gs), axis=0).max())
+    if not np.array_equal(gs.v_perm.reshape(d, d), _bell_supports(d)):
+        return float("inf")
+    return float(np.linalg.norm(gs.F - _phase_table(d), axis=0).max())
 
 
 def orthonormality_max_error(gs: QuditGateSet) -> float:
-    """Max deviation of <<U(m,n)|U(m',n')>> from d * delta_mm' delta_nn'."""
-    b = _bell_matrix(gs)
-    gram = b.conj().T @ b
-    return float(gs.d * np.abs(gram - np.eye(gs.d ** 2)).max())
+    """Max deviation of <<U(m,n)|U(m',n')>> from d * delta_mm' delta_nn'.
+
+    Two Bell vectors overlap only on shared support rows. When all d^2
+    support rows are distinct (checked in integers, else the error is inf),
+    vectors of different n are orthogonal and the Gram matrix is
+    block-diagonal in n; every block is B^dag B for the value table B.
+    """
+    d = gs.d
+    rows = _bell_supports(d).reshape(-1)
+    if np.unique(rows).size != rows.size:
+        return float("inf")
+    b = _phase_table(d)
+    return float(d * np.abs(b.conj().T @ b - np.eye(d)).max())
 
 
 def v_from_bell_basis(gs: QuditGateSet) -> np.ndarray:
-    """Independent construction of V as sum_mn of |Bell(m,n)><(F|m>)(|n>)|.
+    """Independent construction of V as sum_mn of |Bell(m,n)><(F|m>)(|n>)|,
+    returned as its d x d factor G = B F^dag, B[i, m] = w^(i m)/sqrt(d).
 
-    Used as a cross-check against the controlled-shift form built by
-    :func:`make_gateset`; the two agree to rounding for every d.
+    The Bell vector (m, n) is V applied to sum_i B[i, m] |i, n> once the
+    support rows agree, which :func:`bell_map_max_error` checks. The basis
+    sum is then V (B kron I)(F kron I)^dag = V (G kron I), and since V only
+    moves entries, its entrywise distance to the controlled-shift V is
+    max |G - I|.
     """
-    d = gs.d
-    return _bell_matrix(gs) @ np.kron(gs.F, np.eye(d)).conj().T
+    return _phase_table(gs.d) @ gs.F.conj().T
 
 
 def _check_index(gs: QuditGateSet, m: int, n: int) -> None:

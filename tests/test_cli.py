@@ -100,6 +100,33 @@ class TestQuditVerify:
         second = cli.run_qudit_verify(2, 4)
         assert first == second  # durations differ; equality ignores them
 
+    def test_large_dimension_without_dense_arrays(self):
+        # dense V alone would be 85 MB at d = 48
+        tracemalloc.start()
+        try:
+            report = cli.run_qudit_verify(48, 48)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 5 * 2**20
+
+    def test_each_traced_layer_called_once_per_dimension(self, monkeypatch):
+        # the benchmark's qudit spans wrap these names; bell_vector is counted
+        calls = {}
+        for name in ("make_gateset", "bell_map_max_error", "v_from_bell_basis",
+                     "orthonormality_max_error", "bell_vector"):
+            calls[name] = 0
+
+            def counting(*args, _name=name, _original=getattr(qudit, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(qudit, name, counting)
+        cli.run_qudit_verify(2, 4)
+        assert calls == {"make_gateset": 3, "bell_map_max_error": 3, "v_from_bell_basis": 3,
+                         "orthonormality_max_error": 3, "bell_vector": 0}
+
     def test_full_default_range_passes(self, capsys):
         code, out, _ = run_cli(capsys, "qudit", "verify", "--d", "2..16", "--tol", "1e-11")
         assert code == 0
@@ -122,7 +149,38 @@ class TestQuditSynth:
         payload = json.loads(out_path.read_text())
         gs = cli.gateset_from_payload(payload)
         assert qudit.bell_map_max_error(gs) <= 1e-11
-        assert np.abs(qudit.v_from_bell_basis(gs) - gs.V).max() <= 1e-12
+        assert np.abs(qudit.v_from_bell_basis(gs) - np.eye(gs.d)).max() <= 1e-12
+        np.testing.assert_array_equal(gs.v_perm, qudit.make_gateset(5).v_perm)
+
+    @pytest.mark.parametrize("entry", [(0, 0, [0.5, 0.0]), (0, 1, [1.0, 0.0])],
+                             ids=["not_0_or_1", "two_ones_in_a_row"])
+    def test_payload_v_must_be_a_permutation(self, entry):
+        payload = cli.synth_payload(qudit.make_gateset(2))
+        row, col, value = entry
+        payload["matrices"]["V"][row][col] = value
+        with pytest.raises(ValueError, match="not a 4 x 4 permutation matrix"):
+            cli.gateset_from_payload(payload)
+
+    def test_oversized_export_refused_before_allocating(self, tmp_path):
+        out_path = tmp_path / "d33.json"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"d = 33 \(2375109 entries\) needs 1092550140"):
+                cli.run_qudit_synth(33, "json", str(out_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert not out_path.exists()
+        cli._require_synth_fits(32)  # the largest export that fits
+
+    def test_oversized_export_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["qudit", "synth", "--d", "33", "--format", "csv",
+                      "--out", str(tmp_path / "csv")])
+        assert exc.value.code == 2
+        assert "qudit synth at d = 33 (2375109 entries) needs" in capsys.readouterr().err
+        assert not (tmp_path / "csv").exists()
 
     def test_csv_row_counts(self, capsys, tmp_path):
         d = 3
@@ -257,6 +315,14 @@ class TestCvVerify:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    def test_oversized_cutoff_refused_before_any_check(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cv", "verify", "--cutoffs", "20,30,40,200"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cutoff 200 needs 3329688816 bytes" in err
+        assert "[pass]" not in err and "[FAIL]" not in err
 
     def test_oversized_cutoff_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

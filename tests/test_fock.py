@@ -497,6 +497,27 @@ class TestDenseGuard:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("cutoff, max_total", [(4, 0), (4, 3), (4, 4), (4, 5), (4, 7),
+                                                   (4, 8), (4, 9), (13, 6), (13, 20)])
+    def test_state_count_matches_block_mask(self, cutoff, max_total):
+        count = fock.block_mask(cutoff, max_total).sum()
+        assert fock._states_up_to(cutoff, max_total) == count
+
+    def test_block_checks_refused_before_the_mask(self):
+        # cutoff 150 is the largest whose columns of total <= 75 fit; at
+        # cutoff 10^5 even the (N+1)^2 block mask would take 10 GB
+        assert fock.require_block_checks_fit(150, 10) == 75
+        with pytest.raises(ValueError, match="cutoff 151 needs 1081636864 bytes"):
+            fock.require_block_checks_fit(151, 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cutoff 100000 needs"):
+                fock.sum_gate_block_checks(10**5, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestEntbs:
     def test_matched_lambda_closed_form(self):

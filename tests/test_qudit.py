@@ -1,22 +1,74 @@
 """Tests for the qudit gate sets, Bell bases and the controlled-shift map."""
 
+import cmath
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellgate import dket, qudit
+from bellgate import cli, dket, qudit
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+# two units in the last place of a unit-modulus entry
+PHASE_TOL = 2 * np.finfo(float).eps
 
 
 def shift_multiply_elements(d, m, n):
     """Closed-form matrix elements w^(im) delta_{j, i+n mod d}: the oracle."""
-    omega = np.exp(2j * np.pi / d)
     u = np.zeros((d, d), dtype=complex)
     for i in range(d):
-        u[i, (i + n) % d] = omega ** (i * m)
+        u[i, (i + n) % d] = cmath.rect(1.0, 2 * cmath.pi * ((i * m) % d) / d)
     return u
+
+
+# ---------------------------------------------------------------------------
+# The dense route the structured checks replace, kept as their reference: V
+# and the Bell matrix as d^2 x d^2 arrays, built with matrix powers of the
+# gate set's W and Z as the defining formulas read.
+# ---------------------------------------------------------------------------
+
+def dense_controlled_shift(gs):
+    """V = sum_i |i><i| kron W^i, block by block."""
+    d = gs.d
+    v = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        v[i * d:(i + 1) * d, i * d:(i + 1) * d] = np.linalg.matrix_power(gs.W, i)
+    return v
+
+
+def dense_bell_matrix(gs):
+    """Column m*d + n is vec(Z^m (W^T)^n) / sqrt(d)."""
+    d = gs.d
+    cols = np.empty((d * d, d * d), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            u = np.linalg.matrix_power(gs.Z, m) @ np.linalg.matrix_power(gs.W.T, n)
+            cols[:, m * d + n] = u.reshape(-1) / np.sqrt(d)
+    return cols
+
+
+def dense_errors(gs):
+    """The bell_map, construction_equivalence and bell_gram errors of the
+    dense route, as ``qudit verify`` reports them, for the gate set's V."""
+    v, b = qudit.dense_v(gs), dense_bell_matrix(gs)
+    local = np.kron(gs.F, np.eye(gs.d))
+    return (
+        float(np.linalg.norm(v @ local - b, axis=0).max()),
+        float(np.abs(b @ local.conj().T - v).max()),
+        float(np.abs(b.conj().T @ b - np.eye(gs.d ** 2)).max()),
+    )
+
+
+def structured_errors(gs):
+    return (
+        qudit.bell_map_max_error(gs),
+        float(np.abs(qudit.v_from_bell_basis(gs) - np.eye(gs.d)).max()),
+        qudit.orthonormality_max_error(gs) / gs.d,
+    )
 
 
 class TestGateSet:
@@ -24,7 +76,7 @@ class TestGateSet:
         gs = qudit.make_gateset(2)
         np.testing.assert_allclose(gs.Z, np.diag([1, -1]), atol=1e-15)
         np.testing.assert_array_equal(gs.W, [[0, 1], [1, 0]])
-        np.testing.assert_allclose(gs.V, CNOT, atol=1e-15)
+        np.testing.assert_allclose(qudit.dense_v(gs), CNOT, atol=1e-15)
 
     def test_qutrit_shift_cycles_upward(self):
         gs = qudit.make_gateset(3)
@@ -58,9 +110,20 @@ class TestGateSet:
 
     @pytest.mark.parametrize("d", [2, 3, 7])
     def test_v_is_permutation(self, d):
-        v = qudit.make_gateset(d).V
+        gs = qudit.make_gateset(d)
+        v = qudit.dense_v(gs)
         assert np.abs(v * (1 - v)).max() <= 1e-13
         np.testing.assert_allclose(v.sum(axis=0), np.ones(d * d), atol=1e-13)
+        # the permutation is the controlled shift of the defining formula
+        np.testing.assert_array_equal(v, dense_controlled_shift(gs))
+
+    def test_dense_v_refused_before_allocating(self):
+        # a gate set of d = 91 needs only its d^2 permutation to be refused
+        gs = dataclasses.replace(
+            qudit.make_gateset(2), d=91, v_perm=np.arange(91 * 91)
+        )
+        with pytest.raises(ValueError, match="dense V at d = 91 needs 1097199376 bytes"):
+            qudit.dense_v(gs)
 
 
 class TestShiftMultiply:
@@ -83,6 +146,21 @@ class TestShiftMultiply:
                     shift_multiply_elements(5, m, n),
                     atol=1e-13,
                 )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 64).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(0, d - 1), st.integers(0, d - 1))
+    ))
+    def test_entries_equal_closed_form_oracle(self, dmn):
+        # exact phases: the error does not grow with the exponent i*m
+        d, m, n = dmn
+        gs = qudit.make_gateset(d)
+        oracle = shift_multiply_elements(d, m, n)
+        u = qudit.shift_multiply(gs, m, n)
+        np.testing.assert_array_equal(u != 0, oracle != 0)
+        assert np.abs(u - oracle).max() <= PHASE_TOL
+        amps = qudit.bell_vector(gs, m, n).amplitudes
+        assert np.abs(amps - oracle.reshape(-1) / np.sqrt(d)).max() <= PHASE_TOL
 
     def test_index_out_of_range(self):
         gs = qudit.make_gateset(3)
@@ -130,18 +208,56 @@ class TestBellBasis:
     def test_orthonormality(self, d, tol):
         assert qudit.orthonormality_max_error(qudit.make_gateset(d)) <= tol
 
+    @pytest.mark.parametrize("d", [3, 4, 7])
+    def test_reversed_controlled_shift_fails_bell_map(self, d):
+        # |i, j> -> |i, j - i>, the n -> -n relabeling; equal to V at d = 2
+        gs = qudit.make_gateset(d)
+        k = np.arange(d)[:, None]
+        wrong = dataclasses.replace(gs, v_perm=(k * d + (np.arange(d) - k) % d).reshape(-1))
+        assert qudit.bell_map_max_error(wrong) > cli.TOL_BELL_MAP
+        assert dense_errors(wrong)[0] > cli.TOL_BELL_MAP
+
+    def test_colliding_supports_fail_gram(self, monkeypatch):
+        # vectors of n = 1 on the rows of n = 0: no longer orthogonal
+        supports = qudit._bell_supports
+        monkeypatch.setattr(
+            qudit, "_bell_supports", lambda d: supports(d)[:, [0, 0, *range(2, d)]]
+        )
+        gram = next(c for c in cli.run_qudit_verify(3, 3).checks if c.name == "d=3:bell_gram")
+        assert not gram.passed
+
+    def test_bell_vectors_are_the_support_and_value_tables(self):
+        d = 5
+        gs = qudit.make_gateset(d)
+        rows, values = qudit._bell_supports(d), qudit._phase_table(d)
+        for m in range(d):
+            for n in range(d):
+                expected = np.zeros(d * d, dtype=complex)
+                expected[rows[:, n]] = values[:, m]
+                np.testing.assert_array_equal(qudit.bell_vector(gs, m, n).amplitudes, expected)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_structured_checks_match_dense_route(self, d):
+        gs = qudit.make_gateset(d)
+        np.testing.assert_allclose(structured_errors(gs), dense_errors(gs), rtol=0, atol=1e-13)
+
 
 class TestConstructionEquivalence:
     def test_qubit_reduces_to_cnot(self):
         gs = qudit.make_gateset(2)
-        np.testing.assert_allclose(qudit.v_from_bell_basis(gs), CNOT, atol=1e-13)
+        basis_sum = qudit.dense_v(gs) @ np.kron(qudit.v_from_bell_basis(gs), np.eye(2))
+        np.testing.assert_allclose(basis_sum, CNOT, atol=1e-13)
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_basis_sum_equals_controlled_shift(self, d):
         gs = qudit.make_gateset(d)
-        assert np.abs(qudit.v_from_bell_basis(gs) - gs.V).max() <= 1e-12
+        basis_sum = dense_bell_matrix(gs) @ np.kron(gs.F, np.eye(d)).conj().T
+        assert np.abs(basis_sum - qudit.dense_v(gs)).max() <= 1e-12
+        # the dense basis sum is V (G kron I) for the structured factor G
+        factored = qudit.dense_v(gs) @ np.kron(qudit.v_from_bell_basis(gs), np.eye(d))
+        assert np.abs(basis_sum - factored).max() <= 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_v_unitary(self, d):
-        v = qudit.make_gateset(d).V
+        v = qudit.dense_v(qudit.make_gateset(d))
         np.testing.assert_allclose(v.conj().T @ v, np.eye(d * d), atol=1e-12)
