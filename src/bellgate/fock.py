@@ -42,10 +42,21 @@ matrix M. The direct ``sum_gate`` likewise builds only the principal block of
 the requested basis states, and ``sum_gate_block_checks`` reads both SUM-gate
 checks from one pass of the chain.
 
+The sector blocks of each two-mode factor form one table per cutoff,
+conserved quantity and generator scale. It is built once, kept read-only in
+a module-level memo and shared by every later call: the 50-50 splitter of
+``entbs_output``, ``mode_mixer`` and the chain, the chain's mode mixer and
+the OPA, whose unitarity defect is taken once per table. The memo holds at
+most ``DENSE_BYTES_LIMIT`` bytes of tables; a new table first drops the
+least recently used ones. Each table holds (N+1)(2N^2+4N+3)/3 complex
+entries, so from cutoff 465 on (1079412576 bytes) a table alone is refused
+before anything is built, and with it ``entbs_output`` and the fidelities
+built on it.
+
 One guard, ``require_memory``, refuses a route whose arrays would exceed
 ``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix, the
-chain's column images, ``sum_gate``'s eigenbasis rows and the OPA's sector
-blocks, and also the qudit layer's dense V and the ``qudit synth`` export.
+chain's column images, ``sum_gate``'s eigenbasis rows and a sector table,
+and also the qudit layer's dense V and the ``qudit synth`` export.
 ``require_block_checks_fit`` applies the same sizes to a cutoff before any
 of ``sum_gate_block_checks`` runs, so a caller can refuse a whole cutoff list
 up front.
@@ -56,6 +67,8 @@ matrices and amplitudes.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -223,10 +236,16 @@ def _require_columns_fit(cutoff: int, columns: int) -> None:
     _require_fits(cutoff, (cutoff + 1) ** 2 * columns)
 
 
-def _require_opa_sectors_fit(cutoff: int) -> None:
-    """The OPA's photon-number-difference sector blocks hold
-    sum_d (N + 1 - |d|)^2 = (N + 1)(2N^2 + 4N + 3)/3 entries."""
-    _require_fits(cutoff, (cutoff + 1) * (2 * cutoff**2 + 4 * cutoff + 3) // 3)
+def _sector_table_bytes(cutoff: int) -> int:
+    """Bytes of one table of sector blocks. Either conserved quantity has
+    sectors of N + 1 - |k| states for k = -N..N, so the blocks hold
+    sum_k (N + 1 - |k|)^2 = (N + 1)(2N^2 + 4N + 3)/3 complex entries."""
+    return 16 * ((cutoff + 1) * (2 * cutoff**2 + 4 * cutoff + 3) // 3)
+
+
+def _require_sectors_fit(cutoff: int) -> None:
+    """Refuse a cutoff whose table of sector blocks exceeds the limit alone."""
+    require_memory(f"cutoff {cutoff}", _sector_table_bytes(cutoff))
 
 
 def _assemble(cutoff: int, modes: int, blocks) -> np.ndarray:
@@ -286,8 +305,30 @@ def phase_shift(cutoff: int, theta: float) -> FockOperator:
     )
 
 
-def _sector_expms(cutoff: int, conserved: str, scale: float):
-    """Yield (indices, block) for each sector of a conserved two-mode quantity.
+@dataclass(frozen=True, eq=False)
+class _SectorTable:
+    """The (indices, block) pairs of every sector of one conserved quantity,
+    at one cutoff and generator scale; indices and blocks are read-only."""
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    nbytes: int
+
+    @functools.cached_property
+    def defect(self) -> float:
+        """Max entry of U^dag U - I, taken once per table: the operator is
+        exactly zero outside the blocks, so it is the largest block's defect."""
+        return max(_gram_defect(block) for _, block in self.blocks)
+
+
+# Sector tables by (cutoff, conserved, scale), least recently used first; the
+# tables held here never exceed DENSE_BYTES_LIMIT bytes in all. The lock makes
+# each lookup, eviction and insertion one step for callers on several threads.
+_SECTOR_TABLES: dict[tuple[int, str, float], _SectorTable] = {}
+_SECTOR_TABLES_LOCK = threading.Lock()
+
+
+def _build_sector_table(cutoff: int, conserved: str, scale: float) -> _SectorTable:
+    """The blocks of each sector of a conserved two-mode quantity.
 
     ``conserved`` is "total" for the generator scale (a^dag b - a b^dag),
     which conserves n_a + n_b, or "difference" for scale (a^dag b^dag - a b),
@@ -302,11 +343,37 @@ def _sector_expms(cutoff: int, conserved: str, scale: float):
         mode_b = [tot - ks for tot in range(2 * cutoff + 1)]
     else:
         mode_b = [ks - diff for diff in range(-cutoff, cutoff + 1)]
+    blocks = []
     for ms in mode_b:
         inside = (ms >= 0) & (ms <= cutoff)
         k, m = ks[inside], ms[inside]
         sub = scale * np.sqrt((k[:-1] + 1) * np.maximum(m[:-1], m[1:]))
-        yield k * n1 + m, _chain_expm(sub)
+        pair = (k * n1 + m, _chain_expm(sub))
+        for array in pair:
+            array.setflags(write=False)
+        blocks.append(pair)
+    return _SectorTable(tuple(blocks), _sector_table_bytes(cutoff))
+
+
+def _sector_table(cutoff: int, conserved: str, scale: float) -> _SectorTable:
+    """The sector table of ``_build_sector_table``, built once per key.
+
+    A table larger than DENSE_BYTES_LIMIT is refused before it is built. To
+    make room for a new one, the least recently used tables are dropped.
+    """
+    key = (cutoff, conserved, float(scale))
+    with _SECTOR_TABLES_LOCK:
+        table = _SECTOR_TABLES.pop(key, None)
+        if table is None:
+            _require_sectors_fit(cutoff)
+            nbytes = _sector_table_bytes(cutoff)
+            while _SECTOR_TABLES and (
+                sum(t.nbytes for t in _SECTOR_TABLES.values()) + nbytes > DENSE_BYTES_LIMIT
+            ):
+                del _SECTOR_TABLES[next(iter(_SECTOR_TABLES))]
+            table = _build_sector_table(cutoff, conserved, scale)
+        _SECTOR_TABLES[key] = table
+        return table
 
 
 def _apply_sectors(vectors: np.ndarray, blocks) -> np.ndarray:
@@ -328,7 +395,8 @@ def _apply_kron(a: np.ndarray, b: np.ndarray, vectors: np.ndarray) -> np.ndarray
 
 def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
     """expm of theta (a^dag b - a b^dag), assembled from its total-photon sectors."""
-    return _assemble(cutoff, 2, _sector_expms(cutoff, "total", theta))
+    _require_fits(cutoff, (cutoff + 1) ** 4)
+    return _assemble(cutoff, 2, _sector_table(cutoff, "total", theta).blocks)
 
 
 def mode_mixer(cutoff: int, theta: float) -> FockOperator:
@@ -338,19 +406,14 @@ def mode_mixer(cutoff: int, theta: float) -> FockOperator:
 
 
 def _opa_sectors(cutoff: int, alpha_param: float):
-    """The OPA's photon-number-difference sector blocks and its warnings.
-
-    The unitarity defect is the largest over the sector blocks: the operator
-    is exactly zero outside them, so this is the max entry of U^dag U - I.
-    """
-    _require_opa_sectors_fit(cutoff)
-    blocks = list(_sector_expms(cutoff, "difference", -alpha_param / 2.0))
-    defect = max(_gram_defect(block) for _, block in blocks)
+    """The OPA's photon-number-difference sector blocks and its warnings,
+    which report the table's unitarity defect."""
+    table = _sector_table(cutoff, "difference", -alpha_param / 2.0)
     warns = ()
-    if defect > UNITARITY_WARN_TOL:
-        warns = (f"truncation: OPA({alpha_param}) unitarity defect {defect:.2e}"
+    if table.defect > UNITARITY_WARN_TOL:
+        warns = (f"truncation: OPA({alpha_param}) unitarity defect {table.defect:.2e}"
                  f" at cutoff {cutoff}",)
-    return blocks, warns
+    return table.blocks, warns
 
 
 def opa(cutoff: int, alpha_param: float) -> FockOperator:
@@ -564,10 +627,10 @@ def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
     images = np.zeros((dim, cols.size), dtype=complex)
     images[cols, np.arange(cols.size)] = 1.0
     images = _apply_kron(s2.matrix.conj().T, s2.matrix, images)
-    images = _apply_sectors(images, _sector_expms(cutoff, "total", params.beta / 2.0))
+    images = _apply_sectors(images, _sector_table(cutoff, "total", params.beta / 2.0).blocks)
     images = _apply_sectors(images, opa_blocks)
     images = _apply_kron(s1.matrix, s1.matrix.conj().T, images)
-    images = _apply_sectors(images, _sector_expms(cutoff, "total", np.pi / 4))
+    images = _apply_sectors(images, _sector_table(cutoff, "total", np.pi / 4).blocks)
     return FockColumns(cutoff, cols, images, s1.warnings + s2.warnings + opa_warns)
 
 
@@ -609,7 +672,7 @@ def require_block_checks_fit(cutoff: int, block_photons: int) -> int:
     """
     photons = max(cutoff // 2, block_photons)
     _require_columns_fit(cutoff, _states_up_to(cutoff, photons))
-    _require_opa_sectors_fit(cutoff)
+    _require_sectors_fit(cutoff)
     return photons
 
 
@@ -648,12 +711,14 @@ def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
 
     The 50-50 splitter is applied sector by sector to the product vector, so
     no dense two-mode matrix is built; ``mode_mixer(cutoff, pi/4)`` assembles
-    the same blocks.
+    the same blocks. The splitter's table is requested first, so a cutoff
+    whose table is refused builds no state.
     """
+    splitter = _sector_table(cutoff, "total", np.pi / 4)
     in_a = quad_eigenstate_approx(cutoff, x / np.sqrt(2.0), 0.0, s)
     in_b = quad_eigenstate_approx(cutoff, y / np.sqrt(2.0), np.pi / 2.0, s)
     product = np.kron(in_a.amplitudes, in_b.amplitudes)
-    out = _apply_sectors(product, _sector_expms(cutoff, "total", np.pi / 4))
+    out = _apply_sectors(product, splitter.blocks)
     return RegularizedState(
         cutoff, 2, out, {"x": x, "y": y, "s": s},
         in_a.warnings + in_b.warnings,

@@ -33,9 +33,11 @@ keeps it so:
   every n.
 
 The three checks compare these tables, support rows as integers and values
-as d x d arrays, so none of them builds a d^2 x d^2 array. The dense routes
-they replace (V @ kron(F, I), the dense Bell matrix and the dense basis-sum
-V) are kept in tests/test_qudit.py as references up to d = 16.
+as d x d arrays, so none of them builds a d^2 x d^2 array. The Bell map
+check also holds the gate set's Z and W to their definitions, in O(d^2).
+The dense routes they replace (V @ kron(F, I), the dense Bell matrix and
+the dense basis-sum V) are kept in tests/test_qudit.py as references up to
+d = 16.
 """
 
 from __future__ import annotations
@@ -123,11 +125,22 @@ def bell_map_max_error(gs: QuditGateSet) -> float:
     and the Bell vector are compared in two parts: their support rows, as
     integer arrays that must be equal (else the error is inf), and their
     values, whose difference F[i, m] - w^(i m)/sqrt(d) is the same for every n.
+
+    The Bell vectors are built from the defining Z and W, so the gate set's
+    own Z and W are held to them too: the error is inf unless W is exactly
+    the cyclic shift and Z is diagonal, and it is at least max_k
+    |Z[k, k] - w^k|.
     """
     d = gs.d
-    if not np.array_equal(gs.v_perm.reshape(d, d), _bell_supports(d)):
+    k = np.arange(d)
+    z, w = np.asarray(gs.Z), np.asarray(gs.W)
+    if (w.shape != (d, d) or np.count_nonzero(w) != d or not (w[(k + 1) % d, k] == 1).all()
+            or z.shape != (d, d) or np.count_nonzero(z) != np.count_nonzero(np.diagonal(z))
+            or not np.array_equal(gs.v_perm.reshape(d, d), _bell_supports(d))):
         return float("inf")
-    return float(np.linalg.norm(gs.F - _phase_table(d), axis=0).max())
+    powers = _roots(d, np.outer(k, k))  # w^(i m), the clock phases w^k in row 1
+    clock = np.abs(np.diagonal(z) - powers[1]).max()
+    return float(max(clock, np.linalg.norm(gs.F - powers / np.sqrt(d), axis=0).max()))
 
 
 def orthonormality_max_error(gs: QuditGateSet) -> float:

@@ -161,6 +161,26 @@ class TestQuditSynth:
         with pytest.raises(ValueError, match="not a 4 x 4 permutation matrix"):
             cli.gateset_from_payload(payload)
 
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [("Z", 1, 1, [5.0, 0.0]), ("W", 0, 0, [7.0, 0.0])],
+            [("Z", 1, 1, [5.0, 0.0])],
+            [("Z", 0, 1, [0.5, 0.0])],
+            [("W", 0, 0, [7.0, 0.0])],
+        ],
+        ids=["clock_and_shift", "clock_phase", "clock_off_diagonal", "shift"],
+    )
+    def test_wrong_clock_or_shift_fails_bell_map(self, monkeypatch, edits):
+        d = 3
+        payload = cli.synth_payload(qudit.make_gateset(d))
+        for name, row, col, value in edits:
+            payload["matrices"][name][row][col] = value
+        gs = cli.gateset_from_payload(payload)
+        monkeypatch.setattr(qudit, "make_gateset", lambda _: gs)
+        report = cli.run_qudit_verify(d, d)
+        assert not next(c for c in report.checks if c.name == f"d={d}:bell_map").passed
+
     def test_oversized_export_refused_before_allocating(self, tmp_path):
         out_path = tmp_path / "d33.json"
         tracemalloc.start()

@@ -1,5 +1,7 @@
 """Tests for the truncated Fock-space operators and regularized states."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -47,6 +49,15 @@ def dense_sum_gate_chain(n: int, params: gaussian.DecompositionParams) -> np.nda
 
 def vacuum_expectation(op: np.ndarray) -> complex:
     return op[0, 0]
+
+
+@pytest.fixture
+def empty_memo():
+    """Start from an empty memo of sector tables, and leave none of the
+    test's tables behind."""
+    fock._SECTOR_TABLES.clear()
+    yield fock._SECTOR_TABLES
+    fock._SECTOR_TABLES.clear()
 
 
 class TestLadderOps:
@@ -545,8 +556,9 @@ class TestEntbs:
             fock.entbs_output(n, x, y, s).amplitudes, dense, rtol=0, atol=1e-13
         )
 
-    def test_output_builds_no_two_mode_matrix(self):
-        # a dense N=60 two-mode matrix alone is 3721^2 complex entries, 221 MB
+    def test_output_builds_no_two_mode_matrix(self, empty_memo):
+        # a dense N=60 two-mode matrix alone is 3721^2 complex entries, 221 MB;
+        # the bound also covers building the 2.3 MB table of splitter blocks
         tracemalloc.start()
         try:
             fock.entbs_output(60, 1.0, -0.5, 0.5)
@@ -554,6 +566,116 @@ class TestEntbs:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
+
+
+@pytest.mark.usefixtures("empty_memo")
+class TestSectorMemo:
+    @pytest.mark.parametrize(
+        "build, attr",
+        [
+            (lambda: fock.entbs_output(60, 1, -0.5, 0.5), "amplitudes"),
+            (lambda: fock.sum_gate_circuit(20, np.flatnonzero(fock.block_mask(20, 10))), "matrix"),
+            (lambda: fock.mode_mixer(12, np.pi / 4), "matrix"),
+            (lambda: fock.opa(10, 0.7), "matrix"),
+        ],
+        ids=["entbs_output", "sum_gate_circuit", "mode_mixer", "opa"],
+    )
+    def test_warm_call_equals_cold_call(self, monkeypatch, build, attr):
+        # every unitarity defect exceeds a negative threshold, so the OPA
+        # warning, taken from its table, is part of what must repeat
+        monkeypatch.setattr(fock, "UNITARITY_WARN_TOL", -1.0)
+        cold = build()
+        built = dict(fock._SECTOR_TABLES)
+        warm = build()
+        assert built and all(fock._SECTOR_TABLES[key] is table for key, table in built.items())
+        assert np.array_equal(getattr(cold, attr), getattr(warm, attr))
+        assert cold.warnings == warm.warnings
+
+    def test_cached_indices_and_blocks_are_read_only(self):
+        fock.mode_mixer(6, 0.3)
+        fock.opa(6, 0.3)
+        assert len(fock._SECTOR_TABLES) == 2
+        for table in fock._SECTOR_TABLES.values():
+            for idx, block in table.blocks:
+                with pytest.raises(ValueError):
+                    idx[0] = 0
+                with pytest.raises(ValueError):
+                    block[0, 0] = 7
+
+    def test_table_size_is_the_closed_form(self):
+        for n in (1, 2, 13):
+            for conserved in ("total", "difference"):
+                table = fock._sector_table(n, conserved, 0.3)
+                assert sum(block.nbytes for _, block in table.blocks) == table.nbytes
+                assert table.nbytes == fock._sector_table_bytes(n)
+
+    def test_least_recently_used_table_goes_first(self, monkeypatch):
+        # tables of 98896, 317936 and 735376 bytes at N = 20, 30 and 40: the
+        # three exceed 1 MiB together, and 20 and 40 fit without 30
+        monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", 2**20)
+        for n in (20, 30, 20, 40):
+            fock._sector_table(n, "total", 0.3)
+            assert sum(t.nbytes for t in fock._SECTOR_TABLES.values()) <= 2**20
+        assert [key[0] for key in fock._SECTOR_TABLES] == [20, 40]
+
+    def test_threads_share_the_memo_within_its_bound(self, monkeypatch):
+        # more threads than cores, each cycling through more tables than fit
+        monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", 2**16)
+        errors, held = [], []
+
+        def work(seed):
+            try:
+                for i in range(40):
+                    n = 4 + (seed + i) % 9
+                    fock._sector_table(n, "total", 0.1 * (i % 3))
+                    held.append(sum(t.nbytes for t in list(fock._SECTOR_TABLES.values())))
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(held) == 240 and max(held) <= 2**16
+
+    def test_tables_are_kept_apart_by_scale(self):
+        n, theta = 12, 0.3
+        fock.mode_mixer(n, np.pi / 4)
+        a = fock._ladder(n)
+        dense = scipy.linalg.expm(theta * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T)))
+        np.testing.assert_allclose(fock.mode_mixer(n, theta).matrix, dense, rtol=0, atol=1e-13)
+        assert len(fock._SECTOR_TABLES) == 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: fock.entbs_output(465, 0.0, 0.0, 0.5),
+            lambda: fock.entbs_fidelity(465, 0.0, 0.0, 0.5),
+            lambda: fock.entbs_fidelity_scan(465, 0.0, 0.0, 0.5, [0.6]),
+        ],
+        ids=["entbs_output", "entbs_fidelity", "entbs_fidelity_scan"],
+    )
+    def test_oversized_splitter_refused_before_the_states(self, build):
+        # the N=465 splitter blocks hold 67463286 complex entries; the
+        # quadrature states alone would trace more than 1 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cutoff 465 needs 1079412576 bytes"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert not fock._SECTOR_TABLES
+        fock._require_sectors_fit(464)  # the largest table that fits
 
 
 class TestSu11Generators:

@@ -208,6 +208,11 @@ class TestBellBasis:
     def test_orthonormality(self, d, tol):
         assert qudit.orthonormality_max_error(qudit.make_gateset(d)) <= tol
 
+    @pytest.mark.parametrize("d", [2, 3, 16, 64])
+    def test_defining_gate_set_maps_exactly(self, d):
+        # Z, F and the Bell values share one phase formula, W and V are exact
+        assert qudit.bell_map_max_error(qudit.make_gateset(d)) == 0.0
+
     @pytest.mark.parametrize("d", [3, 4, 7])
     def test_reversed_controlled_shift_fails_bell_map(self, d):
         # |i, j> -> |i, j - i>, the n -> -n relabeling; equal to V at d = 2
