@@ -29,18 +29,23 @@ Two diagnostics track this:
 Dirac-like states are only ever represented in regularized form: the identity
 double-ket as a two-mode squeezed vacuum with weight lambda^n, and quadrature
 eigenvectors as rotated displaced squeezed vacua with sharpness s. Each
-regularized constructor records its parameters and an estimated tail mass
+regularized constructor records its parameters and the tail mass it drops
 above the cutoff; tails above 1e-8 attach a warning, and the identity
-double-ket refuses lambda so large that the tail exceeds 1e-4. The beam
-splitter acts on two-mode states sector by sector, so no state path builds a
-dense two-mode matrix.
+double-ket refuses lambda so large that the tail exceeds 1e-4. The two
+displaced states take that tail from one helper, ``_padded_state``: it builds
+the state at cutoff N and at N + ``_TAIL_PAD``, sums the padded build's mass
+outside the first N+1 levels of each mode, normalizes the cutoff-N build and
+keeps its factors' warnings. The beam splitter acts on two-mode states sector
+by sector, so no state path builds a dense two-mode matrix.
 
 The optical SUM-gate chain (``sum_gate_circuit``) is applied the same way to
 the basis columns a caller reads (``FockColumns``): the two-mode factors as
 their sector blocks, the squeezer pairs as a M b^T on each column's amplitude
 matrix M. The direct ``sum_gate`` likewise builds only the principal block of
-the requested basis states, and ``sum_gate_block_checks`` reads both SUM-gate
-checks from one pass of the chain.
+the requested basis states. ``sum_gate_block_checks`` reads both SUM-gate
+checks from one pass of the chain over the states of total photon number
+<= max(N/2, block), which the Gram defect reads, and builds the direct gate
+only on the states of total <= block, the ones the distance compares.
 
 The sector blocks of each two-mode factor form one table per cutoff,
 conserved quantity and generator scale. It is built once, kept read-only in
@@ -61,8 +66,10 @@ and also the qudit layer's dense V and the ``qudit synth`` export.
 of ``sum_gate_block_checks`` runs, so a caller can refuse a whole cutoff list
 up front.
 
-Stored arrays are read-only: the dataclasses are frozen, and so are their
-matrices and amplitudes.
+Every public constructor refuses a cutoff that is not an integer >= 1, and
+the sector memo refuses one before it is touched. Stored arrays are
+read-only: the dataclasses are frozen, and so are their matrices and
+amplitudes.
 """
 
 from __future__ import annotations
@@ -105,10 +112,6 @@ class FockOperator:
                 f" {self.cutoff} and {self.modes} mode(s)"
             )
         self.matrix.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** self.modes
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +158,12 @@ class RegularizedState:
 # Elementary operators
 # ---------------------------------------------------------------------------
 
+def _require_cutoff(cutoff: int) -> None:
+    """Refuse, before anything is built, a cutoff that is not an integer >= 1."""
+    if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
+        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
+
+
 def _ladder(cutoff: int) -> np.ndarray:
     a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     ns = np.arange(1, cutoff + 1)
@@ -164,8 +173,7 @@ def _ladder(cutoff: int) -> np.ndarray:
 
 def mode_ops(cutoff: int) -> tuple[FockOperator, FockOperator]:
     """Annihilation and creation matrices at the given cutoff."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+    _require_cutoff(cutoff)
     a = _ladder(cutoff)
     return (
         FockOperator(cutoff, 1, a),
@@ -175,6 +183,8 @@ def mode_ops(cutoff: int) -> tuple[FockOperator, FockOperator]:
 
 def quadrature(cutoff: int, phi: float) -> FockOperator:
     """Hermitian quadrature (e^{i phi} a^dag + e^{-i phi} a) / 2."""
+    _require_cutoff(cutoff)
+    _require_finite("phi", phi)
     a = _ladder(cutoff)
     x = 0.5 * (np.exp(1j * phi) * a.conj().T + np.exp(-1j * phi) * a)
     return FockOperator(cutoff, 1, x)
@@ -275,6 +285,7 @@ def displacement(cutoff: int, alpha: complex) -> FockOperator:
     The truncated generator is one chain with subdiagonal alpha sqrt(n),
     exponentiated by ``_chain_expm``.
     """
+    _require_cutoff(cutoff)
     _require_finite("alpha", alpha)
     sub = alpha * np.sqrt(np.arange(1, cutoff + 1))
     return _checked_unitary(cutoff, _chain_expm(sub), f"D({alpha})")
@@ -287,6 +298,7 @@ def squeezer(cutoff: int, r: float) -> FockOperator:
     even and over odd n, each with subdiagonal log(r) sqrt((n+1)(n+2)) / 2 and
     exponentiated by ``_chain_expm``.
     """
+    _require_cutoff(cutoff)
     _require_finite("r", r)
     if r <= 0:
         raise ValueError("squeezing parameter must be positive")
@@ -300,6 +312,8 @@ def squeezer(cutoff: int, r: float) -> FockOperator:
 
 def phase_shift(cutoff: int, theta: float) -> FockOperator:
     """Diagonal phase rotation exp(-i theta n)."""
+    _require_cutoff(cutoff)
+    _require_finite("theta", theta)
     return FockOperator(
         cutoff, 1, np.diag(np.exp(-1j * theta * np.arange(cutoff + 1)))
     )
@@ -361,6 +375,7 @@ def _sector_table(cutoff: int, conserved: str, scale: float) -> _SectorTable:
     A table larger than DENSE_BYTES_LIMIT is refused before it is built. To
     make room for a new one, the least recently used tables are dropped.
     """
+    _require_cutoff(cutoff)
     key = (cutoff, conserved, float(scale))
     with _SECTOR_TABLES_LOCK:
         table = _SECTOR_TABLES.pop(key, None)
@@ -401,6 +416,7 @@ def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
 
 def mode_mixer(cutoff: int, theta: float) -> FockOperator:
     """exp(theta (a^dag b - a b^dag)); theta = pi/4 is the 50-50 beam splitter."""
+    _require_cutoff(cutoff)
     _require_finite("theta", theta)
     return FockOperator(cutoff, 2, _mixing_expm(cutoff, theta))
 
@@ -418,6 +434,7 @@ def _opa_sectors(cutoff: int, alpha_param: float):
 
 def opa(cutoff: int, alpha_param: float) -> FockOperator:
     """exp(-(alpha/2)(a^dag b^dag - a b)), assembled from its photon-number-difference sectors."""
+    _require_cutoff(cutoff)
     _require_finite("alpha_param", alpha_param)
     _require_fits(cutoff, (cutoff + 1) ** 4)
     blocks, warns = _opa_sectors(cutoff, alpha_param)
@@ -430,6 +447,7 @@ def opa(cutoff: int, alpha_param: float) -> FockOperator:
 
 def basis_state(cutoff: int, *ns: int) -> np.ndarray:
     """Number state |n> or |n_a, n_b> as a dense vector."""
+    _require_cutoff(cutoff)
     dim = (cutoff + 1) ** len(ns)
     idx = 0
     for n in ns:
@@ -443,6 +461,7 @@ def basis_state(cutoff: int, *ns: int) -> np.ndarray:
 
 def total_photon_numbers(cutoff: int) -> np.ndarray:
     """Total photon number of each two-mode basis state, in vector order."""
+    _require_cutoff(cutoff)
     n = np.arange(cutoff + 1)
     return np.add.outer(n, n).reshape(-1)
 
@@ -469,6 +488,7 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     double-ket. Refuses lambda whose truncated tail mass lambda^(2(N+1))
     exceeds 1e-4; tails above 1e-8 attach a warning.
     """
+    _require_cutoff(cutoff)
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     tail = lam ** (2 * (cutoff + 1))
@@ -488,6 +508,26 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     return RegularizedState(cutoff, 2, amps, {"lam": lam}, warns)
 
 
+def _padded_state(
+    cutoff: int, build: Callable[[int], tuple[np.ndarray, tuple[str, ...]]],
+    params: dict[str, float], label: str, where: str,
+) -> RegularizedState:
+    """The state ``build(cutoff)``, normalized. ``build(n)`` returns the
+    unnormalized amplitudes at cutoff n, one axis per mode, and their
+    warnings. The tail, the mass of ``build(N + _TAIL_PAD)`` outside the first
+    N+1 levels of each mode, is added to them above ``TAIL_WARN_TOL``."""
+    _require_cutoff(cutoff)
+    amps, warns = build(cutoff)
+    amps /= np.linalg.norm(amps)
+    mass = np.abs(build(cutoff + _TAIL_PAD)[0]) ** 2
+    tail = float(mass[cutoff + 1:].sum())
+    if mass.ndim == 2:
+        tail += float(mass[: cutoff + 1, cutoff + 1:].sum())
+    if tail > TAIL_WARN_TOL:
+        warns += (f"truncation: {label} tail mass {tail:.2e} at {where}, cutoff {cutoff}",)
+    return RegularizedState(cutoff, amps.ndim, amps, params, warns)
+
+
 def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> RegularizedState:
     """(D(z) kron I) applied to the regularized identity double-ket, normalized.
 
@@ -498,31 +538,14 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     their overlap is exp(-s^2 |z|^2 / 2) at the matched lambda (see
     ``entbs_fidelity``).
     """
-    base = identity_doubleket(cutoff, lam)
-    d_op = displacement(cutoff, z)
-    mat = d_op.matrix @ base.amplitudes.reshape(cutoff + 1, cutoff + 1)
-    amps = mat.reshape(-1)
-    amps /= np.linalg.norm(amps)
-    # displacement can push weight over the cutoff; estimate from a padded build
-    pad = _TAIL_PAD
-    big = identity_doubleket(cutoff + pad, lam)
-    big_mat = displacement(cutoff + pad, z).matrix @ big.amplitudes.reshape(
-        cutoff + pad + 1, cutoff + pad + 1
-    )
-    tail = float(
-        (np.abs(big_mat) ** 2).sum()
-        - (np.abs(big_mat[: cutoff + 1, : cutoff + 1]) ** 2).sum()
-    )
-    warns = base.warnings + d_op.warnings
-    if tail > TAIL_WARN_TOL:
-        warns = warns + (
-            f"truncation: displaced double-ket tail mass {tail:.2e}"
-            f" at lambda = {lam}, z = {z}, cutoff {cutoff}",
-        )
-    return RegularizedState(
-        cutoff, 2, amps,
+    def build(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
+        base, d_op = identity_doubleket(n, lam), displacement(n, z)
+        return d_op.matrix @ base.amplitudes.reshape(n + 1, n + 1), base.warnings + d_op.warnings
+
+    return _padded_state(
+        cutoff, build,
         {"lam": lam, "z_re": float(np.real(z)), "z_im": float(np.imag(z))},
-        warns,
+        "displaced double-ket", f"lambda = {lam}, z = {z}",
     )
 
 
@@ -548,25 +571,22 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
     s^2/4, displaced to mean x, then rotated so the sharp axis lies along
     X_phi with mean <X_phi> = x. Smaller s means a sharper approximation.
     """
+    _require_finite("x", x)
+    _require_finite("phi", phi)
     if not 0.0 < s <= 1.0:
         raise ValueError("sharpness s must lie in (0, 1]")
 
-    def build(n: int) -> np.ndarray:
+    def build(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
         vac = np.zeros(n + 1, dtype=complex)
         vac[0] = 1.0
-        st = squeezer(n, s).matrix @ vac
-        st = displacement(n, x).matrix @ st
-        return phase_shift(n, -phi).matrix @ st
+        sq, d_op = squeezer(n, s), displacement(n, x)
+        st = phase_shift(n, -phi).matrix @ (d_op.matrix @ (sq.matrix @ vac))
+        return st, sq.warnings + d_op.warnings
 
-    amps = build(cutoff)
-    amps /= np.linalg.norm(amps)
-    big = build(cutoff + _TAIL_PAD)
-    tail = float((np.abs(big[cutoff + 1:]) ** 2).sum())
-    warns = ()
-    if tail > TAIL_WARN_TOL:
-        warns = (f"truncation: quadrature eigenstate tail mass {tail:.2e}"
-                 f" at x = {x}, phi = {phi}, s = {s}, cutoff {cutoff}",)
-    return RegularizedState(cutoff, 1, amps, {"x": x, "phi": phi, "s": s}, warns)
+    return _padded_state(
+        cutoff, build, {"x": x, "phi": phi, "s": s},
+        "quadrature eigenstate", f"x = {x}, phi = {phi}, s = {s}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +596,7 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
 def _basis_indices(cutoff: int, indices) -> np.ndarray:
     """Validated non-empty 1-D array of two-mode basis indices, copied only
     after the memory guard has passed."""
+    _require_cutoff(cutoff)
     dim = (cutoff + 1) ** 2
     idx = np.asarray(indices)
     if (idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer)
@@ -634,21 +655,16 @@ def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
     return FockColumns(cutoff, cols, images, s1.warnings + s2.warnings + opa_warns)
 
 
-def phase_aligned_block_distance(
-    a: np.ndarray, b: np.ndarray, mask: np.ndarray
-) -> float:
-    """Entrywise max of a - e^{i theta} b on a basis block, theta chosen so the
-    largest-modulus element of b on the block matches a (global phases are
-    unobservable)."""
-    sel = np.outer(mask, mask)
-    ab = np.where(sel, a, 0.0)
-    bb = np.where(sel, b, 0.0)
-    i, j = np.unravel_index(np.argmax(np.abs(bb)), bb.shape)
-    if bb[i, j] == 0:
+def phase_aligned_block_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Entrywise max of a - e^{i theta} b, for a and b the same basis block of
+    two operators, theta chosen so the largest-modulus element of b matches a
+    (global phases are unobservable)."""
+    i, j = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    if b[i, j] == 0:
         raise ValueError("b vanishes on the block: no entry to align the phase to")
-    phase = ab[i, j] / bb[i, j]
+    phase = a[i, j] / b[i, j]
     phase /= abs(phase)
-    return float(np.abs(ab - phase * bb).max())
+    return float(np.abs(a - phase * b).max())
 
 
 def _states_up_to(cutoff: int, max_total: int) -> int:
@@ -670,6 +686,7 @@ def require_block_checks_fit(cutoff: int, block_photons: int) -> int:
     those checks read. Their count is computed, not masked, so that a huge
     cutoff is refused without an (N+1)^2 mask.
     """
+    _require_cutoff(cutoff)
     photons = max(cutoff // 2, block_photons)
     _require_columns_fit(cutoff, _states_up_to(cutoff, photons))
     _require_sectors_fit(cutoff)
@@ -685,13 +702,15 @@ def sum_gate_block_checks(
     Returns ``(gram_defect, distance, warnings)``: the max entry of
     C^dag C - I for those columns' images C; the phase-aligned distance
     between the chain and the direct ``sum_gate`` on the subspace of total
-    photon number <= ``block_photons``; and the chain's warnings.
+    photon number <= ``block_photons``, the only states the direct gate is
+    built on; and the chain's warnings.
     """
     cols = np.flatnonzero(block_mask(cutoff, require_block_checks_fit(cutoff, block_photons)))
     circuit = sum_gate_circuit(cutoff, cols)
+    inner = total_photon_numbers(cutoff)[cols] <= block_photons
+    block = cols[inner]
     distance = phase_aligned_block_distance(
-        sum_gate(cutoff, cols), circuit.matrix[cols],
-        block_mask(cutoff, block_photons)[cols],
+        sum_gate(cutoff, block), circuit.matrix[np.ix_(block, inner)]
     )
     return _gram_defect(circuit.matrix), distance, circuit.warnings
 
@@ -746,9 +765,7 @@ def entbs_fidelity(cutoff: int, x: float, y: float, s: float) -> float:
 
     Only the truncation moves the Fock value off the closed form.
     """
-    out = entbs_output(cutoff, x, y, s)
-    ref = displaced_identity_doubleket(cutoff, matched_lambda(s), x + 1j * y)
-    return float(abs(np.vdot(ref.amplitudes, out.amplitudes)) ** 2)
+    return float(entbs_fidelity_scan(cutoff, x, y, s, [matched_lambda(s)])[0])
 
 
 def entbs_fidelity_scan(
@@ -770,29 +787,24 @@ def entbs_fidelity_scan(
 # Truncation diagnostics and algebra helpers
 # ---------------------------------------------------------------------------
 
-def cutoff_convergence_defect(
-    build: Callable[[int], FockOperator],
-    cutoff: int,
-    pad: int = 8,
-    source_fraction: float = 0.25,
-) -> float:
+def cutoff_convergence_defect(build: Callable[[int], FockOperator], cutoff: int) -> float:
     """Truncation error of a constructor at a given cutoff.
 
-    Builds the operator at ``cutoff`` and at ``cutoff + pad``, restricts the
+    Builds the operator at ``cutoff`` and at ``cutoff + 8``, restricts the
     larger one to the smaller space, and returns the worst column-wise norm
-    difference over source states in the lowest ``source_fraction`` of the
-    spectrum. Decays to zero as the cutoff grows for every Gaussian element.
+    difference over the source states of (total) photon number <= N/4.
+    Decays to zero as the cutoff grows for every Gaussian element.
     """
     small = build(cutoff)
-    big = build(cutoff + pad)
+    big = build(cutoff + 8)
     n1 = cutoff + 1
     if small.modes == 1:
         restricted = big.matrix[:n1, :n1]
-        src = np.arange(n1) <= int(source_fraction * cutoff)
+        src = np.arange(n1) <= cutoff // 4
     else:
-        idx = (np.arange(n1)[:, None] * (cutoff + pad + 1) + np.arange(n1)).reshape(-1)
+        idx = (np.arange(n1)[:, None] * (big.cutoff + 1) + np.arange(n1)).reshape(-1)
         restricted = big.matrix[np.ix_(idx, idx)]
-        src = total_photon_numbers(cutoff) <= int(source_fraction * cutoff)
+        src = total_photon_numbers(cutoff) <= cutoff // 4
     diff = small.matrix - restricted
     return float(np.linalg.norm(diff[:, src], axis=0).max())
 
@@ -804,12 +816,21 @@ def su11_generators(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Kz = (a^dag^2 - a^2 + b^dag^2 - b^2)/4; on states far enough from the
     cutoff they satisfy Kz = i [Kx, Ky], and X_0 kron X_0 = (Kx - i Ky)/2.
     """
-    _require_fits(cutoff, (cutoff + 1) ** 4)
+    _require_cutoff(cutoff)
+    # at its peak the function holds the three generators and one Kronecker
+    # term of the last
+    _require_fits(cutoff, 4 * (cutoff + 1) ** 4)
     a = _ladder(cutoff)
     ad = a.conj().T
     eye = np.eye(cutoff + 1)
-    kx = 0.5 * (np.kron(ad, ad) + np.kron(a, a))
-    ky = 0.5j * (np.kron(a, ad) + np.kron(ad, a))
     sq_gen = ad @ ad - a @ a
-    kz = 0.25 * (np.kron(sq_gen, eye) + np.kron(eye, sq_gen))
+    kx = np.kron(ad, ad)
+    kx += np.kron(a, a)
+    kx *= 0.5
+    ky = np.kron(a, ad)
+    ky += np.kron(ad, a)
+    ky *= 0.5j
+    kz = np.kron(sq_gen, eye)
+    kz += np.kron(eye, sq_gen)
+    kz *= 0.25
     return kx, ky, kz

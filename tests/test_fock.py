@@ -47,6 +47,19 @@ def dense_sum_gate_chain(n: int, params: gaussian.DecompositionParams) -> np.nda
     )
 
 
+def mass_outside_box(amps: np.ndarray, cutoff: int) -> float:
+    """Share of a state's mass outside the first N+1 levels of each mode;
+    ``amps`` has one axis per mode."""
+    mass = np.abs(amps) ** 2
+    return float(1.0 - mass[(slice(0, cutoff + 1),) * amps.ndim].sum() / mass.sum())
+
+
+def tail_in_warning(warnings: tuple[str, ...], label: str) -> float:
+    """The tail mass that the warning on ``label`` reports."""
+    (tail,) = [float(w.split("tail mass ")[1].split()[0]) for w in warnings if label in w]
+    return tail
+
+
 def vacuum_expectation(op: np.ndarray) -> complex:
     return op[0, 0]
 
@@ -357,6 +370,53 @@ class TestQuadEigenstate:
         with pytest.raises(ValueError):
             fock.quad_eigenstate_approx(10, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["x", "phi"])
+    def test_non_finite_position_or_angle_rejected(self, name):
+        args = {"x": 0.0, "phi": 0.0, "s": 0.5, name: np.nan}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            fock.quad_eigenstate_approx(10, **args)
+
+    def test_keeps_squeezer_and_displacement_warnings(self, monkeypatch):
+        # every defect exceeds a negative threshold, so both factors warn
+        monkeypatch.setattr(fock, "UNITARITY_WARN_TOL", -1.0)
+        n, x, s = 10, 0.5, 0.5
+        expected = fock.squeezer(n, s).warnings + fock.displacement(n, x).warnings
+        assert [w.split(" unitarity")[0] for w in expected] == [
+            f"truncation: S({s})", f"truncation: D({x})",
+        ]
+        warnings = fock.quad_eigenstate_approx(n, x, 0.3, s).warnings
+        assert warnings[:2] == expected
+
+
+class TestPaddedTail:
+    """The tail mass in a state's warning against an independent dense build
+    at cutoff N + 40, Pade exponentials of the truncated generators."""
+
+    def test_quadrature_state_tail(self):
+        n, big, x, s = 20, 60, 1 / np.sqrt(2.0), 0.4
+        state = fock.quad_eigenstate_approx(n, x, 0.0, s)
+        a = fock._ladder(big)
+        ad = a.conj().T
+        amps = (
+            scipy.linalg.expm(x * (ad - a))
+            @ scipy.linalg.expm(0.5 * np.log(s) * (ad @ ad - a @ a))[:, 0]
+        )
+        tail = tail_in_warning(state.warnings, "quadrature eigenstate")
+        assert tail == pytest.approx(2.32e-4, rel=1e-9)
+        # the padded build holds no mass above N + 12, so the estimate is low:
+        # 2.323e-4 against 2.359e-4 here, 1.5%
+        assert mass_outside_box(amps, n) * 0.98 <= tail <= mass_outside_box(amps, n)
+
+    def test_displaced_double_ket_tail(self):
+        n, big, lam, z = 20, 60, fock.matched_lambda(0.4), 1 - 0.5j
+        state = fock.displaced_identity_doubleket(n, lam, z)
+        a = fock._ladder(big)
+        gen = z * a.conj().T - np.conj(z) * a
+        amps = scipy.linalg.expm(gen) @ np.diag(lam ** np.arange(big + 1))
+        tail = tail_in_warning(state.warnings, "displaced double-ket")
+        assert tail == pytest.approx(9.37e-5, rel=1e-9)
+        assert tail == pytest.approx(mass_outside_box(amps, n), rel=0.01)
+
 
 class TestSumGate:
     def test_spectral_route_matches_dense_expm(self):
@@ -385,10 +445,23 @@ class TestSumGate:
         block = np.flatnonzero(fock.block_mask(n, 10))
         direct = fock.phase_aligned_block_distance(
             fock.sum_gate(n, block), fock.sum_gate_circuit(n, block).matrix[block],
-            np.ones(block.size, dtype=bool),
         )
         _, distance, _ = fock.sum_gate_block_checks(n, 10)
         assert distance == pytest.approx(direct, rel=0, abs=1e-15)
+
+    def test_direct_gate_built_only_on_the_compared_block(self, monkeypatch):
+        # the chain reads the 231 states of total <= 20 at N=40; the distance
+        # compares the 66 states of total <= 10, and only those are built
+        sizes = []
+        direct = fock.sum_gate
+
+        def counted(cutoff, block):
+            sizes.append(len(block))
+            return direct(cutoff, block)
+
+        monkeypatch.setattr(fock, "sum_gate", counted)
+        fock.sum_gate_block_checks(40, 10)
+        assert sizes == [66]
 
     def test_vacuum_image_agreement(self):
         n = 30
@@ -469,21 +542,24 @@ class TestSumGateColumns:
 
 class TestDenseGuard:
     @pytest.mark.parametrize(
-        "build",
+        "build, needs",
         [
-            lambda: fock.mode_mixer(400, np.pi / 4),
-            lambda: fock.opa(400, 0.5),
-            lambda: fock.sum_gate_circuit(400, EVERY_STATE_400),
-            lambda: fock.sum_gate(400, EVERY_STATE_400),
-            lambda: fock.su11_generators(400),
+            (lambda: fock.mode_mixer(400, np.pi / 4), 413711385616),
+            (lambda: fock.opa(400, 0.5), 413711385616),
+            (lambda: fock.sum_gate_circuit(400, EVERY_STATE_400), 413711385616),
+            (lambda: fock.sum_gate(400, EVERY_STATE_400), 413711385616),
+            # the three su(1,1) generators and one Kronecker term at a time
+            (lambda: fock.su11_generators(400), 4 * 413711385616),
         ],
+        # the ids the cases had while only ``build`` was parametrized
+        ids=[f"<lambda>{i}" for i in range(5)],
     )
-    def test_oversized_two_mode_operator_refused_before_allocating(self, build):
+    def test_oversized_two_mode_operator_refused_before_allocating(self, build, needs):
         # 401^4 complex entries are 413711385616 bytes, far above the limit: a
         # dense operator, or every basis state's image column or eigenbasis row
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="cutoff 400 needs 413711385616 bytes"):
+            with pytest.raises(ValueError, match=f"cutoff 400 needs {needs} bytes,"):
                 build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -513,6 +589,18 @@ class TestDenseGuard:
     def test_state_count_matches_block_mask(self, cutoff, max_total):
         count = fock.block_mask(cutoff, max_total).sum()
         assert fock._states_up_to(cutoff, max_total) == count
+
+    def test_su11_peak_within_the_guarded_bytes(self, monkeypatch):
+        requested = []
+        monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
+        tracemalloc.start()
+        try:
+            fock.su11_generators(20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(requested) == 1
+        assert peak <= requested[0] + 2**20
 
     def test_block_checks_refused_before_the_mask(self):
         # cutoff 150 is the largest whose columns of total <= 75 fit; at
@@ -709,9 +797,8 @@ class TestTruncationDiagnostics:
         assert d_large < d_small
 
     def test_block_distance_rejects_zero_pivot(self):
-        mask = fock.block_mask(4, 2)
         with pytest.raises(ValueError, match="vanishes"):
-            fock.phase_aligned_block_distance(np.eye(25), np.zeros((25, 25)), mask)
+            fock.phase_aligned_block_distance(np.eye(6), np.zeros((6, 6)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -722,15 +809,54 @@ class TestTruncationDiagnostics:
             fock.basis_state(4, 5)
 
 
+# every public constructor and check that takes a cutoff, and the memo lookup
+CUTOFF_BUILDERS = {
+    "mode_ops": fock.mode_ops,
+    "quadrature": lambda n: fock.quadrature(n, 0.0),
+    "displacement": lambda n: fock.displacement(n, 0.1),
+    "squeezer": lambda n: fock.squeezer(n, 0.8),
+    "phase_shift": lambda n: fock.phase_shift(n, 0.3),
+    "mode_mixer": lambda n: fock.mode_mixer(n, 0.3),
+    "opa": lambda n: fock.opa(n, 0.2),
+    "basis_state": lambda n: fock.basis_state(n, 0),
+    "total_photon_numbers": fock.total_photon_numbers,
+    "block_mask": lambda n: fock.block_mask(n, 1),
+    "identity_doubleket": lambda n: fock.identity_doubleket(n, 1e-3),
+    "displaced_identity_doubleket": lambda n: fock.displaced_identity_doubleket(n, 1e-3, 0.1),
+    "quad_eigenstate_approx": lambda n: fock.quad_eigenstate_approx(n, 0.1, 0.0, 0.5),
+    "heterodyne_eigen_residual": lambda n: fock.heterodyne_eigen_residual(n, 1e-3, 0.1),
+    "sum_gate": lambda n: fock.sum_gate(n, [0]),
+    "sum_gate_circuit": lambda n: fock.sum_gate_circuit(n, [0]),
+    "require_block_checks_fit": lambda n: fock.require_block_checks_fit(n, 1),
+    "sum_gate_block_checks": lambda n: fock.sum_gate_block_checks(n, 1),
+    "entbs_output": lambda n: fock.entbs_output(n, 0.1, 0.1, 0.5),
+    "entbs_fidelity": lambda n: fock.entbs_fidelity(n, 0.1, 0.1, 0.5),
+    "entbs_fidelity_scan": lambda n: fock.entbs_fidelity_scan(n, 0.1, 0.1, 0.5, [0.6]),
+    "su11_generators": fock.su11_generators,
+    "_sector_table": lambda n: fock._sector_table(n, "total", 0.3),
+}
+
+
 class TestLibraryBoundary:
     @pytest.mark.parametrize(
         "builder, name",
-        [("displacement", "alpha"), ("squeezer", "r"), ("mode_mixer", "theta"), ("opa", "alpha_param")],
+        [("displacement", "alpha"), ("squeezer", "r"), ("mode_mixer", "theta"), ("opa", "alpha_param"),
+         ("phase_shift", "theta"), ("quadrature", "phi")],
     )
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_rejected(self, builder, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             getattr(fock, builder)(8, value)
+
+    @pytest.mark.parametrize("cutoff", [-1000, -1, 0, 2.5])
+    @pytest.mark.parametrize("build", sorted(CUTOFF_BUILDERS))
+    def test_bad_cutoff_rejected_before_the_memo(self, empty_memo, build, cutoff):
+        fock._sector_table(4, "total", 0.3)
+        before = dict(empty_memo)
+        with pytest.raises(ValueError, match=f"^cutoff must be an integer >= 1, got {cutoff}$"):
+            CUTOFF_BUILDERS[build](cutoff)
+        assert empty_memo.keys() == before.keys()
+        assert all(empty_memo[key] is table for key, table in before.items())
 
     def test_stored_arrays_are_read_only(self):
         op = fock.displacement(4, 0.5)
