@@ -5,7 +5,8 @@ Tabulates, per cutoff: the low-block distance between the optical chain and
 the direct SUM-gate exponential, the OPA truncation defect, the heterodyne
 residual against its sharp limit, and the beam-splitter factorization
 fidelity over a sharpness sweep (with the damping-parameter scan that
-confirms the matched value).
+confirms the matched value). The sharpness and damping values are the ones
+``bellgate cv verify`` uses, read from ``bellgate.cli``.
 
 Usage: python scripts/cv_convergence.py [N1,N2,...]
 """
@@ -14,7 +15,7 @@ import sys
 
 import numpy as np
 
-from bellgate import fock, gaussian
+from bellgate import cli, fock, gaussian
 
 
 def main() -> None:
@@ -28,19 +29,26 @@ def main() -> None:
           "chain vs target =", f"{gaussian.circuit_vs_target_error(params):.3e}")
     print()
 
-    print(f"{'N':>4} {'chain_dist':>12} {'opa_defect':>12} {'het(0.5)':>10} {'het(sharp)':>16}")
+    lam_base = cli.HETERODYNE_BASE_LAMBDA
+    print(f"{'N':>4} {'chain_dist':>12} {'opa_defect':>12} {f'het({lam_base})':>10}"
+          f" {'het(sharp)':>16}")
+    sharp_lams = set()
     for n in cutoffs:
         _, dist, _ = fock.sum_gate_block_checks(n, 10)
         opa_defect = fock.cutoff_convergence_defect(
             lambda m: fock.opa(m, params.alpha), n
         )
-        het_lo = fock.heterodyne_eigen_residual(n, 0.5, 1.0)
-        lam_hi = next(lam for lam in (0.9, 0.8, 0.7, 0.6) if fock.lambda_fits(n, lam))
+        het_lo = fock.heterodyne_eigen_residual(n, lam_base, 1.0)
+        lam_hi = cli.heterodyne_lambda(n)
+        sharp_lams.add(lam_hi)
         het_hi = fock.heterodyne_eigen_residual(n, lam_hi, 1.0)
         print(f"{n:>4} {dist:>12.3e} {opa_defect:>12.3e} {het_lo:>10.6f}"
               f" {het_hi:>8.6f} @{lam_hi}")
-    print("(sharp limits sqrt((1-lam)/(1+lam)): 0.577350 at lam=0.5,"
-          " 0.420084 at 0.7, 0.229416 at 0.9)")
+    limits = ", ".join(
+        f"{np.sqrt((1 - lam) / (1 + lam)):.6f} at lam={lam}"
+        for lam in [lam_base, *sorted(sharp_lams)]
+    )
+    print(f"(sharp limits sqrt((1-lam)/(1+lam)): {limits})")
     print()
 
     n = max(cutoffs)
@@ -48,9 +56,10 @@ def main() -> None:
     print(f"beam-splitter factorization at N={n}:")
     print(f"{'s':>5} {'lam_matched':>12} {'fid(0,0)':>10} {'origin_scan_max':>16}"
           f" {'fid(1,-0.5)':>12}")
-    for s in (0.6, 0.5, 0.4, 0.3):
+    held = cli.entbs_sharpness(n)
+    for s in cli.ENTBS_SHARPNESS:
         lam = fock.matched_lambda(s)
-        if not fock.lambda_fits(n, lam):
+        if s not in held:
             print(f"{s:>5} {lam:>12.4f}   (matched damping needs a larger cutoff)")
             continue
         fid0 = fock.entbs_fidelity(n, 0.0, 0.0, s)

@@ -11,6 +11,12 @@ Progress and per-check lines go to stderr; machine-readable output (the JSON
 report, or the synth file list) goes to stdout. The exit code is 0 iff every
 invoked check passed. When ``--tol`` is given it overrides the per-check
 default tolerances listed in the module constants.
+
+The sweep policy of ``cv verify`` is public, and ``scripts/cv_convergence.py``
+reads it too: ``ENTBS_SHARPNESS`` and ``HETERODYNE_LAMBDAS`` list the
+candidate sharpness and damping values, ``HETERODYNE_BASE_LAMBDA`` the damping
+of the closed-form row, and ``entbs_sharpness(N)`` and ``heterodyne_lambda(N)``
+keep the candidates whose states the cutoff holds (``fock.lambda_fits``).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import numbers
 import sys
 import time
 from pathlib import Path
@@ -38,13 +45,15 @@ TOL_SYMPLECTIC = 1e-12
 ABLATION_FLOOR = 0.1
 TOL_TAU1 = 1e-5
 TOL_UNITARITY_BLOCK = 1e-6
-TOL_FINAL_DISTANCE = 1e-11   # applies once the largest cutoff reaches 40
+TOL_FINAL_DISTANCE = 1e-11   # held by each distance row at N >= 40 (see _graded)
 TOL_ENTBS_ORIGIN = 1e-3
 TOL_HETERODYNE_CLOSED = 1e-9
 TOL_Z_INDEPENDENCE = 1e-8
 
-_ENTBS_S_CANDIDATES = (0.6, 0.5, 0.4, 0.3)
-_HETERODYNE_LAMBDAS = (0.9, 0.8, 0.7, 0.6)
+# sweep candidates, ordered so that the fidelities and the residual sharpen
+ENTBS_SHARPNESS = (0.6, 0.5, 0.4, 0.3)
+HETERODYNE_LAMBDAS = (0.9, 0.8, 0.7, 0.6)
+HETERODYNE_BASE_LAMBDA = 0.5
 _HETERODYNE_Z_SET = (0.0, 1.0, 1.0 - 0.5j, 2.0j)
 
 
@@ -52,9 +61,14 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _validate_tol(tol: float | None) -> None:
-    if tol is not None and not 0.0 <= tol < np.inf:
+def _validate_tol(tol: float | None) -> float | None:
+    """The tolerance override as a float, refused unless it is a finite,
+    non-negative real number (a bool is not one)."""
+    if tol is None:
+        return None
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < np.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return float(tol)
 
 
 def _tol(tol: float | None, default: float) -> float:
@@ -70,18 +84,37 @@ def _check(name: str, error: float, tol: float, passed=None) -> CheckResult:
     return result
 
 
+def _rising(name: str, values: list[float]) -> CheckResult:
+    """The row for values that must rise strictly: its error is the largest
+    fall between neighbours, floored at 0, and it passes only if every fall
+    is negative, a strict rise."""
+    falls = [a - b for a, b in zip(values, values[1:])]
+    return _check(name, max(0.0, max(falls)), 0.0, passed=all(fall < 0 for fall in falls))
+
+
+def _graded(tol: float | None, strict: float, cutoff: int) -> float:
+    """A truncation-limited row's tolerance: its strict one (or ``--tol``) at
+    each cutoff from 40 on, and 1.0 below, where it informs without failing."""
+    return _tol(tol, strict) if cutoff >= 40 else 1.0
+
+
 # ---------------------------------------------------------------------------
 # qudit verify
 # ---------------------------------------------------------------------------
 
 def _validate_d_range(d_min: int, d_max: int) -> None:
-    if d_min < 2 or d_min > d_max:
-        raise ValueError(f"invalid dimension range {d_min}..{d_max}: need 2 <= d_min <= d_max")
+    """Refuse a bad range, and a d_max whose checks would not fit in memory,
+    before the first check runs."""
+    if not (fock.is_integer(d_min) and fock.is_integer(d_max) and 2 <= d_min <= d_max):
+        raise ValueError(
+            f"invalid dimension range {d_min!r}..{d_max!r}: need integers 2 <= d_min <= d_max"
+        )
+    qudit.require_checks_fit(d_max)
 
 
 def run_qudit_verify(d_min: int, d_max: int, tol: float | None = None) -> VerificationReport:
     _validate_d_range(d_min, d_max)
-    _validate_tol(tol)
+    tol = _validate_tol(tol)
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
     for d in range(d_min, d_max + 1):
@@ -114,14 +147,15 @@ def run_qudit_verify(d_min: int, d_max: int, tol: float | None = None) -> Verifi
 # cv verify
 # ---------------------------------------------------------------------------
 
-def _validate_cutoffs(cutoffs: list[int]) -> int:
+def _validate_cutoffs(cutoffs: list[int]) -> tuple[list[int], int]:
     """Refuse a bad cutoff list, and any cutoff whose SUM-gate checks would
-    not fit in memory, before the first check runs; returns the photon
-    number of the SUM-gate block."""
+    not fit in memory, before the first check runs; returns the cutoffs as
+    Python ints and the photon number of the SUM-gate block."""
     if not cutoffs:
         raise ValueError("cutoff list must not be empty")
-    if not all(isinstance(n, int) for n in cutoffs):
+    if not all(fock.is_integer(n) for n in cutoffs):
         raise ValueError(f"cutoffs must be integers, got {cutoffs!r}")
+    cutoffs = [int(n) for n in cutoffs]
     if min(cutoffs) < 12:
         raise ValueError("cutoffs below 12 are too small for the verification sweeps")
     if any(lo >= hi for lo, hi in zip(cutoffs, cutoffs[1:])):
@@ -129,12 +163,23 @@ def _validate_cutoffs(cutoffs: list[int]) -> int:
     block = min(10, min(cutoffs) // 2)
     for n in cutoffs:
         fock.require_block_checks_fit(n, block)
-    return block
+    return cutoffs, block
+
+
+def entbs_sharpness(cutoff: int) -> list[float]:
+    """The values of ENTBS_SHARPNESS whose matched lambda the cutoff holds."""
+    return [s for s in ENTBS_SHARPNESS if fock.lambda_fits(cutoff, fock.matched_lambda(s))]
+
+
+def heterodyne_lambda(cutoff: int) -> float:
+    """The first, sharpest, value of HETERODYNE_LAMBDAS that the cutoff holds;
+    every cutoff from 12 on holds the last."""
+    return next(lam for lam in HETERODYNE_LAMBDAS if fock.lambda_fits(cutoff, lam))
 
 
 def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationReport:
-    block = _validate_cutoffs(cutoffs)
-    _validate_tol(tol)
+    cutoffs, block = _validate_cutoffs(cutoffs)
+    tol = _validate_tol(tol)
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
     warnings: list[str] = []
@@ -177,77 +222,49 @@ def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationR
         ))
         distances.append(dist)
         checks.append(_check(
-            f"N={n}:sum_gate_block_distance", dist,
-            _tol(tol, TOL_FINAL_DISTANCE) if n >= 40 else 1.0,
+            f"N={n}:sum_gate_block_distance", dist, _graded(tol, TOL_FINAL_DISTANCE, n)
         ))
 
         fid0 = fock.entbs_fidelity(n, 0.0, 0.0, 0.5)
         checks.append(_check(
             f"N={n}:entbs_origin_fidelity", 1.0 - fid0, _tol(tol, TOL_ENTBS_ORIGIN)
         ))
-        # sharpness values whose matched lambda survives the tail guard
-        svals = [
-            s for s in _ENTBS_S_CANDIDATES if fock.lambda_fits(n, fock.matched_lambda(s))
-        ]
         fids = []
-        for s in svals:
+        for s in entbs_sharpness(n):
             f = fock.entbs_fidelity(n, 1.0, -0.5, s)
             fids.append(f)
             checks.append(_check(
                 f"N={n}:entbs_fidelity_s={s}_at_(1,-0.5)", 1.0 - f, 1.0
             ))
         if len(fids) >= 2:
-            # candidates are ordered by decreasing s, so fidelities must increase
-            violation = max(
-                0.0, max(fids[i] - fids[i + 1] for i in range(len(fids) - 1))
-            )
-            checks.append(_check(
-                f"N={n}:entbs_sharpening_trend", violation, 0.0,
-                passed=all(fids[i] < fids[i + 1] for i in range(len(fids) - 1)),
-            ))
+            checks.append(_rising(f"N={n}:entbs_sharpening_trend", fids))
 
-        # rows limited purely by truncation get their acceptance-grade
-        # tolerance once the cutoff reaches 40; below that they are reported
-        # for the convergence picture without failing the run
-        grade = n >= 40
-        # the lambda = 0.5 residual at each z, computed once for all three rows
-        residuals = {z: fock.heterodyne_eigen_residual(n, 0.5, z) for z in _HETERODYNE_Z_SET}
-        res_half = residuals[0.0]
-        closed = np.sqrt((1 - 0.5) / (1 + 0.5))
+        # the base-lambda residual at each z, computed once for all three rows
+        lam = HETERODYNE_BASE_LAMBDA
+        residuals = {z: fock.heterodyne_eigen_residual(n, lam, z) for z in _HETERODYNE_Z_SET}
+        res_base = residuals[0.0]
         checks.append(_check(
-            f"N={n}:heterodyne_closed_form_lam0.5",
-            abs(res_half - closed),
-            _tol(tol, TOL_HETERODYNE_CLOSED) if grade else 1.0,
+            f"N={n}:heterodyne_closed_form_lam{lam}",
+            abs(res_base - np.sqrt((1 - lam) / (1 + lam))),
+            _graded(tol, TOL_HETERODYNE_CLOSED, n),
         ))
-        lam_hi = next(lam for lam in _HETERODYNE_LAMBDAS if fock.lambda_fits(n, lam))
-        res_lo = residuals[1.0]
+        lam_hi = heterodyne_lambda(n)
         res_hi = fock.heterodyne_eigen_residual(n, lam_hi, 1.0)
-        checks.append(_check(
-            f"N={n}:heterodyne_monotone_lam0.5_to_{lam_hi}",
-            max(0.0, res_hi - res_lo), 0.0,
-            passed=res_hi < res_lo,
+        checks.append(_rising(
+            f"N={n}:heterodyne_monotone_lam{lam}_to_{lam_hi}", [res_hi, residuals[1.0]]
         ))
-        spread = max(abs(res - res_half) for res in residuals.values())
+        spread = max(abs(res - res_base) for res in residuals.values())
         checks.append(_check(
-            f"N={n}:heterodyne_z_independence", spread,
-            _tol(tol, TOL_Z_INDEPENDENCE) if grade else 1.0,
+            f"N={n}:heterodyne_z_independence", spread, _graded(tol, TOL_Z_INDEPENDENCE, n)
         ))
 
     if len(distances) >= 2:
-        violation = max(
-            0.0,
-            max(distances[i + 1] - distances[i] for i in range(len(distances) - 1)),
-        )
-        checks.append(_check(
-            "sum_gate_convergence_monotone", violation, 0.0,
-            passed=all(
-                distances[i + 1] < distances[i] for i in range(len(distances) - 1)
-            ),
-        ))
+        # negation is exact, so the row's error is the largest rise of the distances
+        checks.append(_rising("sum_gate_convergence_monotone", [-d for d in distances]))
 
     return VerificationReport(
         suite="cv",
-        params={"cutoffs": list(cutoffs), "tol": tol, "block_photons": block},
+        params={"cutoffs": cutoffs, "tol": tol, "block_photons": block},
         checks=checks,
         warnings=sorted(set(warnings)),
         duration_s=time.perf_counter() - t0,

@@ -61,15 +61,17 @@ built on it.
 One guard, ``require_memory``, refuses a route whose arrays would exceed
 ``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix, the
 chain's column images, ``sum_gate``'s eigenbasis rows and a sector table,
-and also the qudit layer's dense V and the ``qudit synth`` export.
-``require_block_checks_fit`` applies the same sizes to a cutoff before any
-of ``sum_gate_block_checks`` runs, so a caller can refuse a whole cutoff list
-up front.
+and also the qudit layer's gate set, its dense V and the ``qudit synth``
+export. The column routes count three image-sized arrays per column, their
+peak. ``require_block_checks_fit`` counts those of
+``sum_gate_block_checks`` and the chain's three sector tables before any
+of it runs, so a caller can refuse a whole cutoff list up front; ``cv
+verify`` refuses from cutoff 113 on (1078565856 bytes).
 
-Every public constructor refuses a cutoff that is not an integer >= 1, and
-the sector memo refuses one before it is touched. Stored arrays are
-read-only: the dataclasses are frozen, and so are their matrices and
-amplitudes.
+Every public constructor refuses a cutoff that is not an integer >= 1
+(``is_integer``: a Python or numpy integer, not a bool), and the sector
+memo refuses one before it is touched. Stored arrays are read-only: the
+dataclasses are frozen, and so are their matrices and amplitudes.
 """
 
 from __future__ import annotations
@@ -158,9 +160,15 @@ class RegularizedState:
 # Elementary operators
 # ---------------------------------------------------------------------------
 
+def is_integer(value) -> bool:
+    """The library's integer rule for cutoffs, dimensions and indices: a
+    Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_cutoff(cutoff: int) -> None:
     """Refuse, before anything is built, a cutoff that is not an integer >= 1."""
-    if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
+    if not is_integer(cutoff) or cutoff < 1:
         raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
 
 
@@ -241,9 +249,13 @@ def _require_fits(cutoff: int, entries: int) -> None:
     require_memory(f"cutoff {cutoff}", 16 * entries)
 
 
-def _require_columns_fit(cutoff: int, columns: int) -> None:
-    """Both SUM-gate routes hold (N+1)^2 entries per two-mode basis column."""
-    _require_fits(cutoff, (cutoff + 1) ** 2 * columns)
+def _columns_bytes(cutoff: int, columns: int) -> int:
+    """Peak bytes of either SUM-gate route over ``columns`` two-mode basis
+    columns: three complex arrays of (N+1)^2 entries per column. A squeezer
+    pair of the chain holds its input, an intermediate product and its
+    output; ``sum_gate`` its eigenbasis rows, their phased copy and their
+    conjugate."""
+    return 3 * 16 * (cutoff + 1) ** 2 * columns
 
 
 def _sector_table_bytes(cutoff: int) -> int:
@@ -268,15 +280,17 @@ def _assemble(cutoff: int, modes: int, blocks) -> np.ndarray:
     return out
 
 
+def _truncation_warning(quantity: str, value: float, limit: float, where: str) -> tuple[str, ...]:
+    """The warning "truncation: <quantity> <value> at <where>" when ``value``
+    exceeds ``limit`` (UNITARITY_WARN_TOL or TAIL_WARN_TOL), else none."""
+    return (f"truncation: {quantity} {value:.2e} at {where}",) if value > limit else ()
+
+
 def _checked_unitary(cutoff: int, matrix: np.ndarray, label: str) -> FockOperator:
-    op = FockOperator(cutoff, 1, matrix)
-    defect = unitarity_defect(op)
-    if defect > UNITARITY_WARN_TOL:
-        op = FockOperator(
-            cutoff, 1, matrix,
-            (f"truncation: {label} unitarity defect {defect:.2e} at cutoff {cutoff}",),
-        )
-    return op
+    defect = unitarity_defect(FockOperator(cutoff, 1, matrix))
+    return FockOperator(cutoff, 1, matrix, _truncation_warning(
+        f"{label} unitarity defect", defect, UNITARITY_WARN_TOL, f"cutoff {cutoff}"
+    ))
 
 
 def displacement(cutoff: int, alpha: complex) -> FockOperator:
@@ -425,11 +439,10 @@ def _opa_sectors(cutoff: int, alpha_param: float):
     """The OPA's photon-number-difference sector blocks and its warnings,
     which report the table's unitarity defect."""
     table = _sector_table(cutoff, "difference", -alpha_param / 2.0)
-    warns = ()
-    if table.defect > UNITARITY_WARN_TOL:
-        warns = (f"truncation: OPA({alpha_param}) unitarity defect {table.defect:.2e}"
-                 f" at cutoff {cutoff}",)
-    return table.blocks, warns
+    return table.blocks, _truncation_warning(
+        f"OPA({alpha_param}) unitarity defect", table.defect, UNITARITY_WARN_TOL,
+        f"cutoff {cutoff}",
+    )
 
 
 def opa(cutoff: int, alpha_param: float) -> FockOperator:
@@ -497,10 +510,9 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
             f"lambda = {lam} too close to 1 for cutoff {cutoff}:"
             f" tail mass {tail:.2e}"
         )
-    warns = ()
-    if tail > TAIL_WARN_TOL:
-        warns = (f"truncation: identity double-ket tail mass {tail:.2e}"
-                 f" at lambda = {lam}, cutoff {cutoff}",)
+    warns = _truncation_warning(
+        "identity double-ket tail mass", tail, TAIL_WARN_TOL, f"lambda = {lam}, cutoff {cutoff}"
+    )
     n1 = cutoff + 1
     amps = np.zeros(n1 * n1, dtype=complex)
     amps[np.arange(n1) * n1 + np.arange(n1)] = lam ** np.arange(n1)
@@ -523,8 +535,9 @@ def _padded_state(
     tail = float(mass[cutoff + 1:].sum())
     if mass.ndim == 2:
         tail += float(mass[: cutoff + 1, cutoff + 1:].sum())
-    if tail > TAIL_WARN_TOL:
-        warns += (f"truncation: {label} tail mass {tail:.2e} at {where}, cutoff {cutoff}",)
+    warns += _truncation_warning(
+        f"{label} tail mass", tail, TAIL_WARN_TOL, f"{where}, cutoff {cutoff}"
+    )
     return RegularizedState(cutoff, amps.ndim, amps, params, warns)
 
 
@@ -604,7 +617,7 @@ def _basis_indices(cutoff: int, indices) -> np.ndarray:
         raise ValueError(
             f"basis indices must be a non-empty 1-D integer array within [0, {dim})"
         )
-    _require_columns_fit(cutoff, idx.size)
+    require_memory(f"cutoff {cutoff}", _columns_bytes(cutoff, idx.size))
     return idx.copy()
 
 
@@ -680,7 +693,8 @@ def _states_up_to(cutoff: int, max_total: int) -> int:
 
 def require_block_checks_fit(cutoff: int, block_photons: int) -> int:
     """Refuse, before anything is allocated, a cutoff whose
-    :func:`sum_gate_block_checks` arrays would exceed DENSE_BYTES_LIMIT.
+    :func:`sum_gate_block_checks` arrays would exceed DENSE_BYTES_LIMIT: the
+    chain's column peak and its three sector tables (splitter, mixer, OPA).
 
     Returns the total photon number max(N/2, block_photons) of the columns
     those checks read. Their count is computed, not masked, so that a huge
@@ -688,8 +702,10 @@ def require_block_checks_fit(cutoff: int, block_photons: int) -> int:
     """
     _require_cutoff(cutoff)
     photons = max(cutoff // 2, block_photons)
-    _require_columns_fit(cutoff, _states_up_to(cutoff, photons))
-    _require_sectors_fit(cutoff)
+    require_memory(
+        f"cutoff {cutoff}",
+        _columns_bytes(cutoff, _states_up_to(cutoff, photons)) + 3 * _sector_table_bytes(cutoff),
+    )
     return photons
 
 

@@ -28,6 +28,9 @@ keeps it so:
 * V is held as its permutation, |i, j> -> |i, i+j mod d> on the row-major
   index i*d + j; ``dense_v`` builds the d^2 x d^2 matrix only on request,
   and refuses one above ``fock.DENSE_BYTES_LIMIT``;
+* ``make_gateset`` refuses, before it allocates, a dimension whose gate set
+  and checks would exceed that limit (``require_checks_fit``, from d = 3097
+  on);
 * the d^2 Bell vectors are two d x d tables: vector (m, n) sits on the rows
   i*d + (i+n mod d) and holds w^(i m) / sqrt(d) there, the same values for
   every n.
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dket import DoubleKet, vec
-from .fock import require_memory
+from .fock import is_integer, require_memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +83,20 @@ def _bell_supports(d: int) -> np.ndarray:
     return i * d + (i + np.arange(d)) % d
 
 
+def require_checks_fit(d: int) -> None:
+    """Refuse, before allocating, a dimension whose gate set and checks would
+    exceed ``fock.DENSE_BYTES_LIMIT``. By tracemalloc at d = 128 to 1024,
+    ``make_gateset`` alone peaks at 5.0 d x d complex arrays, and with the
+    three checks of ``qudit verify`` at 7.00."""
+    require_memory(f"qudit gate set at d = {d}", 7 * 16 * d * d)
+
+
 def make_gateset(d: int) -> QuditGateSet:
-    """Build the gate set for dimension d >= 2 from the defining formulas."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    """Build the gate set for an integer dimension d >= 2 from the defining
+    formulas, refused before allocating when ``require_checks_fit`` refuses d."""
+    if not is_integer(d) or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    require_checks_fit(d)
     k = np.arange(d)
     W = np.zeros((d, d), dtype=complex)
     W[(k + 1) % d, k] = 1.0
@@ -173,5 +186,5 @@ def v_from_bell_basis(gs: QuditGateSet) -> np.ndarray:
 
 
 def _check_index(gs: QuditGateSet, m: int, n: int) -> None:
-    if not (0 <= m < gs.d and 0 <= n < gs.d):
-        raise ValueError(f"indices (m, n) = ({m}, {n}) out of range for d = {gs.d}")
+    if not (is_integer(m) and is_integer(n) and 0 <= m < gs.d and 0 <= n < gs.d):
+        raise ValueError(f"indices (m, n) = ({m!r}, {n!r}) must be integers in [0, {gs.d})")

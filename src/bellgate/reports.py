@@ -9,7 +9,7 @@ which round-trips IEEE doubles exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 SCHEMA_VERSION = 1
 
@@ -44,15 +44,7 @@ class VerificationReport:
             "suite": self.suite,
             "params": self.params,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "error": c.error,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "warnings": list(self.warnings),
             "duration_s": self.duration_s,
         }
@@ -64,15 +56,7 @@ class VerificationReport:
         return cls(
             suite=payload["suite"],
             params=payload["params"],
-            checks=[
-                CheckResult(
-                    name=c["name"],
-                    error=c["error"],
-                    tolerance=c["tolerance"],
-                    passed=c["passed"],
-                )
-                for c in payload["checks"]
-            ],
+            checks=[CheckResult(**c) for c in payload["checks"]],
             warnings=list(payload.get("warnings", [])),
             duration_s=payload.get("duration_s", 0.0),
         )

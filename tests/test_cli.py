@@ -67,10 +67,39 @@ class TestQuditVerify:
             cli.main(["qudit", "verify", "--d", "5..3"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("d_min,d_max", [(1, 3), (5, 3)])
+    @pytest.mark.parametrize("d_min,d_max", [(1, 3), (5, 3), (2.5, 3), ("2", 3)])
     def test_library_rejects_bad_range(self, d_min, d_max):
-        with pytest.raises(ValueError, match="dimension range"):
+        with pytest.raises(ValueError, match=f"dimension range {d_min!r}..3"):
             cli.run_qudit_verify(d_min, d_max)
+
+    def test_oversized_dimension_refused_before_any_check(self, capsys):
+        # seven d x d complex arrays at d = 10^4 would take 11.2 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="d = 10000 needs 11200000000 bytes"):
+                cli.run_qudit_verify(2, 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["qudit", "verify", "--d", "2..10000"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "d = 10000 needs 11200000000 bytes" in err
+        assert "[pass]" not in err and "[FAIL]" not in err
+
+    @pytest.mark.parametrize("d", [128, 256])
+    def test_peak_within_the_guarded_bytes(self, monkeypatch, d):
+        requested = []
+        monkeypatch.setattr(qudit, "require_memory", lambda label, nbytes: requested.append(nbytes))
+        tracemalloc.start()
+        try:
+            cli.run_qudit_verify(d, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(requested) + 2**20
 
     def test_report_written_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -318,18 +347,24 @@ class TestCvVerify:
             ([8, 20], "below 12"),
             ([16, 12], "strictly increasing"),
             ([12, 12], "strictly increasing"),
+            ([True], "integers"),
         ],
     )
     def test_library_rejects_bad_cutoffs(self, cutoffs, message):
         with pytest.raises(ValueError, match=message):
             cli.run_cv_verify(cutoffs)
 
+    def test_numpy_integer_cutoffs_accepted(self):
+        report = cli.run_cv_verify([np.int64(12)])
+        assert report.params["cutoffs"] == [12] and type(report.params["cutoffs"][0]) is int
+        assert VerificationReport.from_json(report.to_json()) == report
+
     def test_oversized_cutoff_refused_before_allocating(self):
-        # the total <= 100 block's 5151 image columns of length 201^2 would
-        # take 3329688816 bytes
+        # the total <= 100 block's 5151 columns of length 201^2, three arrays
+        # each, and three sector tables would take 10248928896 bytes
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="cutoff 200 needs 3329688816 bytes"):
+            with pytest.raises(ValueError, match="cutoff 200 needs 10248928896 bytes"):
                 cli.run_cv_verify([200])
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -341,7 +376,7 @@ class TestCvVerify:
             cli.main(["cv", "verify", "--cutoffs", "20,30,40,200"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "cutoff 200 needs 3329688816 bytes" in err
+        assert "cutoff 200 needs 10248928896 bytes" in err
         assert "[pass]" not in err and "[FAIL]" not in err
 
     def test_oversized_cutoff_usage_error(self, capsys):
@@ -349,7 +384,7 @@ class TestCvVerify:
             cli.main(["cv", "verify", "--cutoffs", "200"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "cutoff 200 needs 3329688816 bytes" in err
+        assert "cutoff 200 needs 10248928896 bytes" in err
         assert "Traceback" not in err
 
     def test_convergence_script_runs(self):
@@ -361,15 +396,24 @@ class TestCvVerify:
             cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
+        # the het(sharp) column uses cv verify's lambda, and the note names
+        # the limits of the base lambda and of the lambdas the column used
+        rows = [line.split() for line in result.stdout.splitlines()[3:5]]
+        assert [(int(row[0]), row[-1]) for row in rows] == [
+            (n, f"@{cli.heterodyne_lambda(n)}") for n in (12, 16)
+        ]
+        assert "(sharp limits sqrt((1-lam)/(1+lam)): 0.577350 at lam=0.5," \
+            " 0.420084 at lam=0.7)" in result.stdout.splitlines()
 
 
 class TestBadTolerance:
-    @pytest.mark.parametrize("text", BAD_TOLERANCES)
-    def test_library_rejects_bad_tolerance(self, text):
+    # a bool and a string are no tolerance either
+    @pytest.mark.parametrize("tol", [*map(float, BAD_TOLERANCES), True, "1e-3"])
+    def test_library_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
-            cli.run_qudit_verify(2, 3, float(text))
+            cli.run_qudit_verify(2, 3, tol)
         with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
-            cli.run_cv_verify([12], float(text))
+            cli.run_cv_verify([12], tol)
 
     @pytest.mark.parametrize("text", BAD_TOLERANCES)
     @pytest.mark.parametrize(
@@ -381,6 +425,20 @@ class TestBadTolerance:
             cli.main([*argv, f"--tol={text}"])
         assert exc.value.code == 2
         assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+
+
+class TestRising:
+    def test_tie_fails(self):
+        row = cli._rising("tie", [0.5, 0.5])
+        assert (row.error, row.tolerance, row.passed) == (0.0, 0.0, False)
+
+    def test_rise_passes_with_error_zero(self):
+        row = cli._rising("rise", [0.25, 0.5, 2.0])
+        assert (row.error, row.tolerance, row.passed) == (0.0, 0.0, True)
+
+    def test_error_is_the_largest_fall(self):
+        row = cli._rising("falls", [1.0, 0.75, 2.0, 0.5])
+        assert (row.error, row.tolerance, row.passed) == (1.5, 0.0, False)
 
 
 class TestParams:

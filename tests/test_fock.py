@@ -1,5 +1,6 @@
 """Tests for the truncated Fock-space operators and regularized states."""
 
+import re
 import sys
 import threading
 import tracemalloc
@@ -546,8 +547,9 @@ class TestDenseGuard:
         [
             (lambda: fock.mode_mixer(400, np.pi / 4), 413711385616),
             (lambda: fock.opa(400, 0.5), 413711385616),
-            (lambda: fock.sum_gate_circuit(400, EVERY_STATE_400), 413711385616),
-            (lambda: fock.sum_gate(400, EVERY_STATE_400), 413711385616),
+            # three image-sized arrays per column, the column routes' peak
+            (lambda: fock.sum_gate_circuit(400, EVERY_STATE_400), 3 * 413711385616),
+            (lambda: fock.sum_gate(400, EVERY_STATE_400), 3 * 413711385616),
             # the three su(1,1) generators and one Kronecker term at a time
             (lambda: fock.su11_generators(400), 4 * 413711385616),
         ],
@@ -567,8 +569,8 @@ class TestDenseGuard:
         assert peak < 2**20
 
     def test_column_route_runs_beyond_the_dense_limit(self):
-        # 91^4 complex entries are 1097199376 bytes: cutoff 90 is the first refused
-        with pytest.raises(ValueError, match="cutoff 90 needs 1097199376 bytes"):
+        # every state's column at cutoff 90: three arrays of 91^4 complex entries
+        with pytest.raises(ValueError, match="cutoff 90 needs 3291598128 bytes"):
             fock.sum_gate_circuit(90, every_state(90))
         assert fock.sum_gate_circuit(90, columns=[0]).matrix.shape == (91 ** 2, 1)
 
@@ -603,11 +605,12 @@ class TestDenseGuard:
         assert peak <= requested[0] + 2**20
 
     def test_block_checks_refused_before_the_mask(self):
-        # cutoff 150 is the largest whose columns of total <= 75 fit; at
-        # cutoff 10^5 even the (N+1)^2 block mask would take 10 GB
-        assert fock.require_block_checks_fit(150, 10) == 75
-        with pytest.raises(ValueError, match="cutoff 151 needs 1081636864 bytes"):
-            fock.require_block_checks_fit(151, 10)
+        # cutoff 112 is the largest whose columns of total <= 56, three arrays
+        # each, and three sector tables fit; at cutoff 10^5 even the (N+1)^2
+        # block mask would take 10 GB
+        assert fock.require_block_checks_fit(112, 10) == 56
+        with pytest.raises(ValueError, match="cutoff 113 needs 1078565856 bytes"):
+            fock.require_block_checks_fit(113, 10)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="cutoff 100000 needs"):
@@ -616,6 +619,20 @@ class TestDenseGuard:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_block_checks_peak_within_the_guarded_bytes(self, monkeypatch, empty_memo, n):
+        # the count is the largest request, the one of require_block_checks_fit;
+        # the sector tables are built inside the traced call
+        requested = []
+        monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
+        tracemalloc.start()
+        try:
+            fock.sum_gate_block_checks(n, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(requested) + 2**20
 
 
 class TestEntbs:
@@ -800,6 +817,41 @@ class TestTruncationDiagnostics:
         with pytest.raises(ValueError, match="vanishes"):
             fock.phase_aligned_block_distance(np.eye(6), np.zeros((6, 6)))
 
+    @pytest.mark.parametrize(
+        "build, texts",
+        [
+            (lambda: fock.squeezer(10, 0.5), ["S(0.5) unitarity defect DEFECT at cutoff 10"]),
+            (lambda: fock.displacement(10, 0.5 - 0.2j),
+             ["D((0.5-0.2j)) unitarity defect DEFECT at cutoff 10"]),
+            (lambda: fock.opa(10, 0.3), ["OPA(0.3) unitarity defect DEFECT at cutoff 10"]),
+            (lambda: fock.identity_doubleket(10, 0.5),
+             ["identity double-ket tail mass 2.38e-07 at lambda = 0.5, cutoff 10"]),
+            (lambda: fock.quad_eigenstate_approx(10, 0.7, 0.3, 0.5),
+             ["S(0.5) unitarity defect DEFECT at cutoff 10",
+              "D(0.7) unitarity defect DEFECT at cutoff 10",
+              "quadrature eigenstate tail mass 1.36e-03 at x = 0.7, phi = 0.3, s = 0.5,"
+              " cutoff 10"]),
+            (lambda: fock.displaced_identity_doubleket(10, 0.5, 1 - 0.5j),
+             ["identity double-ket tail mass 2.38e-07 at lambda = 0.5, cutoff 10",
+              "D((1-0.5j)) unitarity defect DEFECT at cutoff 10",
+              "displaced double-ket tail mass 3.25e-04 at lambda = 0.5, z = (1-0.5j),"
+              " cutoff 10"]),
+        ],
+        ids=["squeezer", "displacement", "opa", "identity_doubleket", "quad_eigenstate_approx",
+             "displaced_identity_doubleket"],
+    )
+    def test_warning_texts(self, monkeypatch, build, texts):
+        # every quantity warns with both thresholds below zero; a unitarity
+        # defect is rounding, whose digits depend on the LAPACK build, so
+        # only its format is pinned
+        monkeypatch.setattr(fock, "UNITARITY_WARN_TOL", -1.0)
+        monkeypatch.setattr(fock, "TAIL_WARN_TOL", -1.0)
+        warnings = build().warnings
+        assert len(warnings) == len(texts)
+        for warning, text in zip(warnings, texts):
+            pattern = re.escape(f"truncation: {text}").replace("DEFECT", r"\d\.\d\de-\d\d")
+            assert re.fullmatch(pattern, warning), warning
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fock.FockOperator(3, 2, np.eye(4))
@@ -848,7 +900,7 @@ class TestLibraryBoundary:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             getattr(fock, builder)(8, value)
 
-    @pytest.mark.parametrize("cutoff", [-1000, -1, 0, 2.5])
+    @pytest.mark.parametrize("cutoff", [-1000, -1, 0, 2.5, True])
     @pytest.mark.parametrize("build", sorted(CUTOFF_BUILDERS))
     def test_bad_cutoff_rejected_before_the_memo(self, empty_memo, build, cutoff):
         fock._sector_table(4, "total", 0.3)

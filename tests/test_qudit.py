@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,8 @@ class TestGateSet:
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
             qudit.make_gateset(1)
+        with pytest.raises(ValueError, match="must be an integer >= 2, got 2.5"):
+            qudit.make_gateset(2.5)
 
     @pytest.mark.parametrize("d", [2, 3, 7])
     def test_v_is_permutation(self, d):
@@ -124,6 +127,20 @@ class TestGateSet:
         )
         with pytest.raises(ValueError, match="dense V at d = 91 needs 1097199376 bytes"):
             qudit.dense_v(gs)
+
+    def test_gateset_refused_before_allocating(self):
+        # seven d x d complex arrays, the peak of a gate set and its checks
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="d = 10000 needs 11200000000 bytes"):
+                qudit.make_gateset(10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        qudit.require_checks_fit(3096)  # the largest dimension that fits
+        with pytest.raises(ValueError, match="d = 3097 needs 1074237808 bytes"):
+            qudit.require_checks_fit(3097)
 
 
 class TestShiftMultiply:
@@ -168,6 +185,11 @@ class TestShiftMultiply:
             qudit.shift_multiply(gs, 3, 0)
         with pytest.raises(ValueError):
             qudit.bell_vector(gs, 0, -1)
+        # a fractional index would build a clock that is no power of w
+        with pytest.raises(ValueError, match="must be integers"):
+            qudit.shift_multiply(gs, 1.5, 0)
+        with pytest.raises(ValueError, match="must be integers"):
+            qudit.bell_vector(gs, 1.5, 0)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6])
     def test_projective_group_law(self, d):

@@ -1,5 +1,7 @@
 """Report container round-trips and pass semantics."""
 
+import json
+
 import pytest
 
 from bellgate.reports import CheckResult, VerificationReport
@@ -51,3 +53,13 @@ def test_float_payload_round_trips_exactly():
 def test_schema_guard():
     with pytest.raises(ValueError, match="schema"):
         VerificationReport.from_dict({"schema": 99, "suite": "x", "params": {}, "checks": []})
+
+
+def test_key_order():
+    payload = json.loads(_sample_report().to_json())
+    assert list(payload) == [
+        "schema", "suite", "params", "passed", "checks", "warnings", "duration_s",
+    ]
+    assert [list(check) for check in payload["checks"]] == [
+        ["name", "error", "tolerance", "passed"]
+    ] * 2
