@@ -6,7 +6,8 @@ the direct SUM-gate exponential, the OPA truncation defect, the heterodyne
 residual against its sharp limit, and the beam-splitter factorization
 fidelity over a sharpness sweep (with the damping-parameter scan that
 confirms the matched value). The sharpness and damping values are the ones
-``bellgate cv verify`` uses, read from ``bellgate.cli``.
+``bellgate cv verify`` uses, read from ``bellgate.cli``, and the cutoff list
+is checked by its rule: a list it refuses ends the script with its message.
 
 Usage: python scripts/cv_convergence.py [N1,N2,...]
 """
@@ -19,10 +20,13 @@ from bellgate import cli, fock, gaussian
 
 
 def main() -> None:
-    cutoffs = (
-        [int(tok) for tok in sys.argv[1].split(",")] if len(sys.argv) > 1
-        else [20, 30, 40]
-    )
+    try:
+        cutoffs, _ = cli.validate_cutoffs(
+            [int(tok) for tok in sys.argv[1].split(",")] if len(sys.argv) > 1
+            else [20, 30, 40]
+        )
+    except ValueError as exc:
+        sys.exit(f"cv_convergence.py: error: {exc}")
     params = gaussian.decomposition_params()
     print("exact layer: su(1,1) identity defect =",
           f"{gaussian.su11_pauli_defect(params):.3e},",

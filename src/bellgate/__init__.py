@@ -31,7 +31,6 @@ from .fock import (
     identity_doubleket,
     matched_lambda,
     mode_mixer,
-    mode_ops,
     opa,
     phase_shift,
     quad_eigenstate_approx,
@@ -49,7 +48,6 @@ from .gaussian import (
     decomposition_params,
     su11_pauli_defect,
     sum_gate_symplectic,
-    symplectic_defect,
 )
 from .qudit import (
     QuditGateSet,

@@ -17,6 +17,7 @@ reads it too: ``ENTBS_SHARPNESS`` and ``HETERODYNE_LAMBDAS`` list the
 candidate sharpness and damping values, ``HETERODYNE_BASE_LAMBDA`` the damping
 of the closed-form row, and ``entbs_sharpness(N)`` and ``heterodyne_lambda(N)``
 keep the candidates whose states the cutoff holds (``fock.lambda_fits``).
+``validate_cutoffs`` is the rule both apply to a cutoff list.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def run_qudit_verify(d_min: int, d_max: int, tol: float | None = None) -> Verifi
 # cv verify
 # ---------------------------------------------------------------------------
 
-def _validate_cutoffs(cutoffs: list[int]) -> tuple[list[int], int]:
+def validate_cutoffs(cutoffs: list[int]) -> tuple[list[int], int]:
     """Refuse a bad cutoff list, and any cutoff whose SUM-gate checks would
     not fit in memory, before the first check runs; returns the cutoffs as
     Python ints and the photon number of the SUM-gate block."""
@@ -178,7 +179,7 @@ def heterodyne_lambda(cutoff: int) -> float:
 
 
 def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationReport:
-    cutoffs, block = _validate_cutoffs(cutoffs)
+    cutoffs, block = validate_cutoffs(cutoffs)
     tol = _validate_tol(tol)
     t0 = time.perf_counter()
     checks: list[CheckResult] = []

@@ -38,14 +38,15 @@ outside the first N+1 levels of each mode, normalizes the cutoff-N build and
 keeps its factors' warnings. The beam splitter acts on two-mode states sector
 by sector, so no state path builds a dense two-mode matrix.
 
-The optical SUM-gate chain (``sum_gate_circuit``) is applied the same way to
-the basis columns a caller reads (``FockColumns``): the two-mode factors as
-their sector blocks, the squeezer pairs as a M b^T on each column's amplitude
-matrix M. The direct ``sum_gate`` likewise builds only the principal block of
-the requested basis states. ``sum_gate_block_checks`` reads both SUM-gate
-checks from one pass of the chain over the states of total photon number
-<= max(N/2, block), which the Gram defect reads, and builds the direct gate
-only on the states of total <= block, the ones the distance compares.
+Both SUM-gate routes return the full-height images of the basis columns a
+caller reads (``FockColumns``). The chain (``sum_gate_circuit``) applies its
+two-mode factors as their sector blocks and its squeezer pairs as a M b^T on
+each column's amplitude matrix M; the direct ``sum_gate`` applies
+kron(up, ux) of the quadratures' eigenbases the same way, around its phases.
+``sum_gate_block_checks`` runs the chain once on the states of total photon
+number <= max(N/2, block), which the Gram defect reads, and the direct gate
+only on those of total <= block, which the distance compares, sliced to the
+same rows and columns.
 
 The sector blocks of each two-mode factor form one table per cutoff,
 conserved quantity and generator scale. It is built once, kept read-only in
@@ -60,13 +61,13 @@ built on it.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
 ``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix, the
-chain's column images, ``sum_gate``'s eigenbasis rows and a sector table,
-and also the qudit layer's gate set, its dense V and the ``qudit synth``
-export. The column routes count three image-sized arrays per column, their
-peak. ``require_block_checks_fit`` counts those of
-``sum_gate_block_checks`` and the chain's three sector tables before any
-of it runs, so a caller can refuse a whole cutoff list up front; ``cv
-verify`` refuses from cutoff 113 on (1078565856 bytes).
+SUM-gate column images and a sector table, and also the qudit layer's gate
+set, its dense V and the ``qudit synth`` export. The column routes count
+three image-sized arrays per column, their peak; ``_chain_bytes`` adds the
+chain's three sector tables, held at once, so ``sum_gate_circuit`` on one
+column is refused from cutoff 322 on (1083357504 bytes). With that formula
+``require_block_checks_fit`` refuses a cutoff list up front; ``cv verify``
+refuses from cutoff 113 on (1078565856 bytes).
 
 Every public constructor refuses a cutoff that is not an integer >= 1
 (``is_integer``: a Python or numpy integer, not a bool), and the sector
@@ -179,16 +180,6 @@ def _ladder(cutoff: int) -> np.ndarray:
     return a
 
 
-def mode_ops(cutoff: int) -> tuple[FockOperator, FockOperator]:
-    """Annihilation and creation matrices at the given cutoff."""
-    _require_cutoff(cutoff)
-    a = _ladder(cutoff)
-    return (
-        FockOperator(cutoff, 1, a),
-        FockOperator(cutoff, 1, a.conj().T),
-    )
-
-
 def quadrature(cutoff: int, phi: float) -> FockOperator:
     """Hermitian quadrature (e^{i phi} a^dag + e^{-i phi} a) / 2."""
     _require_cutoff(cutoff)
@@ -250,11 +241,11 @@ def _require_fits(cutoff: int, entries: int) -> None:
 
 
 def _columns_bytes(cutoff: int, columns: int) -> int:
-    """Peak bytes of either SUM-gate route over ``columns`` two-mode basis
-    columns: three complex arrays of (N+1)^2 entries per column. A squeezer
-    pair of the chain holds its input, an intermediate product and its
-    output; ``sum_gate`` its eigenbasis rows, their phased copy and their
-    conjugate."""
+    """Peak bytes of the images of ``columns`` two-mode basis columns under
+    either SUM-gate route: three complex arrays of (N+1)^2 entries per
+    column. A Kronecker factor holds its input, an intermediate product and
+    its output; in ``sum_gate`` the input is the phased eigenbasis
+    coefficients, and the chain's squeezer pairs hold the same three."""
     return 3 * 16 * (cutoff + 1) ** 2 * columns
 
 
@@ -268,6 +259,12 @@ def _sector_table_bytes(cutoff: int) -> int:
 def _require_sectors_fit(cutoff: int) -> None:
     """Refuse a cutoff whose table of sector blocks exceeds the limit alone."""
     require_memory(f"cutoff {cutoff}", _sector_table_bytes(cutoff))
+
+
+def _chain_bytes(cutoff: int, columns: int) -> int:
+    """Peak bytes of ``sum_gate_circuit`` over ``columns`` basis columns: their
+    images, and the splitter, mixer and OPA tables the chain holds at once."""
+    return _columns_bytes(cutoff, columns) + 3 * _sector_table_bytes(cutoff)
 
 
 def _assemble(cutoff: int, modes: int, blocks) -> np.ndarray:
@@ -458,20 +455,6 @@ def opa(cutoff: int, alpha_param: float) -> FockOperator:
 # Basis helpers
 # ---------------------------------------------------------------------------
 
-def basis_state(cutoff: int, *ns: int) -> np.ndarray:
-    """Number state |n> or |n_a, n_b> as a dense vector."""
-    _require_cutoff(cutoff)
-    dim = (cutoff + 1) ** len(ns)
-    idx = 0
-    for n in ns:
-        if not 0 <= n <= cutoff:
-            raise ValueError(f"occupation {n} outside cutoff {cutoff}")
-        idx = idx * (cutoff + 1) + n
-    v = np.zeros(dim, dtype=complex)
-    v[idx] = 1.0
-    return v
-
-
 def total_photon_numbers(cutoff: int) -> np.ndarray:
     """Total photon number of each two-mode basis state, in vector order."""
     _require_cutoff(cutoff)
@@ -606,9 +589,9 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
 # The SUM gate: direct exponential and the optical five-factor chain
 # ---------------------------------------------------------------------------
 
-def _basis_indices(cutoff: int, indices) -> np.ndarray:
-    """Validated non-empty 1-D array of two-mode basis indices, copied only
-    after the memory guard has passed."""
+def _basis_indices(cutoff: int, indices, nbytes: Callable[[int, int], int]) -> np.ndarray:
+    """Validated non-empty 1-D array of two-mode basis indices, copied only after
+    the memory guard has passed ``nbytes(cutoff, count)`` for ``count`` indices."""
     _require_cutoff(cutoff)
     dim = (cutoff + 1) ** 2
     idx = np.asarray(indices)
@@ -617,27 +600,29 @@ def _basis_indices(cutoff: int, indices) -> np.ndarray:
         raise ValueError(
             f"basis indices must be a non-empty 1-D integer array within [0, {dim})"
         )
-    require_memory(f"cutoff {cutoff}", _columns_bytes(cutoff, idx.size))
+    require_memory(f"cutoff {cutoff}", nbytes(cutoff, idx.size))
     return idx.copy()
 
 
-def sum_gate(cutoff: int, block) -> np.ndarray:
-    """exp(-2i X_{pi/2} kron X_0) on a principal block, evaluated spectrally.
+def sum_gate(cutoff: int, columns) -> FockColumns:
+    """exp(-2i X_{pi/2} kron X_0), evaluated spectrally and applied to the
+    basis states ``columns`` (an array of two-mode indices).
 
     Both quadratures are Hermitian, so the exponential of the Kronecker
     product factorizes over their eigenbases: U = W diag(e^{-2i p x}) W^dag
     with W = kron(up, ux). This is exact and avoids a dense two-mode Pade
-    exponential. Only the rows of W for the basis states in ``block``, an
-    array of two-mode basis indices, are built, and the principal block
-    U[block][:, block] is returned.
+    exponential. The image of |c, d> is W applied to its coefficients
+    conj(up[c, :]) conj(ux[d, :]) times the phases, and W acts as up M ux^T
+    on each column's amplitude matrix M, so no two-mode matrix is built.
     """
     n1 = cutoff + 1
-    idx = _basis_indices(cutoff, block)
+    cols = _basis_indices(cutoff, columns, _columns_bytes)
     dp, up = np.linalg.eigh(quadrature(cutoff, np.pi / 2).matrix)
     dx, ux = np.linalg.eigh(quadrature(cutoff, 0.0).matrix)
-    w = (up[idx // n1, :, None] * ux[idx % n1, None, :]).reshape(idx.size, -1)
-    phases = np.exp(-2j * np.outer(dp, dx).reshape(-1))
-    return (w * phases) @ w.conj().T
+    # W^dag |c, d> as an (N+1) x (N+1) x columns array, phased in place
+    coeffs = up[cols // n1].conj().T[:, None, :] * ux[cols % n1].conj().T[None, :, :]
+    coeffs *= np.exp(-2j * np.outer(dp, dx))[:, :, None]
+    return FockColumns(cutoff, cols, _apply_kron(up, ux, coeffs.reshape(n1 * n1, -1)))
 
 
 def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
@@ -654,7 +639,7 @@ def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
     """
     params = gaussian.decomposition_params()
     dim = (cutoff + 1) ** 2
-    cols = _basis_indices(cutoff, columns)
+    cols = _basis_indices(cutoff, columns, _chain_bytes)
     opa_blocks, opa_warns = _opa_sectors(cutoff, params.alpha)
     s1 = squeezer(cutoff, params.r1)
     s2 = squeezer(cutoff, params.r2)
@@ -702,10 +687,7 @@ def require_block_checks_fit(cutoff: int, block_photons: int) -> int:
     """
     _require_cutoff(cutoff)
     photons = max(cutoff // 2, block_photons)
-    require_memory(
-        f"cutoff {cutoff}",
-        _columns_bytes(cutoff, _states_up_to(cutoff, photons)) + 3 * _sector_table_bytes(cutoff),
-    )
+    require_memory(f"cutoff {cutoff}", _chain_bytes(cutoff, _states_up_to(cutoff, photons)))
     return photons
 
 
@@ -718,15 +700,15 @@ def sum_gate_block_checks(
     Returns ``(gram_defect, distance, warnings)``: the max entry of
     C^dag C - I for those columns' images C; the phase-aligned distance
     between the chain and the direct ``sum_gate`` on the subspace of total
-    photon number <= ``block_photons``, the only states the direct gate is
-    built on; and the chain's warnings.
+    photon number <= ``block_photons``, the only columns the direct gate is
+    applied to; and the chain's warnings.
     """
     cols = np.flatnonzero(block_mask(cutoff, require_block_checks_fit(cutoff, block_photons)))
     circuit = sum_gate_circuit(cutoff, cols)
     inner = total_photon_numbers(cutoff)[cols] <= block_photons
     block = cols[inner]
     distance = phase_aligned_block_distance(
-        sum_gate(cutoff, block), circuit.matrix[np.ix_(block, inner)]
+        sum_gate(cutoff, block).matrix[block], circuit.matrix[np.ix_(block, inner)]
     )
     return _gram_defect(circuit.matrix), distance, circuit.warnings
 
@@ -800,7 +782,7 @@ def entbs_fidelity_scan(
 
 
 # ---------------------------------------------------------------------------
-# Truncation diagnostics and algebra helpers
+# Truncation diagnostics
 # ---------------------------------------------------------------------------
 
 def cutoff_convergence_defect(build: Callable[[int], FockOperator], cutoff: int) -> float:
@@ -824,29 +806,3 @@ def cutoff_convergence_defect(build: Callable[[int], FockOperator], cutoff: int)
     diff = small.matrix - restricted
     return float(np.linalg.norm(diff[:, src], axis=0).max())
 
-
-def su11_generators(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-mode su(1,1) generators Kx, Ky, Kz at the given cutoff.
-
-    Kx = (a^dag b^dag + a b)/2, Ky = i(a b^dag + a^dag b)/2,
-    Kz = (a^dag^2 - a^2 + b^dag^2 - b^2)/4; on states far enough from the
-    cutoff they satisfy Kz = i [Kx, Ky], and X_0 kron X_0 = (Kx - i Ky)/2.
-    """
-    _require_cutoff(cutoff)
-    # at its peak the function holds the three generators and one Kronecker
-    # term of the last
-    _require_fits(cutoff, 4 * (cutoff + 1) ** 4)
-    a = _ladder(cutoff)
-    ad = a.conj().T
-    eye = np.eye(cutoff + 1)
-    sq_gen = ad @ ad - a @ a
-    kx = np.kron(ad, ad)
-    kx += np.kron(a, a)
-    kx *= 0.5
-    ky = np.kron(a, ad)
-    ky += np.kron(ad, a)
-    ky *= 0.5j
-    kz = np.kron(sq_gen, eye)
-    kz += np.kron(eye, sq_gen)
-    kz *= 0.25
-    return kx, ky, kz

@@ -89,25 +89,13 @@ def su11_pauli_defect(params: DecompositionParams) -> float:
 # Symplectic matrices of the individual Gaussian elements
 # ---------------------------------------------------------------------------
 
-def _embed_single_mode(block: np.ndarray, mode: int) -> np.ndarray:
-    if mode not in (0, 1):
-        raise ValueError(f"mode must be 0 or 1, got {mode}")
-    m = np.eye(4)
-    m[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = block
-    return m
-
-
 def squeezer_symplectic(r: float, mode: int = 0) -> np.ndarray:
     """x -> r x, p -> p / r on one mode (generator log(r)(a^dag^2 - a^2)/2)."""
     if r <= 0:
         raise ValueError("squeezing parameter must be positive")
-    return _embed_single_mode(np.diag([r, 1.0 / r]), mode)
-
-
-def phase_shift_symplectic(theta: float, mode: int = 0) -> np.ndarray:
-    """Quadrature rotation of exp(-i theta n): x -> x cos + p sin, p -> -x sin + p cos."""
-    c, s = np.cos(theta), np.sin(theta)
-    return _embed_single_mode(np.array([[c, s], [-s, c]]), mode)
+    if mode not in (0, 1):
+        raise ValueError(f"mode must be 0 or 1, got {mode}")
+    return np.diag(np.roll([r, 1.0 / r, 1.0, 1.0], 2 * mode))
 
 
 def beam_splitter_symplectic(theta: float = np.pi / 4) -> np.ndarray:
@@ -131,11 +119,6 @@ def sum_gate_symplectic() -> np.ndarray:
     return np.array(
         [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, -1, 0, 1]], dtype=float
     )
-
-
-def symplectic_defect(m: np.ndarray) -> float:
-    """Entrywise max of M Omega M^T - Omega (zero for exact symplectic matrices)."""
-    return float(np.abs(m @ OMEGA @ m.T - OMEGA).max())
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ the theory, are frozen here with a note of the observed value.
 
 import numpy as np
 import pytest
+from support import compose, su11_terms, term_block
 
 from bellgate import cli, dket, fock, gaussian
 
@@ -214,14 +215,20 @@ def test_09_heterodyne_eigenvector_relation():
 
 
 def test_10_su11_commutator_in_fock_space():
+    # each operator is a sum of Kronecker terms of the ladder, read on the
+    # block alone
     n = 40
-    kx, ky, kz = fock.su11_generators(n)
-    mask = fock.block_mask(n, n - 2)
-    sel = np.outer(mask, mask)
-    comm_err = np.abs((1j * (kx @ ky - ky @ kx) - kz) * sel).max()
+    kx, ky, kz = su11_terms(n).values()
+    block = np.flatnonzero(fock.block_mask(n, n - 2))
+
+    def on_block(terms):
+        return term_block(terms, n, block, block)
+
+    comm = 1j * (on_block(compose(kx, ky)) - on_block(compose(ky, kx))) - on_block(kz)
+    comm_err = np.abs(comm).max()
     x = fock.quadrature(n, 0.0).matrix
     gen_err = np.abs(
-        (-1j * np.kron(x, x) - (-0.5j) * (kx - 1j * ky)) * sel
+        -1j * on_block([(1.0, x, x)]) - (-0.5j) * (on_block(kx) - 1j * on_block(ky))
     ).max()
     ok = _report(
         "su(1,1) commutator and quadrature-product generator identity,"

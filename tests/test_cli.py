@@ -2,13 +2,14 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from support import refused_peak, traced_peak
 
 from bellgate import cli, qudit
 from bellgate.reports import VerificationReport
@@ -74,14 +75,8 @@ class TestQuditVerify:
 
     def test_oversized_dimension_refused_before_any_check(self, capsys):
         # seven d x d complex arrays at d = 10^4 would take 11.2 GB
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="d = 10000 needs 11200000000 bytes"):
-                cli.run_qudit_verify(2, 10_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        needs = "d = 10000 needs 11200000000 bytes"
+        assert refused_peak(lambda: cli.run_qudit_verify(2, 10_000), needs) < 2**20
         with pytest.raises(SystemExit) as exc:
             cli.main(["qudit", "verify", "--d", "2..10000"])
         assert exc.value.code == 2
@@ -93,12 +88,7 @@ class TestQuditVerify:
     def test_peak_within_the_guarded_bytes(self, monkeypatch, d):
         requested = []
         monkeypatch.setattr(qudit, "require_memory", lambda label, nbytes: requested.append(nbytes))
-        tracemalloc.start()
-        try:
-            cli.run_qudit_verify(d, d)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: cli.run_qudit_verify(d, d))
         assert peak <= max(requested) + 2**20
 
     def test_report_written_to_file(self, capsys, tmp_path):
@@ -131,14 +121,9 @@ class TestQuditVerify:
 
     def test_large_dimension_without_dense_arrays(self):
         # dense V alone would be 85 MB at d = 48
-        tracemalloc.start()
-        try:
-            report = cli.run_qudit_verify(48, 48)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.passed
-        assert peak < 5 * 2**20
+        reports = []
+        assert traced_peak(lambda: reports.append(cli.run_qudit_verify(48, 48))) < 5 * 2**20
+        assert reports[0].passed
 
     def test_each_traced_layer_called_once_per_dimension(self, monkeypatch):
         # the benchmark's qudit spans wrap these names; bell_vector is counted
@@ -212,14 +197,8 @@ class TestQuditSynth:
 
     def test_oversized_export_refused_before_allocating(self, tmp_path):
         out_path = tmp_path / "d33.json"
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"d = 33 \(2375109 entries\) needs 1092550140"):
-                cli.run_qudit_synth(33, "json", str(out_path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        needs = r"d = 33 \(2375109 entries\) needs 1092550140"
+        assert refused_peak(lambda: cli.run_qudit_synth(33, "json", str(out_path)), needs) < 2**20
         assert not out_path.exists()
         cli._require_synth_fits(32)  # the largest export that fits
 
@@ -362,14 +341,8 @@ class TestCvVerify:
     def test_oversized_cutoff_refused_before_allocating(self):
         # the total <= 100 block's 5151 columns of length 201^2, three arrays
         # each, and three sector tables would take 10248928896 bytes
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="cutoff 200 needs 10248928896 bytes"):
-                cli.run_cv_verify([200])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 2**20
+        needs = "cutoff 200 needs 10248928896 bytes"
+        assert refused_peak(lambda: cli.run_cv_verify([200]), needs) < 10 * 2**20
 
     def test_oversized_cutoff_refused_before_any_check(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -387,14 +360,17 @@ class TestCvVerify:
         assert "cutoff 200 needs 10248928896 bytes" in err
         assert "Traceback" not in err
 
-    def test_convergence_script_runs(self):
+    def test_convergence_script_runs(self, monkeypatch):
+        script = str(REPO / "scripts" / "cv_convergence.py")
+        # cv verify's rule refuses "8": status 1 with its message (run in this process)
+        monkeypatch.setattr(sys, "argv", [script, "8"])
+        with pytest.raises(SystemExit, match="^cv_convergence.py: error: cutoffs below 12 are"):
+            runpy.run_path(script, run_name="__main__")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
         )}
-        result = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "cv_convergence.py"), "12,16"],
-            cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
-        )
+        result = subprocess.run([sys.executable, script, "12,16"], cwd=REPO, env=env,
+                                capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         # the het(sharp) column uses cv verify's lambda, and the note names
         # the limits of the base lambda and of the lambdas the column used

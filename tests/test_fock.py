@@ -1,13 +1,16 @@
 """Tests for the truncated Fock-space operators and regularized states."""
 
+import functools
 import re
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from support import compose, every_state, refused_peak, su11_terms, term_block, traced_peak
 
 from bellgate import fock, gaussian
 
@@ -16,13 +19,23 @@ from bellgate import fock, gaussian
 CHAIN_CUTOFFS = [1, 2, 13, 40]
 
 
-def every_state(n: int) -> np.ndarray:
-    """Indices of all (N+1)^2 two-mode basis states."""
-    return np.arange((n + 1) ** 2)
-
-
 # built at import, so the memory the guard tests trace holds none of it
 EVERY_STATE_400 = every_state(400)
+
+
+def basis_state(cutoff: int, *ns: int) -> np.ndarray:
+    """Number state |n> or |n_a, n_b> as a dense vector."""
+    dims = (cutoff + 1,) * len(ns)
+    return np.eye(np.prod(dims), dtype=complex)[np.ravel_multi_index(ns, dims)]
+
+
+@functools.cache
+def dense_sum_gate(n: int) -> np.ndarray:
+    """exp(-2i X_{pi/2} kron X_0) as a dense Pade exponential, read-only."""
+    p, x = fock.quadrature(n, np.pi / 2).matrix, fock.quadrature(n, 0.0).matrix
+    dense = scipy.linalg.expm(-2j * np.kron(p, x))
+    dense.setflags(write=False)
+    return dense
 
 
 def dense_sum_gate_chain(n: int, params: gaussian.DecompositionParams) -> np.ndarray:
@@ -75,24 +88,22 @@ def empty_memo():
 
 
 class TestLadderOps:
+    """The ladder matrix that every quadrature, generator and residual is built from."""
+
     def test_annihilation_on_one(self):
-        a, _ = fock.mode_ops(5)
-        np.testing.assert_allclose(a.matrix @ fock.basis_state(5, 1), fock.basis_state(5, 0))
+        np.testing.assert_allclose(fock._ladder(5) @ basis_state(5, 1), basis_state(5, 0))
 
     def test_creation_on_vacuum(self):
-        _, adag = fock.mode_ops(5)
-        np.testing.assert_allclose(adag.matrix @ fock.basis_state(5, 0), fock.basis_state(5, 1))
+        adag = fock._ladder(5).conj().T
+        np.testing.assert_allclose(adag @ basis_state(5, 0), basis_state(5, 1))
 
     def test_commutator_identity_below_cutoff(self):
         n = 9
-        a, adag = fock.mode_ops(n)
-        comm = a.matrix @ adag.matrix - adag.matrix @ a.matrix
+        a = fock._ladder(n)
+        adag = a.conj().T
+        comm = a @ adag - adag @ a
         # sqrt(n)^2 rounds at machine epsilon, so "exact" means to eps here
         np.testing.assert_allclose(comm[:n, :n], np.eye(n + 1)[:n, :n], atol=1e-14)
-
-    def test_bad_cutoff(self):
-        with pytest.raises(ValueError):
-            fock.mode_ops(0)
 
 
 class TestQuadratures:
@@ -194,14 +205,14 @@ class TestBeamSplitter:
     def test_vacuum_invariant(self):
         v = fock.mode_mixer(8, np.pi / 4).matrix
         np.testing.assert_allclose(
-            v @ fock.basis_state(8, 0, 0), fock.basis_state(8, 0, 0), atol=1e-14
+            v @ basis_state(8, 0, 0), basis_state(8, 0, 0), atol=1e-14
         )
 
     def test_single_photon_splits_evenly(self):
         v = fock.mode_mixer(8, np.pi / 4).matrix
-        out = v @ fock.basis_state(8, 1, 0)
-        p10 = abs(np.vdot(fock.basis_state(8, 1, 0), out)) ** 2
-        p01 = abs(np.vdot(fock.basis_state(8, 0, 1), out)) ** 2
+        out = v @ basis_state(8, 1, 0)
+        p10 = abs(np.vdot(basis_state(8, 1, 0), out)) ** 2
+        p01 = abs(np.vdot(basis_state(8, 0, 1), out)) ** 2
         assert p10 == pytest.approx(0.5, abs=1e-10)
         assert p01 == pytest.approx(0.5, abs=1e-10)
         assert p10 + p01 == pytest.approx(1.0, abs=1e-12)
@@ -233,7 +244,7 @@ class TestOpa:
         np.testing.assert_array_equal(fock.opa(6, 0.0).matrix, np.eye(49))
 
     def test_pair_creation_structure(self):
-        out = fock.opa(10, 0.7).matrix @ fock.basis_state(10, 0, 0)
+        out = fock.opa(10, 0.7).matrix @ basis_state(10, 0, 0)
         nonzero = np.flatnonzero(np.abs(out) > 1e-12)
         pairs = np.arange(11) * 12  # indices of |n, n>
         assert set(nonzero) <= set(pairs)
@@ -340,7 +351,7 @@ class TestHeterodyneResidual:
 class TestQuadEigenstate:
     def test_unsqueezed_origin_is_vacuum(self):
         state = fock.quad_eigenstate_approx(10, 0.0, 0.0, 1.0)
-        np.testing.assert_allclose(state.amplitudes, fock.basis_state(10, 0), atol=1e-14)
+        np.testing.assert_allclose(state.amplitudes, basis_state(10, 0), atol=1e-14)
 
     def test_mean_position(self):
         n = 120
@@ -422,12 +433,16 @@ class TestPaddedTail:
 class TestSumGate:
     def test_spectral_route_matches_dense_expm(self):
         n = 12
-        p = fock.quadrature(n, np.pi / 2).matrix
-        x = fock.quadrature(n, 0.0).matrix
-        dense = scipy.linalg.expm(-2j * np.kron(p, x))
-        np.testing.assert_allclose(
-            fock.sum_gate(n, every_state(n)), dense, rtol=0, atol=1e-12
-        )
+        out = fock.sum_gate(n, every_state(n)).matrix
+        np.testing.assert_allclose(out, dense_sum_gate(n), rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 13 ** 2 - 1), min_size=1, max_size=30))
+    def test_spectral_route_matches_dense_expm_on_drawn_columns(self, columns):
+        # unsorted, and repeats allowed: each image is its column of the gate
+        out = fock.sum_gate(12, columns)
+        np.testing.assert_array_equal(out.columns, columns)
+        np.testing.assert_allclose(out.matrix, dense_sum_gate(12)[:, columns], rtol=0, atol=1e-12)
 
     def test_circuit_unitary_on_inner_block(self):
         # the Gram defect of the images of the total <= N/2 basis columns
@@ -445,7 +460,7 @@ class TestSumGate:
         # the same at N=20 and less at N=30
         block = np.flatnonzero(fock.block_mask(n, 10))
         direct = fock.phase_aligned_block_distance(
-            fock.sum_gate(n, block), fock.sum_gate_circuit(n, block).matrix[block],
+            fock.sum_gate(n, block).matrix[block], fock.sum_gate_circuit(n, block).matrix[block],
         )
         _, distance, _ = fock.sum_gate_block_checks(n, 10)
         assert distance == pytest.approx(direct, rel=0, abs=1e-15)
@@ -466,7 +481,7 @@ class TestSumGate:
 
     def test_vacuum_image_agreement(self):
         n = 30
-        target = fock.sum_gate(n, every_state(n))[:, 0]
+        target = fock.sum_gate(n, [0]).matrix[:, 0]
         circuit = fock.sum_gate_circuit(n, [0]).matrix[:, 0]
         phase = np.vdot(circuit, target)
         phase /= abs(phase)
@@ -502,7 +517,7 @@ class TestSumGateColumns:
     def test_sum_gate_block_matches_dense(self, n, which):
         block = self.column_set(n, which)
         np.testing.assert_allclose(
-            fock.sum_gate(n, block), fock.sum_gate(n, every_state(n))[np.ix_(block, block)],
+            fock.sum_gate(n, block).matrix, fock.sum_gate(n, every_state(n)).matrix[:, block],
             rtol=0, atol=1e-13,
         )
 
@@ -523,12 +538,7 @@ class TestSumGateColumns:
         # the dense route held 1681^2 complex factors: a 172.6 MB peak at N=40
         n = 40
         half = np.flatnonzero(fock.block_mask(n, n // 2))
-        tracemalloc.start()
-        try:
-            fock.sum_gate_circuit(n, columns=half)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: fock.sum_gate_circuit(n, columns=half))
         assert peak < 40 * 2**20
 
     @pytest.mark.parametrize(
@@ -547,44 +557,33 @@ class TestDenseGuard:
         [
             (lambda: fock.mode_mixer(400, np.pi / 4), 413711385616),
             (lambda: fock.opa(400, 0.5), 413711385616),
-            # three image-sized arrays per column, the column routes' peak
-            (lambda: fock.sum_gate_circuit(400, EVERY_STATE_400), 3 * 413711385616),
+            # three image-sized arrays per column, the column routes' peak, and
+            # the chain's three sector tables of 687801616 bytes each
+            (lambda: fock.sum_gate_circuit(400, EVERY_STATE_400),
+             3 * 413711385616 + 3 * 687801616),
             (lambda: fock.sum_gate(400, EVERY_STATE_400), 3 * 413711385616),
-            # the three su(1,1) generators and one Kronecker term at a time
-            (lambda: fock.su11_generators(400), 4 * 413711385616),
         ],
         # the ids the cases had while only ``build`` was parametrized
-        ids=[f"<lambda>{i}" for i in range(5)],
+        ids=[f"<lambda>{i}" for i in range(4)],
     )
     def test_oversized_two_mode_operator_refused_before_allocating(self, build, needs):
         # 401^4 complex entries are 413711385616 bytes, far above the limit: a
-        # dense operator, or every basis state's image column or eigenbasis row
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"cutoff 400 needs {needs} bytes,"):
-                build()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # dense operator, or every basis state's image column under either route
+        assert refused_peak(build, f"cutoff 400 needs {needs} bytes,") < 2**20
 
     def test_column_route_runs_beyond_the_dense_limit(self):
-        # every state's column at cutoff 90: three arrays of 91^4 complex entries
-        with pytest.raises(ValueError, match="cutoff 90 needs 3291598128 bytes"):
+        # every state's column at cutoff 90: three arrays of 91^4 complex
+        # entries, and three sector tables of 8038576 bytes
+        with pytest.raises(ValueError, match="cutoff 90 needs 3315713856 bytes"):
             fock.sum_gate_circuit(90, every_state(90))
         assert fock.sum_gate_circuit(90, columns=[0]).matrix.shape == (91 ** 2, 1)
 
     def test_opa_sector_blocks_refused_before_allocating(self):
-        # sum_d (1001 - |d|)^2 = 668669001 complex entries in the OPA's sector
-        # blocks at cutoff 1000, though a single column's image is 16 MB
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="cutoff 1000 needs 10698704016 bytes"):
-                fock.sum_gate_circuit(1000, columns=[0])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # sum_d (1001 - |d|)^2 = 668669001 complex entries in each of the
+        # OPA's, the mixer's and the splitter's sector blocks at cutoff 1000,
+        # though a single column's image is 16 MB
+        needs = "cutoff 1000 needs 32144208096 bytes"
+        assert refused_peak(lambda: fock.sum_gate_circuit(1000, columns=[0]), needs) < 2**20
 
     @pytest.mark.parametrize("cutoff, max_total", [(4, 0), (4, 3), (4, 4), (4, 5), (4, 7),
                                                    (4, 8), (4, 9), (13, 6), (13, 20)])
@@ -592,17 +591,24 @@ class TestDenseGuard:
         count = fock.block_mask(cutoff, max_total).sum()
         assert fock._states_up_to(cutoff, max_total) == count
 
-    def test_su11_peak_within_the_guarded_bytes(self, monkeypatch):
+    def test_chain_counts_its_three_tables_with_its_columns(self, monkeypatch):
+        # one column's three arrays and the splitter, mixer and OPA tables fit at cutoff
+        # 321, not 322 (one table alone fits up to 464); raising stops the chain there
         requested = []
-        monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
-        tracemalloc.start()
-        try:
-            fock.su11_generators(20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(requested) == 1
-        assert peak <= requested[0] + 2**20
+
+        def record(label, nbytes):
+            requested.append((label, nbytes))
+            raise LookupError
+
+        monkeypatch.setattr(fock, "require_memory", record)
+        for n in (321, 322):
+            with pytest.raises(LookupError):
+                fock.sum_gate_circuit(n, [0])
+        assert requested == [("cutoff 321", 1073341920), ("cutoff 322", 1083357504)]
+        assert requested[0][1] <= fock.DENSE_BYTES_LIMIT < requested[1][1]
+        monkeypatch.undo()
+        needs = "cutoff 322 needs 1083357504 bytes,"
+        assert refused_peak(lambda: fock.sum_gate_circuit(322, [0]), needs) < 2**20
 
     def test_block_checks_refused_before_the_mask(self):
         # cutoff 112 is the largest whose columns of total <= 56, three arrays
@@ -611,14 +617,8 @@ class TestDenseGuard:
         assert fock.require_block_checks_fit(112, 10) == 56
         with pytest.raises(ValueError, match="cutoff 113 needs 1078565856 bytes"):
             fock.require_block_checks_fit(113, 10)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="cutoff 100000 needs"):
-                fock.sum_gate_block_checks(10**5, 10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        needs = "cutoff 100000 needs"
+        assert refused_peak(lambda: fock.sum_gate_block_checks(10**5, 10), needs) < 2**20
 
     @pytest.mark.parametrize("n", [20, 30, 40])
     def test_block_checks_peak_within_the_guarded_bytes(self, monkeypatch, empty_memo, n):
@@ -626,12 +626,7 @@ class TestDenseGuard:
         # the sector tables are built inside the traced call
         requested = []
         monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
-        tracemalloc.start()
-        try:
-            fock.sum_gate_block_checks(n, 10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: fock.sum_gate_block_checks(n, 10))
         assert peak <= max(requested) + 2**20
 
 
@@ -664,12 +659,7 @@ class TestEntbs:
     def test_output_builds_no_two_mode_matrix(self, empty_memo):
         # a dense N=60 two-mode matrix alone is 3721^2 complex entries, 221 MB;
         # the bound also covers building the 2.3 MB table of splitter blocks
-        tracemalloc.start()
-        try:
-            fock.entbs_output(60, 1.0, -0.5, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: fock.entbs_output(60, 1.0, -0.5, 0.5))
         assert peak < 20 * 2**20
 
 
@@ -771,14 +761,7 @@ class TestSectorMemo:
     def test_oversized_splitter_refused_before_the_states(self, build):
         # the N=465 splitter blocks hold 67463286 complex entries; the
         # quadrature states alone would trace more than 1 MiB
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="cutoff 465 needs 1079412576 bytes"):
-                build()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert refused_peak(build, "cutoff 465 needs 1079412576 bytes") < 2**20
         assert not fock._SECTOR_TABLES
         fock._require_sectors_fit(464)  # the largest table that fits
 
@@ -786,18 +769,25 @@ class TestSectorMemo:
 class TestSu11Generators:
     def test_commutator_on_inner_block(self):
         n = 20
-        kx, ky, kz = fock.su11_generators(n)
-        mask = fock.block_mask(n, n - 2)
-        sel = np.outer(mask, mask)
-        resid = (1j * (kx @ ky - ky @ kx) - kz) * sel
+        kx, ky, kz = su11_terms(n).values()
+        block = np.flatnonzero(fock.block_mask(n, n - 2))
+
+        def on_block(terms):
+            return term_block(terms, n, block, block)
+
+        resid = 1j * (on_block(compose(kx, ky)) - on_block(compose(ky, kx))) - on_block(kz)
         assert np.abs(resid).max() <= 1e-12
 
     def test_quadrature_product_generator_identity(self):
         n = 14
-        kx, ky, _ = fock.su11_generators(n)
+        kx, ky, _ = su11_terms(n).values()
         x = fock.quadrature(n, 0.0).matrix
-        xx = np.kron(x, x)
-        np.testing.assert_allclose(xx, 0.5 * (kx - 1j * ky), atol=1e-13)
+        every = every_state(n)
+        np.testing.assert_allclose(
+            term_block([(1.0, x, x)], n, every, every),
+            0.5 * (term_block(kx, n, every, every) - 1j * term_block(ky, n, every, every)),
+            atol=1e-13,
+        )
 
 
 class TestTruncationDiagnostics:
@@ -857,20 +847,16 @@ class TestTruncationDiagnostics:
             fock.FockOperator(3, 2, np.eye(4))
         with pytest.raises(ValueError):
             fock.RegularizedState(3, 1, np.zeros(3))
-        with pytest.raises(ValueError):
-            fock.basis_state(4, 5)
 
 
 # every public constructor and check that takes a cutoff, and the memo lookup
 CUTOFF_BUILDERS = {
-    "mode_ops": fock.mode_ops,
     "quadrature": lambda n: fock.quadrature(n, 0.0),
     "displacement": lambda n: fock.displacement(n, 0.1),
     "squeezer": lambda n: fock.squeezer(n, 0.8),
     "phase_shift": lambda n: fock.phase_shift(n, 0.3),
     "mode_mixer": lambda n: fock.mode_mixer(n, 0.3),
     "opa": lambda n: fock.opa(n, 0.2),
-    "basis_state": lambda n: fock.basis_state(n, 0),
     "total_photon_numbers": fock.total_photon_numbers,
     "block_mask": lambda n: fock.block_mask(n, 1),
     "identity_doubleket": lambda n: fock.identity_doubleket(n, 1e-3),
@@ -884,7 +870,6 @@ CUTOFF_BUILDERS = {
     "entbs_output": lambda n: fock.entbs_output(n, 0.1, 0.1, 0.5),
     "entbs_fidelity": lambda n: fock.entbs_fidelity(n, 0.1, 0.1, 0.5),
     "entbs_fidelity_scan": lambda n: fock.entbs_fidelity_scan(n, 0.1, 0.1, 0.5, [0.6]),
-    "su11_generators": fock.su11_generators,
     "_sector_table": lambda n: fock._sector_table(n, "total", 0.3),
 }
 

@@ -1,8 +1,9 @@
 """Tests for the exact symplectic layer, cross-checked against the Fock space.
 
-The Fock oracle conjugates truncated quadrature matrices with the truncated
-unitary of each element and compares against the claimed 4x4 action on a
-low-total-photon block, pinning every sign convention numerically.
+The Fock oracle conjugates truncated quadratures with the truncated unitary
+of each element and compares against the claimed 4x4 action on a
+low-total-photon block, pinning every sign convention numerically. It reads
+the unitary only through the images of that block's basis columns.
 """
 
 from dataclasses import replace
@@ -10,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from support import every_state, kron_apply, term_block
 
 from bellgate import fock, gaussian
 
@@ -19,19 +21,44 @@ def params():
     return gaussian.decomposition_params()
 
 
-def fock_block_error(unitary: np.ndarray, m: np.ndarray, cutoff: int, kmax: int = 6) -> float:
-    """Max deviation of U^dag r_i U from sum_j M_ij r_j on total photons <= kmax."""
+def phase_shift_symplectic(theta: float, mode: int = 0) -> np.ndarray:
+    """Quadrature rotation of exp(-i theta n): x -> x cos + p sin, p -> -x sin + p cos."""
+    c, s = np.cos(theta), np.sin(theta)
+    m = np.eye(4)
+    m[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = [[c, s], [-s, c]]
+    return m
+
+
+def symplectic_defect(m: np.ndarray) -> float:
+    """Entrywise max of M Omega M^T - Omega (zero for exact symplectic matrices)."""
+    return float(np.abs(m @ gaussian.OMEGA @ m.T - gaussian.OMEGA).max())
+
+
+SYMPLECTICS = {
+    "squeezer": gaussian.squeezer_symplectic,
+    "phase_shift": phase_shift_symplectic,
+    "beam_splitter": gaussian.beam_splitter_symplectic,
+    "opa": gaussian.opa_symplectic,
+    "sum_gate": gaussian.sum_gate_symplectic,
+}
+
+
+def fock_block_error(images, m: np.ndarray, cutoff: int, kmax: int = 6) -> float:
+    """Max deviation of U^dag r_i U from sum_j M_ij r_j on total photons <= kmax.
+
+    ``images(block)`` returns C = U[:, block], the images of the block's basis
+    columns; the block of U^dag r_i U is C^dag (r_i C), r_i a Kronecker factor.
+    """
+    block = np.flatnonzero(fock.block_mask(cutoff, kmax))
+    c = images(block)
     x = fock.quadrature(cutoff, 0.0).matrix
     p = fock.quadrature(cutoff, np.pi / 2).matrix
     eye = np.eye(cutoff + 1)
-    quads = [np.kron(x, eye), np.kron(p, eye), np.kron(eye, x), np.kron(eye, p)]
-    sel = np.outer(fock.block_mask(cutoff, kmax), fock.block_mask(cutoff, kmax))
-    err = 0.0
-    for i in range(4):
-        lhs = unitary.conj().T @ quads[i] @ unitary
-        rhs = sum(m[i, j] * quads[j] for j in range(4))
-        err = max(err, np.abs((lhs - rhs) * sel).max())
-    return err
+    quads = [(x, eye), (p, eye), (eye, x), (eye, p)]
+    on_block = [term_block([(1.0, a, b)], cutoff, block, block) for a, b in quads]
+    lhs = [c.conj().T @ kron_apply(a, b, c) for a, b in quads]
+    rhs = [sum(m[i, j] * on_block[j] for j in range(4)) for i in range(4)]
+    return max(np.abs(left - right).max() for left, right in zip(lhs, rhs))
 
 
 class TestDecompositionParams:
@@ -88,7 +115,7 @@ class TestElementSymplectics:
         )
 
     def test_phase_shift_quarter_turn(self):
-        m = gaussian.phase_shift_symplectic(np.pi / 2, mode=1)
+        m = phase_shift_symplectic(np.pi / 2, mode=1)
         expected = np.eye(4)
         expected[2:, 2:] = [[0, 1], [-1, 0]]
         np.testing.assert_allclose(m, expected, atol=1e-15)
@@ -106,26 +133,29 @@ class TestElementSymplectics:
         ],
     )
     def test_symplectic_invariant(self, kind, kw):
-        m = getattr(gaussian, f"{kind}_symplectic")(**kw)
-        assert gaussian.symplectic_defect(m) <= 1e-13
+        assert symplectic_defect(SYMPLECTICS[kind](**kw)) <= 1e-13
 
+    # each build maps (cutoff, block) to the images of the block's columns
     @pytest.mark.parametrize(
         "kind,kw,build",
         [
             ("squeezer", {"r": 1.3, "mode": 0},
-             lambda n: np.kron(fock.squeezer(n, 1.3).matrix, np.eye(n + 1))),
+             lambda n, block: term_block(
+                 [(1.0, fock.squeezer(n, 1.3).matrix, np.eye(n + 1))], n, every_state(n), block)),
             ("phase_shift", {"theta": np.pi / 2, "mode": 1},
-             lambda n: np.kron(np.eye(n + 1), fock.phase_shift(n, np.pi / 2).matrix)),
+             lambda n, block: term_block(
+                 [(1.0, np.eye(n + 1), fock.phase_shift(n, np.pi / 2).matrix)], n, every_state(n),
+                 block)),
             ("beam_splitter", {},
-             lambda n: fock.mode_mixer(n, np.pi / 4).matrix),
+             lambda n, block: fock.mode_mixer(n, np.pi / 4).matrix[:, block]),
             ("opa", {"alpha": 0.7},
-             lambda n: fock.opa(n, 0.7).matrix),
+             lambda n, block: fock.opa(n, 0.7).matrix[:, block]),
         ],
     )
     def test_fock_oracle_confirms_elements(self, kind, kw, build):
         cutoff = 30
-        m = getattr(gaussian, f"{kind}_symplectic")(**kw)
-        assert fock_block_error(build(cutoff), m, cutoff) <= 1e-6
+        m = SYMPLECTICS[kind](**kw)
+        assert fock_block_error(lambda block: build(cutoff, block), m, cutoff) <= 1e-6
 
     def test_composition_homomorphism_via_fock(self):
         cutoff = 30
@@ -133,7 +163,7 @@ class TestElementSymplectics:
         u2 = fock.mode_mixer(cutoff, np.pi / 4).matrix
         m1 = gaussian.opa_symplectic(0.4)
         m2 = gaussian.beam_splitter_symplectic()
-        assert fock_block_error(u1 @ u2, m1 @ m2, cutoff) <= 1e-6
+        assert fock_block_error(lambda block: u1 @ u2[:, block], m1 @ m2, cutoff) <= 1e-6
 
 
 class TestSumGateTarget:
@@ -144,13 +174,13 @@ class TestSumGateTarget:
         )
 
     def test_shear_is_symplectic(self):
-        assert gaussian.symplectic_defect(gaussian.sum_gate_symplectic()) == 0.0
+        assert symplectic_defect(gaussian.sum_gate_symplectic()) == 0.0
 
     def test_fock_oracle_confirms_target_signs(self):
         cutoff = 40
-        every_state = np.arange((cutoff + 1) ** 2)
         err = fock_block_error(
-            fock.sum_gate(cutoff, every_state), gaussian.sum_gate_symplectic(), cutoff
+            lambda block: fock.sum_gate(cutoff, block).matrix, gaussian.sum_gate_symplectic(),
+            cutoff,
         )
         assert err <= 1e-6
 
@@ -160,7 +190,7 @@ class TestDecompositionVsTarget:
         assert gaussian.circuit_vs_target_error(params) <= 1e-12
 
     def test_chain_is_symplectic(self, params):
-        assert gaussian.symplectic_defect(gaussian.circuit_symplectic(params)) <= 1e-13
+        assert symplectic_defect(gaussian.circuit_symplectic(params)) <= 1e-13
 
     def test_dropping_opa_breaks_identity(self, params):
         without = (

@@ -2,12 +2,12 @@
 
 import cmath
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import refused_peak
 
 from bellgate import cli, dket, qudit
 
@@ -130,14 +130,8 @@ class TestGateSet:
 
     def test_gateset_refused_before_allocating(self):
         # seven d x d complex arrays, the peak of a gate set and its checks
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="d = 10000 needs 11200000000 bytes"):
-                qudit.make_gateset(10_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        needs = "d = 10000 needs 11200000000 bytes"
+        assert refused_peak(lambda: qudit.make_gateset(10_000), needs) < 2**20
         qudit.require_checks_fit(3096)  # the largest dimension that fits
         with pytest.raises(ValueError, match="d = 3097 needs 1074237808 bytes"):
             qudit.require_checks_fit(3097)
