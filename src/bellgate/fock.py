@@ -474,6 +474,7 @@ def block_mask(cutoff: int, max_total: int) -> np.ndarray:
 def lambda_fits(cutoff: int, lam: float) -> bool:
     """True iff the tail mass lambda^(2(N+1)) that the cutoff drops from
     sum_n lambda^n |n, n> is at most ``TAIL_ERROR_TOL``."""
+    _require_cutoff(cutoff)
     return lam ** (2 * (cutoff + 1)) <= TAIL_ERROR_TOL
 
 
@@ -793,6 +794,7 @@ def cutoff_convergence_defect(build: Callable[[int], FockOperator], cutoff: int)
     difference over the source states of (total) photon number <= N/4.
     Decays to zero as the cutoff grows for every Gaussian element.
     """
+    _require_cutoff(cutoff)
     small = build(cutoff)
     big = build(cutoff + 8)
     n1 = cutoff + 1

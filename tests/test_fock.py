@@ -562,9 +562,11 @@ class TestDenseGuard:
             (lambda: fock.sum_gate_circuit(400, EVERY_STATE_400),
              3 * 413711385616 + 3 * 687801616),
             (lambda: fock.sum_gate(400, EVERY_STATE_400), 3 * 413711385616),
+            # the block checks' 20301 columns of total <= 200, and the chain's tables
+            (lambda: fock.sum_gate_block_checks(400, 10), 20301 * 3 * 2572816 + 3 * 687801616),
         ],
         # the ids the cases had while only ``build`` was parametrized
-        ids=[f"<lambda>{i}" for i in range(4)],
+        ids=[f"<lambda>{i}" for i in range(5)],
     )
     def test_oversized_two_mode_operator_refused_before_allocating(self, build, needs):
         # 401^4 complex entries are 413711385616 bytes, far above the limit: a
@@ -619,6 +621,18 @@ class TestDenseGuard:
             fock.require_block_checks_fit(113, 10)
         needs = "cutoff 100000 needs"
         assert refused_peak(lambda: fock.sum_gate_block_checks(10**5, 10), needs) < 2**20
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    @pytest.mark.parametrize("which", ["one_column", "half_block"])
+    def test_direct_gate_peak_within_the_guarded_bytes(self, monkeypatch, n, which):
+        # the three image-sized arrays per column that _columns_bytes counts
+        # bound the direct gate's peak; its eigenbases are (N+1)^2 entries each
+        columns = [0] if which == "one_column" else np.flatnonzero(fock.block_mask(n, n // 2))
+        requested = []
+        monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
+        peak = traced_peak(lambda: fock.sum_gate(n, columns))
+        assert requested == [fock._columns_bytes(n, len(columns))]
+        assert peak <= requested[0] + 2**20
 
     @pytest.mark.parametrize("n", [20, 30, 40])
     def test_block_checks_peak_within_the_guarded_bytes(self, monkeypatch, empty_memo, n):
@@ -870,6 +884,9 @@ CUTOFF_BUILDERS = {
     "entbs_output": lambda n: fock.entbs_output(n, 0.1, 0.1, 0.5),
     "entbs_fidelity": lambda n: fock.entbs_fidelity(n, 0.1, 0.1, 0.5),
     "entbs_fidelity_scan": lambda n: fock.entbs_fidelity_scan(n, 0.1, 0.1, 0.5, [0.6]),
+    "lambda_fits": lambda n: fock.lambda_fits(n, 0.5),
+    # refused before its builder is called at all
+    "cutoff_convergence_defect": lambda n: fock.cutoff_convergence_defect(pytest.fail, n),
     "_sector_table": lambda n: fock._sector_table(n, "total", 0.3),
 }
 
