@@ -7,7 +7,8 @@ residual against its sharp limit, and the beam-splitter factorization
 fidelity over a sharpness sweep (with the damping-parameter scan that
 confirms the matched value). The sharpness and damping values are the ones
 ``bellgate cv verify`` uses, read from ``bellgate.cli``, and the cutoff list
-is checked by its rule: a list it refuses ends the script with its message.
+is parsed and checked by its rules: a list it refuses ends the script with
+its message.
 
 Usage: python scripts/cv_convergence.py [N1,N2,...]
 """
@@ -22,8 +23,7 @@ from bellgate import cli, fock, gaussian
 def main() -> None:
     try:
         cutoffs, _ = cli.validate_cutoffs(
-            [int(tok) for tok in sys.argv[1].split(",")] if len(sys.argv) > 1
-            else [20, 30, 40]
+            cli._parse_cutoffs(sys.argv[1]) if len(sys.argv) > 1 else [20, 30, 40]
         )
     except ValueError as exc:
         sys.exit(f"cv_convergence.py: error: {exc}")

@@ -409,23 +409,21 @@ def format_params_text() -> str:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _parse_d_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, int]:
+def _parse_d_range(text: str) -> tuple[int, int]:
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            d_min, d_max = int(lo), int(hi)
-        else:
-            d_min = d_max = int(text)
+        return int(lo), int(hi if dots else lo)
     except ValueError:
-        parser.error(f"invalid --d range: {text!r} (expected A..B or a single integer)")
-    return d_min, d_max
+        raise ValueError(
+            f"invalid --d range: {text!r} (expected A..B or a single integer)"
+        ) from None
 
 
-def _parse_cutoffs(parser: argparse.ArgumentParser, text: str) -> list[int]:
+def _parse_cutoffs(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",")]
     except ValueError:
-        parser.error(f"invalid --cutoffs list: {text!r}")
+        raise ValueError(f"invalid --cutoffs list: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,9 +485,9 @@ def main(argv=None) -> int:
             print(json.dumps({"written": [str(p) for p in written]}))
             return 0
         if args.command == "qudit":
-            report = run_qudit_verify(*_parse_d_range(parser, args.d), args.tol)
+            report = run_qudit_verify(*_parse_d_range(args.d), args.tol)
         else:
-            report = run_cv_verify(_parse_cutoffs(parser, args.cutoffs), args.tol)
+            report = run_cv_verify(_parse_cutoffs(args.cutoffs), args.tol)
     except ValueError as exc:
         parser.error(str(exc))
     return _emit_report(report, args.out)

@@ -12,12 +12,12 @@ quantity, and inside a block it is a tridiagonal chain with zero diagonal: the
 displacement is one chain over n, the squeezer two (even and odd n), the beam
 splitter and mode mixer one per sector of total photon number, and the optical
 parametric amplifier one per sector of photon-number difference.
-``_chain_expm`` exponentiates such a chain through a diagonal phase gauge that
-turns i G into a real symmetric tridiagonal matrix, whose eigendecomposition
-(``scipy.linalg.eigh_tridiagonal``) gives exp(G); a zero chain gives exactly
-the identity. The truncated generator is exactly anti-Hermitian, so the
-matrices are unitary to the rounding of the eigenvectors, and the truncation
-shows up instead as a deviation from the untruncated operator near the cutoff.
+A chain links only sites of opposite parity, so ``_chain_expm`` reads exp(G)
+off one SVD of its even-to-odd block X: cos and sin of the singular values
+give the four parity blocks, and a zero chain gives exactly the identity. The
+truncated generator is exactly anti-Hermitian, so the matrices are unitary to
+the rounding of the singular vectors, and the truncation shows up instead as
+a deviation from the untruncated operator near the cutoff.
 Two diagnostics track this:
 
 * ``unitarity_defect`` (max entry of U^dag U - I), attached as a warning when
@@ -83,7 +83,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import gaussian
 
@@ -208,21 +207,29 @@ def _chain_expm(sub: np.ndarray) -> np.ndarray:
     """expm(G) for the anti-Hermitian tridiagonal G with zero diagonal,
     G[i+1, i] = sub[i] and G[i, i+1] = -conj(sub[i]).
 
-    The diagonal gauge P, p_0 = 1 and p_{i+1} = p_i i sub_i / |sub_i| (a zero
-    link keeps the phase), makes H = P^* (i G) P real symmetric with
-    off-diagonals |sub|. With H = V diag(w) V^T from ``eigh_tridiagonal``,
-    expm(G) = P V e^{-i w} V^T P^*. An all-zero chain gives exactly the identity.
+    G only links sites of opposite parity, so in even-then-odd order it is
+    [[0, X], [-X^H, 0]] with X[k, k] = -conj(sub[2k]) and X[k+1, k] =
+    sub[2k+1]. With X = U S V^H (full U), expm(G) has the blocks U cos S U^H,
+    U sin S V^H, -V sin S U^H and V cos S V^H; an even site beyond the rank of
+    X takes cos 0 = 1. An all-zero chain gives exactly the identity.
     """
     sub = np.asarray(sub, dtype=complex)
     n = sub.size + 1
     if not sub.any():
         return np.eye(n, dtype=complex)
-    mod = np.abs(sub)
-    link = np.ones(n - 1, dtype=complex)
-    np.divide(1j * sub, mod, out=link, where=mod > 0)
-    p = np.concatenate(([1.0 + 0j], np.cumprod(link)))
-    w, v = scipy.linalg.eigh_tridiagonal(np.zeros(n), mod)
-    return (p[:, None] * v * np.exp(-1j * w)) @ (v.T * p.conj())
+    x = np.zeros(((n + 1) // 2, n // 2), dtype=complex)
+    k = np.arange(n // 2)
+    x[k, k] = -sub[0::2].conj()
+    j = np.arange(sub[1::2].size)
+    x[j + 1, j] = sub[1::2]
+    u, s, vh = np.linalg.svd(x)
+    cos = np.cos(np.pad(s, (0, u.shape[0] - s.size)))
+    out = np.empty((n, n), dtype=complex)
+    out[0::2, 0::2] = (u * cos) @ u.conj().T
+    out[0::2, 1::2] = (u[:, : s.size] * np.sin(s)) @ vh
+    out[1::2, 0::2] = -out[0::2, 1::2].conj().T
+    out[1::2, 1::2] = (vh.conj().T * cos[: s.size]) @ vh
+    return out
 
 
 def require_memory(label: str, requested: int) -> None:

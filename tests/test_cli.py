@@ -28,6 +28,13 @@ CNOT_ROWS = [
 BAD_TOLERANCES = ["nan", "inf", "-inf", "-0.5"]
 
 
+def src_env() -> dict[str, str]:
+    """This process's environment with the checkout's ``src/`` first on the path."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    )}
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -362,14 +369,14 @@ class TestCvVerify:
 
     def test_convergence_script_runs(self, monkeypatch):
         script = str(REPO / "scripts" / "cv_convergence.py")
-        # cv verify's rule refuses "8": status 1 with its message (run in this process)
-        monkeypatch.setattr(sys, "argv", [script, "8"])
-        with pytest.raises(SystemExit, match="^cv_convergence.py: error: cutoffs below 12 are"):
-            runpy.run_path(script, run_name="__main__")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
-        )}
-        result = subprocess.run([sys.executable, script, "12,16"], cwd=REPO, env=env,
+        # cv verify's rules refuse "8" and "12,x": status 1 with their messages
+        # (run in this process)
+        for arg, message in [("8", "cutoffs below 12 are"),
+                             ("12,x", "invalid --cutoffs list: '12,x'$")]:
+            monkeypatch.setattr(sys, "argv", [script, arg])
+            with pytest.raises(SystemExit, match=f"^cv_convergence.py: error: {message}"):
+                runpy.run_path(script, run_name="__main__")
+        result = subprocess.run([sys.executable, script, "12,16"], cwd=REPO, env=src_env(),
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         # the het(sharp) column uses cv verify's lambda, and the note names
@@ -432,3 +439,21 @@ class TestParams:
         assert float(beta_line.split("=")[1].split()[0]) == payload["beta"]
         assert payload["beta"] == pytest.approx(-np.pi / 6, abs=1e-14)
         assert payload["g"] < 0
+
+
+class TestRuntime:
+    def test_verify_commands_run_on_numpy_alone(self):
+        # the tests import scipy for their references, so only a fresh
+        # process shows what the commands themselves import
+        code = (
+            "import json, sys\n"
+            "from bellgate import cli\n"
+            "codes = [cli.main(['qudit', 'verify', '--d', '2..3']),"
+            " cli.main(['cv', 'verify', '--cutoffs', '12'])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.'))]))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=src_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0], []]

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import compose, every_state, refused_peak, su11_terms, term_block, traced_peak
 
@@ -125,6 +125,32 @@ class TestQuadratures:
     def test_vacuum_variance(self):
         x = fock.quadrature(10, 0.0).matrix
         assert vacuum_expectation(x @ x).real == pytest.approx(0.25, abs=1e-14)
+
+
+# a chain link: complex, of modulus up to 4, and often exactly 0
+CHAIN_LINKS = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=4))
+
+
+class TestChainExpm:
+    """The exponential every factor is built from, against dense Pade expm."""
+
+    # n sites take n - 1 links: odd n makes X one row taller, even n square;
+    # the examples are 5 sites and 90 sites, each with zero links inside
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 90).flatmap(
+        lambda n: st.lists(CHAIN_LINKS, min_size=n - 1, max_size=n - 1)))
+    @example([1.0, -2j, 0.0, 3.5 + 1j])
+    @example([0.0 if k % 7 == 3 else 4 * np.exp(0.3j * k) for k in range(89)])
+    def test_matches_dense_expm(self, links):
+        sub = np.array(links, dtype=complex)
+        gen = np.diag(sub, -1) - np.diag(sub.conj(), 1)
+        np.testing.assert_allclose(
+            fock._chain_expm(sub), scipy.linalg.expm(gen), rtol=0, atol=1e-12
+        )
+
+    def test_zero_chain_is_exact_identity(self):
+        for n in (1, 2, 7, 8):
+            np.testing.assert_array_equal(fock._chain_expm(np.zeros(n - 1)), np.eye(n))
 
 
 class TestDisplacement:
