@@ -38,7 +38,7 @@ def main() -> None:
           f" {'het(sharp)':>16}")
     sharp_lams = set()
     for n in cutoffs:
-        _, dist, _ = fock.sum_gate_block_checks(n, 10)
+        _, dist = fock.sum_gate_block_checks(n, 10)
         opa_defect = fock.cutoff_convergence_defect(
             lambda m: fock.opa(m, params.alpha), n
         )

@@ -216,8 +216,7 @@ def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationR
     distances = []
     for n in cutoffs:
         _log(f"cutoff N={n}:")
-        gram_defect, dist, chain_warnings = fock.sum_gate_block_checks(n, block)
-        warnings.extend(chain_warnings)
+        gram_defect, dist = fock.sum_gate_block_checks(n, block)
         checks.append(_check(
             f"N={n}:sum_gate_unitarity_block", gram_defect, _tol(tol, TOL_UNITARITY_BLOCK)
         ))
@@ -315,20 +314,30 @@ def synth_payload(gs: qudit.QuditGateSet) -> dict:
 
 
 def gateset_from_payload(payload: dict) -> qudit.QuditGateSet:
-    def to_matrix(rows) -> np.ndarray:
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-
+    """The gate set of a ``qudit synth`` JSON payload. A ``d`` that is not an
+    integer >= 2, a Z, W or F that is not d x d and a V that is not a
+    d^2 x d^2 permutation are refused with a ValueError naming the field."""
+    d = payload["d"]
+    if not fock.is_integer(d) or d < 2:
+        raise ValueError(f"payload d must be an integer >= 2, got {d!r}")
     mats = payload["matrices"]
-    d = int(payload["d"])
-    v = to_matrix(mats["V"])
-    if (v.shape != (d * d, d * d) or not ((v == 0) | (v == 1)).all()
+
+    def matrix(name: str, size: int) -> np.ndarray:
+        refusal = ValueError(f"payload {name} is not a {size} x {size} matrix")
+        try:
+            m = np.array([[complex(re, im) for re, im in row] for row in mats[name]])
+        except (TypeError, ValueError) as exc:
+            raise refusal from exc
+        if m.shape != (size, size):
+            raise refusal
+        return m
+
+    v = matrix("V", d * d)
+    if (not ((v == 0) | (v == 1)).all()
             or not (v.sum(axis=0) == 1).all() or not (v.sum(axis=1) == 1).all()):
         raise ValueError(f"payload V is not a {d * d} x {d * d} permutation matrix")
     return qudit.QuditGateSet(
-        d=d,
-        Z=to_matrix(mats["Z"]),
-        W=to_matrix(mats["W"]),
-        F=to_matrix(mats["F"]),
+        d=d, Z=matrix("Z", d), W=matrix("W", d), F=matrix("F", d),
         v_perm=np.argmax(v.real, axis=0),
     )
 

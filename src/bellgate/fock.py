@@ -14,17 +14,16 @@ splitter and mode mixer one per sector of total photon number, and the optical
 parametric amplifier one per sector of photon-number difference.
 A chain links only sites of opposite parity, so ``_chain_expm`` reads exp(G)
 off one SVD of its even-to-odd block X: cos and sin of the singular values
-give the four parity blocks, and a zero chain gives exactly the identity. The
-truncated generator is exactly anti-Hermitian, so the matrices are unitary to
-the rounding of the singular vectors, and the truncation shows up instead as
-a deviation from the untruncated operator near the cutoff.
-Two diagnostics track this:
+give the four parity blocks, and a zero chain gives exactly the identity.
 
-* ``unitarity_defect`` (max entry of U^dag U - I), attached as a warning when
-  it exceeds 1e-8; it measures the rounding of the exponential, not the
-  truncation;
-* ``cutoff_convergence_defect``, the column-wise difference against the same
-  constructor at a padded cutoff, the honest measure of truncation error.
+The truncated generator is exactly anti-Hermitian, so every factor and every
+sector block is unitary to rounding at any cutoff: the max entry of
+U^dag U - I (``unitarity_defect``) measures rounding, not truncation, and no
+operator carries a warning. The truncation shows instead as a deviation
+from the untruncated operator near the cutoff, which three diagnostics see:
+``cutoff_convergence_defect``, the column-wise difference against the same
+constructor at a padded cutoff; the SUM gate's block distance in
+``sum_gate_block_checks``; and the tail masses of the states.
 
 Dirac-like states are only ever represented in regularized form: the identity
 double-ket as a two-mode squeezed vacuum with weight lambda^n, and quadrature
@@ -35,8 +34,9 @@ double-ket refuses lambda so large that the tail exceeds 1e-4. The two
 displaced states take that tail from one helper, ``_padded_state``: it builds
 the state at cutoff N and at N + ``_TAIL_PAD``, sums the padded build's mass
 outside the first N+1 levels of each mode, normalizes the cutoff-N build and
-keeps its factors' warnings. The beam splitter acts on two-mode states sector
-by sector, so no state path builds a dense two-mode matrix.
+keeps the tail warning of the identity double-ket it is built from. The
+beam splitter acts on two-mode states sector by sector, so no state path
+builds a dense two-mode matrix.
 
 Both SUM-gate routes return the full-height images of the basis columns a
 caller reads (``FockColumns``). The chain (``sum_gate_circuit``) applies its
@@ -51,13 +51,13 @@ same rows and columns.
 The sector blocks of each two-mode factor form one table per cutoff,
 conserved quantity and generator scale. It is built once, kept read-only in
 a module-level memo and shared by every later call: the 50-50 splitter of
-``entbs_output``, ``mode_mixer`` and the chain, the chain's mode mixer and
-the OPA, whose unitarity defect is taken once per table. The memo holds at
-most ``DENSE_BYTES_LIMIT`` bytes of tables; a new table first drops the
-least recently used ones. Each table holds (N+1)(2N^2+4N+3)/3 complex
-entries, so from cutoff 465 on (1079412576 bytes) a table alone is refused
-before anything is built, and with it ``entbs_output`` and the fidelities
-built on it.
+``entbs_output``, ``mode_mixer`` and the chain, the chain's mode mixer, and
+the OPA of ``opa`` and the chain. The memo holds at most
+``DENSE_BYTES_LIMIT`` bytes of tables; a new table first drops the least
+recently used ones. Each table holds (N+1)(2N^2+4N+3)/3 complex entries, so
+from cutoff 465 on (1079412576 bytes) a table alone is refused before
+anything is built, and with it ``entbs_output`` and the fidelities built on
+it.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
 ``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix, the
@@ -77,7 +77,6 @@ dataclasses are frozen, and so are their matrices and amplitudes.
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -86,7 +85,6 @@ import numpy as np
 
 from . import gaussian
 
-UNITARITY_WARN_TOL = 1e-8
 TAIL_WARN_TOL = 1e-8
 TAIL_ERROR_TOL = 1e-4
 _TAIL_PAD = 12
@@ -102,7 +100,6 @@ class FockOperator:
     cutoff: int
     modes: int
     matrix: np.ndarray
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.modes not in (1, 2):
@@ -124,7 +121,6 @@ class FockColumns:
     cutoff: int
     columns: np.ndarray
     matrix: np.ndarray
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         shape = ((self.cutoff + 1) ** 2, len(self.columns))
@@ -284,17 +280,15 @@ def _assemble(cutoff: int, modes: int, blocks) -> np.ndarray:
     return out
 
 
-def _truncation_warning(quantity: str, value: float, limit: float, where: str) -> tuple[str, ...]:
-    """The warning "truncation: <quantity> <value> at <where>" when ``value``
-    exceeds ``limit`` (UNITARITY_WARN_TOL or TAIL_WARN_TOL), else none."""
-    return (f"truncation: {quantity} {value:.2e} at {where}",) if value > limit else ()
-
-
-def _checked_unitary(cutoff: int, matrix: np.ndarray, label: str) -> FockOperator:
-    defect = unitarity_defect(FockOperator(cutoff, 1, matrix))
-    return FockOperator(cutoff, 1, matrix, _truncation_warning(
-        f"{label} unitarity defect", defect, UNITARITY_WARN_TOL, f"cutoff {cutoff}"
-    ))
+def _truncation_warning(label: str, tail: float, where: str) -> tuple[str, ...]:
+    """The warning "truncation: <label> tail mass <tail> at <where>" when the
+    tail mass a regularized state drops exceeds TAIL_WARN_TOL, else none.
+    It is the only warning the module attaches: the operators are unitary
+    to rounding at every cutoff, so their truncation shows only in states
+    and in the SUM gate's block distance."""
+    if tail > TAIL_WARN_TOL:
+        return (f"truncation: {label} tail mass {tail:.2e} at {where}",)
+    return ()
 
 
 def displacement(cutoff: int, alpha: complex) -> FockOperator:
@@ -306,7 +300,7 @@ def displacement(cutoff: int, alpha: complex) -> FockOperator:
     _require_cutoff(cutoff)
     _require_finite("alpha", alpha)
     sub = alpha * np.sqrt(np.arange(1, cutoff + 1))
-    return _checked_unitary(cutoff, _chain_expm(sub), f"D({alpha})")
+    return FockOperator(cutoff, 1, _chain_expm(sub))
 
 
 def squeezer(cutoff: int, r: float) -> FockOperator:
@@ -325,7 +319,7 @@ def squeezer(cutoff: int, r: float) -> FockOperator:
         ns = np.arange(first, cutoff + 1, 2)
         sub = 0.5 * np.log(r) * np.sqrt((ns[:-1] + 1) * (ns[:-1] + 2))
         chains.append((ns, _chain_expm(sub)))
-    return _checked_unitary(cutoff, _assemble(cutoff, 1, chains), f"S({r})")
+    return FockOperator(cutoff, 1, _assemble(cutoff, 1, chains))
 
 
 def phase_shift(cutoff: int, theta: float) -> FockOperator:
@@ -344,12 +338,6 @@ class _SectorTable:
 
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     nbytes: int
-
-    @functools.cached_property
-    def defect(self) -> float:
-        """Max entry of U^dag U - I, taken once per table: the operator is
-        exactly zero outside the blocks, so it is the largest block's defect."""
-        return max(_gram_defect(block) for _, block in self.blocks)
 
 
 # Sector tables by (cutoff, conserved, scale), least recently used first; the
@@ -439,23 +427,13 @@ def mode_mixer(cutoff: int, theta: float) -> FockOperator:
     return FockOperator(cutoff, 2, _mixing_expm(cutoff, theta))
 
 
-def _opa_sectors(cutoff: int, alpha_param: float):
-    """The OPA's photon-number-difference sector blocks and its warnings,
-    which report the table's unitarity defect."""
-    table = _sector_table(cutoff, "difference", -alpha_param / 2.0)
-    return table.blocks, _truncation_warning(
-        f"OPA({alpha_param}) unitarity defect", table.defect, UNITARITY_WARN_TOL,
-        f"cutoff {cutoff}",
-    )
-
-
 def opa(cutoff: int, alpha_param: float) -> FockOperator:
     """exp(-(alpha/2)(a^dag b^dag - a b)), assembled from its photon-number-difference sectors."""
     _require_cutoff(cutoff)
     _require_finite("alpha_param", alpha_param)
     _require_fits(cutoff, (cutoff + 1) ** 4)
-    blocks, warns = _opa_sectors(cutoff, alpha_param)
-    return FockOperator(cutoff, 2, _assemble(cutoff, 2, blocks), warns)
+    blocks = _sector_table(cutoff, "difference", -alpha_param / 2.0).blocks
+    return FockOperator(cutoff, 2, _assemble(cutoff, 2, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +479,7 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
             f"lambda = {lam} too close to 1 for cutoff {cutoff}:"
             f" tail mass {tail:.2e}"
         )
-    warns = _truncation_warning(
-        "identity double-ket tail mass", tail, TAIL_WARN_TOL, f"lambda = {lam}, cutoff {cutoff}"
-    )
+    warns = _truncation_warning("identity double-ket", tail, f"lambda = {lam}, cutoff {cutoff}")
     n1 = cutoff + 1
     amps = np.zeros(n1 * n1, dtype=complex)
     amps[np.arange(n1) * n1 + np.arange(n1)] = lam ** np.arange(n1)
@@ -516,9 +492,10 @@ def _padded_state(
     params: dict[str, float], label: str, where: str,
 ) -> RegularizedState:
     """The state ``build(cutoff)``, normalized. ``build(n)`` returns the
-    unnormalized amplitudes at cutoff n, one axis per mode, and their
-    warnings. The tail, the mass of ``build(N + _TAIL_PAD)`` outside the first
-    N+1 levels of each mode, is added to them above ``TAIL_WARN_TOL``."""
+    unnormalized amplitudes at cutoff n, one axis per mode, and the tail
+    warnings of the states they are built from. The tail, the mass of
+    ``build(N + _TAIL_PAD)`` outside the first N+1 levels of each mode, is
+    added to them above ``TAIL_WARN_TOL``."""
     _require_cutoff(cutoff)
     amps, warns = build(cutoff)
     amps /= np.linalg.norm(amps)
@@ -526,9 +503,7 @@ def _padded_state(
     tail = float(mass[cutoff + 1:].sum())
     if mass.ndim == 2:
         tail += float(mass[: cutoff + 1, cutoff + 1:].sum())
-    warns += _truncation_warning(
-        f"{label} tail mass", tail, TAIL_WARN_TOL, f"{where}, cutoff {cutoff}"
-    )
+    warns += _truncation_warning(label, tail, f"{where}, cutoff {cutoff}")
     return RegularizedState(cutoff, amps.ndim, amps, params, warns)
 
 
@@ -543,8 +518,8 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     ``entbs_fidelity``).
     """
     def build(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
-        base, d_op = identity_doubleket(n, lam), displacement(n, z)
-        return d_op.matrix @ base.amplitudes.reshape(n + 1, n + 1), base.warnings + d_op.warnings
+        base = identity_doubleket(n, lam)
+        return displacement(n, z).matrix @ base.amplitudes.reshape(n + 1, n + 1), base.warnings
 
     return _padded_state(
         cutoff, build,
@@ -584,8 +559,7 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
         vac = np.zeros(n + 1, dtype=complex)
         vac[0] = 1.0
         sq, d_op = squeezer(n, s), displacement(n, x)
-        st = phase_shift(n, -phi).matrix @ (d_op.matrix @ (sq.matrix @ vac))
-        return st, sq.warnings + d_op.warnings
+        return phase_shift(n, -phi).matrix @ (d_op.matrix @ (sq.matrix @ vac)), ()
 
     return _padded_state(
         cutoff, build, {"x": x, "phi": phi, "s": s},
@@ -643,12 +617,14 @@ def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
     act one at a time, rightmost first: the mixer, the OPA and the beam
     splitter as their sector blocks, and each squeezer pair as a M b^T on
     every column reshaped to its amplitude matrix M, so no factor is built as
-    a two-mode matrix. The squeezers' and the OPA's warnings come with it.
+    a two-mode matrix. Each factor is unitary to rounding at any cutoff, so
+    the images carry no warning: their truncation shows in the block
+    distance of ``sum_gate_block_checks``.
     """
     params = gaussian.decomposition_params()
     dim = (cutoff + 1) ** 2
     cols = _basis_indices(cutoff, columns, _chain_bytes)
-    opa_blocks, opa_warns = _opa_sectors(cutoff, params.alpha)
+    opa_blocks = _sector_table(cutoff, "difference", -params.alpha / 2.0).blocks
     s1 = squeezer(cutoff, params.r1)
     s2 = squeezer(cutoff, params.r2)
     images = np.zeros((dim, cols.size), dtype=complex)
@@ -658,13 +634,15 @@ def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
     images = _apply_sectors(images, opa_blocks)
     images = _apply_kron(s1.matrix, s1.matrix.conj().T, images)
     images = _apply_sectors(images, _sector_table(cutoff, "total", np.pi / 4).blocks)
-    return FockColumns(cutoff, cols, images, s1.warnings + s2.warnings + opa_warns)
+    return FockColumns(cutoff, cols, images)
 
 
 def phase_aligned_block_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Entrywise max of a - e^{i theta} b, for a and b the same basis block of
     two operators, theta chosen so the largest-modulus element of b matches a
-    (global phases are unobservable)."""
+    (global phases are unobservable). Blocks of different shapes are refused."""
+    if a.shape != b.shape:
+        raise ValueError(f"blocks of shapes {a.shape} and {b.shape} differ")
     i, j = np.unravel_index(np.argmax(np.abs(b)), b.shape)
     if b[i, j] == 0:
         raise ValueError("b vanishes on the block: no entry to align the phase to")
@@ -699,17 +677,17 @@ def require_block_checks_fit(cutoff: int, block_photons: int) -> int:
     return photons
 
 
-def sum_gate_block_checks(
-    cutoff: int, block_photons: int
-) -> tuple[float, float, tuple[str, ...]]:
+def sum_gate_block_checks(cutoff: int, block_photons: int) -> tuple[float, float]:
     """Both SUM-gate checks at one cutoff, from one pass of the optical chain
     over the basis columns of total photon number <= max(N/2, block_photons).
 
-    Returns ``(gram_defect, distance, warnings)``: the max entry of
-    C^dag C - I for those columns' images C; the phase-aligned distance
-    between the chain and the direct ``sum_gate`` on the subspace of total
-    photon number <= ``block_photons``, the only columns the direct gate is
-    applied to; and the chain's warnings.
+    Returns ``(gram_defect, distance)``. The Gram defect is the max entry of
+    C^dag C - I for those columns' images C: every factor is unitary to
+    rounding, so it reads rounding (about 1e-14 at N = 20 to 80) and cannot
+    see truncation. The distance, phase-aligned, is between the chain
+    and the direct ``sum_gate`` on the subspace of total photon number <=
+    ``block_photons``, the only columns the direct gate is applied to; it is
+    where the truncation shows.
     """
     cols = np.flatnonzero(block_mask(cutoff, require_block_checks_fit(cutoff, block_photons)))
     circuit = sum_gate_circuit(cutoff, cols)
@@ -718,7 +696,7 @@ def sum_gate_block_checks(
     distance = phase_aligned_block_distance(
         sum_gate(cutoff, block).matrix[block], circuit.matrix[np.ix_(block, inner)]
     )
-    return _gram_defect(circuit.matrix), distance, circuit.warnings
+    return _gram_defect(circuit.matrix), distance
 
 
 # ---------------------------------------------------------------------------

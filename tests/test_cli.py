@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -173,13 +174,32 @@ class TestQuditSynth:
         assert np.abs(qudit.v_from_bell_basis(gs) - np.eye(gs.d)).max() <= 1e-12
         np.testing.assert_array_equal(gs.v_perm, qudit.make_gateset(5).v_perm)
 
-    @pytest.mark.parametrize("entry", [(0, 0, [0.5, 0.0]), (0, 1, [1.0, 0.0])],
-                             ids=["not_0_or_1", "two_ones_in_a_row"])
-    def test_payload_v_must_be_a_permutation(self, entry):
-        payload = cli.synth_payload(qudit.make_gateset(2))
-        row, col, value = entry
-        payload["matrices"]["V"][row][col] = value
-        with pytest.raises(ValueError, match="not a 4 x 4 permutation matrix"):
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("matrices", "V", 0, 0), [0.5, 0.0], "V is not a 9 x 9 permutation matrix"),
+            (("matrices", "V", 0, 1), [1.0, 0.0], "V is not a 9 x 9 permutation matrix"),
+            (("d",), 3.7, "d must be an integer >= 2, got 3.7"),
+            (("d",), "3", "d must be an integer >= 2, got '3'"),
+            (("d",), True, "d must be an integer >= 2, got True"),
+            (("matrices", "F"), [[[0.5, 0.0]]] * 3, "F is not a 3 x 3 matrix"),
+            (("matrices", "Z"), [[[1.0, 0.0]] * 4] * 4, "Z is not a 3 x 3 matrix"),
+            (("matrices", "W", 2), [[0.0, 0.0]], "W is not a 3 x 3 matrix"),
+            (("matrices", "W", 1, 0), [1.0], "W is not a 3 x 3 matrix"),
+        ],
+        ids=["not_0_or_1", "two_ones_in_a_row", "d_fractional", "d_text", "d_bool",
+             "F_one_column", "Z_too_large", "W_ragged", "W_entry_without_imaginary_part"],
+    )
+    def test_bad_payload_refused_naming_the_field(self, path, value, message):
+        # unrefused, d = 3.7 would load as d = 3, and an F of shape (3, 1)
+        # would broadcast to a bell_map error of 1.41
+        payload = cli.synth_payload(qudit.make_gateset(3))
+        *parents, last = path
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValueError, match=f"^{re.escape('payload ' + message)}$"):
             cli.gateset_from_payload(payload)
 
     @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """Tests for the truncated Fock-space operators and regularized states."""
 
 import functools
-import re
 import sys
 import threading
 
@@ -12,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import compose, every_state, refused_peak, su11_terms, term_block, traced_peak
 
-from bellgate import fock, gaussian
+from bellgate import cli, fock, gaussian
 
 # cutoffs at which the chain exponentials are pinned to dense Pade expm:
 # the one- and two-state edge cases, an odd cutoff and a large one
@@ -129,6 +128,9 @@ class TestQuadratures:
 
 # a chain link: complex, of modulus up to 4, and often exactly 0
 CHAIN_LINKS = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=4))
+# the same up to modulus 1e6, beyond any link a constructor forms at the
+# cutoffs the checks use
+LARGE_CHAIN_LINKS = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e6))
 
 
 class TestChainExpm:
@@ -147,6 +149,18 @@ class TestChainExpm:
         np.testing.assert_allclose(
             fock._chain_expm(sub), scipy.linalg.expm(gen), rtol=0, atol=1e-12
         )
+
+    # n sites take n - 1 links, cycled from a short drawn pattern so that a
+    # 300-site chain costs no more to draw than a short one
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 300), st.lists(LARGE_CHAIN_LINKS, min_size=1, max_size=40))
+    @example(300, [1e6])
+    @example(299, [0.0, 1e6 * np.exp(0.7j), 3e-3, -1e6])
+    def test_unitary_to_rounding_at_any_link_modulus(self, n, pattern):
+        # the premise of carrying no unitarity warning: the truncated
+        # generator is exactly anti-Hermitian, so only rounding is left
+        sub = np.resize(np.array(pattern, dtype=complex), n - 1)
+        assert fock._gram_defect(fock._chain_expm(sub)) <= 1e-12
 
     def test_zero_chain_is_exact_identity(self):
         for n in (1, 2, 7, 8):
@@ -414,17 +428,6 @@ class TestQuadEigenstate:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             fock.quad_eigenstate_approx(10, **args)
 
-    def test_keeps_squeezer_and_displacement_warnings(self, monkeypatch):
-        # every defect exceeds a negative threshold, so both factors warn
-        monkeypatch.setattr(fock, "UNITARITY_WARN_TOL", -1.0)
-        n, x, s = 10, 0.5, 0.5
-        expected = fock.squeezer(n, s).warnings + fock.displacement(n, x).warnings
-        assert [w.split(" unitarity")[0] for w in expected] == [
-            f"truncation: S({s})", f"truncation: D({x})",
-        ]
-        warnings = fock.quad_eigenstate_approx(n, x, 0.3, s).warnings
-        assert warnings[:2] == expected
-
 
 class TestPaddedTail:
     """The tail mass in a state's warning against an independent dense build
@@ -472,12 +475,12 @@ class TestSumGate:
 
     def test_circuit_unitary_on_inner_block(self):
         # the Gram defect of the images of the total <= N/2 basis columns
-        gram_defect, _, _ = fock.sum_gate_block_checks(20, 10)
+        gram_defect, _ = fock.sum_gate_block_checks(20, 10)
         assert gram_defect <= 1e-6
 
     def test_block_distance_shrinks_with_cutoff(self):
-        _, d20, _ = fock.sum_gate_block_checks(20, 10)
-        _, d30, _ = fock.sum_gate_block_checks(30, 10)
+        _, d20 = fock.sum_gate_block_checks(20, 10)
+        _, d30 = fock.sum_gate_block_checks(30, 10)
         assert d30 < d20
 
     @pytest.mark.parametrize("n", [12, 20, 30])
@@ -488,7 +491,7 @@ class TestSumGate:
         direct = fock.phase_aligned_block_distance(
             fock.sum_gate(n, block).matrix[block], fock.sum_gate_circuit(n, block).matrix[block],
         )
-        _, distance, _ = fock.sum_gate_block_checks(n, 10)
+        _, distance = fock.sum_gate_block_checks(n, 10)
         assert distance == pytest.approx(direct, rel=0, abs=1e-15)
 
     def test_direct_gate_built_only_on_the_compared_block(self, monkeypatch):
@@ -504,6 +507,17 @@ class TestSumGate:
         monkeypatch.setattr(fock, "sum_gate", counted)
         fock.sum_gate_block_checks(40, 10)
         assert sizes == [66]
+
+    def test_gram_defect_catches_a_broken_exponential(self, monkeypatch, empty_memo):
+        # every factor and sector block 1e-5 off unitary; empty_memo keeps the
+        # tables built from it out of every other test
+        exact = fock._chain_expm
+        monkeypatch.setattr(fock, "_chain_expm", lambda sub: (1 + 1e-5) * exact(sub))
+        assert fock.sum_gate_block_checks(12, 6)[0] > cli.TOL_UNITARITY_BLOCK
+        report = cli.run_cv_verify([12])
+        row = next(c for c in report.checks if c.name == "N=12:sum_gate_unitarity_block")
+        assert row.error > row.tolerance == cli.TOL_UNITARITY_BLOCK
+        assert not row.passed
 
     def test_vacuum_image_agreement(self):
         n = 30
@@ -546,19 +560,6 @@ class TestSumGateColumns:
             fock.sum_gate(n, block).matrix, fock.sum_gate(n, every_state(n)).matrix[:, block],
             rtol=0, atol=1e-13,
         )
-
-    def test_warnings_match_dense_factors(self, monkeypatch):
-        # every defect exceeds a negative threshold, so each factor warns
-        monkeypatch.setattr(fock, "UNITARITY_WARN_TOL", -1.0)
-        n, params = 12, gaussian.decomposition_params()
-        expected = (
-            fock.squeezer(n, params.r1).warnings
-            + fock.squeezer(n, params.r2).warnings
-            + fock.opa(n, params.alpha).warnings
-        )
-        assert len(expected) == 3
-        assert fock.sum_gate_circuit(n, columns=[0, 5, 40]).warnings == expected
-        assert fock.sum_gate_block_checks(n, 6)[2] == expected
 
     def test_half_block_builds_no_two_mode_matrix(self):
         # the dense route held 1681^2 complex factors: a 172.6 MB peak at N=40
@@ -715,16 +716,12 @@ class TestSectorMemo:
         ],
         ids=["entbs_output", "sum_gate_circuit", "mode_mixer", "opa"],
     )
-    def test_warm_call_equals_cold_call(self, monkeypatch, build, attr):
-        # every unitarity defect exceeds a negative threshold, so the OPA
-        # warning, taken from its table, is part of what must repeat
-        monkeypatch.setattr(fock, "UNITARITY_WARN_TOL", -1.0)
+    def test_warm_call_equals_cold_call(self, build, attr):
         cold = build()
         built = dict(fock._SECTOR_TABLES)
         warm = build()
         assert built and all(fock._SECTOR_TABLES[key] is table for key, table in built.items())
         assert np.array_equal(getattr(cold, attr), getattr(warm, attr))
-        assert cold.warnings == warm.warnings
 
     def test_cached_indices_and_blocks_are_read_only(self):
         fock.mode_mixer(6, 0.3)
@@ -847,40 +844,30 @@ class TestTruncationDiagnostics:
         with pytest.raises(ValueError, match="vanishes"):
             fock.phase_aligned_block_distance(np.eye(6), np.zeros((6, 6)))
 
+    def test_block_distance_rejects_blocks_of_different_shapes(self):
+        # broadcasting would compare every column of a with the one of b
+        with pytest.raises(ValueError, match=r"shapes \(6, 6\) and \(6, 1\) differ"):
+            fock.phase_aligned_block_distance(np.eye(6), np.ones((6, 1)))
+
     @pytest.mark.parametrize(
         "build, texts",
         [
-            (lambda: fock.squeezer(10, 0.5), ["S(0.5) unitarity defect DEFECT at cutoff 10"]),
-            (lambda: fock.displacement(10, 0.5 - 0.2j),
-             ["D((0.5-0.2j)) unitarity defect DEFECT at cutoff 10"]),
-            (lambda: fock.opa(10, 0.3), ["OPA(0.3) unitarity defect DEFECT at cutoff 10"]),
             (lambda: fock.identity_doubleket(10, 0.5),
              ["identity double-ket tail mass 2.38e-07 at lambda = 0.5, cutoff 10"]),
             (lambda: fock.quad_eigenstate_approx(10, 0.7, 0.3, 0.5),
-             ["S(0.5) unitarity defect DEFECT at cutoff 10",
-              "D(0.7) unitarity defect DEFECT at cutoff 10",
-              "quadrature eigenstate tail mass 1.36e-03 at x = 0.7, phi = 0.3, s = 0.5,"
+             ["quadrature eigenstate tail mass 1.36e-03 at x = 0.7, phi = 0.3, s = 0.5,"
               " cutoff 10"]),
             (lambda: fock.displaced_identity_doubleket(10, 0.5, 1 - 0.5j),
              ["identity double-ket tail mass 2.38e-07 at lambda = 0.5, cutoff 10",
-              "D((1-0.5j)) unitarity defect DEFECT at cutoff 10",
               "displaced double-ket tail mass 3.25e-04 at lambda = 0.5, z = (1-0.5j),"
               " cutoff 10"]),
         ],
-        ids=["squeezer", "displacement", "opa", "identity_doubleket", "quad_eigenstate_approx",
-             "displaced_identity_doubleket"],
+        ids=["identity_doubleket", "quad_eigenstate_approx", "displaced_identity_doubleket"],
     )
     def test_warning_texts(self, monkeypatch, build, texts):
-        # every quantity warns with both thresholds below zero; a unitarity
-        # defect is rounding, whose digits depend on the LAPACK build, so
-        # only its format is pinned
-        monkeypatch.setattr(fock, "UNITARITY_WARN_TOL", -1.0)
+        # every tail warns with the threshold below zero
         monkeypatch.setattr(fock, "TAIL_WARN_TOL", -1.0)
-        warnings = build().warnings
-        assert len(warnings) == len(texts)
-        for warning, text in zip(warnings, texts):
-            pattern = re.escape(f"truncation: {text}").replace("DEFECT", r"\d\.\d\de-\d\d")
-            assert re.fullmatch(pattern, warning), warning
+        assert build().warnings == tuple(f"truncation: {text}" for text in texts)
 
     def test_validation(self):
         with pytest.raises(ValueError):
