@@ -22,11 +22,9 @@ from .fock import (
     FockColumns,
     FockOperator,
     RegularizedState,
-    cutoff_convergence_defect,
     displacement,
     displaced_identity_doubleket,
     entbs_fidelity,
-    entbs_fidelity_scan,
     heterodyne_eigen_residual,
     identity_doubleket,
     matched_lambda,

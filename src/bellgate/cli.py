@@ -12,12 +12,12 @@ report, or the synth file list) goes to stdout. The exit code is 0 iff every
 invoked check passed. When ``--tol`` is given it overrides the per-check
 default tolerances listed in the module constants.
 
-The sweep policy of ``cv verify`` is public, and ``scripts/cv_convergence.py``
-reads it too: ``ENTBS_SHARPNESS`` and ``HETERODYNE_LAMBDAS`` list the
-candidate sharpness and damping values, ``HETERODYNE_BASE_LAMBDA`` the damping
-of the closed-form row, and ``entbs_sharpness(N)`` and ``heterodyne_lambda(N)``
-keep the candidates whose states the cutoff holds (``fock.lambda_fits``).
-``validate_cutoffs`` is the rule both apply to a cutoff list.
+The sweep policy of ``cv verify``: ``ENTBS_SHARPNESS`` and
+``HETERODYNE_LAMBDAS`` list the candidate sharpness and damping values,
+``HETERODYNE_BASE_LAMBDA`` the damping of the closed-form row, and
+``entbs_sharpness(N)`` and ``heterodyne_lambda(N)`` keep the candidates whose
+states the cutoff holds (``fock.lambda_fits``). ``validate_cutoffs`` is the
+rule it applies to a cutoff list.
 """
 
 from __future__ import annotations

@@ -20,10 +20,9 @@ The truncated generator is exactly anti-Hermitian, so every factor and every
 sector block is unitary to rounding at any cutoff: the max entry of
 U^dag U - I (``unitarity_defect``) measures rounding, not truncation, and no
 operator carries a warning. The truncation shows instead as a deviation
-from the untruncated operator near the cutoff, which three diagnostics see:
-``cutoff_convergence_defect``, the column-wise difference against the same
-constructor at a padded cutoff; the SUM gate's block distance in
-``sum_gate_block_checks``; and the tail masses of the states.
+from the untruncated operator near the cutoff, which two diagnostics see:
+the SUM gate's block distance in ``sum_gate_block_checks``, and the tail
+masses of the states.
 
 Dirac-like states are only ever represented in regularized form: the identity
 double-ket as a two-mode squeezed vacuum with weight lambda^n, and quadrature
@@ -517,6 +516,8 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     their overlap is exp(-s^2 |z|^2 / 2) at the matched lambda (see
     ``entbs_fidelity``).
     """
+    _require_finite("z", z)
+
     def build(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
         base = identity_doubleket(n, lam)
         return displacement(n, z).matrix @ base.amplitudes.reshape(n + 1, n + 1), base.warnings
@@ -669,9 +670,12 @@ def require_block_checks_fit(cutoff: int, block_photons: int) -> int:
 
     Returns the total photon number max(N/2, block_photons) of the columns
     those checks read. Their count is computed, not masked, so that a huge
-    cutoff is refused without an (N+1)^2 mask.
+    cutoff is refused without an (N+1)^2 mask. A ``block_photons`` that is
+    not an integer >= 0 is refused.
     """
     _require_cutoff(cutoff)
+    if not is_integer(block_photons) or block_photons < 0:
+        raise ValueError(f"block_photons must be an integer >= 0, got {block_photons!r}")
     photons = max(cutoff // 2, block_photons)
     require_memory(f"cutoff {cutoff}", _chain_bytes(cutoff, _states_up_to(cutoff, photons)))
     return photons
@@ -749,47 +753,6 @@ def entbs_fidelity(cutoff: int, x: float, y: float, s: float) -> float:
 
     Only the truncation moves the Fock value off the closed form.
     """
-    return float(entbs_fidelity_scan(cutoff, x, y, s, [matched_lambda(s)])[0])
-
-
-def entbs_fidelity_scan(
-    cutoff: int, x: float, y: float, s: float, lambdas
-) -> np.ndarray:
-    """Fidelity of the beam-splitter image against references over a lambda grid,
-    to confirm empirically that the matched lambda maximizes the overlap at
-    z = 0 (at z = 1 - 0.5i, s = 0.5 the one-sided reference peaks at 0.8605
-    near lambda = 0.65, not at the matched 0.6)."""
     out = entbs_output(cutoff, x, y, s)
-    fids = np.empty(len(lambdas))
-    for i, lam in enumerate(lambdas):
-        ref = displaced_identity_doubleket(cutoff, float(lam), x + 1j * y)
-        fids[i] = abs(np.vdot(ref.amplitudes, out.amplitudes)) ** 2
-    return fids
-
-
-# ---------------------------------------------------------------------------
-# Truncation diagnostics
-# ---------------------------------------------------------------------------
-
-def cutoff_convergence_defect(build: Callable[[int], FockOperator], cutoff: int) -> float:
-    """Truncation error of a constructor at a given cutoff.
-
-    Builds the operator at ``cutoff`` and at ``cutoff + 8``, restricts the
-    larger one to the smaller space, and returns the worst column-wise norm
-    difference over the source states of (total) photon number <= N/4.
-    Decays to zero as the cutoff grows for every Gaussian element.
-    """
-    _require_cutoff(cutoff)
-    small = build(cutoff)
-    big = build(cutoff + 8)
-    n1 = cutoff + 1
-    if small.modes == 1:
-        restricted = big.matrix[:n1, :n1]
-        src = np.arange(n1) <= cutoff // 4
-    else:
-        idx = (np.arange(n1)[:, None] * (big.cutoff + 1) + np.arange(n1)).reshape(-1)
-        restricted = big.matrix[np.ix_(idx, idx)]
-        src = total_photon_numbers(cutoff) <= cutoff // 4
-    diff = small.matrix - restricted
-    return float(np.linalg.norm(diff[:, src], axis=0).max())
-
+    ref = displaced_identity_doubleket(cutoff, matched_lambda(s), x + 1j * y)
+    return float(abs(np.vdot(ref.amplitudes, out.amplitudes)) ** 2)

@@ -1,5 +1,6 @@
-"""Helpers shared by the test files: the memory a call traces, and the
-two-mode references of the Fock oracles.
+"""Helpers shared by the test files: the memory a call traces, the
+truncation defect of a Fock operator, and the two-mode references of the
+Fock oracles.
 
 The references are sums of Kronecker terms. A list of terms (w, A, B) stands
 for the sum of w kron(A, B): its entry between |a, b> and |c, d> is the sum
@@ -36,6 +37,25 @@ def refused_peak(call, match: str) -> int:
 def every_state(n: int) -> np.ndarray:
     """Indices of all (N+1)^2 two-mode basis states."""
     return np.arange((n + 1) ** 2)
+
+
+def truncation_defect(images, cutoff: int, modes: int) -> float:
+    """The truncation error of an operator at ``cutoff``: the worst norm of
+    the difference between its images of the source states, those of (total)
+    photon number <= N/4, at N and at N + 8, the latter restricted to the
+    first N+1 levels of each mode. ``images(n, columns)`` returns the images
+    of the basis states ``columns`` at cutoff n, as columns; only they are
+    built."""
+    n1, big = cutoff + 1, cutoff + 9
+    levels = np.arange(n1)
+    if modes == 1:
+        src = levels[: cutoff // 4 + 1]
+        small, large = images(cutoff, src), images(cutoff + 8, src)[:n1]
+    else:
+        a, b = np.divmod(np.flatnonzero(fock.block_mask(cutoff, cutoff // 4)), n1)
+        small = images(cutoff, a * n1 + b)
+        large = images(cutoff + 8, a * big + b)[(levels[:, None] * big + levels).reshape(-1)]
+    return float(np.linalg.norm(small - large, axis=0).max())
 
 
 def kron_apply(a: np.ndarray, b: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import compose, every_state, refused_peak, su11_terms, term_block, traced_peak
+from support import (
+    compose, every_state, refused_peak, su11_terms, term_block, traced_peak, truncation_defect,
+)
 
 from bellgate import cli, fock, gaussian
 
@@ -300,10 +302,16 @@ class TestOpa:
 
     def test_truncation_defect_decreases_with_cutoff(self):
         alpha = -0.5493061443340549
-        defects = [
-            fock.cutoff_convergence_defect(lambda n: fock.opa(n, alpha), n)
-            for n in (20, 30, 40)
-        ]
+
+        def images(n, columns):
+            # the sector blocks on the source columns, never the dense OPA
+            vectors = np.zeros(((n + 1) ** 2, len(columns)), dtype=complex)
+            vectors[columns, np.arange(len(columns))] = 1.0
+            return fock._apply_sectors(
+                vectors, fock._sector_table(n, "difference", -alpha / 2).blocks
+            )
+
+        defects = [truncation_defect(images, n, 2) for n in (20, 30, 40)]
         assert defects[0] > defects[1] > defects[2]
 
 
@@ -680,8 +688,12 @@ class TestEntbs:
         assert fock.entbs_fidelity(40, 0.0, 0.0, 0.5) >= 0.999
 
     def test_scan_peaks_at_matched_lambda(self):
+        # at z = 0 only; at z = 1 - 0.5i, s = 0.5 the one-sided reference
+        # peaks at 0.8605 near lambda = 0.65, not at the matched 0.6
         lams = np.arange(0.40, 0.81, 0.05)
-        fids = fock.entbs_fidelity_scan(40, 0.0, 0.0, 0.5, lams)
+        out = fock.entbs_output(40, 0.0, 0.0, 0.5).amplitudes
+        fids = [abs(np.vdot(fock.displaced_identity_doubleket(40, lam, 0.0).amplitudes, out)) ** 2
+                for lam in lams]
         assert lams[np.argmax(fids)] == pytest.approx(fock.matched_lambda(0.5), abs=0.051)
 
     def test_output_normalized(self):
@@ -791,9 +803,8 @@ class TestSectorMemo:
         [
             lambda: fock.entbs_output(465, 0.0, 0.0, 0.5),
             lambda: fock.entbs_fidelity(465, 0.0, 0.0, 0.5),
-            lambda: fock.entbs_fidelity_scan(465, 0.0, 0.0, 0.5, [0.6]),
         ],
-        ids=["entbs_output", "entbs_fidelity", "entbs_fidelity_scan"],
+        ids=["entbs_output", "entbs_fidelity"],
     )
     def test_oversized_splitter_refused_before_the_states(self, build):
         # the N=465 splitter blocks hold 67463286 complex entries; the
@@ -836,9 +847,10 @@ class TestTruncationDiagnostics:
         ],
     )
     def test_single_mode_convergence(self, build):
-        d_small = fock.cutoff_convergence_defect(build, 20)
-        d_large = fock.cutoff_convergence_defect(build, 32)
-        assert d_large < d_small
+        def images(n, columns):
+            return build(n).matrix[:, columns]
+
+        assert truncation_defect(images, 32, 1) < truncation_defect(images, 20, 1)
 
     def test_block_distance_rejects_zero_pivot(self):
         with pytest.raises(ValueError, match="vanishes"):
@@ -896,10 +908,7 @@ CUTOFF_BUILDERS = {
     "sum_gate_block_checks": lambda n: fock.sum_gate_block_checks(n, 1),
     "entbs_output": lambda n: fock.entbs_output(n, 0.1, 0.1, 0.5),
     "entbs_fidelity": lambda n: fock.entbs_fidelity(n, 0.1, 0.1, 0.5),
-    "entbs_fidelity_scan": lambda n: fock.entbs_fidelity_scan(n, 0.1, 0.1, 0.5, [0.6]),
     "lambda_fits": lambda n: fock.lambda_fits(n, 0.5),
-    # refused before its builder is called at all
-    "cutoff_convergence_defect": lambda n: fock.cutoff_convergence_defect(pytest.fail, n),
     "_sector_table": lambda n: fock._sector_table(n, "total", 0.3),
 }
 
@@ -908,12 +917,26 @@ class TestLibraryBoundary:
     @pytest.mark.parametrize(
         "builder, name",
         [("displacement", "alpha"), ("squeezer", "r"), ("mode_mixer", "theta"), ("opa", "alpha_param"),
-         ("phase_shift", "theta"), ("quadrature", "phi")],
+         ("phase_shift", "theta"), ("quadrature", "phi"),
+         ("displaced_identity_doubleket", "z"), ("heterodyne_eigen_residual", "z")],
     )
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_rejected(self, builder, name, value):
+        # the two double-ket functions take lambda before z
+        lam = (0.5,) if name == "z" else ()
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            getattr(fock, builder)(8, value)
+            getattr(fock, builder)(8, *lam, value)
+
+    @pytest.mark.parametrize("block_photons", [2.5, True, -1])
+    @pytest.mark.parametrize("check", [fock.require_block_checks_fit, fock.sum_gate_block_checks])
+    def test_bad_block_photons_rejected(self, check, block_photons):
+        with pytest.raises(
+            ValueError, match=f"^block_photons must be an integer >= 0, got {block_photons}$"
+        ):
+            check(12, block_photons)
+
+    def test_numpy_and_zero_block_photons_accepted(self):
+        assert fock.require_block_checks_fit(12, np.int64(0)) == 6
 
     @pytest.mark.parametrize("cutoff", [-1000, -1, 0, 2.5, True])
     @pytest.mark.parametrize("build", sorted(CUTOFF_BUILDERS))

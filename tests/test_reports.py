@@ -63,3 +63,61 @@ def test_key_order():
     assert [list(check) for check in payload["checks"]] == [
         ["name", "error", "tolerance", "passed"]
     ] * 2
+
+
+def test_infinite_error_round_trips():
+    # a check that finds no bound reports an infinite error
+    report = VerificationReport(
+        suite="qudit", params={}, checks=[CheckResult("x", float("inf"), 1e-11, False)]
+    )
+    assert VerificationReport.from_json(report.to_json()) == report
+
+
+_DROP = object()
+
+
+def _edit(path, value=_DROP):
+    """A payload edit that sets the field at ``path`` (keys and list indices)
+    to ``value``, or drops it."""
+    def edit(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        if value is _DROP:
+            del payload[last]
+        else:
+            payload[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit(("checks", 0, "passed"), "no"), "check 0 field 'passed' has the wrong type: 'no'"),
+        (_edit(("checks", 1, "error"), "zz"), "check 1 field 'error' has the wrong type: 'zz'"),
+        (_edit(("checks", 0, "tolerance"), True),
+         "check 0 field 'tolerance' has the wrong type: True"),
+        (_edit(("checks", 0, "name"), 7), "check 0 field 'name' has the wrong type: 7"),
+        (_edit(("checks", 0, "unit"), "s"), "check 0 has unknown field\\(s\\) 'unit'"),
+        (_edit(("checks", 1, "tolerance")), "check 1 field 'tolerance' is missing"),
+        (_edit(("checks", 0), ["x", 0.0, 1.0, True]), "check 0 must be an object"),
+        (_edit(("suite",)), "report field 'suite' is missing"),
+        (_edit(("checks",)), "report field 'checks' is missing"),
+        (_edit(("params",), []), "report field 'params' has the wrong type: \\[\\]"),
+        (_edit(("warnings", 0), 3), "report field 'warnings' must hold strings only"),
+        (_edit(("duration_s",), "1.5"), "report field 'duration_s' has the wrong type: '1.5'"),
+        (_edit(("extra",), 1), "report has unknown field\\(s\\) 'extra'"),
+        (_edit(("passed",), False), "report field 'passed' is False, not True"),
+        (_edit(("checks", 0, "passed"), False), "report field 'passed' is True, not False"),
+    ],
+)
+def test_untrusted_payload_refused(edit, message):
+    payload = json.loads(_sample_report().to_json())
+    edit(payload)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        VerificationReport.from_dict(payload)
+
+
+def test_non_object_payload_refused():
+    with pytest.raises(ValueError, match="a report must be an object"):
+        VerificationReport.from_json("[]")
