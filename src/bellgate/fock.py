@@ -7,14 +7,17 @@ the double-ket layout. The quadrature convention is X_phi =
 and the vacuum variance is 1/4.
 
 Every Gaussian unitary is the exponential of its generator truncated to the
-cutoff. Each truncated generator is block-diagonal in a conserved photon-number
-quantity, and inside a block it is a tridiagonal chain with zero diagonal: the
-displacement is one chain over n, the squeezer two (even and odd n), the beam
-splitter and mode mixer one per sector of total photon number, and the optical
-parametric amplifier one per sector of photon-number difference.
-A chain links only sites of opposite parity, so ``_chain_expm`` reads exp(G)
-off one SVD of its even-to-odd block X: cos and sin of the singular values
-give the four parity blocks, and a zero chain gives exactly the identity.
+cutoff. The displacement's truncated generator r e^{i theta} a^dag - h.c. is
+-2i r X_{pi/2} rotated by diag(e^{i theta n}), so every displacement at a
+cutoff is read off one eigenbasis of X_{pi/2}, the same one the direct SUM
+gate uses. Every other truncated generator is block-diagonal in a conserved
+photon-number quantity, and inside a block it is a tridiagonal chain with
+zero diagonal: the squeezer has two (even and odd n), the beam splitter and
+mode mixer one per sector of total photon number, and the optical parametric
+amplifier one per sector of photon-number difference. A chain links only
+sites of opposite parity, so ``_chain_expm`` reads exp(G) off one SVD of its
+even-to-odd block X: cos and sin of the singular values give the four parity
+blocks, and a zero chain gives exactly the identity.
 
 The truncated generator is exactly anti-Hermitian, so every factor and every
 sector block is unitary to rounding at any cutoff: the max entry of
@@ -33,9 +36,11 @@ double-ket refuses lambda so large that the tail exceeds 1e-4. The two
 displaced states take that tail from one helper, ``_padded_state``: it builds
 the state at cutoff N and at N + ``_TAIL_PAD``, sums the padded build's mass
 outside the first N+1 levels of each mode, normalizes the cutoff-N build and
-keeps the tail warning of the identity double-ket it is built from. The
-beam splitter acts on two-mode states sector by sector, so no state path
-builds a dense two-mode matrix.
+keeps the tail warning of the identity double-ket it is built from. A
+quadrature state applies its displacement as two products of a vector with
+the displacement's eigenbasis, and the double-ket, whose amplitude matrix is
+diagonal, as a column scaling of D. The beam splitter acts on two-mode
+states sector by sector, so no state path builds a dense two-mode matrix.
 
 Both SUM-gate routes return the full-height images of the basis columns a
 caller reads (``FockColumns``). The chain (``sum_gate_circuit``) applies its
@@ -51,26 +56,31 @@ The sector blocks of each two-mode factor form one table per cutoff,
 conserved quantity and generator scale. It is built once, kept read-only in
 a module-level memo and shared by every later call: the 50-50 splitter of
 ``entbs_output``, ``mode_mixer`` and the chain, the chain's mode mixer, and
-the OPA of ``opa`` and the chain. The memo holds at most
-``DENSE_BYTES_LIMIT`` bytes of tables; a new table first drops the least
-recently used ones. Each table holds (N+1)(2N^2+4N+3)/3 complex entries, so
-from cutoff 465 on (1079412576 bytes) a table alone is refused before
-anything is built, and with it ``entbs_output`` and the fidelities built on
-it.
+the OPA of ``opa`` and the chain. The same memo keeps the eigenbases of X_0
+and X_{pi/2} per cutoff, which ``sum_gate`` reads, and the displacements
+with it. The memo holds at most ``DENSE_BYTES_LIMIT`` bytes of entries; a
+new entry first drops the least recently used ones. Each table holds
+(N+1)(2N^2+4N+3)/3 complex entries, so from cutoff 465 on (1079412576
+bytes) a table alone is refused before anything is built, and with it
+``entbs_output`` and the fidelities built on it. An eigenbasis holds
+(N+1)^2 complex entries and N+1 eigenvalues.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
-``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix, the
-SUM-gate column images and a sector table, and also the qudit layer's gate
-set, its dense V and the ``qudit synth`` export. The column routes count
-three image-sized arrays per column, their peak; ``_chain_bytes`` adds the
-chain's three sector tables, held at once, so ``sum_gate_circuit`` on one
-column is refused from cutoff 322 on (1083357504 bytes). With that formula
-``require_block_checks_fit`` refuses a cutoff list up front; ``cv verify``
-refuses from cutoff 113 on (1078565856 bytes).
+``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix, a
+displacement's eigenbasis, the SUM-gate column images (whose count covers
+the direct gate's two eigenbases) and a sector table, and also the qudit
+layer's gate set, its dense V and the ``qudit synth`` export. The column
+routes count three image-sized arrays per column, their peak;
+``_chain_bytes`` adds the chain's three sector tables, held at once, so
+``sum_gate_circuit`` on one column is refused from cutoff 322 on
+(1083357504 bytes). With that formula ``require_block_checks_fit`` refuses a
+cutoff list up front; ``cv verify`` refuses from cutoff 113 on (1078565856
+bytes). A displacement's eigenbasis is refused from cutoff 8192 on
+(1074003984 bytes).
 
 Every public constructor refuses a cutoff that is not an integer >= 1
-(``is_integer``: a Python or numpy integer, not a bool), and the sector
-memo refuses one before it is touched. Stored arrays are read-only: the
+(``is_integer``: a Python or numpy integer, not a bool), and the memo
+refuses one before it is touched. Stored arrays are read-only: the
 dataclasses are frozen, and so are their matrices and amplitudes.
 """
 
@@ -218,7 +228,8 @@ def _chain_expm(sub: np.ndarray) -> np.ndarray:
     j = np.arange(sub[1::2].size)
     x[j + 1, j] = sub[1::2]
     u, s, vh = np.linalg.svd(x)
-    cos = np.cos(np.pad(s, (0, u.shape[0] - s.size)))
+    cos = np.ones(u.shape[0])
+    cos[: s.size] = np.cos(s)
     out = np.empty((n, n), dtype=complex)
     out[0::2, 0::2] = (u * cos) @ u.conj().T
     out[0::2, 1::2] = (u[:, : s.size] * np.sin(s)) @ vh
@@ -290,44 +301,65 @@ def _truncation_warning(label: str, tail: float, where: str) -> tuple[str, ...]:
     return ()
 
 
-def displacement(cutoff: int, alpha: complex) -> FockOperator:
-    """exp(alpha a^dag - conj(alpha) a) at the given cutoff.
+def _displacement_basis(cutoff: int, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(W, phases) with D(alpha) = W diag(phases) W^dag, for alpha = r e^{i theta}.
 
-    The truncated generator is one chain with subdiagonal alpha sqrt(n),
-    exponentiated by ``_chain_expm``.
+    The truncated generator r e^{i theta} a^dag - r e^{-i theta} a is
+    R r(a^dag - a) R^dag with R = diag(e^{i theta n}), and r(a^dag - a) =
+    -2i r X_{pi/2}. So W = R U and phases = e^{-2i r p}, read off the
+    memoized eigenbasis (p, U) of X_{pi/2}, which does not depend on alpha.
+    Refuses an (N+1)^2 basis above DENSE_BYTES_LIMIT before the memo is
+    touched.
     """
+    _require_fits(cutoff, (cutoff + 1) ** 2)
+    basis = _quadrature_basis(cutoff, np.pi / 2)
+    w = _phases(cutoff, -np.angle(alpha))[:, None] * basis.vectors
+    return w, np.exp(-2j * abs(alpha) * basis.values)
+
+
+def displacement(cutoff: int, alpha: complex) -> FockOperator:
+    """exp(alpha a^dag - conj(alpha) a) at the given cutoff, from the
+    eigenbasis of ``_displacement_basis``; alpha = 0 gives exactly the identity."""
     _require_cutoff(cutoff)
     _require_finite("alpha", alpha)
-    sub = alpha * np.sqrt(np.arange(1, cutoff + 1))
-    return FockOperator(cutoff, 1, _chain_expm(sub))
+    if alpha == 0:
+        return FockOperator(cutoff, 1, np.eye(cutoff + 1, dtype=complex))
+    w, phases = _displacement_basis(cutoff, alpha)
+    return FockOperator(cutoff, 1, (w * phases) @ w.conj().T)
+
+
+def _squeezer_chain(cutoff: int, r: float, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The levels n = first, first + 2, ... <= N and the squeezer's block on
+    them: the ``_chain_expm`` of subdiagonal log(r) sqrt((n+1)(n+2)) / 2."""
+    ns = np.arange(first, cutoff + 1, 2)
+    sub = 0.5 * np.log(r) * np.sqrt((ns[:-1] + 1) * (ns[:-1] + 2))
+    return ns, _chain_expm(sub)
 
 
 def squeezer(cutoff: int, r: float) -> FockOperator:
     """exp(log(r)(a^dag^2 - a^2)/2); maps x -> r x, p -> p / r in the Heisenberg picture.
 
     The truncated generator couples n to n + 2 only, so it is two chains, over
-    even and over odd n, each with subdiagonal log(r) sqrt((n+1)(n+2)) / 2 and
-    exponentiated by ``_chain_expm``.
+    even and over odd n (``_squeezer_chain``).
     """
     _require_cutoff(cutoff)
     _require_finite("r", r)
     if r <= 0:
         raise ValueError("squeezing parameter must be positive")
-    chains = []
-    for first in (0, 1):
-        ns = np.arange(first, cutoff + 1, 2)
-        sub = 0.5 * np.log(r) * np.sqrt((ns[:-1] + 1) * (ns[:-1] + 2))
-        chains.append((ns, _chain_expm(sub)))
+    chains = [_squeezer_chain(cutoff, r, first) for first in (0, 1)]
     return FockOperator(cutoff, 1, _assemble(cutoff, 1, chains))
+
+
+def _phases(cutoff: int, theta: float) -> np.ndarray:
+    """The diagonal exp(-i theta n) of ``phase_shift``."""
+    return np.exp(-1j * theta * np.arange(cutoff + 1))
 
 
 def phase_shift(cutoff: int, theta: float) -> FockOperator:
     """Diagonal phase rotation exp(-i theta n)."""
     _require_cutoff(cutoff)
     _require_finite("theta", theta)
-    return FockOperator(
-        cutoff, 1, np.diag(np.exp(-1j * theta * np.arange(cutoff + 1)))
-    )
+    return FockOperator(cutoff, 1, np.diag(_phases(cutoff, theta)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,11 +371,58 @@ class _SectorTable:
     nbytes: int
 
 
-# Sector tables by (cutoff, conserved, scale), least recently used first; the
-# tables held here never exceed DENSE_BYTES_LIMIT bytes in all. The lock makes
-# each lookup, eviction and insertion one step for callers on several threads.
-_SECTOR_TABLES: dict[tuple[int, str, float], _SectorTable] = {}
+@dataclass(frozen=True, eq=False)
+class _Eigenbasis:
+    """``np.linalg.eigh`` of one quadrature at one cutoff: the eigenvalues and
+    the eigenvectors as columns, both read-only."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    nbytes: int
+
+
+# Sector tables by (cutoff, conserved, scale) and quadrature eigenbases by
+# (cutoff, "quadrature", phi), least recently used first; the entries held
+# here never exceed DENSE_BYTES_LIMIT bytes in all. The lock makes each
+# lookup, eviction and insertion one step for callers on several threads.
+_SECTOR_TABLES: dict[tuple[int, str, float], _SectorTable | _Eigenbasis] = {}
 _SECTOR_TABLES_LOCK = threading.Lock()
+
+
+def _memoized(key: tuple[int, str, float], nbytes: int, build: Callable[[], object]):
+    """The memo's entry for ``key``, built by ``build()`` on the first request.
+
+    ``nbytes`` is the entry's size; the caller has refused one above
+    DENSE_BYTES_LIMIT. To make room for a new entry, the least recently used
+    ones are dropped.
+    """
+    with _SECTOR_TABLES_LOCK:
+        entry = _SECTOR_TABLES.pop(key, None)
+        if entry is None:
+            while _SECTOR_TABLES and (
+                sum(e.nbytes for e in _SECTOR_TABLES.values()) + nbytes > DENSE_BYTES_LIMIT
+            ):
+                del _SECTOR_TABLES[next(iter(_SECTOR_TABLES))]
+            entry = build()
+        _SECTOR_TABLES[key] = entry
+        return entry
+
+
+def _quadrature_basis(cutoff: int, phi: float) -> _Eigenbasis:
+    """The eigenbasis of ``quadrature(cutoff, phi)``, built once per cutoff
+    and angle. Its (N+1)^2 + (N+1) entries are guarded by its callers: the
+    displacement's own guard, and the SUM gate's three image-sized arrays
+    per column."""
+
+    def build() -> _Eigenbasis:
+        values, vectors = np.linalg.eigh(quadrature(cutoff, phi).matrix)
+        for array in (values, vectors):
+            array.setflags(write=False)
+        return _Eigenbasis(values, vectors, values.nbytes + vectors.nbytes)
+
+    _require_cutoff(cutoff)
+    n1 = cutoff + 1
+    return _memoized((cutoff, "quadrature", float(phi)), 16 * n1 * n1 + 8 * n1, build)
 
 
 def _build_sector_table(cutoff: int, conserved: str, scale: float) -> _SectorTable:
@@ -381,19 +460,11 @@ def _sector_table(cutoff: int, conserved: str, scale: float) -> _SectorTable:
     make room for a new one, the least recently used tables are dropped.
     """
     _require_cutoff(cutoff)
-    key = (cutoff, conserved, float(scale))
-    with _SECTOR_TABLES_LOCK:
-        table = _SECTOR_TABLES.pop(key, None)
-        if table is None:
-            _require_sectors_fit(cutoff)
-            nbytes = _sector_table_bytes(cutoff)
-            while _SECTOR_TABLES and (
-                sum(t.nbytes for t in _SECTOR_TABLES.values()) + nbytes > DENSE_BYTES_LIMIT
-            ):
-                del _SECTOR_TABLES[next(iter(_SECTOR_TABLES))]
-            table = _build_sector_table(cutoff, conserved, scale)
-        _SECTOR_TABLES[key] = table
-        return table
+    _require_sectors_fit(cutoff)
+    return _memoized(
+        (cutoff, conserved, float(scale)), _sector_table_bytes(cutoff),
+        lambda: _build_sector_table(cutoff, conserved, scale),
+    )
 
 
 def _apply_sectors(vectors: np.ndarray, blocks) -> np.ndarray:
@@ -519,8 +590,9 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     _require_finite("z", z)
 
     def build(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
+        # the double-ket's amplitude matrix is diagonal, so D acts by scaling its columns
         base = identity_doubleket(n, lam)
-        return displacement(n, z).matrix @ base.amplitudes.reshape(n + 1, n + 1), base.warnings
+        return displacement(n, z).matrix * base.amplitudes[:: n + 2], base.warnings
 
     return _padded_state(
         cutoff, build,
@@ -537,11 +609,14 @@ def heterodyne_eigen_residual(cutoff: int, lam: float, z: complex) -> float:
     value is independent of z because the displacement commutes through.
     """
     state = displaced_identity_doubleket(cutoff, lam, z)
-    a = _ladder(cutoff)
     m = state.amplitudes.reshape(cutoff + 1, cutoff + 1)
-    # (a kron I) v = vec(a m); (I kron b^dag) v = vec(m b)
-    resid = a @ m - m @ a - z * m
-    return float(np.linalg.norm(resid))
+    # (a kron I) v = vec(a m) and (I kron b^dag) v = vec(m a) for the ladder a:
+    # a m moves row n+1 of m to row n, m a moves column n to n+1, each times sqrt(n+1)
+    root = np.sqrt(np.arange(1, cutoff + 1))
+    am, ma = np.zeros_like(m), np.zeros_like(m)
+    am[:-1] = root[:, None] * m[1:]
+    ma[:, 1:] = m[:, :-1] * root
+    return float(np.linalg.norm(am - ma - z * m))
 
 
 def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> RegularizedState:
@@ -557,10 +632,14 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
         raise ValueError("sharpness s must lie in (0, 1]")
 
     def build(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
-        vac = np.zeros(n + 1, dtype=complex)
-        vac[0] = 1.0
-        sq, d_op = squeezer(n, s), displacement(n, x)
-        return phase_shift(n, -phi).matrix @ (d_op.matrix @ (sq.matrix @ vac)), ()
+        # S(s)|0> is column 0 of the squeezer's even chain
+        evens, chain = _squeezer_chain(n, s, 0)
+        amps = np.zeros(n + 1, dtype=complex)
+        amps[evens] = chain[:, 0]
+        if x != 0:  # D(0) is exactly the identity, as in ``displacement``
+            w, phases = _displacement_basis(n, x)
+            amps = w @ (phases * (w.conj().T @ amps))
+        return _phases(n, -phi) * amps, ()
 
     return _padded_state(
         cutoff, build, {"x": x, "phi": phi, "s": s},
@@ -596,12 +675,14 @@ def sum_gate(cutoff: int, columns) -> FockColumns:
     with W = kron(up, ux). This is exact and avoids a dense two-mode Pade
     exponential. The image of |c, d> is W applied to its coefficients
     conj(up[c, :]) conj(ux[d, :]) times the phases, and W acts as up M ux^T
-    on each column's amplitude matrix M, so no two-mode matrix is built.
+    on each column's amplitude matrix M, so no two-mode matrix is built. Both
+    eigenbases come from the memo (``_quadrature_basis``).
     """
     n1 = cutoff + 1
     cols = _basis_indices(cutoff, columns, _columns_bytes)
-    dp, up = np.linalg.eigh(quadrature(cutoff, np.pi / 2).matrix)
-    dx, ux = np.linalg.eigh(quadrature(cutoff, 0.0).matrix)
+    p_basis, x_basis = _quadrature_basis(cutoff, np.pi / 2), _quadrature_basis(cutoff, 0.0)
+    dp, up = p_basis.values, p_basis.vectors
+    dx, ux = x_basis.values, x_basis.vectors
     # W^dag |c, d> as an (N+1) x (N+1) x columns array, phased in place
     coeffs = up[cols // n1].conj().T[:, None, :] * ux[cols % n1].conj().T[None, :, :]
     coeffs *= np.exp(-2j * np.outer(dp, dx))[:, :, None]

@@ -66,8 +66,9 @@ class QuditGateSet:
 
 
 def _roots(d: int, k) -> np.ndarray:
-    """w^k = exp(2 pi i (k mod d) / d) for integer exponents k."""
-    return np.exp(1j * (2 * np.pi * (np.asarray(k) % d) / d))
+    """w^k = exp(2 pi i (k mod d) / d) for integer exponents k, gathered
+    from the d values the reduced exponent takes."""
+    return np.exp(1j * (2 * np.pi * np.arange(d) / d))[np.asarray(k) % d]
 
 
 def _phase_table(d: int) -> np.ndarray:
@@ -166,7 +167,7 @@ def orthonormality_max_error(gs: QuditGateSet) -> float:
     """
     d = gs.d
     rows = _bell_supports(d).reshape(-1)
-    if np.unique(rows).size != rows.size:
+    if np.bincount(rows, minlength=d * d).max() != 1:
         return float("inf")
     b = _phase_table(d)
     return float(d * np.abs(b.conj().T @ b - np.eye(d)).max())

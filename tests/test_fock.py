@@ -1,6 +1,9 @@
 """Tests for the truncated Fock-space operators and regularized states."""
 
 import functools
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 
@@ -190,8 +193,9 @@ class TestDisplacement:
     def test_unitary_to_rounding(self):
         assert fock.unitarity_defect(fock.displacement(30, 1 + 1j)) <= 1e-12
 
-    @pytest.mark.parametrize("cutoff", CHAIN_CUTOFFS)
-    @pytest.mark.parametrize("alpha", [0.8, 0.6j, 1 - 0.5j])
+    # 60 and 72 are the cutoffs of the N=60 states and of their padded builds
+    @pytest.mark.parametrize("cutoff", CHAIN_CUTOFFS + [60, 72])
+    @pytest.mark.parametrize("alpha", [0.8, 0.6j, 1 - 0.5j, 1.7, 1.2j])
     def test_chain_route_matches_dense_expm(self, cutoff, alpha):
         a = fock._ladder(cutoff)
         gen = alpha * a.conj().T - np.conj(alpha) * a
@@ -615,6 +619,13 @@ class TestDenseGuard:
             fock.sum_gate_circuit(90, every_state(90))
         assert fock.sum_gate_circuit(90, columns=[0]).matrix.shape == (91 ** 2, 1)
 
+    def test_displacement_basis_refused_before_the_memo(self, empty_memo):
+        # 8193^2 complex entries; the largest basis that fits is at cutoff 8191
+        needs = "cutoff 8192 needs 1074003984 bytes"
+        assert refused_peak(lambda: fock.displacement(8192, 1.0), needs) < 2**20
+        assert not empty_memo
+        fock._require_fits(8191, 8192**2)
+
     def test_opa_sector_blocks_refused_before_allocating(self):
         # sum_d (1001 - |d|)^2 = 668669001 complex entries in each of the
         # OPA's, the mixer's and the splitter's sector blocks at cutoff 1000,
@@ -719,21 +730,56 @@ class TestEntbs:
 @pytest.mark.usefixtures("empty_memo")
 class TestSectorMemo:
     @pytest.mark.parametrize(
-        "build, attr",
+        "build",
         [
-            (lambda: fock.entbs_output(60, 1, -0.5, 0.5), "amplitudes"),
-            (lambda: fock.sum_gate_circuit(20, np.flatnonzero(fock.block_mask(20, 10))), "matrix"),
-            (lambda: fock.mode_mixer(12, np.pi / 4), "matrix"),
-            (lambda: fock.opa(10, 0.7), "matrix"),
+            lambda: fock.entbs_output(60, 1, -0.5, 0.5).amplitudes,
+            lambda: fock.sum_gate_circuit(20, np.flatnonzero(fock.block_mask(20, 10))).matrix,
+            lambda: fock.mode_mixer(12, np.pi / 4).matrix,
+            lambda: fock.opa(10, 0.7).matrix,
+            lambda: fock.displaced_identity_doubleket(60, 0.5, 1 - 0.5j).amplitudes,
+            lambda: fock.quad_eigenstate_approx(60, 0.7, np.pi / 2, 0.4).amplitudes,
+            lambda: np.array(fock.heterodyne_eigen_residual(60, 0.9, 0.4 + 0.3j)),
         ],
-        ids=["entbs_output", "sum_gate_circuit", "mode_mixer", "opa"],
+        ids=["entbs_output", "sum_gate_circuit", "mode_mixer", "opa",
+             "displaced_identity_doubleket", "quad_eigenstate_approx",
+             "heterodyne_eigen_residual"],
     )
-    def test_warm_call_equals_cold_call(self, build, attr):
+    def test_warm_call_equals_cold_call(self, build):
         cold = build()
         built = dict(fock._SECTOR_TABLES)
         warm = build()
         assert built and all(fock._SECTOR_TABLES[key] is table for key, table in built.items())
-        assert np.array_equal(getattr(cold, attr), getattr(warm, attr))
+        assert np.array_equal(cold, warm)
+
+    def test_memoized_quadrature_bases_are_read_only(self):
+        fock.displacement(8, 0.5)
+        fock.sum_gate(8, [0])
+        assert sorted(fock._SECTOR_TABLES) == [(8, "quadrature", 0.0), (8, "quadrature", np.pi / 2)]
+        for basis in fock._SECTOR_TABLES.values():
+            assert basis.nbytes == basis.values.nbytes + basis.vectors.nbytes
+            with pytest.raises(ValueError):
+                basis.values[0] = 7
+            with pytest.raises(ValueError):
+                basis.vectors[0, 0] = 7
+
+    def test_sum_gate_equals_its_inline_eigh_route(self):
+        # the bases the memo holds are the eigh output the gate once computed inline
+        n, n1 = 20, 21
+        cols = np.flatnonzero(fock.block_mask(n, 10))
+        dp, up = np.linalg.eigh(fock.quadrature(n, np.pi / 2).matrix)
+        dx, ux = np.linalg.eigh(fock.quadrature(n, 0.0).matrix)
+        coeffs = up[cols // n1].conj().T[:, None, :] * ux[cols % n1].conj().T[None, :, :]
+        coeffs *= np.exp(-2j * np.outer(dp, dx))[:, :, None]
+        inline = fock._apply_kron(up, ux, coeffs.reshape(n1 * n1, -1))
+        fock.displacement(n, 0.3)  # the displacement's basis first
+        for _ in ("cold", "warm"):
+            assert np.array_equal(fock.sum_gate(n, cols).matrix, inline)
+
+    def test_import_builds_nothing(self):
+        code = "import bellgate.cli; from bellgate import fock; assert not fock._SECTOR_TABLES"
+        paths = [str(pathlib.Path(fock.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_cached_indices_and_blocks_are_read_only(self):
         fock.mode_mixer(6, 0.3)
@@ -772,6 +818,7 @@ class TestSectorMemo:
                 for i in range(40):
                     n = 4 + (seed + i) % 9
                     fock._sector_table(n, "total", 0.1 * (i % 3))
+                    fock._quadrature_basis(n, np.pi / 2 * (i % 2))
                     held.append(sum(t.nbytes for t in list(fock._SECTOR_TABLES.values())))
             except Exception as exc:  # noqa: BLE001 - reported by the assertion below
                 errors.append(exc)
