@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fock, gaussian, qudit
-from .reports import CheckResult, VerificationReport
+from .reports import CheckResult, VerificationReport, require_fields
 
 # Default per-check tolerances (overridden globally by --tol).
 TOL_BELL_MAP = 1e-11
@@ -276,16 +276,21 @@ def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationR
 # ---------------------------------------------------------------------------
 
 # Peak bytes that ``qudit synth`` allocates per exported entry (one complex
-# number of Z, W, F, V or a Bell vector), from tracemalloc at d = 3..16: the
-# JSON export, which holds the whole payload and its text, peaks at 405 to 460
-# bytes per entry, the CSV export, which writes row by row, at less.
-SYNTH_BYTES_PER_ENTRY = 460
+# number of Z, W or F, or one entry of v_perm), from tracemalloc at d = 64 to
+# 1024: the JSON export, which holds the payload and streams its text, peaks
+# at 120 to 125 bytes per entry, the CSV export, which writes row by row, at
+# 24 to 37.
+SYNTH_BYTES_PER_ENTRY = 128
+SYNTH_SCHEMA = 2
+
+_SYNTH_FIELDS = {"schema": int, "d": numbers.Integral, "matrices": dict, "v_perm": list}
+_SYNTH_MATRICES = {"Z": list, "W": list, "F": list}
 
 
 def _require_synth_fits(d: int) -> None:
-    """Refuse, before building anything, an export whose 3 d^2 + 2 d^4
-    entries would take more than DENSE_BYTES_LIMIT (from d = 33 on)."""
-    entries = 3 * d * d + 2 * d**4
+    """Refuse, before building anything, an export whose 4 d^2 entries would
+    take more than DENSE_BYTES_LIMIT (the README states the first refused d)."""
+    entries = 4 * d * d
     fock.require_memory(
         f"qudit synth at d = {d} ({entries} entries)", SYNTH_BYTES_PER_ENTRY * entries
     )
@@ -296,88 +301,77 @@ def _matrix_payload(m: np.ndarray) -> list:
 
 
 def synth_payload(gs: qudit.QuditGateSet) -> dict:
-    bell = [
-        [[float(v.real), float(v.imag)] for v in qudit.bell_vector(gs, m, n).amplitudes]
-        for m in range(gs.d) for n in range(gs.d)
-    ]
+    """The gate set as the library holds it: Z, W and F as ``[re, im]``
+    pairs, and V as its permutation, V|k> = |v_perm[k]>."""
     return {
-        "schema": 1,
+        "schema": SYNTH_SCHEMA,
         "d": gs.d,
-        "matrices": {
-            "Z": _matrix_payload(gs.Z),
-            "W": _matrix_payload(gs.W),
-            "F": _matrix_payload(gs.F),
-            "V": _matrix_payload(qudit.dense_v(gs)),
-        },
-        "bell_vectors": bell,
+        "matrices": {name: _matrix_payload(getattr(gs, name)) for name in _SYNTH_MATRICES},
+        "v_perm": gs.v_perm.tolist(),
     }
 
 
 def gateset_from_payload(payload: dict) -> qudit.QuditGateSet:
-    """The gate set of a ``qudit synth`` JSON payload. A ``d`` that is not an
-    integer >= 2, a Z, W or F that is not d x d and a V that is not a
-    d^2 x d^2 permutation are refused with a ValueError naming the field."""
-    d = payload["d"]
-    if not fock.is_integer(d) or d < 2:
-        raise ValueError(f"payload d must be an integer >= 2, got {d!r}")
-    mats = payload["matrices"]
+    """The gate set of a ``qudit synth`` JSON payload of schema 2. A payload
+    of another schema, a missing, unknown or mistyped field, a ``d`` below 2,
+    a Z, W or F that is not d x d and a ``v_perm`` that is not a permutation
+    of range(d^2) are refused with a ValueError naming the field. The length
+    of ``v_perm`` is checked before anything of size d^2 is built."""
+    if isinstance(payload, dict) and payload.get("schema", SYNTH_SCHEMA) != SYNTH_SCHEMA:
+        raise ValueError(f"payload field 'schema' is {payload['schema']!r}: only schema"
+                         f" {SYNTH_SCHEMA} is read; `bellgate qudit synth --d <d>` writes it")
+    require_fields(payload, _SYNTH_FIELDS, "payload")
+    d, mats, perm = payload["d"], payload["matrices"], payload["v_perm"]
+    require_fields(mats, _SYNTH_MATRICES, "payload matrices")
+    if d < 2:
+        raise ValueError(f"payload field 'd' must be at least 2, got {d!r}")
+    dim = d * d
+    if len(perm) != dim:
+        raise ValueError(f"payload field 'v_perm' has {len(perm)} entries, not d^2 = {dim}")
 
-    def matrix(name: str, size: int) -> np.ndarray:
-        refusal = ValueError(f"payload {name} is not a {size} x {size} matrix")
+    def matrix(name: str) -> np.ndarray:
+        refusal = ValueError(f"payload {name} is not a {d} x {d} matrix")
         try:
             m = np.array([[complex(re, im) for re, im in row] for row in mats[name]])
         except (TypeError, ValueError) as exc:
             raise refusal from exc
-        if m.shape != (size, size):
+        if m.shape != (d, d):
             raise refusal
         return m
 
-    v = matrix("V", d * d)
-    if (not ((v == 0) | (v == 1)).all()
-            or not (v.sum(axis=0) == 1).all() or not (v.sum(axis=1) == 1).all()):
-        raise ValueError(f"payload V is not a {d * d} x {d * d} permutation matrix")
-    return qudit.QuditGateSet(
-        d=d, Z=matrix("Z", d), W=matrix("W", d), F=matrix("F", d),
-        v_perm=np.argmax(v.real, axis=0),
-    )
+    z, w, f = (matrix(name) for name in _SYNTH_MATRICES)
+    if not all(map(fock.is_integer, perm)) or sorted(perm) != list(range(dim)):
+        raise ValueError(f"payload field 'v_perm' is not a permutation of range({dim})")
+    return qudit.QuditGateSet(d=d, Z=z, W=w, F=f, v_perm=np.array(perm, dtype=np.int64))
 
 
-def _write_csv_matrix(path: Path, m: np.ndarray) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["row", "col", "re", "im"])
-        for i, row in enumerate(m):
-            for j, v in enumerate(row):
-                writer.writerow([i, j, f"{v.real:.17g}", f"{v.imag:.17g}"])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def run_qudit_synth(d: int, fmt: str, out: str | None) -> list[Path]:
+    """Write the gate set of dimension d as one JSON payload (``synth_payload``)
+    or as Z.csv, W.csv and F.csv (``row,col,re,im``) and V.csv (``col,row``,
+    the 1 of each column of V) in one directory."""
     _require_synth_fits(d)
     gs = qudit.make_gateset(d)
-    written: list[Path] = []
     if fmt == "json":
         path = Path(out) if out else Path(f"qudit_d{d}.json")
-        path.write_text(json.dumps(synth_payload(gs), indent=2))
-        written.append(path)
+        with path.open("w") as fh:
+            json.dump(synth_payload(gs), fh, indent=2)
+        written = [path]
     else:
         outdir = Path(out) if out else Path(f"qudit_d{d}_csv")
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, m in (("Z", gs.Z), ("W", gs.W), ("F", gs.F), ("V", qudit.dense_v(gs))):
-            path = outdir / f"{name}.csv"
-            _write_csv_matrix(path, m)
-            written.append(path)
-        bell_path = outdir / "bell_vectors.csv"
-        with bell_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "n", "component", "re", "im"])
-            for m_idx in range(d):
-                for n_idx in range(d):
-                    amps = qudit.bell_vector(gs, m_idx, n_idx).amplitudes
-                    for k, v in enumerate(amps):
-                        writer.writerow(
-                            [m_idx, n_idx, k, f"{v.real:.17g}", f"{v.imag:.17g}"]
-                        )
-        written.append(bell_path)
+        written = [outdir / f"{name}.csv" for name in (*_SYNTH_MATRICES, "V")]
+        for path, name in zip(written, _SYNTH_MATRICES):
+            rows = ((i, j, f"{v.real:.17g}", f"{v.imag:.17g}")
+                    for (i, j), v in np.ndenumerate(getattr(gs, name)))
+            _write_csv(path, ["row", "col", "re", "im"], rows)
+        _write_csv(written[-1], ["col", "row"], enumerate(gs.v_perm.tolist()))
     for p in written:
         _log(f"wrote {p}")
     return written
@@ -448,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     qv.add_argument("--d", default="2..16", metavar="A..B", help="dimension range")
     qv.add_argument("--tol", type=float, default=None, help="override all tolerances")
     qv.add_argument("--out", default=None, help="also write the JSON report here")
-    qs = qsub.add_parser("synth", help="export gate matrices and Bell vectors")
+    qs = qsub.add_parser("synth", help="export Z, W, F and the permutation of V")
     qs.add_argument("--d", type=int, required=True)
     qs.add_argument("--format", choices=("json", "csv"), default="json")
     qs.add_argument("--out", default=None, help="output file (json) or directory (csv)")
@@ -467,10 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit_report(report: VerificationReport, out: str | None) -> int:
     text = report.to_json()
-    print(text)
     if out:
         Path(out).write_text(text)
         _log(f"wrote {out}")
+    print(text)
     _log(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}"
          f" ({len(report.checks)} checks, {report.duration_s:.2f}s)")
     return 0 if report.passed else 1
@@ -487,7 +481,8 @@ def main(argv=None) -> int:
             print(format_params_text())
         return 0
     # each command raises ValueError for input it refuses, a size whose
-    # arrays would not fit in memory included
+    # arrays would not fit in memory included, and OSError, naming the path,
+    # for an --out it cannot write
     try:
         if args.subcommand == "synth":
             written = run_qudit_synth(args.d, args.format, args.out)
@@ -497,9 +492,9 @@ def main(argv=None) -> int:
             report = run_qudit_verify(*_parse_d_range(args.d), args.tol)
         else:
             report = run_cv_verify(_parse_cutoffs(args.cutoffs), args.tol)
-    except ValueError as exc:
+        return _emit_report(report, args.out)
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    return _emit_report(report, args.out)
 
 
 def entry() -> None:

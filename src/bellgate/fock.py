@@ -60,10 +60,10 @@ the OPA of ``opa`` and the chain. The same memo keeps the eigenbases of X_0
 and X_{pi/2} per cutoff, which ``sum_gate`` reads, and the displacements
 with it. The memo holds at most ``DENSE_BYTES_LIMIT`` bytes of entries; a
 new entry first drops the least recently used ones. Each table holds
-(N+1)(2N^2+4N+3)/3 complex entries, so from cutoff 465 on (1079412576
-bytes) a table alone is refused before anything is built, and with it
-``entbs_output`` and the fidelities built on it. An eigenbasis holds
-(N+1)^2 complex entries and N+1 eigenvalues.
+(N+1)(2N^2+4N+3)/3 complex entries; a table that alone exceeds the limit is
+refused before anything is built, and with it ``entbs_output`` and the
+fidelities built on it. An eigenbasis holds (N+1)^2 complex entries and N+1
+eigenvalues.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
 ``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix, a
@@ -71,12 +71,9 @@ displacement's eigenbasis, the SUM-gate column images (whose count covers
 the direct gate's two eigenbases) and a sector table, and also the qudit
 layer's gate set, its dense V and the ``qudit synth`` export. The column
 routes count three image-sized arrays per column, their peak;
-``_chain_bytes`` adds the chain's three sector tables, held at once, so
-``sum_gate_circuit`` on one column is refused from cutoff 322 on
-(1083357504 bytes). With that formula ``require_block_checks_fit`` refuses a
-cutoff list up front; ``cv verify`` refuses from cutoff 113 on (1078565856
-bytes). A displacement's eigenbasis is refused from cutoff 8192 on
-(1074003984 bytes).
+``_chain_bytes`` adds the chain's three sector tables, held at once. With
+that formula ``require_block_checks_fit`` refuses a cutoff list up front.
+The README's guard paragraph states the first size each guard refuses.
 
 Every public constructor refuses a cutoff that is not an integer >= 1
 (``is_integer``: a Python or numpy integer, not a bool), and the memo
@@ -97,8 +94,8 @@ from . import gaussian
 TAIL_WARN_TOL = 1e-8
 TAIL_ERROR_TOL = 1e-4
 _TAIL_PAD = 12
-# most bytes of complex arrays one route may allocate; a dense two-mode
-# operator exceeds it from cutoff 90 on
+# most bytes of complex arrays one route may allocate; the README states the
+# first size each guard refuses
 DENSE_BYTES_LIMIT = 2**30
 
 

@@ -29,8 +29,8 @@ keeps it so:
   index i*d + j; ``dense_v`` builds the d^2 x d^2 matrix only on request,
   and refuses one above ``fock.DENSE_BYTES_LIMIT``;
 * ``make_gateset`` refuses, before it allocates, a dimension whose gate set
-  and checks would exceed that limit (``require_checks_fit``, from d = 3097
-  on);
+  and checks would exceed that limit (``require_checks_fit``; the README
+  states the first d each guard refuses);
 * the d^2 Bell vectors are two d x d tables: vector (m, n) sits on the rows
   i*d + (i+n mod d) and holds w^(i m) / sqrt(d) there, the same values for
   every n.
@@ -107,8 +107,8 @@ def make_gateset(d: int) -> QuditGateSet:
 
 
 def dense_v(gs: QuditGateSet) -> np.ndarray:
-    """V as a dense d^2 x d^2 matrix, refused before allocating when it would
-    exceed ``fock.DENSE_BYTES_LIMIT`` (from d = 91 on)."""
+    """V as a dense d^2 x d^2 matrix, refused before allocating when its
+    16 d^4 bytes would exceed ``fock.DENSE_BYTES_LIMIT``."""
     dim = gs.d ** 2
     require_memory(f"dense V at d = {gs.d}", 16 * dim * dim)
     v = np.zeros((dim, dim), dtype=complex)

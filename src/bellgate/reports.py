@@ -64,9 +64,9 @@ class VerificationReport:
             raise ValueError(f"a report must be an object, got {payload!r}")
         if payload.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema: {payload.get('schema')!r}")
-        _require_fields(payload, _REPORT_FIELDS, "report", ("passed", "warnings", "duration_s"))
+        require_fields(payload, _REPORT_FIELDS, "report", ("passed", "warnings", "duration_s"))
         for i, check in enumerate(payload["checks"]):
-            _require_fields(check, _CHECK_FIELDS, f"check {i}")
+            require_fields(check, _CHECK_FIELDS, f"check {i}")
         if not all(isinstance(text, str) for text in payload.get("warnings", [])):
             raise ValueError("report field 'warnings' must hold strings only")
         report = cls(
@@ -88,7 +88,7 @@ class VerificationReport:
         return cls.from_dict(json.loads(text))
 
 
-def _require_fields(payload, kinds: dict, where: str, optional=()) -> None:
+def require_fields(payload, kinds: dict, where: str, optional=()) -> None:
     """Refuse ``payload`` unless it is an object whose fields are all in
     ``kinds``, each present (or in ``optional``) and of its type there."""
     if not isinstance(payload, dict):

@@ -11,18 +11,10 @@ import numpy as np
 import pytest
 from support import refused_peak, traced_peak
 
-from bellgate import cli, qudit
+from bellgate import cli, fock, qudit
 from bellgate.reports import VerificationReport
 
 REPO = Path(__file__).resolve().parents[1]
-
-CNOT_ROWS = [
-    [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-    [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-    [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
-    [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
-]
-
 
 # NaN, both infinities and a negative value
 BAD_TOLERANCES = ["nan", "inf", "-inf", "-0.5"]
@@ -154,6 +146,36 @@ class TestQuditVerify:
         assert VerificationReport.from_json(out).passed
 
 
+def bad_payloads() -> dict:
+    """Payloads that ``gateset_from_payload`` refuses as a whole, each with
+    the start of its refusal."""
+    payload = cli.synth_payload(qudit.make_gateset(3))
+
+    def without(key):
+        return {k: v for k, v in payload.items() if k != key}
+
+    # the schema-1 layout: a dense V among the matrices, and the Bell vectors
+    schema_1 = {"schema": 1, "d": 3, "matrices": {**payload["matrices"], "V": []},
+                "bell_vectors": []}
+    return {
+        "schema_1": (schema_1, "payload field 'schema' is 1: only schema 2 is read"),
+        "schema_99": ({**payload, "schema": 99}, "payload field 'schema' is 99"),
+        "schema_float": ({**payload, "schema": 2.0}, "payload field 'schema' has the wrong"),
+        "schema_missing": (without("schema"), "payload field 'schema' is missing"),
+        "empty": ({}, "payload field 'schema' is missing"),
+        "list": ([], "payload must be an object, got []"),
+        "unknown_field": ({**payload, "extra": 0}, "payload has unknown field(s) 'extra'"),
+        "no_matrices": (without("matrices"), "payload field 'matrices' is missing"),
+        "no_v_perm": (without("v_perm"), "payload field 'v_perm' is missing"),
+        "matrices_list": ({**payload, "matrices": []}, "payload field 'matrices' has the wrong"),
+        "unknown_matrix": ({**payload, "matrices": {**payload["matrices"], "V": []}},
+                           "payload matrices has unknown field(s) 'V'"),
+    }
+
+
+BAD_PAYLOADS = bad_payloads()
+
+
 class TestQuditSynth:
     def test_json_contains_cnot(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -161,37 +183,56 @@ class TestQuditSynth:
         assert code == 0
         written = json.loads(out)["written"]
         payload = json.loads((tmp_path / written[0]).read_text())
-        assert payload["d"] == 2
-        assert payload["matrices"]["V"] == CNOT_ROWS
+        # exactly the schema-2 fields: V is its permutation, CNOT swapping |10>, |11>
+        assert list(payload) == ["schema", "d", "matrices", "v_perm"]
+        assert list(payload["matrices"]) == ["Z", "W", "F"]
+        assert (payload["schema"], payload["d"], payload["v_perm"]) == (2, 2, [0, 1, 3, 2])
 
-    def test_round_trip_reload_verifies(self, capsys, tmp_path):
-        out_path = tmp_path / "d5.json"
-        run_cli(capsys, "qudit", "synth", "--d", "5", "--out", str(out_path))
-        payload = json.loads(out_path.read_text())
-        gs = cli.gateset_from_payload(payload)
-        assert qudit.bell_map_max_error(gs) <= 1e-11
-        assert np.abs(qudit.v_from_bell_basis(gs) - np.eye(gs.d)).max() <= 1e-12
-        np.testing.assert_array_equal(gs.v_perm, qudit.make_gateset(5).v_perm)
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_round_trip_reload_verifies(self, capsys, tmp_path, d):
+        out_path = tmp_path / "gates.json"
+        run_cli(capsys, "qudit", "synth", "--d", str(d), "--out", str(out_path))
+        loaded = cli.gateset_from_payload(json.loads(out_path.read_text()))
+        built = qudit.make_gateset(d)
+        for name in ("Z", "W", "F", "v_perm"):
+            assert (getattr(loaded, name) == getattr(built, name)).all(), name
+
+        def errors(gs):
+            return (qudit.bell_map_max_error(gs),
+                    np.abs(qudit.v_from_bell_basis(gs) - np.eye(d)).max(),
+                    qudit.orthonormality_max_error(gs))
+
+        assert errors(loaded) == errors(built)
+        assert errors(loaded)[0] <= cli.TOL_BELL_MAP
 
     @pytest.mark.parametrize(
         "path, value, message",
         [
-            (("matrices", "V", 0, 0), [0.5, 0.0], "V is not a 9 x 9 permutation matrix"),
-            (("matrices", "V", 0, 1), [1.0, 0.0], "V is not a 9 x 9 permutation matrix"),
-            (("d",), 3.7, "d must be an integer >= 2, got 3.7"),
-            (("d",), "3", "d must be an integer >= 2, got '3'"),
-            (("d",), True, "d must be an integer >= 2, got True"),
+            (("d",), 3.7, "field 'd' has the wrong type: 3.7"),
+            (("d",), "3", "field 'd' has the wrong type: '3'"),
+            (("d",), True, "field 'd' has the wrong type: True"),
+            (("d",), 1, "field 'd' must be at least 2, got 1"),
             (("matrices", "F"), [[[0.5, 0.0]]] * 3, "F is not a 3 x 3 matrix"),
             (("matrices", "Z"), [[[1.0, 0.0]] * 4] * 4, "Z is not a 3 x 3 matrix"),
             (("matrices", "W", 2), [[0.0, 0.0]], "W is not a 3 x 3 matrix"),
             (("matrices", "W", 1, 0), [1.0], "W is not a 3 x 3 matrix"),
+            (("v_perm",), list(range(8)), "field 'v_perm' has 8 entries, not d^2 = 9"),
+            (("v_perm", 0), 1, "field 'v_perm' is not a permutation of range(9)"),
+            (("v_perm", 8), 9, "field 'v_perm' is not a permutation of range(9)"),
+            (("v_perm", 0), -1, "field 'v_perm' is not a permutation of range(9)"),
+            (("v_perm", 0), 0.0, "field 'v_perm' is not a permutation of range(9)"),
+            (("v_perm", 1), True, "field 'v_perm' is not a permutation of range(9)"),
+            (("v_perm",), {}, "field 'v_perm' has the wrong type: {}"),
         ],
-        ids=["not_0_or_1", "two_ones_in_a_row", "d_fractional", "d_text", "d_bool",
-             "F_one_column", "Z_too_large", "W_ragged", "W_entry_without_imaginary_part"],
+        ids=["d_fractional", "d_text", "d_bool", "d_below_two", "F_one_column", "Z_too_large",
+             "W_ragged", "W_entry_without_imaginary_part", "v_perm_short", "v_perm_duplicate",
+             "v_perm_out_of_range", "v_perm_negative", "v_perm_float", "v_perm_bool",
+             "v_perm_object"],
     )
     def test_bad_payload_refused_naming_the_field(self, path, value, message):
-        # unrefused, d = 3.7 would load as d = 3, and an F of shape (3, 1)
-        # would broadcast to a bell_map error of 1.41
+        # unrefused, d = 3.7 would load as d = 3, an F of shape (3, 1) would
+        # broadcast to a bell_map error of 1.41, and a True in v_perm would
+        # pass for the index 1
         payload = cli.synth_payload(qudit.make_gateset(3))
         *parents, last = path
         target = payload
@@ -200,6 +241,18 @@ class TestQuditSynth:
         target[last] = value
         with pytest.raises(ValueError, match=f"^{re.escape('payload ' + message)}$"):
             cli.gateset_from_payload(payload)
+
+    @pytest.mark.parametrize("case", BAD_PAYLOADS)
+    def test_bad_payload_refused_as_a_whole(self, case):
+        payload, message = BAD_PAYLOADS[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            cli.gateset_from_payload(payload)
+
+    def test_short_v_perm_refused_before_allocating(self):
+        # a v_perm of d^2 = 10^12 entries is never built to find it short
+        payload = {**cli.synth_payload(qudit.make_gateset(3)), "d": 10**6}
+        needs = r"'v_perm' has 9 entries, not d\^2 = 1000000000000"
+        assert refused_peak(lambda: cli.gateset_from_payload(payload), needs) < 2**20
 
     @pytest.mark.parametrize(
         "edits",
@@ -222,34 +275,90 @@ class TestQuditSynth:
         assert not next(c for c in report.checks if c.name == f"d={d}:bell_map").passed
 
     def test_oversized_export_refused_before_allocating(self, tmp_path):
-        out_path = tmp_path / "d33.json"
-        needs = r"d = 33 \(2375109 entries\) needs 1092550140"
-        assert refused_peak(lambda: cli.run_qudit_synth(33, "json", str(out_path)), needs) < 2**20
+        out_path = tmp_path / "big.json"
+        needs = r"d = 1449 \(8398404 entries\) needs 1074995712"
+        assert refused_peak(
+            lambda: cli.run_qudit_synth(1449, "json", str(out_path)), needs
+        ) < 2**20
         assert not out_path.exists()
-        cli._require_synth_fits(32)  # the largest export that fits
+        cli._require_synth_fits(1448)  # the largest export that fits
 
     def test_oversized_export_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["qudit", "synth", "--d", "33", "--format", "csv",
+            cli.main(["qudit", "synth", "--d", "1449", "--format", "csv",
                       "--out", str(tmp_path / "csv")])
         assert exc.value.code == 2
-        assert "qudit synth at d = 33 (2375109 entries) needs" in capsys.readouterr().err
+        assert "qudit synth at d = 1449 (8398404 entries) needs" in capsys.readouterr().err
         assert not (tmp_path / "csv").exists()
+
+    def test_peak_within_the_guarded_bytes(self, monkeypatch, tmp_path):
+        # the JSON export, the larger of the two
+        requested = []
+        monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
+        peak = traced_peak(lambda: cli.run_qudit_synth(96, "json", str(tmp_path / "d96.json")))
+        assert peak <= requested[0]
+
+    def test_json_export_peak(self, tmp_path):
+        # 50.9 MiB when the export held a dense V and d^2 Bell vectors
+        peak = traced_peak(lambda: cli.run_qudit_synth(16, "json", str(tmp_path / "d16.json")))
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_export_builds_no_dense_v_or_bell_vector(self, monkeypatch, tmp_path, fmt):
+        calls = {"dense_v": 0, "bell_vector": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(qudit, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(qudit, name, counting)
+        cli.run_qudit_synth(4, fmt, str(tmp_path / "out"))
+        assert calls == {"dense_v": 0, "bell_vector": 0}
 
     def test_csv_row_counts(self, capsys, tmp_path):
         d = 3
         outdir = tmp_path / "csv"
         run_cli(capsys, "qudit", "synth", "--d", str(d), "--format", "csv",
                 "--out", str(outdir))
+        assert sorted(p.name for p in outdir.iterdir()) == ["F.csv", "V.csv", "W.csv", "Z.csv"]
         z_rows = (outdir / "Z.csv").read_text().strip().splitlines()
         assert len(z_rows) - 1 == d * d  # header plus one row per entry
         v_rows = (outdir / "V.csv").read_text().strip().splitlines()
-        assert len(v_rows) - 1 == d ** 4
+        # header plus one col,row pair per column of V
+        assert v_rows[0] == "col,row" and len(v_rows) - 1 == d * d
+        v_perm = qudit.make_gateset(d).v_perm
+        assert v_rows[1:] == [f"{k},{v_perm[k]}" for k in range(d * d)]
 
     def test_small_d_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["qudit", "synth", "--d", "1"])
         assert exc.value.code == 2
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv, make",
+        [
+            (["qudit", "synth", "--d", "3"], "dir"),
+            (["qudit", "synth", "--d", "3", "--format", "csv"], "file"),
+            (["qudit", "verify", "--d", "2..3"], "dir"),
+        ],
+        ids=["synth_json_to_dir", "synth_csv_to_file", "verify_to_dir"],
+    )
+    def test_usage_error_naming_the_path(self, capsys, tmp_path, argv, make):
+        target = tmp_path / "taken"
+        if make == "dir":
+            target.mkdir()
+        else:
+            target.write_text("keep")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        last = captured.err.strip().splitlines()[-1]
+        assert last.startswith("bellgate: error: ") and str(target) in last
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert target.is_dir() if make == "dir" else target.read_text() == "keep"
 
 
 class TestCvVerify:
