@@ -282,6 +282,7 @@ def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationR
 # 24 to 37.
 SYNTH_BYTES_PER_ENTRY = 128
 SYNTH_SCHEMA = 2
+SYNTH_FORMATS = ("json", "csv")
 
 _SYNTH_FIELDS = {"schema": int, "d": numbers.Integral, "matrices": dict, "v_perm": list}
 _SYNTH_MATRICES = {"Z": list, "W": list, "F": list}
@@ -355,7 +356,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def run_qudit_synth(d: int, fmt: str, out: str | None) -> list[Path]:
     """Write the gate set of dimension d as one JSON payload (``synth_payload``)
     or as Z.csv, W.csv and F.csv (``row,col,re,im``) and V.csv (``col,row``,
-    the 1 of each column of V) in one directory."""
+    the 1 of each column of V) in one directory. Any other ``fmt`` is refused
+    before anything is built or written."""
+    if fmt not in SYNTH_FORMATS:
+        raise ValueError(f"unknown synth format {fmt!r}: expected 'json' or 'csv'")
     _require_synth_fits(d)
     gs = qudit.make_gateset(d)
     if fmt == "json":
@@ -444,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     qv.add_argument("--out", default=None, help="also write the JSON report here")
     qs = qsub.add_parser("synth", help="export Z, W, F and the permutation of V")
     qs.add_argument("--d", type=int, required=True)
-    qs.add_argument("--format", choices=("json", "csv"), default="json")
+    qs.add_argument("--format", choices=SYNTH_FORMATS, default="json")
     qs.add_argument("--out", default=None, help="output file (json) or directory (csv)")
 
     cv_cmd = sub.add_parser("cv", help="continuous-variable suite")
@@ -488,6 +492,10 @@ def main(argv=None) -> int:
             written = run_qudit_synth(args.d, args.format, args.out)
             print(json.dumps({"written": [str(p) for p in written]}))
             return 0
+        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+            # refused before the sweep runs, not after it
+            raise ValueError(f"cannot write the report to {args.out}: it is a directory"
+                             " or its directory does not exist")
         if args.command == "qudit":
             report = run_qudit_verify(*_parse_d_range(args.d), args.tol)
         else:

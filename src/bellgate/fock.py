@@ -47,10 +47,9 @@ caller reads (``FockColumns``). The chain (``sum_gate_circuit``) applies its
 two-mode factors as their sector blocks and its squeezer pairs as a M b^T on
 each column's amplitude matrix M; the direct ``sum_gate`` applies
 kron(up, ux) of the quadratures' eigenbases the same way, around its phases.
-``sum_gate_block_checks`` runs the chain once on the states of total photon
-number <= max(N/2, block), which the Gram defect reads, and the direct gate
-only on those of total <= block, which the distance compares, sliced to the
-same rows and columns.
+``sum_gate_block_checks`` runs each route once, on the states of total photon
+number <= block: the distance compares the two sets of images on those rows,
+and the Gram defect reads the chain's images.
 
 The sector blocks of each two-mode factor form one table per cutoff,
 conserved quantity and generator scale. It is built once, kept read-only in
@@ -71,8 +70,9 @@ displacement's eigenbasis, the SUM-gate column images (whose count covers
 the direct gate's two eigenbases) and a sector table, and also the qudit
 layer's gate set, its dense V and the ``qudit synth`` export. The column
 routes count three image-sized arrays per column, their peak;
-``_chain_bytes`` adds the chain's three sector tables, held at once. With
-that formula ``require_block_checks_fit`` refuses a cutoff list up front.
+``_chain_bytes`` adds the chain's three sector tables, held at once, and
+``require_block_checks_fit``, which refuses a cutoff list up front, one more
+array per block column: the chain's images, held while the direct gate runs.
 The README's guard paragraph states the first size each guard refuses.
 
 Every public constructor refuses a cutoff that is not an integer >= 1
@@ -250,13 +250,13 @@ def _require_fits(cutoff: int, entries: int) -> None:
     require_memory(f"cutoff {cutoff}", 16 * entries)
 
 
-def _columns_bytes(cutoff: int, columns: int) -> int:
-    """Peak bytes of the images of ``columns`` two-mode basis columns under
-    either SUM-gate route: three complex arrays of (N+1)^2 entries per
-    column. A Kronecker factor holds its input, an intermediate product and
-    its output; in ``sum_gate`` the input is the phased eigenbasis
-    coefficients, and the chain's squeezer pairs hold the same three."""
-    return 3 * 16 * (cutoff + 1) ** 2 * columns
+def _columns_bytes(cutoff: int, columns: int, arrays: int = 3) -> int:
+    """Bytes of ``arrays`` complex arrays of ``columns`` two-mode columns,
+    (N+1)^2 entries each. Three is the peak of either SUM-gate route: a
+    Kronecker factor holds its input, an intermediate product and its output;
+    in ``sum_gate`` the input is the phased eigenbasis coefficients, and the
+    chain's squeezer pairs hold the same three."""
+    return arrays * 16 * (cutoff + 1) ** 2 * columns
 
 
 def _sector_table_bytes(cutoff: int) -> int:
@@ -264,11 +264,6 @@ def _sector_table_bytes(cutoff: int) -> int:
     sectors of N + 1 - |k| states for k = -N..N, so the blocks hold
     sum_k (N + 1 - |k|)^2 = (N + 1)(2N^2 + 4N + 3)/3 complex entries."""
     return 16 * ((cutoff + 1) * (2 * cutoff**2 + 4 * cutoff + 3) // 3)
-
-
-def _require_sectors_fit(cutoff: int) -> None:
-    """Refuse a cutoff whose table of sector blocks exceeds the limit alone."""
-    require_memory(f"cutoff {cutoff}", _sector_table_bytes(cutoff))
 
 
 def _chain_bytes(cutoff: int, columns: int) -> int:
@@ -457,11 +452,10 @@ def _sector_table(cutoff: int, conserved: str, scale: float) -> _SectorTable:
     make room for a new one, the least recently used tables are dropped.
     """
     _require_cutoff(cutoff)
-    _require_sectors_fit(cutoff)
-    return _memoized(
-        (cutoff, conserved, float(scale)), _sector_table_bytes(cutoff),
-        lambda: _build_sector_table(cutoff, conserved, scale),
-    )
+    nbytes = _sector_table_bytes(cutoff)
+    require_memory(f"cutoff {cutoff}", nbytes)
+    return _memoized((cutoff, conserved, float(scale)), nbytes,
+                     lambda: _build_sector_table(cutoff, conserved, scale))
 
 
 def _apply_sectors(vectors: np.ndarray, blocks) -> np.ndarray:
@@ -741,44 +735,39 @@ def _states_up_to(cutoff: int, max_total: int) -> int:
     return (cutoff + 1) ** 2 - triangle(2 * cutoff - max_total - 1)
 
 
-def require_block_checks_fit(cutoff: int, block_photons: int) -> int:
+def require_block_checks_fit(cutoff: int, block_photons: int) -> None:
     """Refuse, before anything is allocated, a cutoff whose
     :func:`sum_gate_block_checks` arrays would exceed DENSE_BYTES_LIMIT: the
-    chain's column peak and its three sector tables (splitter, mixer, OPA).
-
-    Returns the total photon number max(N/2, block_photons) of the columns
-    those checks read. Their count is computed, not masked, so that a huge
+    chain's three sector tables (splitter, mixer, OPA) and four image-sized
+    arrays per block column, the chain's images held while the direct gate
+    holds its three. The column count is computed, not masked, so that a huge
     cutoff is refused without an (N+1)^2 mask. A ``block_photons`` that is
     not an integer >= 0 is refused.
     """
     _require_cutoff(cutoff)
     if not is_integer(block_photons) or block_photons < 0:
         raise ValueError(f"block_photons must be an integer >= 0, got {block_photons!r}")
-    photons = max(cutoff // 2, block_photons)
-    require_memory(f"cutoff {cutoff}", _chain_bytes(cutoff, _states_up_to(cutoff, photons)))
-    return photons
+    columns = _states_up_to(cutoff, block_photons)
+    require_memory(f"cutoff {cutoff}",
+                   _columns_bytes(cutoff, columns, 4) + 3 * _sector_table_bytes(cutoff))
 
 
 def sum_gate_block_checks(cutoff: int, block_photons: int) -> tuple[float, float]:
     """Both SUM-gate checks at one cutoff, from one pass of the optical chain
-    over the basis columns of total photon number <= max(N/2, block_photons).
+    and one of the direct ``sum_gate`` over the block: the basis columns of
+    total photon number <= ``block_photons``.
 
     Returns ``(gram_defect, distance)``. The Gram defect is the max entry of
-    C^dag C - I for those columns' images C: every factor is unitary to
-    rounding, so it reads rounding (about 1e-14 at N = 20 to 80) and cannot
-    see truncation. The distance, phase-aligned, is between the chain
-    and the direct ``sum_gate`` on the subspace of total photon number <=
-    ``block_photons``, the only columns the direct gate is applied to; it is
-    where the truncation shows.
+    C^dag C - I for the chain's images C of the block: every factor is
+    unitary to rounding, so it reads rounding (about 1e-14 at N = 20 to 80)
+    and cannot see truncation. The distance, phase-aligned, is between the
+    two routes' images on the block's rows; it is where the truncation shows.
     """
-    cols = np.flatnonzero(block_mask(cutoff, require_block_checks_fit(cutoff, block_photons)))
-    circuit = sum_gate_circuit(cutoff, cols)
-    inner = total_photon_numbers(cutoff)[cols] <= block_photons
-    block = cols[inner]
-    distance = phase_aligned_block_distance(
-        sum_gate(cutoff, block).matrix[block], circuit.matrix[np.ix_(block, inner)]
-    )
-    return _gram_defect(circuit.matrix), distance
+    require_block_checks_fit(cutoff, block_photons)
+    block = np.flatnonzero(block_mask(cutoff, block_photons))
+    images = sum_gate_circuit(cutoff, block).matrix
+    distance = phase_aligned_block_distance(sum_gate(cutoff, block).matrix[block], images[block])
+    return _gram_defect(images), distance
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,11 @@ class TestQuditSynth:
             cli.main(["qudit", "synth", "--d", "1"])
         assert exc.value.code == 2
 
+    def test_unknown_format_refused_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="^unknown synth format 'xml': expected 'json' or 'csv'$"):
+            cli.run_qudit_synth(2, "xml", str(tmp_path / "out"))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUnwritableOut:
     @pytest.mark.parametrize(
@@ -342,8 +347,9 @@ class TestUnwritableOut:
             (["qudit", "synth", "--d", "3"], "dir"),
             (["qudit", "synth", "--d", "3", "--format", "csv"], "file"),
             (["qudit", "verify", "--d", "2..3"], "dir"),
+            (["cv", "verify", "--cutoffs", "12"], "dir"),
         ],
-        ids=["synth_json_to_dir", "synth_csv_to_file", "verify_to_dir"],
+        ids=["synth_json_to_dir", "synth_csv_to_file", "verify_to_dir", "cv_verify_to_dir"],
     )
     def test_usage_error_naming_the_path(self, capsys, tmp_path, argv, make):
         target = tmp_path / "taken"
@@ -358,7 +364,23 @@ class TestUnwritableOut:
         last = captured.err.strip().splitlines()[-1]
         assert last.startswith("bellgate: error: ") and str(target) in last
         assert "Traceback" not in captured.err and captured.out == ""
+        # a verify command refuses the path before its first check
+        assert "[pass]" not in captured.err and "[FAIL]" not in captured.err
         assert target.is_dir() if make == "dir" else target.read_text() == "keep"
+
+    @pytest.mark.parametrize(
+        "argv", [["qudit", "verify", "--d", "2..3"], ["cv", "verify", "--cutoffs", "12"]],
+        ids=["qudit", "cv"],
+    )
+    def test_missing_directory_refused_before_any_check(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(target)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert str(target) in err.strip().splitlines()[-1]
+        assert "[pass]" not in err and "[FAIL]" not in err
+        assert not target.parent.exists()
 
 
 class TestCvVerify:
@@ -474,25 +496,32 @@ class TestCvVerify:
         assert VerificationReport.from_json(report.to_json()) == report
 
     def test_oversized_cutoff_refused_before_allocating(self):
-        # the total <= 100 block's 5151 columns of length 201^2, three arrays
-        # each, and three sector tables would take 10248928896 bytes
-        needs = "cutoff 200 needs 10248928896 bytes"
-        assert refused_peak(lambda: cli.run_cv_verify([200]), needs) < 10 * 2**20
+        # the total <= 10 block's 66 columns of length 301^2, four arrays each,
+        # and three sector tables would take 1255372272 bytes
+        needs = "cutoff 300 needs 1255372272 bytes"
+        assert refused_peak(lambda: cli.run_cv_verify([300]), needs) < 10 * 2**20
+
+    def test_largest_accepted_cutoff(self):
+        # 66 block columns at cutoff 283 fit with the three sector tables; at
+        # 284 they take 1083870960 bytes, and the refusal allocates nothing
+        assert cli.validate_cutoffs([20, 283]) == ([20, 283], 10)
+        needs = "cutoff 284 needs 1083870960 bytes"
+        assert refused_peak(lambda: cli.validate_cutoffs([20, 284]), needs) < 2**20
 
     def test_oversized_cutoff_refused_before_any_check(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["cv", "verify", "--cutoffs", "20,30,40,200"])
+            cli.main(["cv", "verify", "--cutoffs", "20,30,40,300"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "cutoff 200 needs 10248928896 bytes" in err
+        assert "cutoff 300 needs 1255372272 bytes" in err
         assert "[pass]" not in err and "[FAIL]" not in err
 
     def test_oversized_cutoff_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["cv", "verify", "--cutoffs", "200"])
+            cli.main(["cv", "verify", "--cutoffs", "300"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "cutoff 200 needs 10248928896 bytes" in err
+        assert "cutoff 300 needs 1255372272 bytes" in err
         assert "Traceback" not in err
 
 

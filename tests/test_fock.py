@@ -486,7 +486,7 @@ class TestSumGate:
         np.testing.assert_allclose(out.matrix, dense_sum_gate(12)[:, columns], rtol=0, atol=1e-12)
 
     def test_circuit_unitary_on_inner_block(self):
-        # the Gram defect of the images of the total <= N/2 basis columns
+        # the Gram defect of the chain's images of the total <= 10 basis columns
         gram_defect, _ = fock.sum_gate_block_checks(20, 10)
         assert gram_defect <= 1e-6
 
@@ -497,8 +497,7 @@ class TestSumGate:
 
     @pytest.mark.parametrize("n", [12, 20, 30])
     def test_block_distance_matches_direct_block_route(self, n):
-        # the 10-photon block holds more than the total <= N/2 block at N=12,
-        # the same at N=20 and less at N=30
+        # the checks' distance is the two routes' on the 10-photon block
         block = np.flatnonzero(fock.block_mask(n, 10))
         direct = fock.phase_aligned_block_distance(
             fock.sum_gate(n, block).matrix[block], fock.sum_gate_circuit(n, block).matrix[block],
@@ -507,8 +506,8 @@ class TestSumGate:
         assert distance == pytest.approx(direct, rel=0, abs=1e-15)
 
     def test_direct_gate_built_only_on_the_compared_block(self, monkeypatch):
-        # the chain reads the 231 states of total <= 20 at N=40; the distance
-        # compares the 66 states of total <= 10, and only those are built
+        # the distance compares the 66 states of total <= 10 at N=40, and
+        # only those are built
         sizes = []
         direct = fock.sum_gate
 
@@ -520,6 +519,21 @@ class TestSumGate:
         fock.sum_gate_block_checks(40, 10)
         assert sizes == [66]
 
+    def test_chain_run_once_on_the_compared_block(self, monkeypatch):
+        # one pass of the chain at N=40, over the 66 columns the distance
+        # compares; the Gram defect reads the same images
+        calls = []
+        chain = fock.sum_gate_circuit
+
+        def counted(cutoff, columns):
+            calls.append(np.array(columns))
+            return chain(cutoff, columns)
+
+        monkeypatch.setattr(fock, "sum_gate_circuit", counted)
+        fock.sum_gate_block_checks(40, 10)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.flatnonzero(fock.block_mask(40, 10)))
+
     def test_gram_defect_catches_a_broken_exponential(self, monkeypatch, empty_memo):
         # every factor and sector block 1e-5 off unitary; empty_memo keeps the
         # tables built from it out of every other test
@@ -527,6 +541,29 @@ class TestSumGate:
         monkeypatch.setattr(fock, "_chain_expm", lambda sub: (1 + 1e-5) * exact(sub))
         assert fock.sum_gate_block_checks(12, 6)[0] > cli.TOL_UNITARITY_BLOCK
         report = cli.run_cv_verify([12])
+        row = next(c for c in report.checks if c.name == "N=12:sum_gate_unitarity_block")
+        assert row.error > row.tolerance == cli.TOL_UNITARITY_BLOCK
+        assert not row.passed
+
+    @pytest.mark.parametrize("factor", ["splitter", "mixer", "opa", "r1", "r2"])
+    def test_gram_defect_catches_each_factor_off_unitary(self, monkeypatch, empty_memo, factor):
+        # one factor 1e-5 off unitary and the others exact: the sector table
+        # in the memo, or the squeezer of that parameter, which acts twice
+        n, params, off = 12, gaussian.decomposition_params(), 1 + 1e-5
+        tables = {"splitter": ("total", np.pi / 4), "mixer": ("total", params.beta / 2.0),
+                  "opa": ("difference", -params.alpha / 2.0)}
+        if factor in tables:
+            conserved, scale = tables[factor]
+            exact = fock._sector_table(n, conserved, scale)
+            empty_memo[(n, conserved, float(scale))] = fock._SectorTable(
+                tuple((idx, off * block) for idx, block in exact.blocks), exact.nbytes
+            )
+        else:
+            squeezer, r = fock.squeezer, getattr(params, factor)
+            monkeypatch.setattr(fock, "squeezer", lambda cutoff, r_: fock.FockOperator(
+                cutoff, 1, (off if r_ == r else 1.0) * squeezer(cutoff, r_).matrix
+            ))
+        report = cli.run_cv_verify([n])
         row = next(c for c in report.checks if c.name == "N=12:sum_gate_unitarity_block")
         assert row.error > row.tolerance == cli.TOL_UNITARITY_BLOCK
         assert not row.passed
@@ -601,8 +638,9 @@ class TestDenseGuard:
             (lambda: fock.sum_gate_circuit(400, EVERY_STATE_400),
              3 * 413711385616 + 3 * 687801616),
             (lambda: fock.sum_gate(400, EVERY_STATE_400), 3 * 413711385616),
-            # the block checks' 20301 columns of total <= 200, and the chain's tables
-            (lambda: fock.sum_gate_block_checks(400, 10), 20301 * 3 * 2572816 + 3 * 687801616),
+            # the block checks' 66 columns of total <= 10, four arrays each,
+            # and the chain's tables
+            (lambda: fock.sum_gate_block_checks(400, 10), 66 * 4 * 2572816 + 3 * 687801616),
         ],
         # the ids the cases had while only ``build`` was parametrized
         ids=[f"<lambda>{i}" for i in range(5)],
@@ -659,12 +697,12 @@ class TestDenseGuard:
         assert refused_peak(lambda: fock.sum_gate_circuit(322, [0]), needs) < 2**20
 
     def test_block_checks_refused_before_the_mask(self):
-        # cutoff 112 is the largest whose columns of total <= 56, three arrays
-        # each, and three sector tables fit; at cutoff 10^5 even the (N+1)^2
-        # block mask would take 10 GB
-        assert fock.require_block_checks_fit(112, 10) == 56
-        with pytest.raises(ValueError, match="cutoff 113 needs 1078565856 bytes"):
-            fock.require_block_checks_fit(113, 10)
+        # cutoff 283 is the largest whose 66 columns of total <= 10, four
+        # arrays each, and three sector tables fit; at cutoff 10^5 even the
+        # (N+1)^2 block mask would take 10 GB
+        fock.require_block_checks_fit(283, 10)
+        with pytest.raises(ValueError, match="cutoff 284 needs 1083870960 bytes"):
+            fock.require_block_checks_fit(284, 10)
         needs = "cutoff 100000 needs"
         assert refused_peak(lambda: fock.sum_gate_block_checks(10**5, 10), needs) < 2**20
 
@@ -680,10 +718,11 @@ class TestDenseGuard:
         assert requested == [fock._columns_bytes(n, len(columns))]
         assert peak <= requested[0] + 2**20
 
-    @pytest.mark.parametrize("n", [20, 30, 40])
+    @pytest.mark.parametrize("n", [20, 30, 40, 60])
     def test_block_checks_peak_within_the_guarded_bytes(self, monkeypatch, empty_memo, n):
-        # the count is the largest request, the one of require_block_checks_fit;
-        # the sector tables are built inside the traced call
+        # the count is the largest request, the one of require_block_checks_fit:
+        # the chain's images stay alive while the direct gate holds its three
+        # arrays; the sector tables are built inside the traced call
         requested = []
         monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
         peak = traced_peak(lambda: fock.sum_gate_block_checks(n, 10))
@@ -858,7 +897,8 @@ class TestSectorMemo:
         # quadrature states alone would trace more than 1 MiB
         assert refused_peak(build, "cutoff 465 needs 1079412576 bytes") < 2**20
         assert not fock._SECTOR_TABLES
-        fock._require_sectors_fit(464)  # the largest table that fits
+        # the largest table that fits
+        assert fock._sector_table_bytes(464) <= fock.DENSE_BYTES_LIMIT
 
 
 class TestSu11Generators:
@@ -983,7 +1023,10 @@ class TestLibraryBoundary:
             check(12, block_photons)
 
     def test_numpy_and_zero_block_photons_accepted(self):
-        assert fock.require_block_checks_fit(12, np.int64(0)) == 6
+        # the zero-photon block is the vacuum column alone
+        fock.require_block_checks_fit(12, np.int64(0))
+        gram_defect, _ = fock.sum_gate_block_checks(12, np.int64(0))
+        assert gram_defect <= cli.TOL_UNITARITY_BLOCK
 
     @pytest.mark.parametrize("cutoff", [-1000, -1, 0, 2.5, True])
     @pytest.mark.parametrize("build", sorted(CUTOFF_BUILDERS))
