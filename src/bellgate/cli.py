@@ -2,17 +2,19 @@
 
 Subcommands:
 
-    bellgate qudit verify --d 2..16 [--tol X] [--out report.json]
+    bellgate qudit verify --d 2..16 [--out report.json]
     bellgate qudit synth  --d 4 --format json|csv [--out PATH]
-    bellgate cv verify    --cutoffs 20,30,40 [--tol X] [--out report.json]
+    bellgate cv verify    --cutoffs 20,30,40 [--out report.json]
     bellgate params [--json]
 
 Progress and per-check lines go to stderr; machine-readable output (the JSON
 report, or the synth file list) goes to stdout. The exit code is 0 iff every
-invoked check passed. When ``--tol`` is given it overrides the per-check
-default tolerances listed in the module constants.
+invoked check passed. Each row holds the module constant it names; no option
+changes a tolerance.
 
-The sweep policy of ``cv verify``: ``ENTBS_SHARPNESS`` and
+Each cutoff of ``cv verify`` adds the rows of ``entbs_rows(N)`` and
+``heterodyne_rows(N)``, which the acceptance suite reads at N = 60. The
+sweep policy of ``cv verify``: ``ENTBS_SHARPNESS`` and
 ``HETERODYNE_LAMBDAS`` list the candidate sharpness and damping values,
 ``HETERODYNE_BASE_LAMBDA`` the damping of the closed-form row, and
 ``entbs_sharpness(N)`` and ``heterodyne_lambda(N)`` keep the candidates whose
@@ -36,7 +38,7 @@ import numpy as np
 from . import fock, gaussian, qudit
 from .reports import CheckResult, VerificationReport, require_fields
 
-# Default per-check tolerances (overridden globally by --tol).
+# Per-check tolerances.
 TOL_BELL_MAP = 1e-11
 TOL_EQUIVALENCE = 1e-12
 TOL_GRAM = 1e-12
@@ -62,21 +64,6 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _validate_tol(tol: float | None) -> float | None:
-    """The tolerance override as a float, refused unless it is a finite,
-    non-negative real number (a bool is not one)."""
-    if tol is None:
-        return None
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < np.inf:
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
-    return float(tol)
-
-
-def _tol(tol: float | None, default: float) -> float:
-    """The ``--tol`` override when one is given, else the check's default."""
-    return default if tol is None else tol
-
-
 def _check(name: str, error: float, tol: float, passed=None) -> CheckResult:
     if passed is None:
         passed = error <= tol
@@ -93,10 +80,10 @@ def _rising(name: str, values: list[float]) -> CheckResult:
     return _check(name, max(0.0, max(falls)), 0.0, passed=all(fall < 0 for fall in falls))
 
 
-def _graded(tol: float | None, strict: float, cutoff: int) -> float:
-    """A truncation-limited row's tolerance: its strict one (or ``--tol``) at
-    each cutoff from 40 on, and 1.0 below, where it informs without failing."""
-    return _tol(tol, strict) if cutoff >= 40 else 1.0
+def _graded(strict: float, cutoff: int) -> float:
+    """A truncation-limited row's tolerance: its strict one at each cutoff
+    from 40 on, and 1.0 below, where it informs without failing."""
+    return strict if cutoff >= 40 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -113,32 +100,24 @@ def _validate_d_range(d_min: int, d_max: int) -> None:
     qudit.require_checks_fit(d_max)
 
 
-def run_qudit_verify(d_min: int, d_max: int, tol: float | None = None) -> VerificationReport:
+def run_qudit_verify(d_min: int, d_max: int) -> VerificationReport:
     _validate_d_range(d_min, d_max)
-    tol = _validate_tol(tol)
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
     for d in range(d_min, d_max + 1):
         gs = qudit.make_gateset(d)
-        checks.append(_check(
-            f"d={d}:bell_map", qudit.bell_map_max_error(gs), _tol(tol, TOL_BELL_MAP)
-        ))
+        checks.append(_check(f"d={d}:bell_map", qudit.bell_map_max_error(gs), TOL_BELL_MAP))
         checks.append(_check(
             f"d={d}:construction_equivalence",
-            float(np.abs(qudit.v_from_bell_basis(gs) - np.eye(d)).max()),
-            _tol(tol, TOL_EQUIVALENCE),
+            float(np.abs(qudit.v_from_bell_basis(gs) - np.eye(d)).max()), TOL_EQUIVALENCE,
         ))
-        checks.append(_check(
-            f"d={d}:bell_gram", qudit.orthonormality_max_error(gs) / d, _tol(tol, TOL_GRAM)
-        ))
+        checks.append(_check(f"d={d}:bell_gram", qudit.orthonormality_max_error(gs) / d, TOL_GRAM))
         if d == 2:
-            cnot = np.eye(4)[[0, 1, 3, 2]]
-            checks.append(_check(
-                "V==CNOT", float(np.abs(qudit.dense_v(gs) - cnot).max()), _tol(tol, TOL_CNOT)
-            ))
+            cnot_error = np.abs(qudit.dense_v(gs) - np.eye(4)[[0, 1, 3, 2]]).max()
+            checks.append(_check("V==CNOT", float(cnot_error), TOL_CNOT))
     return VerificationReport(
         suite="qudit",
-        params={"d_min": d_min, "d_max": d_max, "tol": tol},
+        params={"d_min": d_min, "d_max": d_max},
         checks=checks,
         duration_s=time.perf_counter() - t0,
     )
@@ -178,23 +157,54 @@ def heterodyne_lambda(cutoff: int) -> float:
     return next(lam for lam in HETERODYNE_LAMBDAS if fock.lambda_fits(cutoff, lam))
 
 
-def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationReport:
+def entbs_rows(cutoff: int) -> list[CheckResult]:
+    """The beam-splitter rows at one cutoff: the fidelity at the origin, the
+    fidelity at (1, -0.5) for each sharpness the cutoff holds, and, for two
+    or more of them, their rise as the states sharpen."""
+    n = cutoff
+    rows = [_check(
+        f"N={n}:entbs_origin_fidelity", 1.0 - fock.entbs_fidelity(n, 0.0, 0.0, 0.5),
+        TOL_ENTBS_ORIGIN,
+    )]
+    fids = []
+    for s in entbs_sharpness(n):
+        f = fock.entbs_fidelity(n, 1.0, -0.5, s)
+        fids.append(f)
+        rows.append(_check(f"N={n}:entbs_fidelity_s={s}_at_(1,-0.5)", 1.0 - f, 1.0))
+    if len(fids) >= 2:
+        rows.append(_rising(f"N={n}:entbs_sharpening_trend", fids))
+    return rows
+
+
+def heterodyne_rows(cutoff: int) -> list[CheckResult]:
+    """The heterodyne rows at one cutoff: the base-lambda residual at z = 0
+    against its closed form, its fall from the base lambda to
+    ``heterodyne_lambda(N)`` at z = 1, and its spread over the z set."""
+    n, lam = cutoff, HETERODYNE_BASE_LAMBDA
+    # the base-lambda residual at each z, computed once for all three rows
+    residuals = {z: fock.heterodyne_eigen_residual(n, lam, z) for z in _HETERODYNE_Z_SET}
+    res_base = residuals[0.0]
+    lam_hi = heterodyne_lambda(n)
+    res_hi = fock.heterodyne_eigen_residual(n, lam_hi, 1.0)
+    spread = max(abs(res - res_base) for res in residuals.values())
+    return [
+        _check(f"N={n}:heterodyne_closed_form_lam{lam}",
+               abs(res_base - np.sqrt((1 - lam) / (1 + lam))), _graded(TOL_HETERODYNE_CLOSED, n)),
+        _rising(f"N={n}:heterodyne_monotone_lam{lam}_to_{lam_hi}", [res_hi, residuals[1.0]]),
+        _check(f"N={n}:heterodyne_z_independence", spread, _graded(TOL_Z_INDEPENDENCE, n)),
+    ]
+
+
+def run_cv_verify(cutoffs: list[int]) -> VerificationReport:
     cutoffs, block = validate_cutoffs(cutoffs)
-    tol = _validate_tol(tol)
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
-    warnings: list[str] = []
     params = gaussian.decomposition_params()
 
     _log("exact symplectic layer:")
-    checks.append(_check(
-        "su11_pauli_identity", gaussian.su11_pauli_defect(params), _tol(tol, TOL_SU11)
-    ))
-    checks.append(_check(
-        "symplectic_decomposition_vs_target",
-        gaussian.circuit_vs_target_error(params),
-        _tol(tol, TOL_SYMPLECTIC),
-    ))
+    checks.append(_check("su11_pauli_identity", gaussian.su11_pauli_defect(params), TOL_SU11))
+    checks.append(_check("symplectic_decomposition_vs_target",
+                         gaussian.circuit_vs_target_error(params), TOL_SYMPLECTIC))
     # opa_symplectic(0) is exactly the identity, so alpha = 0 drops the OPA
     ablations = (
         ("drop_opa", dataclasses.replace(params, alpha=0.0)),
@@ -206,57 +216,19 @@ def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationR
             f"symplectic_ablation_{label}_exceeds_floor", err, ABLATION_FLOOR,
             passed=err > ABLATION_FLOOR,
         ))
-    checks.append(_check(
-        "tau1_matches_mixing_angle",
-        abs(params.tau1 - float(np.cos(params.beta / 2) ** 2)),
-        _tol(tol, TOL_TAU1),
-    ))
-    warnings.extend(gaussian.consistency_notes(params))
+    tau_error = abs(params.tau1 - float(np.cos(params.beta / 2) ** 2))
+    checks.append(_check("tau1_matches_mixing_angle", tau_error, TOL_TAU1))
 
     distances = []
     for n in cutoffs:
         _log(f"cutoff N={n}:")
         gram_defect, dist = fock.sum_gate_block_checks(n, block)
-        checks.append(_check(
-            f"N={n}:sum_gate_unitarity_block", gram_defect, _tol(tol, TOL_UNITARITY_BLOCK)
-        ))
+        checks.append(_check(f"N={n}:sum_gate_unitarity_block", gram_defect, TOL_UNITARITY_BLOCK))
         distances.append(dist)
-        checks.append(_check(
-            f"N={n}:sum_gate_block_distance", dist, _graded(tol, TOL_FINAL_DISTANCE, n)
-        ))
-
-        fid0 = fock.entbs_fidelity(n, 0.0, 0.0, 0.5)
-        checks.append(_check(
-            f"N={n}:entbs_origin_fidelity", 1.0 - fid0, _tol(tol, TOL_ENTBS_ORIGIN)
-        ))
-        fids = []
-        for s in entbs_sharpness(n):
-            f = fock.entbs_fidelity(n, 1.0, -0.5, s)
-            fids.append(f)
-            checks.append(_check(
-                f"N={n}:entbs_fidelity_s={s}_at_(1,-0.5)", 1.0 - f, 1.0
-            ))
-        if len(fids) >= 2:
-            checks.append(_rising(f"N={n}:entbs_sharpening_trend", fids))
-
-        # the base-lambda residual at each z, computed once for all three rows
-        lam = HETERODYNE_BASE_LAMBDA
-        residuals = {z: fock.heterodyne_eigen_residual(n, lam, z) for z in _HETERODYNE_Z_SET}
-        res_base = residuals[0.0]
-        checks.append(_check(
-            f"N={n}:heterodyne_closed_form_lam{lam}",
-            abs(res_base - np.sqrt((1 - lam) / (1 + lam))),
-            _graded(tol, TOL_HETERODYNE_CLOSED, n),
-        ))
-        lam_hi = heterodyne_lambda(n)
-        res_hi = fock.heterodyne_eigen_residual(n, lam_hi, 1.0)
-        checks.append(_rising(
-            f"N={n}:heterodyne_monotone_lam{lam}_to_{lam_hi}", [res_hi, residuals[1.0]]
-        ))
-        spread = max(abs(res - res_base) for res in residuals.values())
-        checks.append(_check(
-            f"N={n}:heterodyne_z_independence", spread, _graded(tol, TOL_Z_INDEPENDENCE, n)
-        ))
+        distance_tol = _graded(TOL_FINAL_DISTANCE, n)
+        checks.append(_check(f"N={n}:sum_gate_block_distance", dist, distance_tol))
+        checks.extend(entbs_rows(n))
+        checks.extend(heterodyne_rows(n))
 
     if len(distances) >= 2:
         # negation is exact, so the row's error is the largest rise of the distances
@@ -264,9 +236,9 @@ def run_cv_verify(cutoffs: list[int], tol: float | None = None) -> VerificationR
 
     return VerificationReport(
         suite="cv",
-        params={"cutoffs": cutoffs, "tol": tol, "block_photons": block},
+        params={"cutoffs": cutoffs, "block_photons": block},
         checks=checks,
-        warnings=sorted(set(warnings)),
+        warnings=sorted(set(gaussian.consistency_notes(params))),
         duration_s=time.perf_counter() - t0,
     )
 
@@ -289,8 +261,10 @@ _SYNTH_MATRICES = {"Z": list, "W": list, "F": list}
 
 
 def _require_synth_fits(d: int) -> None:
-    """Refuse, before building anything, an export whose 4 d^2 entries would
-    take more than DENSE_BYTES_LIMIT (the README states the first refused d)."""
+    """Refuse, before building anything, a d that is not an integer >= 2, and
+    an export whose 4 d^2 entries would take more than DENSE_BYTES_LIMIT (the
+    README states the first refused d)."""
+    qudit.require_dimension(d)
     entries = 4 * d * d
     fock.require_memory(
         f"qudit synth at d = {d} ({entries} entries)", SYNTH_BYTES_PER_ENTRY * entries
@@ -444,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     qsub = qudit_cmd.add_subparsers(dest="subcommand", required=True)
     qv = qsub.add_parser("verify", help="run the Bell-map verification sweep")
     qv.add_argument("--d", default="2..16", metavar="A..B", help="dimension range")
-    qv.add_argument("--tol", type=float, default=None, help="override all tolerances")
     qv.add_argument("--out", default=None, help="also write the JSON report here")
     qs = qsub.add_parser("synth", help="export Z, W, F and the permutation of V")
     qs.add_argument("--d", type=int, required=True)
@@ -455,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     csub = cv_cmd.add_subparsers(dest="subcommand", required=True)
     cvv = csub.add_parser("verify", help="run the symplectic and Fock sweeps")
     cvv.add_argument("--cutoffs", default="20,30,40", metavar="N1,N2,...")
-    cvv.add_argument("--tol", type=float, default=None, help="override all tolerances")
     cvv.add_argument("--out", default=None, help="also write the JSON report here")
 
     params_cmd = sub.add_parser("params", help="print the decomposition constants")
@@ -497,9 +469,9 @@ def main(argv=None) -> int:
             raise ValueError(f"cannot write the report to {args.out}: it is a directory"
                              " or its directory does not exist")
         if args.command == "qudit":
-            report = run_qudit_verify(*_parse_d_range(args.d), args.tol)
+            report = run_qudit_verify(*_parse_d_range(args.d))
         else:
-            report = run_cv_verify(_parse_cutoffs(args.cutoffs), args.tol)
+            report = run_cv_verify(_parse_cutoffs(args.cutoffs))
         return _emit_report(report, args.out)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))

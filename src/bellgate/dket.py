@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import is_integer
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce input to a 2-D complex128 array, validating the shape."""
@@ -46,8 +48,9 @@ class DoubleKet:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise ValueError("subsystem dimensions must be positive")
+        if not all(is_integer(dim) and dim >= 1 for dim in (self.dim_a, self.dim_b)):
+            raise ValueError("subsystem dimensions must be integers >= 1,"
+                             f" got {self.dim_a!r} and {self.dim_b!r}")
         if amps.size != self.dim_a * self.dim_b:
             raise ValueError(
                 f"amplitude count {amps.size} != dim_a*dim_b = {self.dim_a * self.dim_b}"

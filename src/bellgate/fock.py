@@ -90,6 +90,7 @@ from typing import Callable
 import numpy as np
 
 from . import gaussian
+from .gaussian import require_finite
 
 TAIL_WARN_TOL = 1e-8
 TAIL_ERROR_TOL = 1e-4
@@ -184,15 +185,10 @@ def _ladder(cutoff: int) -> np.ndarray:
 def quadrature(cutoff: int, phi: float) -> FockOperator:
     """Hermitian quadrature (e^{i phi} a^dag + e^{-i phi} a) / 2."""
     _require_cutoff(cutoff)
-    _require_finite("phi", phi)
+    require_finite("phi", phi)
     a = _ladder(cutoff)
     x = 0.5 * (np.exp(1j * phi) * a.conj().T + np.exp(-1j * phi) * a)
     return FockOperator(cutoff, 1, x)
-
-
-def _require_finite(name: str, value: complex) -> None:
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _gram_defect(u: np.ndarray) -> float:
@@ -266,6 +262,11 @@ def _sector_table_bytes(cutoff: int) -> int:
     return 16 * ((cutoff + 1) * (2 * cutoff**2 + 4 * cutoff + 3) // 3)
 
 
+def _eigenbasis_bytes(cutoff: int) -> int:
+    """Bytes of one quadrature eigenbasis: (N+1)^2 complex vectors, N+1 real values."""
+    return 16 * (cutoff + 1) ** 2 + 8 * (cutoff + 1)
+
+
 def _chain_bytes(cutoff: int, columns: int) -> int:
     """Peak bytes of ``sum_gate_circuit`` over ``columns`` basis columns: their
     images, and the splitter, mixer and OPA tables the chain holds at once."""
@@ -313,7 +314,7 @@ def displacement(cutoff: int, alpha: complex) -> FockOperator:
     """exp(alpha a^dag - conj(alpha) a) at the given cutoff, from the
     eigenbasis of ``_displacement_basis``; alpha = 0 gives exactly the identity."""
     _require_cutoff(cutoff)
-    _require_finite("alpha", alpha)
+    require_finite("alpha", alpha)
     if alpha == 0:
         return FockOperator(cutoff, 1, np.eye(cutoff + 1, dtype=complex))
     w, phases = _displacement_basis(cutoff, alpha)
@@ -335,7 +336,7 @@ def squeezer(cutoff: int, r: float) -> FockOperator:
     even and over odd n (``_squeezer_chain``).
     """
     _require_cutoff(cutoff)
-    _require_finite("r", r)
+    require_finite("r", r)
     if r <= 0:
         raise ValueError("squeezing parameter must be positive")
     chains = [_squeezer_chain(cutoff, r, first) for first in (0, 1)]
@@ -350,7 +351,7 @@ def _phases(cutoff: int, theta: float) -> np.ndarray:
 def phase_shift(cutoff: int, theta: float) -> FockOperator:
     """Diagonal phase rotation exp(-i theta n)."""
     _require_cutoff(cutoff)
-    _require_finite("theta", theta)
+    require_finite("theta", theta)
     return FockOperator(cutoff, 1, np.diag(_phases(cutoff, theta)))
 
 
@@ -403,8 +404,8 @@ def _memoized(key: tuple[int, str, float], nbytes: int, build: Callable[[], obje
 def _quadrature_basis(cutoff: int, phi: float) -> _Eigenbasis:
     """The eigenbasis of ``quadrature(cutoff, phi)``, built once per cutoff
     and angle. Its (N+1)^2 + (N+1) entries are guarded by its callers: the
-    displacement's own guard, and the SUM gate's three image-sized arrays
-    per column."""
+    displacement's own guard, the SUM gate's three image-sized arrays per
+    column, and ``require_block_checks_fit``, which counts both eigenbases."""
 
     def build() -> _Eigenbasis:
         values, vectors = np.linalg.eigh(quadrature(cutoff, phi).matrix)
@@ -413,8 +414,7 @@ def _quadrature_basis(cutoff: int, phi: float) -> _Eigenbasis:
         return _Eigenbasis(values, vectors, values.nbytes + vectors.nbytes)
 
     _require_cutoff(cutoff)
-    n1 = cutoff + 1
-    return _memoized((cutoff, "quadrature", float(phi)), 16 * n1 * n1 + 8 * n1, build)
+    return _memoized((cutoff, "quadrature", float(phi)), _eigenbasis_bytes(cutoff), build)
 
 
 def _build_sector_table(cutoff: int, conserved: str, scale: float) -> _SectorTable:
@@ -484,14 +484,14 @@ def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
 def mode_mixer(cutoff: int, theta: float) -> FockOperator:
     """exp(theta (a^dag b - a b^dag)); theta = pi/4 is the 50-50 beam splitter."""
     _require_cutoff(cutoff)
-    _require_finite("theta", theta)
+    require_finite("theta", theta)
     return FockOperator(cutoff, 2, _mixing_expm(cutoff, theta))
 
 
 def opa(cutoff: int, alpha_param: float) -> FockOperator:
     """exp(-(alpha/2)(a^dag b^dag - a b)), assembled from its photon-number-difference sectors."""
     _require_cutoff(cutoff)
-    _require_finite("alpha_param", alpha_param)
+    require_finite("alpha_param", alpha_param)
     _require_fits(cutoff, (cutoff + 1) ** 4)
     blocks = _sector_table(cutoff, "difference", -alpha_param / 2.0).blocks
     return FockOperator(cutoff, 2, _assemble(cutoff, 2, blocks))
@@ -578,7 +578,7 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     their overlap is exp(-s^2 |z|^2 / 2) at the matched lambda (see
     ``entbs_fidelity``).
     """
-    _require_finite("z", z)
+    require_finite("z", z)
 
     def build(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
         # the double-ket's amplitude matrix is diagonal, so D acts by scaling its columns
@@ -617,8 +617,8 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
     s^2/4, displaced to mean x, then rotated so the sharp axis lies along
     X_phi with mean <X_phi> = x. Smaller s means a sharper approximation.
     """
-    _require_finite("x", x)
-    _require_finite("phi", phi)
+    require_finite("x", x)
+    require_finite("phi", phi)
     if not 0.0 < s <= 1.0:
         raise ValueError("sharpness s must lie in (0, 1]")
 
@@ -740,16 +740,18 @@ def require_block_checks_fit(cutoff: int, block_photons: int) -> None:
     :func:`sum_gate_block_checks` arrays would exceed DENSE_BYTES_LIMIT: the
     chain's three sector tables (splitter, mixer, OPA) and four image-sized
     arrays per block column, the chain's images held while the direct gate
-    holds its three. The column count is computed, not masked, so that a huge
-    cutoff is refused without an (N+1)^2 mask. A ``block_photons`` that is
-    not an integer >= 0 is refused.
+    holds its three, and the direct gate's two quadrature eigenbases and its
+    (N+1)^2 phase table. The column count is computed, not masked, so that a
+    huge cutoff is refused without an (N+1)^2 mask. A ``block_photons`` that
+    is not an integer >= 0 is refused.
     """
     _require_cutoff(cutoff)
     if not is_integer(block_photons) or block_photons < 0:
         raise ValueError(f"block_photons must be an integer >= 0, got {block_photons!r}")
     columns = _states_up_to(cutoff, block_photons)
     require_memory(f"cutoff {cutoff}",
-                   _columns_bytes(cutoff, columns, 4) + 3 * _sector_table_bytes(cutoff))
+                   _columns_bytes(cutoff, columns, 4) + 3 * _sector_table_bytes(cutoff)
+                   + 2 * _eigenbasis_bytes(cutoff) + 16 * (cutoff + 1) ** 2)
 
 
 def sum_gate_block_checks(cutoff: int, block_photons: int) -> tuple[float, float]:

@@ -89,10 +89,17 @@ def su11_pauli_defect(params: DecompositionParams) -> float:
 # Symplectic matrices of the individual Gaussian elements
 # ---------------------------------------------------------------------------
 
+def require_finite(name: str, value: complex) -> None:
+    """Refuse a NaN or infinite parameter, naming it and its value."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def squeezer_symplectic(r: float, mode: int = 0) -> np.ndarray:
     """x -> r x, p -> p / r on one mode (generator log(r)(a^dag^2 - a^2)/2)."""
+    require_finite("r", r)
     if r <= 0:
-        raise ValueError("squeezing parameter must be positive")
+        raise ValueError(f"squeezing parameter must be positive, got {r!r}")
     if mode not in (0, 1):
         raise ValueError(f"mode must be 0 or 1, got {mode}")
     return np.diag(np.roll([r, 1.0 / r, 1.0, 1.0], 2 * mode))
@@ -100,6 +107,7 @@ def squeezer_symplectic(r: float, mode: int = 0) -> np.ndarray:
 
 def beam_splitter_symplectic(theta: float = np.pi / 4) -> np.ndarray:
     """Mode-space rotation of exp(theta(a^dag b - a b^dag)); theta = pi/4 is 50-50."""
+    require_finite("theta", theta)
     c, s = np.cos(theta), np.sin(theta)
     return np.array(
         [[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]], dtype=float
@@ -108,6 +116,7 @@ def beam_splitter_symplectic(theta: float = np.pi / 4) -> np.ndarray:
 
 def opa_symplectic(alpha: float) -> np.ndarray:
     """Hyperbolic mixing of exp(-(alpha/2)(a^dag b^dag - a b))."""
+    require_finite("alpha", alpha)
     c, s = np.cosh(alpha / 2.0), np.sinh(alpha / 2.0)
     return np.array(
         [[c, 0, -s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, s, 0, c]], dtype=float
@@ -146,7 +155,8 @@ def circuit_symplectic(params: DecompositionParams) -> np.ndarray:
 
 
 def circuit_vs_target_error(params: DecompositionParams) -> float:
-    """Entrywise max difference between the composed chain and the SUM-gate shear."""
+    """Entrywise max difference between the composed chain and the SUM-gate
+    shear; a non-finite alpha, beta, r1 or r2 is refused by its element."""
     return float(np.abs(circuit_symplectic(params) - sum_gate_symplectic()).max())
 
 

@@ -92,11 +92,16 @@ def require_checks_fit(d: int) -> None:
     require_memory(f"qudit gate set at d = {d}", 7 * 16 * d * d)
 
 
+def require_dimension(d: int) -> None:
+    """Refuse a dimension that is not an integer >= 2."""
+    if not is_integer(d) or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+
+
 def make_gateset(d: int) -> QuditGateSet:
     """Build the gate set for an integer dimension d >= 2 from the defining
     formulas, refused before allocating when ``require_checks_fit`` refuses d."""
-    if not is_integer(d) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    require_dimension(d)
     require_checks_fit(d)
     k = np.arange(d)
     W = np.zeros((d, d), dtype=complex)

@@ -2,10 +2,13 @@
 
 Each test prints one pass/fail line (visible with ``pytest -s`` or on
 failure). A claim that ``bellgate qudit verify`` or ``bellgate cv verify``
-reports is read from the rows of one library run of that command, with the
-tolerance the row carries; ``tests/test_cli.py`` pins each row's name and
-tolerance. Measured constants that are artifacts of the truncation, not of
-the theory, are frozen here with a note of the observed value.
+reports is read from the rows that command builds, with the tolerance the
+row carries: from one library run of the command, or, at N = 60, from the
+per-cutoff row builders ``cli.entbs_rows`` and ``cli.heterodyne_rows`` that
+the command calls. ``tests/test_cli.py`` pins each row's name and tolerance,
+so no tolerance of the command is restated here. Measured constants that are
+artifacts of the truncation, not of the theory, are frozen here with a note
+of the observed value.
 """
 
 import numpy as np
@@ -148,18 +151,20 @@ def test_07_fock_convergence_of_sum_gate(cv_rows):
 def test_08_beam_splitter_factorization():
     n = 60
     z = 1.0 - 0.5j
-    sharpness = (0.6, 0.5, 0.4, 0.3)
-    fid_origin = fock.entbs_fidelity(n, 0.0, 0.0, 0.5)
-    sweep = [fock.entbs_fidelity(n, z.real, z.imag, s) for s in sharpness]
-    increasing = all(sweep[i] < sweep[i + 1] for i in range(len(sweep) - 1))
+    rows = {c.name: c for c in cli.entbs_rows(n)}
+    origin = rows[f"N={n}:entbs_origin_fidelity"]
+    trend = rows[f"N={n}:entbs_sharpening_trend"]
+    sharpness = cli.entbs_sharpness(n)
+    sweep = [1.0 - rows[f"N={n}:entbs_fidelity_s={s}_at_(1,-0.5)"].error for s in sharpness]
     # Against the one-sided reference (D(z) kron I)|lam>> the fidelity is
     # exactly exp(-s^2 |z|^2 / 2) at every cutoff that holds the states (see
-    # fock.entbs_fidelity); measured gaps 1e-16, 6.7e-14, 3.5e-9, 1.6e-5 at
-    # N=60, the last from truncation.
-    closed = [np.exp(-s * s * abs(z) ** 2 / 2) for s in sharpness]
-    tols = (1e-12, 1e-12, 5e-8, 2e-4)
-    gaps = [abs(f - c) for f, c in zip(sweep, closed)]
-    closed_ok = all(g <= t for g, t in zip(gaps, tols))
+    # fock.entbs_fidelity); measured gaps 3.3e-16, 6.6e-14, 3.5e-9, 1.6e-5 at
+    # N=60, the last from truncation. No row states these gaps.
+    closed_tols = {0.6: 1e-12, 0.5: 1e-12, 0.4: 5e-8, 0.3: 2e-4}
+    gaps = [abs(f - np.exp(-s * s * abs(z) ** 2 / 2)) for f, s in zip(sweep, sharpness)]
+    closed_ok = list(closed_tols) == sharpness and all(
+        g <= closed_tols[s] for g, s in zip(gaps, sharpness)
+    )
     # The image itself is (D(z/2) kron D(-conj(z)/2))|lam>>, which tends to the
     # same |D(z)>> in the ideal limit; its amplitude matrix is A M B^T.
     lam = fock.matched_lambda(0.5)
@@ -173,43 +178,32 @@ def test_08_beam_splitter_factorization():
     fid_displaced = abs(np.vdot(split, image)) ** 2 / np.vdot(split, split).real
     ok = _report(
         "beam-splitter image vs matched regularized displaced double-ket, N=60",
-        fid_origin > 0.999 and fid_displaced > 0.999 and increasing and closed_ok,
-        f"fidelity at origin {fid_origin:.6f} (floor 0.999);"
+        origin.passed and trend.passed and fid_displaced > 0.999 and closed_ok,
+        f"fidelity at origin {1.0 - origin.error:.6f} (floor {1.0 - origin.tolerance});"
         f" at (1,-0.5) vs split-displaced image {fid_displaced:.15f} (floor 0.999);"
-        f" s-sweep 0.6..0.3 {['%.6f' % f for f in sweep]} increasing={increasing};"
+        f" s-sweep {sharpness} {['%.6f' % f for f in sweep]} increasing={trend.passed};"
         f" gaps to exp(-s^2|z|^2/2) {['%.1e' % g for g in gaps]}"
-        f" (tols {['%.0e' % t for t in tols]})",
+        f" (tols {['%.0e' % t for t in closed_tols.values()]})",
     )
     assert ok
 
 
 def test_09_heterodyne_eigenvector_relation():
-    n = 60
-    closed = np.sqrt((1 - 0.5) / (1 + 0.5))
-    res_base = fock.heterodyne_eigen_residual(n, 0.5, 0.0)
-    closed_err = abs(res_base - closed)
-    res_lo = fock.heterodyne_eigen_residual(n, 0.5, 1.0)
-    res_hi = fock.heterodyne_eigen_residual(n, 0.9, 1.0)
     # z-independence is certified in the converged lam = 0.5 regime that also
     # anchors the closed form; at lam = 0.9 the state's own tail mass above
-    # the cutoff (about 3e-6) makes the spread a truncation readout, reported
-    # for the record rather than bounded
-    spread = max(
-        abs(fock.heterodyne_eigen_residual(n, 0.5, z) - res_base)
-        for z in (1.0, 1.0 - 0.5j, 2.0j)
-    )
-    spread_heavy = max(
-        abs(fock.heterodyne_eigen_residual(n, 0.9, z)
-            - fock.heterodyne_eigen_residual(n, 0.9, 0.0))
-        for z in (1.0, 1.0 - 0.5j, 2.0j)
-    )
+    # the cutoff (about 3e-6) makes the spread a truncation readout
+    n = 60
+    closed, monotone, spread = cli.heterodyne_rows(n)
+    names = [f"N={n}:heterodyne_closed_form_lam0.5", f"N={n}:heterodyne_monotone_lam0.5_to_0.9",
+             f"N={n}:heterodyne_z_independence"]
     ok = _report(
         "heterodyne photocurrent eigen-relation on the regularized"
         " displaced double-ket, N=60",
-        closed_err <= 1e-9 and res_hi < res_lo and spread <= 1e-8,
-        f"closed-form error {closed_err:.3e} (tol 1e-9);"
-        f" residual {res_lo:.4f} (lam 0.5) -> {res_hi:.4f} (lam 0.9);"
-        f" z-spread {spread:.3e} (tol 1e-8; at lam 0.9 measured {spread_heavy:.1e})",
+        [closed.name, monotone.name, spread.name] == names
+        and closed.passed and monotone.passed and spread.passed,
+        f"closed-form error {closed.error:.3e} (tol {closed.tolerance:.0e});"
+        f" residual falls from lam 0.5 to 0.9 at z = 1: {monotone.passed};"
+        f" z-spread {spread.error:.3e} (tol {spread.tolerance:.0e})",
     )
     assert ok
 

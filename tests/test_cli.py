@@ -16,9 +16,6 @@ from bellgate.reports import VerificationReport
 
 REPO = Path(__file__).resolve().parents[1]
 
-# NaN, both infinities and a negative value
-BAD_TOLERANCES = ["nan", "inf", "-inf", "-0.5"]
-
 
 def src_env() -> dict[str, str]:
     """This process's environment with the checkout's ``src/`` first on the path."""
@@ -47,10 +44,14 @@ class TestQuditVerify:
         cnot_rows = [c for c in report.checks if c.name == "V==CNOT"]
         assert len(cnot_rows) == 1 and cnot_rows[0].passed
 
-    def test_impossible_tolerance_fails_with_nonzero_exit(self, capsys):
-        code, out, _ = run_cli(capsys, "qudit", "verify", "--d", "3", "--tol", "1e-20")
+    def test_failing_row_fails_with_nonzero_exit(self, capsys, monkeypatch):
+        # an infinite error fails its row at any tolerance
+        monkeypatch.setattr(qudit, "bell_map_max_error", lambda gs: np.inf)
+        code, out, _ = run_cli(capsys, "qudit", "verify", "--d", "3")
         assert code == 1
-        assert not VerificationReport.from_json(out).passed
+        report = VerificationReport.from_json(out)
+        assert not report.passed
+        assert [c.name for c in report.checks if not c.passed] == ["d=3:bell_map"]
 
     def test_d_below_two_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -141,7 +142,7 @@ class TestQuditVerify:
                          "orthonormality_max_error": 3, "bell_vector": 0}
 
     def test_full_default_range_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "qudit", "verify", "--d", "2..16", "--tol", "1e-11")
+        code, out, _ = run_cli(capsys, "qudit", "verify", "--d", "2..16")
         assert code == 0
         assert VerificationReport.from_json(out).passed
 
@@ -334,6 +335,13 @@ class TestQuditSynth:
             cli.main(["qudit", "synth", "--d", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("d", ["3", 3.0, True, 1])
+    def test_library_refuses_a_non_integer_d_before_writing(self, tmp_path, d):
+        message = f"dimension must be an integer >= 2, got {d!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli.run_qudit_synth(d, "json", str(tmp_path / "out.json"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_format_refused_before_writing(self, tmp_path):
         with pytest.raises(ValueError, match="^unknown synth format 'xml': expected 'json' or 'csv'$"):
             cli.run_qudit_synth(2, "xml", str(tmp_path / "out"))
@@ -497,23 +505,25 @@ class TestCvVerify:
 
     def test_oversized_cutoff_refused_before_allocating(self):
         # the total <= 10 block's 66 columns of length 301^2, four arrays each,
-        # and three sector tables would take 1255372272 bytes
-        needs = "cutoff 300 needs 1255372272 bytes"
+        # three sector tables, two eigenbases and a phase table would take
+        # 1259725936 bytes
+        needs = "cutoff 300 needs 1259725936 bytes"
         assert refused_peak(lambda: cli.run_cv_verify([300]), needs) < 10 * 2**20
 
     def test_largest_accepted_cutoff(self):
-        # 66 block columns at cutoff 283 fit with the three sector tables; at
-        # 284 they take 1083870960 bytes, and the refusal allocates nothing
-        assert cli.validate_cutoffs([20, 283]) == ([20, 283], 10)
-        needs = "cutoff 284 needs 1083870960 bytes"
-        assert refused_peak(lambda: cli.validate_cutoffs([20, 284]), needs) < 2**20
+        # 66 block columns at cutoff 282 fit with the three sector tables,
+        # the two eigenbases and the phase table; at 283 they take 1077573248
+        # bytes, and the refusal allocates nothing
+        assert cli.validate_cutoffs([20, 282]) == ([20, 282], 10)
+        needs = "cutoff 283 needs 1077573248 bytes"
+        assert refused_peak(lambda: cli.validate_cutoffs([20, 283]), needs) < 2**20
 
     def test_oversized_cutoff_refused_before_any_check(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["cv", "verify", "--cutoffs", "20,30,40,300"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "cutoff 300 needs 1255372272 bytes" in err
+        assert "cutoff 300 needs 1259725936 bytes" in err
         assert "[pass]" not in err and "[FAIL]" not in err
 
     def test_oversized_cutoff_usage_error(self, capsys):
@@ -521,29 +531,27 @@ class TestCvVerify:
             cli.main(["cv", "verify", "--cutoffs", "300"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "cutoff 300 needs 1255372272 bytes" in err
+        assert "cutoff 300 needs 1259725936 bytes" in err
         assert "Traceback" not in err
 
 
-class TestBadTolerance:
-    # a bool and a string are no tolerance either
-    @pytest.mark.parametrize("tol", [*map(float, BAD_TOLERANCES), True, "1e-3"])
-    def test_library_rejects_bad_tolerance(self, tol):
-        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
-            cli.run_qudit_verify(2, 3, tol)
-        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
-            cli.run_cv_verify([12], tol)
-
-    @pytest.mark.parametrize("text", BAD_TOLERANCES)
+class TestNoToleranceOverride:
     @pytest.mark.parametrize(
-        "argv", [["qudit", "verify", "--d", "2..3"], ["cv", "verify", "--cutoffs", "12"]],
+        "argv", [["qudit", "verify", "--d", "2"], ["cv", "verify", "--cutoffs", "12"]],
         ids=["qudit", "cv"],
     )
-    def test_bad_tolerance_usage_error(self, capsys, argv, text):
+    def test_tol_option_is_a_usage_error(self, capsys, argv):
+        # each row holds the module constant it names; no option changes it
         with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, f"--tol={text}"])
+            cli.main([*argv, "--tol", "1e-3"])
         assert exc.value.code == 2
-        assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --tol 1e-3" in err
+        assert "[pass]" not in err and "[FAIL]" not in err
+
+    def test_reports_carry_no_tolerance_parameter(self):
+        assert cli.run_qudit_verify(2, 2).params == {"d_min": 2, "d_max": 2}
+        assert list(cli.run_cv_verify([12]).params) == ["cutoffs", "block_photons"]
 
 
 class TestRising:

@@ -1,5 +1,7 @@
 """Double-ket calculus tests against brute-force index-summation oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,16 @@ class TestVecUnvec:
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
             dket.DoubleKet(2, 2, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "dim_a, dim_b", [(1.5, 2), (2, 3.0), (True, 3), ("3", 1), (0, 3)],
+        ids=["fractional", "float", "bool", "text", "zero"],
+    )
+    def test_non_integer_dims_refused_naming_them(self, dim_a, dim_b):
+        # unrefused, DoubleKet(1.5, 2, ones(3)) was built: 1.5 * 2 entries
+        message = f"subsystem dimensions must be integers >= 1, got {dim_a!r} and {dim_b!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dket.DoubleKet(dim_a, dim_b, np.ones(3))
 
 
 class TestHSInner:

@@ -166,6 +166,20 @@ class TestElementSymplectics:
         assert fock_block_error(lambda block: u1 @ u2[:, block], m1 @ m2, cutoff) <= 1e-6
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "kind, name", [("squeezer", "r"), ("beam_splitter", "theta"), ("opa", "alpha")]
+    )
+    def test_non_finite_parameter_refused_naming_it(self, kind, name, value):
+        # unrefused, squeezer_symplectic(nan) returned a NaN matrix
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            SYMPLECTICS[kind](value)
+
+    def test_non_positive_squeezing_refused_naming_it(self):
+        with pytest.raises(ValueError, match=r"^squeezing parameter must be positive, got -0.5$"):
+            gaussian.squeezer_symplectic(-0.5)
+
+
 class TestSumGateTarget:
     def test_frozen_shear(self):
         np.testing.assert_array_equal(
@@ -188,6 +202,12 @@ class TestSumGateTarget:
 class TestDecompositionVsTarget:
     def test_chain_composes_to_shear(self, params):
         assert gaussian.circuit_vs_target_error(params) <= 1e-12
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "r1", "r2"])
+    def test_non_finite_parameter_refused(self, params, field):
+        # unrefused, alpha = nan gave an error of nan, which fails no "<=" test
+        with pytest.raises(ValueError, match="must be finite, got nan$"):
+            gaussian.circuit_vs_target_error(replace(params, **{field: np.nan}))
 
     def test_chain_is_symplectic(self, params):
         assert symplectic_defect(gaussian.circuit_symplectic(params)) <= 1e-13

@@ -10,7 +10,7 @@ from bellgate.reports import CheckResult, VerificationReport
 def _sample_report(duration=1.5):
     return VerificationReport(
         suite="qudit",
-        params={"d_min": 2, "d_max": 4, "tol": None},
+        params={"d_min": 2, "d_max": 4},
         checks=[
             CheckResult("d=2:bell_map", 1.2e-15, 1e-11, True),
             CheckResult("d=3:bell_map", 3.4e-15, 1e-11, True),
