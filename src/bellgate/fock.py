@@ -43,13 +43,19 @@ diagonal, as a column scaling of D. The beam splitter acts on two-mode
 states sector by sector, so no state path builds a dense two-mode matrix.
 
 Both SUM-gate routes return the full-height images of the basis columns a
-caller reads (``FockColumns``). The chain (``sum_gate_circuit``) applies its
-two-mode factors as their sector blocks and its squeezer pairs as a M b^T on
-each column's amplitude matrix M; the direct ``sum_gate`` applies
-kron(up, ux) of the quadratures' eigenbases the same way, around its phases.
-``sum_gate_block_checks`` runs each route once, on the states of total photon
-number <= block: the distance compares the two sets of images on those rows,
-and the Gram defect reads the chain's images.
+caller reads (``FockColumns``). Every factor of the chain
+(``sum_gate_circuit``) conserves the parity of n_a + n_b: a squeezer pair
+moves each mode by an even number of photons, the mixer and the splitter
+conserve n_a + n_b, and the OPA's sector of difference k holds only totals
+of the parity of k. So the chain runs the columns of each parity through
+the sector blocks of that parity only, and its images are exactly zero off
+their parity's rows. The direct ``sum_gate`` applies kron(up, ux) of the
+quadratures' eigenbases as up M ux^T on each column's amplitude matrix M,
+around its phases (``_direct_images``). ``sum_gate_block_checks`` runs each
+route once, on the states of total photon number <= block, and the direct
+gate only on the rows a, b <= block: the distance compares the two sets of
+images on the block's rows, and the Gram defect reads the chain's images,
+one parity half at a time.
 
 The sector blocks of each two-mode factor form one table per cutoff,
 conserved quantity and generator scale. It is built once, kept read-only in
@@ -59,21 +65,23 @@ the OPA of ``opa`` and the chain. The same memo keeps the eigenbases of X_0
 and X_{pi/2} per cutoff, which ``sum_gate`` reads, and the displacements
 with it. The memo holds at most ``DENSE_BYTES_LIMIT`` bytes of entries; a
 new entry first drops the least recently used ones. Each table holds
-(N+1)(2N^2+4N+3)/3 complex entries; a table that alone exceeds the limit is
-refused before anything is built, and with it ``entbs_output`` and the
-fidelities built on it. An eigenbasis holds (N+1)^2 complex entries and N+1
-eigenvalues.
+(N+1)(2N^2+4N+3)/3 complex entries and (N+1)^2 int64 indices; a table
+that alone exceeds the limit is refused before anything is built, and with
+it ``entbs_output`` and the fidelities built on it. An eigenbasis holds
+(N+1)^2 complex entries and N+1 eigenvalues.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
 ``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix, a
-displacement's eigenbasis, the SUM-gate column images (whose count covers
-the direct gate's two eigenbases) and a sector table, and also the qudit
-layer's gate set, its dense V and the ``qudit synth`` export. The column
-routes count three image-sized arrays per column, their peak;
-``_chain_bytes`` adds the chain's three sector tables, held at once, and
-``require_block_checks_fit``, which refuses a cutoff list up front, one more
-array per block column: the chain's images, held while the direct gate runs.
-The README's guard paragraph states the first size each guard refuses.
+displacement's eigenbasis, the SUM-gate column images and a sector table
+(its blocks and their indices), and also the qudit layer's gate set, its
+dense V and the ``qudit synth`` export. The column routes count three
+image-sized arrays per column, their peak; ``_direct_bytes`` adds the direct
+gate's two eigenbases and phase table, ``_chain_bytes`` the chain's three
+sector tables, held at once, and ``require_block_checks_fit``, which refuses
+a cutoff list up front, counts the direct gate, the tables and one more
+array per block column: the chain's images, held while the direct gate
+runs. The README's guard paragraph states the first size each guard
+refuses.
 
 Every public constructor refuses a cutoff that is not an integer >= 1
 (``is_integer``: a Python or numpy integer, not a bool), and the memo
@@ -248,23 +256,31 @@ def _require_fits(cutoff: int, entries: int) -> None:
 
 def _columns_bytes(cutoff: int, columns: int, arrays: int = 3) -> int:
     """Bytes of ``arrays`` complex arrays of ``columns`` two-mode columns,
-    (N+1)^2 entries each. Three is the peak of either SUM-gate route: a
-    Kronecker factor holds its input, an intermediate product and its output;
-    in ``sum_gate`` the input is the phased eigenbasis coefficients, and the
-    chain's squeezer pairs hold the same three."""
+    (N+1)^2 entries each. Three is the peak of either SUM-gate route: in
+    ``sum_gate`` the phased eigenbasis coefficients, the product with one
+    eigenbasis and the images; in the chain a parity half's input and output
+    of a factor, with the other half's images held."""
     return arrays * 16 * (cutoff + 1) ** 2 * columns
 
 
 def _sector_table_bytes(cutoff: int) -> int:
     """Bytes of one table of sector blocks. Either conserved quantity has
     sectors of N + 1 - |k| states for k = -N..N, so the blocks hold
-    sum_k (N + 1 - |k|)^2 = (N + 1)(2N^2 + 4N + 3)/3 complex entries."""
-    return 16 * ((cutoff + 1) * (2 * cutoff**2 + 4 * cutoff + 3) // 3)
+    sum_k (N + 1 - |k|)^2 = (N + 1)(2N^2 + 4N + 3)/3 complex entries, and
+    their int64 indices one entry per basis state, (N+1)^2 in all."""
+    return 16 * ((cutoff + 1) * (2 * cutoff**2 + 4 * cutoff + 3) // 3) + 8 * (cutoff + 1) ** 2
 
 
 def _eigenbasis_bytes(cutoff: int) -> int:
     """Bytes of one quadrature eigenbasis: (N+1)^2 complex vectors, N+1 real values."""
     return 16 * (cutoff + 1) ** 2 + 8 * (cutoff + 1)
+
+
+def _direct_bytes(cutoff: int, columns: int) -> int:
+    """Peak bytes of ``sum_gate`` over ``columns`` basis columns: three
+    image-sized arrays per column, the eigenbases of X_{pi/2} and X_0 and the
+    (N+1)^2 table of their phases."""
+    return _columns_bytes(cutoff, columns) + 2 * _eigenbasis_bytes(cutoff) + 16 * (cutoff + 1) ** 2
 
 
 def _chain_bytes(cutoff: int, columns: int) -> int:
@@ -404,8 +420,8 @@ def _memoized(key: tuple[int, str, float], nbytes: int, build: Callable[[], obje
 def _quadrature_basis(cutoff: int, phi: float) -> _Eigenbasis:
     """The eigenbasis of ``quadrature(cutoff, phi)``, built once per cutoff
     and angle. Its (N+1)^2 + (N+1) entries are guarded by its callers: the
-    displacement's own guard, the SUM gate's three image-sized arrays per
-    column, and ``require_block_checks_fit``, which counts both eigenbases."""
+    displacement's own guard, and ``_direct_bytes`` and
+    ``require_block_checks_fit``, which count both eigenbases."""
 
     def build() -> _Eigenbasis:
         values, vectors = np.linalg.eigh(quadrature(cutoff, phi).matrix)
@@ -459,20 +475,48 @@ def _sector_table(cutoff: int, conserved: str, scale: float) -> _SectorTable:
 
 
 def _apply_sectors(vectors: np.ndarray, blocks) -> np.ndarray:
-    """Apply (indices, block) pairs that partition the basis to the rows of
-    ``vectors``, a two-mode vector or a batch of them as columns."""
-    out = np.empty_like(vectors)
+    """Apply (indices, block) pairs of distinct sectors to the rows of
+    ``vectors``, a two-mode vector or a batch of them as columns; rows that
+    no sector holds are zero in the result."""
+    out = np.zeros_like(vectors)
     for idx, block in blocks:
-        out[idx] = block @ vectors[idx]
+        out[idx] = block @ vectors.take(idx, axis=0)
     return out
+
+
+def _parity_sectors(table: _SectorTable, cutoff: int, parity: int) -> tuple:
+    """The sectors of ``table`` whose states have total photon number of the
+    given parity. A total sector has one total, and a difference sector k
+    only totals of the parity of k; the table lists its sectors by a
+    conserved value rising in steps of one, so their parities alternate."""
+    a, b = divmod(int(table.blocks[0][0][0]), cutoff + 1)
+    return table.blocks[(a + b + parity) % 2::2]
 
 
 def _apply_kron(a: np.ndarray, b: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """kron(a, b) applied to a batch of two-mode column vectors: on each column
-    reshaped to an (N+1) x (N+1) amplitude matrix M it acts as a M b^T."""
+    reshaped to its amplitude matrix M it acts as a M b^T. ``a`` and ``b``
+    may be row slices of the factors, which give only those rows."""
+    t = (a @ vectors.reshape(a.shape[1], -1)).reshape(len(a), b.shape[1], -1)
+    return np.matmul(b, t).reshape(len(a) * len(b), -1)
+
+
+def _apply_kron_on_parity(a: np.ndarray, b: np.ndarray, vectors: np.ndarray,
+                          parity: int) -> np.ndarray:
+    """kron(a, b) for single-mode factors that conserve the parity of n,
+    applied to two-mode columns that hold only states of total photon
+    number of the given parity. An amplitude matrix M of such a column has
+    two nonzero parity blocks, M_rq with q = parity - r (mod 2), and each
+    maps to a_rr M_rq b_qq^T; the other two blocks of the result are zero."""
     n1 = len(a)
-    t = (a @ vectors.reshape(n1, -1)).reshape(n1, n1, -1)
-    return np.matmul(b, t).reshape(n1 * n1, -1)
+    m = vectors.reshape(n1, n1, -1)
+    out = np.zeros_like(m)
+    for r in (0, 1):
+        q = (parity - r) % 2
+        block = m[r::2, q::2]
+        t = (a[r::2, r::2] @ block.reshape(len(block), -1)).reshape(block.shape)
+        out[r::2, q::2] = np.matmul(b[q::2, q::2], t)
+    return out.reshape(n1 * n1, -1)
 
 
 def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
@@ -657,27 +701,36 @@ def _basis_indices(cutoff: int, indices, nbytes: Callable[[int, int], int]) -> n
     return idx.copy()
 
 
-def sum_gate(cutoff: int, columns) -> FockColumns:
-    """exp(-2i X_{pi/2} kron X_0), evaluated spectrally and applied to the
-    basis states ``columns`` (an array of two-mode indices).
+def _direct_images(cutoff: int, cols: np.ndarray, rows: int) -> np.ndarray:
+    """Rows a, b < ``rows`` of the direct SUM gate's images of the basis states
+    ``cols``, row a * rows + b holding |a, b>.
 
     Both quadratures are Hermitian, so the exponential of the Kronecker
     product factorizes over their eigenbases: U = W diag(e^{-2i p x}) W^dag
-    with W = kron(up, ux). This is exact and avoids a dense two-mode Pade
-    exponential. The image of |c, d> is W applied to its coefficients
-    conj(up[c, :]) conj(ux[d, :]) times the phases, and W acts as up M ux^T
-    on each column's amplitude matrix M, so no two-mode matrix is built. Both
-    eigenbases come from the memo (``_quadrature_basis``).
+    with W = kron(up, ux). The image of |c, d> is W applied to its
+    coefficients conj(up[c, :]) conj(ux[d, :]) times the phases, and the
+    rows a, b < ``rows`` of W act as up[:rows] M ux[:rows]^T on each
+    column's amplitude matrix M, so no two-mode matrix is built. Both
+    eigenbases come from the memo (``_quadrature_basis``). The callers guard
+    the arrays (``_direct_bytes``).
     """
     n1 = cutoff + 1
-    cols = _basis_indices(cutoff, columns, _columns_bytes)
     p_basis, x_basis = _quadrature_basis(cutoff, np.pi / 2), _quadrature_basis(cutoff, 0.0)
     dp, up = p_basis.values, p_basis.vectors
     dx, ux = x_basis.values, x_basis.vectors
     # W^dag |c, d> as an (N+1) x (N+1) x columns array, phased in place
     coeffs = up[cols // n1].conj().T[:, None, :] * ux[cols % n1].conj().T[None, :, :]
     coeffs *= np.exp(-2j * np.outer(dp, dx))[:, :, None]
-    return FockColumns(cutoff, cols, _apply_kron(up, ux, coeffs.reshape(n1 * n1, -1)))
+    return _apply_kron(up[:rows], ux[:rows], coeffs.reshape(n1 * n1, -1))
+
+
+def sum_gate(cutoff: int, columns) -> FockColumns:
+    """exp(-2i X_{pi/2} kron X_0), evaluated spectrally (``_direct_images``
+    on every row) and applied to the basis states ``columns`` (an array of
+    two-mode indices). This is exact and avoids a dense two-mode Pade
+    exponential."""
+    cols = _basis_indices(cutoff, columns, _direct_bytes)
+    return FockColumns(cutoff, cols, _direct_images(cutoff, cols, cutoff + 1))
 
 
 def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
@@ -686,28 +739,44 @@ def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
 
     50-50 beam splitter, squeezer pair (r1, r1^dag), two-mode squeezer of
     exponent alpha, mode mixer of angle beta/2, squeezer pair (r2^dag, r2),
-    in operator order, with ``gaussian.decomposition_params()``. The factors
-    act one at a time, rightmost first: the mixer, the OPA and the beam
-    splitter as their sector blocks, and each squeezer pair as a M b^T on
-    every column reshaped to its amplitude matrix M, so no factor is built as
-    a two-mode matrix. Each factor is unitary to rounding at any cutoff, so
-    the images carry no warning: their truncation shows in the block
-    distance of ``sum_gate_block_checks``.
+    in operator order, with ``gaussian.decomposition_params()``. Every factor
+    conserves the parity of n_a + n_b, so the image of |c, d> lives on the
+    rows of parity c + d, and the columns run in two halves by that parity.
+    In a half the factors act one at a time, rightmost first: the squeezer
+    pair on the unit columns as the outer products s2^dag[:, c] s2[:, d]^T,
+    the mixer, the OPA and the beam splitter as their sector blocks of the
+    half's parity, and the other squeezer pair on the two nonzero parity
+    blocks of each amplitude matrix (``_apply_kron_on_parity``), so no factor
+    is built as a two-mode matrix. Each factor is unitary to rounding at any
+    cutoff, so the images carry no warning: their truncation shows in the
+    block distance of ``sum_gate_block_checks``.
     """
     params = gaussian.decomposition_params()
-    dim = (cutoff + 1) ** 2
+    n1 = cutoff + 1
     cols = _basis_indices(cutoff, columns, _chain_bytes)
-    opa_blocks = _sector_table(cutoff, "difference", -params.alpha / 2.0).blocks
-    s1 = squeezer(cutoff, params.r1)
-    s2 = squeezer(cutoff, params.r2)
-    images = np.zeros((dim, cols.size), dtype=complex)
-    images[cols, np.arange(cols.size)] = 1.0
-    images = _apply_kron(s2.matrix.conj().T, s2.matrix, images)
-    images = _apply_sectors(images, _sector_table(cutoff, "total", params.beta / 2.0).blocks)
-    images = _apply_sectors(images, opa_blocks)
-    images = _apply_kron(s1.matrix, s1.matrix.conj().T, images)
-    images = _apply_sectors(images, _sector_table(cutoff, "total", np.pi / 4).blocks)
-    return FockColumns(cutoff, cols, images)
+    tables = [_sector_table(cutoff, "total", params.beta / 2.0),
+              _sector_table(cutoff, "difference", -params.alpha / 2.0),
+              _sector_table(cutoff, "total", np.pi / 4)]
+    s1 = squeezer(cutoff, params.r1).matrix
+    s2 = squeezer(cutoff, params.r2).matrix
+    c, d = np.divmod(cols, n1)
+    halves = []
+    for parity in (0, 1):
+        half = np.flatnonzero((c + d) % 2 == parity)
+        if half.size == 0:
+            continue
+        mixer, amplifier, splitter = (_parity_sectors(t, cutoff, parity) for t in tables)
+        # in C order, as every later factor reads rows and amplitude blocks
+        images = np.multiply(s2[c[half]].conj().T[:, None, :], s2[:, d[half]][None, :, :],
+                             order="C")
+        images = _apply_sectors(images.reshape(n1 * n1, -1), mixer)
+        images = _apply_sectors(images, amplifier)
+        images = _apply_kron_on_parity(s1, s1.conj().T, images, parity)
+        halves.append((half, _apply_sectors(images, splitter)))
+    out = np.empty((n1 * n1, cols.size), dtype=complex)
+    for half, images in halves:
+        out[:, half] = images
+    return FockColumns(cutoff, cols, out)
 
 
 def phase_aligned_block_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -750,26 +819,38 @@ def require_block_checks_fit(cutoff: int, block_photons: int) -> None:
         raise ValueError(f"block_photons must be an integer >= 0, got {block_photons!r}")
     columns = _states_up_to(cutoff, block_photons)
     require_memory(f"cutoff {cutoff}",
-                   _columns_bytes(cutoff, columns, 4) + 3 * _sector_table_bytes(cutoff)
-                   + 2 * _eigenbasis_bytes(cutoff) + 16 * (cutoff + 1) ** 2)
+                   _direct_bytes(cutoff, columns) + _columns_bytes(cutoff, columns, 1)
+                   + 3 * _sector_table_bytes(cutoff))
 
 
 def sum_gate_block_checks(cutoff: int, block_photons: int) -> tuple[float, float]:
     """Both SUM-gate checks at one cutoff, from one pass of the optical chain
-    and one of the direct ``sum_gate`` over the block: the basis columns of
-    total photon number <= ``block_photons``.
+    and one of the direct gate over the block: the basis columns of total
+    photon number <= ``block_photons``.
 
     Returns ``(gram_defect, distance)``. The Gram defect is the max entry of
     C^dag C - I for the chain's images C of the block: every factor is
     unitary to rounding, so it reads rounding (about 1e-14 at N = 20 to 80)
-    and cannot see truncation. The distance, phase-aligned, is between the
-    two routes' images on the block's rows; it is where the truncation shows.
+    and cannot see truncation. Images of columns of different total parity
+    have disjoint rows, so their cross products are exactly zero, and the
+    defect is the larger of the two parity halves' own. The distance,
+    phase-aligned, is between the two routes' images on the block's rows; it
+    is where the truncation shows. The direct gate builds only the rows a,
+    b <= ``block_photons`` (``_direct_images``), which hold the block's.
     """
     require_block_checks_fit(cutoff, block_photons)
     block = np.flatnonzero(block_mask(cutoff, block_photons))
     images = sum_gate_circuit(cutoff, block).matrix
-    distance = phase_aligned_block_distance(sum_gate(cutoff, block).matrix[block], images[block])
-    return _gram_defect(images), distance
+    rows = min(block_photons, cutoff) + 1
+    a, b = np.divmod(block, cutoff + 1)
+    direct = _direct_images(cutoff, block, rows)[a * rows + b]
+    distance = phase_aligned_block_distance(direct, images[block])
+    rows_parity, columns_parity = total_photon_numbers(cutoff) % 2, (a + b) % 2
+    gram_defect = max(
+        _gram_defect(images[np.ix_(rows_parity == parity, columns_parity == parity)])
+        for parity in (0, 1) if (columns_parity == parity).any()
+    )
+    return gram_defect, distance
 
 
 # ---------------------------------------------------------------------------

@@ -511,18 +511,27 @@ class TestSumGate:
         assert distance == pytest.approx(dense, rel=0, abs=1e-14)
 
     def test_direct_gate_built_only_on_the_compared_block(self, monkeypatch):
-        # the distance compares the 66 states of total <= 10 at N=40, and
-        # only those are built
-        sizes = []
-        direct = fock.sum_gate
+        # the distance compares the 66 states of total <= 10 at N=40: only
+        # their columns are built, on the rows a, b <= 10
+        calls = []
+        direct = fock._direct_images
 
-        def counted(cutoff, block):
-            sizes.append(len(block))
-            return direct(cutoff, block)
+        def counted(cutoff, cols, rows):
+            calls.append((len(cols), rows))
+            return direct(cutoff, cols, rows)
 
-        monkeypatch.setattr(fock, "sum_gate", counted)
+        monkeypatch.setattr(fock, "_direct_images", counted)
         fock.sum_gate_block_checks(40, 10)
-        assert sizes == [66]
+        assert calls == [(66, 11)]
+
+    @pytest.mark.parametrize("n", [12, 20, 40])
+    def test_block_rows_equal_the_direct_gate_on_the_block(self, n):
+        # the rows a, b <= block that the block checks build are the rows of
+        # the full-height images, bit for bit
+        block = np.flatnonzero(fock.block_mask(n, 10))
+        a, b = np.divmod(block, n + 1)
+        rows = fock._direct_images(n, block, 11)[a * 11 + b]
+        assert np.array_equal(rows, fock.sum_gate(n, block).matrix[block])
 
     def test_chain_run_once_on_the_compared_block(self, monkeypatch):
         # one pass of the chain at N=40, over the 66 columns the distance
@@ -598,6 +607,13 @@ class TestSumGateColumns:
             "all": np.arange(dim),
         }[which]
 
+    def test_dense_chain_conserves_total_parity(self, dense_chain):
+        # every factor conserves the parity of n_a + n_b, so the image of a
+        # basis state is exactly zero on the rows of the other parity
+        n, dense = dense_chain
+        parity = fock.total_photon_numbers(n) % 2
+        assert not dense[np.not_equal.outer(parity, parity)].any()
+
     @pytest.mark.parametrize("which", ["half_block", "scattered", "all"])
     def test_column_images_match_dense_chain(self, dense_chain, which):
         n, dense = dense_chain
@@ -605,6 +621,9 @@ class TestSumGateColumns:
         out = fock.sum_gate_circuit(n, columns=columns)
         np.testing.assert_array_equal(out.columns, columns)
         np.testing.assert_allclose(out.matrix, dense[:, columns], rtol=0, atol=1e-13)
+        # and exactly zero off each column's parity, as the dense chain is
+        parity = fock.total_photon_numbers(n) % 2
+        assert not out.matrix[np.not_equal.outer(parity, parity[columns])].any()
 
     @pytest.mark.parametrize("n", [12, 20])
     @pytest.mark.parametrize("which", ["half_block", "scattered"])
@@ -639,15 +658,18 @@ class TestDenseGuard:
             (lambda: fock.mode_mixer(400, np.pi / 4), 413711385616),
             (lambda: fock.opa(400, 0.5), 413711385616),
             # three image-sized arrays per column, the column routes' peak, and
-            # the chain's three sector tables of 687801616 bytes each
+            # the chain's three sector tables of 689088024 bytes each: 687801616
+            # of blocks and 1286408 of indices
             (lambda: fock.sum_gate_circuit(400, EVERY_STATE_400),
-             3 * 413711385616 + 3 * 687801616),
-            (lambda: fock.sum_gate(400, EVERY_STATE_400), 3 * 413711385616),
+             3 * 413711385616 + 3 * 689088024),
+            # and the direct gate's two eigenbases (with their 401 eigenvalues)
+            # and its phase table
+            (lambda: fock.sum_gate(400, EVERY_STATE_400),
+             3 * 413711385616 + 3 * 2572816 + 2 * 8 * 401),
             # the block checks' 66 columns of total <= 10, four arrays each,
-            # the chain's tables, and the direct gate's two eigenbases (with
-            # their 401 eigenvalues) and its phase table
+            # the chain's tables, the eigenbases and the phase table
             (lambda: fock.sum_gate_block_checks(400, 10),
-             66 * 4 * 2572816 + 3 * 687801616 + 3 * 2572816 + 2 * 8 * 401),
+             66 * 4 * 2572816 + 3 * 689088024 + 3 * 2572816 + 2 * 8 * 401),
         ],
         # the ids the cases had while only ``build`` was parametrized
         ids=[f"<lambda>{i}" for i in range(5)],
@@ -659,8 +681,8 @@ class TestDenseGuard:
 
     def test_column_route_runs_beyond_the_dense_limit(self):
         # every state's column at cutoff 90: three arrays of 91^4 complex
-        # entries, and three sector tables of 8038576 bytes
-        with pytest.raises(ValueError, match="cutoff 90 needs 3315713856 bytes"):
+        # entries, and three sector tables of 8104824 bytes
+        with pytest.raises(ValueError, match="cutoff 90 needs 3315912600 bytes"):
             fock.sum_gate_circuit(90, every_state(90))
         assert fock.sum_gate_circuit(90, columns=[0]).matrix.shape == (91 ** 2, 1)
 
@@ -672,10 +694,10 @@ class TestDenseGuard:
         fock._require_fits(8191, 8192**2)
 
     def test_opa_sector_blocks_refused_before_allocating(self):
-        # sum_d (1001 - |d|)^2 = 668669001 complex entries in each of the
-        # OPA's, the mixer's and the splitter's sector blocks at cutoff 1000,
-        # though a single column's image is 16 MB
-        needs = "cutoff 1000 needs 32144208096 bytes"
+        # sum_d (1001 - |d|)^2 = 668669001 complex entries, and 1001^2
+        # indices, in each of the OPA's, the mixer's and the splitter's
+        # tables at cutoff 1000, though a single column's image is 16 MB
+        needs = "cutoff 1000 needs 32168256120 bytes"
         assert refused_peak(lambda: fock.sum_gate_circuit(1000, columns=[0]), needs) < 2**20
 
     @pytest.mark.parametrize("cutoff, max_total", [(4, 0), (4, 3), (4, 4), (4, 5), (4, 7),
@@ -686,7 +708,7 @@ class TestDenseGuard:
 
     def test_chain_counts_its_three_tables_with_its_columns(self, monkeypatch):
         # one column's three arrays and the splitter, mixer and OPA tables fit at cutoff
-        # 321, not 322 (one table alone fits up to 464); raising stops the chain there
+        # 320, not 321 (one table alone fits up to 463); raising stops the chain there
         requested = []
 
         def record(label, nbytes):
@@ -694,43 +716,48 @@ class TestDenseGuard:
             raise LookupError
 
         monkeypatch.setattr(fock, "require_memory", record)
-        for n in (321, 322):
+        for n in (320, 321):
             with pytest.raises(LookupError):
                 fock.sum_gate_circuit(n, [0])
-        assert requested == [("cutoff 321", 1073341920), ("cutoff 322", 1083357504)]
+        assert requested == [("cutoff 320", 1065861240), ("cutoff 321", 1075830336)]
         assert requested[0][1] <= fock.DENSE_BYTES_LIMIT < requested[1][1]
         monkeypatch.undo()
-        needs = "cutoff 322 needs 1083357504 bytes,"
-        assert refused_peak(lambda: fock.sum_gate_circuit(322, [0]), needs) < 2**20
+        needs = "cutoff 321 needs 1075830336 bytes,"
+        assert refused_peak(lambda: fock.sum_gate_circuit(321, [0]), needs) < 2**20
 
     def test_block_checks_refused_before_the_mask(self):
         # cutoff 282 is the largest whose 66 columns of total <= 10, four
         # arrays each, three sector tables, two eigenbases and a phase table
         # fit; at cutoff 10^5 even the (N+1)^2 block mask would take 10 GB
         fock.require_block_checks_fit(282, 10)
-        with pytest.raises(ValueError, match="cutoff 283 needs 1077573248 bytes"):
+        with pytest.raises(ValueError, match="cutoff 283 needs 1079508992 bytes"):
             fock.require_block_checks_fit(283, 10)
         needs = "cutoff 100000 needs"
         assert refused_peak(lambda: fock.sum_gate_block_checks(10**5, 10), needs) < 2**20
 
-    @pytest.mark.parametrize("n", [20, 30, 40])
-    @pytest.mark.parametrize("which", ["one_column", "half_block"])
-    def test_direct_gate_peak_within_the_guarded_bytes(self, monkeypatch, n, which):
-        # the three image-sized arrays per column that _columns_bytes counts
-        # bound the direct gate's peak; its eigenbases are (N+1)^2 entries each
+    @pytest.mark.parametrize(
+        "which, n",
+        [("one_column", 20), ("one_column", 30), ("one_column", 40), ("one_column", 400),
+         ("half_block", 20), ("half_block", 30), ("half_block", 40)],
+        ids=lambda value: str(value),
+    )
+    def test_direct_gate_peak_within_the_guarded_bytes(self, monkeypatch, empty_memo, which, n):
+        # three image-sized arrays per column, the two eigenbases and the phase
+        # table bound the direct gate's peak; at N=400 one column's 7.7 MB of
+        # arrays are the smaller part of its 12.9 MB peak
         columns = [0] if which == "one_column" else np.flatnonzero(fock.block_mask(n, n // 2))
         requested = []
         monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
         peak = traced_peak(lambda: fock.sum_gate(n, columns))
-        assert requested == [fock._columns_bytes(n, len(columns))]
+        assert requested == [fock._direct_bytes(n, len(columns))]
         assert peak <= requested[0] + 2**20
 
     @pytest.mark.parametrize("n", [20, 30, 40, 60, 150])
     def test_block_checks_peak_within_the_guarded_bytes(self, monkeypatch, empty_memo, n):
         # the count is the largest request, the one of require_block_checks_fit:
-        # the chain's images stay alive while the direct gate holds its three
+        # the chain's images stay alive while the direct gate holds its
         # arrays; the sector tables and eigenbases are built inside the traced
-        # call. The peak exceeds the count by 0.04 to 0.42 MiB at n = 20 to 150
+        # call. The peak stays below the count, by 0.18 to 21 MiB at n = 20 to 150
         requested = []
         monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
         peak = traced_peak(lambda: fock.sum_gate_block_checks(n, 10))
@@ -843,11 +870,11 @@ class TestSectorMemo:
         for n in (1, 2, 13):
             for conserved in ("total", "difference"):
                 table = fock._sector_table(n, conserved, 0.3)
-                assert sum(block.nbytes for _, block in table.blocks) == table.nbytes
-                assert table.nbytes == fock._sector_table_bytes(n)
+                held = sum(idx.nbytes + block.nbytes for idx, block in table.blocks)
+                assert held == table.nbytes == fock._sector_table_bytes(n)
 
     def test_least_recently_used_table_goes_first(self, monkeypatch):
-        # tables of 98896, 317936 and 735376 bytes at N = 20, 30 and 40: the
+        # tables of 102424, 325624 and 748824 bytes at N = 20, 30 and 40: the
         # three exceed 1 MiB together, and 20 and 40 fit without 30
         monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", 2**20)
         for n in (20, 30, 20, 40):
@@ -895,18 +922,18 @@ class TestSectorMemo:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: fock.entbs_output(465, 0.0, 0.0, 0.5),
-            lambda: fock.entbs_fidelity(465, 0.0, 0.0, 0.5),
+            lambda: fock.entbs_output(464, 0.0, 0.0, 0.5),
+            lambda: fock.entbs_fidelity(464, 0.0, 0.0, 0.5),
         ],
         ids=["entbs_output", "entbs_fidelity"],
     )
     def test_oversized_splitter_refused_before_the_states(self, build):
-        # the N=465 splitter blocks hold 67463286 complex entries; the
-        # quadrature states alone would trace more than 1 MiB
-        assert refused_peak(build, "cutoff 465 needs 1079412576 bytes") < 2**20
+        # the N=464 splitter blocks hold 67029905 complex entries and 465^2
+        # indices; the quadrature states alone would trace more than 1 MiB
+        assert refused_peak(build, "cutoff 464 needs 1074208280 bytes") < 2**20
         assert not fock._SECTOR_TABLES
         # the largest table that fits
-        assert fock._sector_table_bytes(464) <= fock.DENSE_BYTES_LIMIT
+        assert fock._sector_table_bytes(463) <= fock.DENSE_BYTES_LIMIT
 
 
 class TestSu11Generators:
