@@ -7,17 +7,6 @@ gate decomposition (squeezers, a two-mode squeezer, beam splitters) cross
 checked against its exact 4x4 symplectic representation.
 """
 
-from .dket import (
-    DoubleKet,
-    apply_sandwich,
-    frobenius_norm,
-    hs_inner,
-    is_maximally_entangled,
-    ptrace_first,
-    ptrace_second,
-    unvec,
-    vec,
-)
 from .fock import (
     FockColumns,
     FockOperator,

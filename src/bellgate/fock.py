@@ -330,7 +330,7 @@ def displacement(cutoff: int, alpha: complex) -> FockOperator:
     """exp(alpha a^dag - conj(alpha) a) at the given cutoff, from the
     eigenbasis of ``_displacement_basis``; alpha = 0 gives exactly the identity."""
     _require_cutoff(cutoff)
-    require_finite("alpha", alpha)
+    require_finite("alpha", alpha, complex_ok=True)
     if alpha == 0:
         return FockOperator(cutoff, 1, np.eye(cutoff + 1, dtype=complex))
     w, phases = _displacement_basis(cutoff, alpha)
@@ -576,6 +576,7 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     exceeds 1e-4; tails above 1e-8 attach a warning.
     """
     _require_cutoff(cutoff)
+    require_finite("lam", lam)
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     tail = lam ** (2 * (cutoff + 1))
@@ -622,7 +623,7 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     their overlap is exp(-s^2 |z|^2 / 2) at the matched lambda (see
     ``entbs_fidelity``).
     """
-    require_finite("z", z)
+    require_finite("z", z, complex_ok=True)
 
     def build(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
         # the double-ket's amplitude matrix is diagonal, so D acts by scaling its columns
@@ -663,6 +664,7 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
     """
     require_finite("x", x)
     require_finite("phi", phi)
+    require_finite("s", s)
     if not 0.0 < s <= 1.0:
         raise ValueError("sharpness s must lie in (0, 1]")
 
@@ -871,6 +873,8 @@ def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
     the same blocks. The splitter's table is requested first, so a cutoff
     whose table is refused builds no state.
     """
+    require_finite("x", x)
+    require_finite("y", y)
     splitter = _sector_table(cutoff, "total", np.pi / 4)
     in_a = quad_eigenstate_approx(cutoff, x / np.sqrt(2.0), 0.0, s)
     in_b = quad_eigenstate_approx(cutoff, y / np.sqrt(2.0), np.pi / 2.0, s)

@@ -89,8 +89,11 @@ def su11_pauli_defect(params: DecompositionParams) -> float:
 # Symplectic matrices of the individual Gaussian elements
 # ---------------------------------------------------------------------------
 
-def require_finite(name: str, value: complex) -> None:
-    """Refuse a NaN or infinite parameter, naming it and its value."""
+def require_finite(name: str, value: float, complex_ok: bool = False) -> None:
+    """Refuse a NaN or infinite parameter, and a complex one unless
+    ``complex_ok``, naming it and its value."""
+    if not complex_ok and np.iscomplexobj(value):
+        raise ValueError(f"{name} must be real, got {value!r}")
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 

@@ -9,8 +9,10 @@ and F is the discrete Fourier matrix F[n, j] = w^(nj) / sqrt(d). The gate
     V = sum_i |i><i| kron W^i
 
 (the controlled-NOT for d = 2) maps the product basis F|m> kron |n> onto the
-maximally entangled basis vec(U(m, n)) / sqrt(d), where the shift-and-multiply
-operators are indexed so that
+maximally entangled basis vec(U(m, n)) / sqrt(d). Here vec(A) is the
+double-ket |A>> = sum_ij A_ij |i>|j>, whose amplitudes in numpy's row-major
+layout are exactly ``A.reshape(-1)``, and the shift-and-multiply operators
+are indexed so that
 
     U(m, n)[i, j] = w^(i m) delta_{j, i+n mod d},
 
@@ -49,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dket import DoubleKet, vec
 from .fock import is_integer, require_memory
 
 
@@ -130,10 +131,11 @@ def shift_multiply(gs: QuditGateSet, m: int, n: int) -> np.ndarray:
     return u
 
 
-def bell_vector(gs: QuditGateSet, m: int, n: int) -> DoubleKet:
-    """Normalized Bell-basis vector vec(U(m, n)) / sqrt(d)."""
-    _check_index(gs, m, n)
-    return vec(shift_multiply(gs, m, n) / np.sqrt(gs.d))
+def bell_vector(gs: QuditGateSet, m: int, n: int) -> np.ndarray:
+    """Normalized Bell-basis vector vec(U(m, n)) / sqrt(d), as the d^2
+    amplitudes ``U(m, n).reshape(-1) / sqrt(d)``. The checks read the
+    support and value tables instead; this builds one vector on request."""
+    return shift_multiply(gs, m, n).reshape(-1) / np.sqrt(gs.d)
 
 
 def bell_map_max_error(gs: QuditGateSet) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from support import compose, su11_terms, term_block
 
-from bellgate import cli, dket, fock, gaussian
+from bellgate import cli, fock, gaussian, qudit
 
 
 def _report(label: str, ok: bool, detail: str) -> bool:
@@ -80,6 +80,9 @@ def test_03_bell_basis_orthonormal(qudit_rows):
 
 
 def test_04_double_ket_identities():
+    # (A kron B)|C>> = |A C B^T>>, on the kernel that applies the direct SUM
+    # gate's Kronecker eigenbasis (fock._apply_kron), against the index sum;
+    # and both reduced states of each Bell vector, as index sums, are I/d
     worst = 0.0
     for d in range(2, 9):
         rng = np.random.default_rng(1000 + d)
@@ -87,18 +90,18 @@ def test_04_double_ket_identities():
             a, b, c = (_random_complex(rng, d, d) for _ in range(3))
             sandwich = np.einsum("im,jn,mn->ij", a, b, c).reshape(-1)
             worst = max(worst, np.abs(
-                dket.apply_sandwich(a, b, c).amplitudes - sandwich
+                fock._apply_kron(a, b, c.reshape(-1, 1))[:, 0] - sandwich
             ).max())
-            outer = np.outer(a.reshape(-1), b.reshape(-1).conj()).reshape(d, d, d, d)
-            worst = max(worst, np.abs(
-                dket.ptrace_first(a, b) - np.einsum("anam->nm", outer)
-            ).max())
-            worst = max(worst, np.abs(
-                dket.ptrace_second(a, b) - np.einsum("ijkj->ik", outer)
-            ).max())
+        gs = qudit.make_gateset(d)
+        for m in range(d):
+            for n in range(d):
+                v = qudit.bell_vector(gs, m, n)
+                outer = np.outer(v, v.conj()).reshape(d, d, d, d)
+                for reduced in (np.einsum("anam->nm", outer), np.einsum("ijkj->ik", outer)):
+                    worst = max(worst, np.abs(reduced - np.eye(d) / d).max())
     ok = _report(
-        "double-ket sandwich and partial-trace identities vs index sums,"
-        " 100 random triples per d=2..8",
+        "double-ket sandwich on the Fock kernel vs index sums, 100 random"
+        " triples per d=2..8; every Bell vector's reduced states are I/d",
         worst <= 1e-13,
         f"max entrywise error {worst:.3e} (tol 1e-13)",
     )

@@ -437,10 +437,17 @@ class TestQuadEigenstate:
         with pytest.raises(ValueError):
             fock.quad_eigenstate_approx(10, 0.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("name", ["x", "phi"])
-    def test_non_finite_position_or_angle_rejected(self, name):
-        args = {"x": 0.0, "phi": 0.0, "s": 0.5, name: np.nan}
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    @pytest.mark.parametrize(
+        "name, value",
+        [pytest.param("x", np.nan, id="x"), pytest.param("phi", np.nan, id="phi"),
+         # unrefused, x = 1j gave <X_0> = 0 and <X_pi/2> = 1 while recording x = 1j
+         pytest.param("x", 1j, id="x-complex"), pytest.param("phi", 0.5j, id="phi-complex"),
+         pytest.param("s", 0.5j, id="s-complex")],
+    )
+    def test_non_finite_position_or_angle_rejected(self, name, value):
+        args = {"x": 0.0, "phi": 0.0, "s": 0.5, name: value}
+        reason = "real" if isinstance(value, complex) else "finite"
+        with pytest.raises(ValueError, match=f"^{name} must be {reason}"):
             fock.quad_eigenstate_approx(10, **args)
 
 
@@ -1035,19 +1042,35 @@ CUTOFF_BUILDERS = {
 }
 
 
+# the arguments besides the one under test, by builder
+OTHER_ARGS = {
+    "displaced_identity_doubleket": {"lam": 0.5},
+    "heterodyne_eigen_residual": {"lam": 0.5},
+    "entbs_fidelity": {"x": 0.1, "y": 0.1, "s": 0.5},
+}
+
+
 class TestLibraryBoundary:
     @pytest.mark.parametrize(
         "builder, name",
         [("displacement", "alpha"), ("squeezer", "r"), ("mode_mixer", "theta"), ("opa", "alpha_param"),
          ("phase_shift", "theta"), ("quadrature", "phi"),
-         ("displaced_identity_doubleket", "z"), ("heterodyne_eigen_residual", "z")],
+         ("displaced_identity_doubleket", "z"), ("heterodyne_eigen_residual", "z"),
+         ("identity_doubleket", "lam"),
+         ("entbs_fidelity", "x"), ("entbs_fidelity", "y"), ("entbs_fidelity", "s")],
     )
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.5j])
     def test_non_finite_parameter_rejected(self, builder, name, value):
-        # the two double-ket functions take lambda before z
-        lam = (0.5,) if name == "z" else ()
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            getattr(fock, builder)(8, *lam, value)
+        args = {**OTHER_ARGS.get(builder, {}), name: value}
+        build = functools.partial(getattr(fock, builder), 8, **args)
+        if isinstance(value, complex) and name in ("alpha", "z"):
+            build()  # the displacement amplitudes are complex
+            return
+        # unrefused, quadrature(4, 0.5j) was not Hermitian, phase_shift(4, 0.5j)
+        # not unitary, and a NaN y of entbs_fidelity was refused as x
+        reason = "real" if isinstance(value, complex) else "finite"
+        with pytest.raises(ValueError, match=f"^{name} must be {reason}"):
+            build()
 
     @pytest.mark.parametrize("block_photons", [2.5, True, -1])
     @pytest.mark.parametrize("check", [fock.require_block_checks_fit, fock.sum_gate_block_checks])

@@ -6,6 +6,7 @@ low-total-photon block, pinning every sign convention numerically. It reads
 the unitary only through the images of that block's basis columns.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -166,13 +167,19 @@ class TestElementSymplectics:
         assert fock_block_error(lambda block: u1 @ u2[:, block], m1 @ m2, cutoff) <= 1e-6
 
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 0.5j], ids=["nan", "inf", "-inf", "0.5j"]
+    )
     @pytest.mark.parametrize(
         "kind, name", [("squeezer", "r"), ("beam_splitter", "theta"), ("opa", "alpha")]
     )
     def test_non_finite_parameter_refused_naming_it(self, kind, name, value):
-        # unrefused, squeezer_symplectic(nan) returned a NaN matrix
-        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        # unrefused, squeezer_symplectic(nan) returned a NaN matrix, and
+        # beam_splitter_symplectic(0.5j) one with symplectic defect 0.136
+        reason = "real" if isinstance(value, complex) else "finite"
+        with pytest.raises(
+            ValueError, match=f"^{name} must be {reason}, got {re.escape(repr(value))}$"
+        ):
             SYMPLECTICS[kind](value)
 
     def test_non_positive_squeezing_refused_naming_it(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import refused_peak
 
-from bellgate import cli, dket, qudit
+from bellgate import cli, qudit
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -170,7 +170,7 @@ class TestShiftMultiply:
         u = qudit.shift_multiply(gs, m, n)
         np.testing.assert_array_equal(u != 0, oracle != 0)
         assert np.abs(u - oracle).max() <= PHASE_TOL
-        amps = qudit.bell_vector(gs, m, n).amplitudes
+        amps = qudit.bell_vector(gs, m, n)
         assert np.abs(amps - oracle.reshape(-1) / np.sqrt(d)).max() <= PHASE_TOL
 
     def test_index_out_of_range(self):
@@ -193,7 +193,7 @@ class TestShiftMultiply:
             m1, n1, m2, n2 = rng.integers(0, d, size=4)
             prod = qudit.shift_multiply(gs, m1, n1) @ qudit.shift_multiply(gs, m2, n2)
             rep = qudit.shift_multiply(gs, (m1 + m2) % d, (n1 + n2) % d)
-            phase = dket.hs_inner(rep, prod) / d
+            phase = np.vdot(rep, prod) / d
             assert abs(abs(phase) - 1.0) <= 1e-13
             assert np.abs(prod - phase * rep).max() <= 1e-13
 
@@ -202,7 +202,7 @@ class TestBellBasis:
     def test_qubit_origin_vector(self):
         gs = qudit.make_gateset(2)
         np.testing.assert_allclose(
-            qudit.bell_vector(gs, 0, 0).amplitudes,
+            qudit.bell_vector(gs, 0, 0),
             np.array([1, 0, 0, 1]) / np.sqrt(2),
             atol=1e-15,
         )
@@ -213,8 +213,11 @@ class TestBellBasis:
         for m in range(d):
             for n in range(d):
                 v = qudit.bell_vector(gs, m, n)
-                assert abs(v.norm - 1.0) <= 1e-13
-                assert dket.is_maximally_entangled(v, 1e-10)
+                assert abs(np.linalg.norm(v) - 1.0) <= 1e-13
+                # both reduced states of |U>> / sqrt(d), U U^dag and U^T conj(U), are I/d
+                u = v.reshape(d, d)
+                for rho in (u @ u.conj().T, u.T @ u.conj()):
+                    assert np.linalg.norm(rho - np.eye(d) / d) <= 1e-10
 
     @pytest.mark.parametrize("d,tol", [(2, 1e-12), (3, 1e-12), (16, 1e-11)])
     def test_bell_map(self, d, tol):
@@ -255,7 +258,7 @@ class TestBellBasis:
             for n in range(d):
                 expected = np.zeros(d * d, dtype=complex)
                 expected[rows[:, n]] = values[:, m]
-                np.testing.assert_array_equal(qudit.bell_vector(gs, m, n).amplitudes, expected)
+                np.testing.assert_array_equal(qudit.bell_vector(gs, m, n), expected)
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_structured_checks_match_dense_route(self, d):
