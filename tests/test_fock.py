@@ -481,6 +481,76 @@ class TestPaddedTail:
         assert tail == pytest.approx(mass_outside_box(amps, n), rel=0.01)
 
 
+def _random_complex(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+class TestApplyKron:
+    """The double-ket layout the Fock kernels write: a two-mode vector is the
+    row-major reshape of its amplitude matrix M, and kron(a, b) acts as a M b^T."""
+
+    def test_identity_factors_leave_vectors(self):
+        c = np.array([[1, 2], [3, 4]], dtype=complex)
+        out = fock._apply_kron(np.eye(2), np.eye(2), c.reshape(-1, 1))[:, 0]
+        np.testing.assert_array_equal(out, c.reshape(-1))
+
+    def test_left_factor_acts_on_rows(self):
+        # kron(X, I)|I>> = |X>>
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        out = fock._apply_kron(sx, np.eye(2), np.eye(2).reshape(-1, 1))[:, 0]
+        np.testing.assert_array_equal(out, sx.reshape(-1))
+
+    def test_right_factor_acts_transposed(self):
+        # kron(I, B)|I>> = |B^T>>
+        b = np.array([[1, 2], [3, 4]], dtype=complex)
+        out = fock._apply_kron(np.eye(2), b, np.eye(2).reshape(-1, 1))[:, 0]
+        np.testing.assert_array_equal(out, b.T.reshape(-1))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kron_and_index_sum_routes_agree(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b, c = (_random_complex(rng, 4, 4) for _ in range(3))
+        out = fock._apply_kron(a, b, c.reshape(-1, 1))[:, 0]
+        np.testing.assert_allclose(out, np.kron(a, b) @ c.reshape(-1), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            out, np.einsum("im,jn,mn->ij", a, b, c).reshape(-1), rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("rows_a, rows_b", [(1, 5), (3, 2), (5, 5)])
+    def test_row_slices_give_those_rows(self, rows_a, rows_b):
+        rng = np.random.default_rng(10 * rows_a + rows_b)
+        a, b = _random_complex(rng, 5, 5), _random_complex(rng, 5, 5)
+        vectors = _random_complex(rng, 25, 3)
+        rows = (np.arange(rows_a)[:, None] * 5 + np.arange(rows_b)).reshape(-1)
+        np.testing.assert_allclose(
+            fock._apply_kron(a[:rows_a], b[:rows_b], vectors),
+            (np.kron(a, b) @ vectors)[rows], rtol=0, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("n1", [5, 6])
+    def test_parity_route_matches_full_route(self, n1, parity):
+        # single-mode factors that conserve the parity of n, on columns that
+        # hold only states of one total-photon parity
+        rng = np.random.default_rng(n1 + parity)
+        n = np.arange(n1)
+        conserving = (n[:, None] - n) % 2 == 0
+        a, b = (_random_complex(rng, n1, n1) * conserving for _ in range(2))
+        in_parity = (np.add.outer(n, n).reshape(-1) % 2 == parity)[:, None]
+        vectors = _random_complex(rng, n1 * n1, 3) * in_parity
+        np.testing.assert_allclose(
+            fock._apply_kron_on_parity(a, b, vectors, parity),
+            fock._apply_kron(a, b, vectors), rtol=0, atol=1e-12,
+        )
+
+    def test_regularized_state_holds_the_row_major_layout(self):
+        # |a, b> sits at index a (N + 1) + b, the entry M[a, b]
+        m = np.arange(9).reshape(3, 3)
+        state = fock.RegularizedState(2, 2, m)
+        np.testing.assert_array_equal(state.amplitudes, m.reshape(-1))
+        assert state.amplitudes @ basis_state(2, 1, 2) == m[1, 2]
+
+
 class TestSumGate:
     def test_spectral_route_matches_dense_expm(self):
         n = 12

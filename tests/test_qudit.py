@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,49 @@ class TestBellBasis:
                 u = v.reshape(d, d)
                 for rho in (u @ u.conj().T, u.T @ u.conj()):
                     assert np.linalg.norm(rho - np.eye(d) / d) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "m, n, expected",
+        [(0, 0, [1, 0, 0, 1]), (1, 0, [1, 0, 0, -1]), (0, 1, [0, 1, 1, 0]), (1, 1, [0, 1, -1, 0])],
+        ids=["identity", "clock", "shift", "clock_shift"],
+    )
+    def test_qubit_vectors_are_row_major(self, m, n, expected):
+        # |U>> = sum_ij U_ij |i>|j>: the amplitudes read U row by row
+        gs = qudit.make_gateset(2)
+        np.testing.assert_allclose(
+            qudit.bell_vector(gs, m, n), np.array(expected) / np.sqrt(2), rtol=0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_reduced_states_by_index_sum(self, d):
+        # the partial traces of |v><v| as index sums on the 1-D amplitudes
+        gs = qudit.make_gateset(d)
+        for m in range(d):
+            for n in range(d):
+                v = qudit.bell_vector(gs, m, n)
+                outer = np.outer(v, v.conj()).reshape(d, d, d, d)
+                for reduced in (np.einsum("anam->nm", outer), np.einsum("ijkj->ik", outer)):
+                    assert np.abs(reduced - np.eye(d) / d).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_inner_products_are_hilbert_schmidt(self, d):
+        # <<A|B>> = tr(A^dag B), so the Bell vectors' Gram matrix is
+        # tr(U(m, n)^dag U(m', n')) / d
+        gs = qudit.make_gateset(d)
+        pairs = [(m, n) for m in range(d) for n in range(d)]
+        for m1, n1 in pairs:
+            u1 = qudit.shift_multiply(gs, m1, n1)
+            for m2, n2 in pairs:
+                u2 = qudit.shift_multiply(gs, m2, n2)
+                inner = np.vdot(qudit.bell_vector(gs, m1, n1), qudit.bell_vector(gs, m2, n2))
+                assert abs(inner - np.trace(u1.conj().T @ u2) / d) <= 1e-13
+
+    @pytest.mark.parametrize("m, n", [(3, 0), (0, 3), (-1, 0), (0, 1.5)])
+    def test_bell_vector_refuses_index_naming_it(self, m, n):
+        gs = qudit.make_gateset(3)
+        message = f"indices (m, n) = ({m!r}, {n!r}) must be integers in [0, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qudit.bell_vector(gs, m, n)
 
     @pytest.mark.parametrize("d,tol", [(2, 1e-12), (3, 1e-12), (16, 1e-11)])
     def test_bell_map(self, d, tol):
