@@ -9,7 +9,6 @@ checked against its exact 4x4 symplectic representation.
 
 from .fock import (
     FockColumns,
-    FockOperator,
     RegularizedState,
     displacement,
     displaced_identity_doubleket,

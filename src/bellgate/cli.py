@@ -289,8 +289,9 @@ def synth_payload(gs: qudit.QuditGateSet) -> dict:
 def gateset_from_payload(payload: dict) -> qudit.QuditGateSet:
     """The gate set of a ``qudit synth`` JSON payload of schema 2. A payload
     of another schema, a missing, unknown or mistyped field, a ``d`` below 2,
-    a Z, W or F that is not d x d and a ``v_perm`` that is not a permutation
-    of range(d^2) are refused with a ValueError naming the field. The length
+    a Z, W or F that is not d x d or holds a non-finite entry (``json`` reads
+    NaN and Infinity) and a ``v_perm`` that is not a permutation of
+    range(d^2) are refused with a ValueError naming the field. The length
     of ``v_perm`` is checked before anything of size d^2 is built."""
     if isinstance(payload, dict) and payload.get("schema", SYNTH_SCHEMA) != SYNTH_SCHEMA:
         raise ValueError(f"payload field 'schema' is {payload['schema']!r}: only schema"
@@ -312,6 +313,8 @@ def gateset_from_payload(payload: dict) -> qudit.QuditGateSet:
             raise refusal from exc
         if m.shape != (d, d):
             raise refusal
+        if not np.isfinite(m).all():
+            raise ValueError(f"payload {name} has a non-finite entry")
         return m
 
     z, w, f = (matrix(name) for name in _SYNTH_MATRICES)

@@ -54,8 +54,8 @@ quadratures' eigenbases as up M ux^T on each column's amplitude matrix M,
 around its phases (``_direct_images``). ``sum_gate_block_checks`` runs each
 route once, on the states of total photon number <= block, and the direct
 gate only on the rows a, b <= block: the distance compares the two sets of
-images on the block's rows, and the Gram defect reads the chain's images,
-one parity half at a time.
+images on the block's rows, and the Gram defect (``unitarity_defect``)
+reads the chain's images, one parity half at a time.
 
 The sector blocks of each two-mode factor form one table per cutoff,
 conserved quantity and generator scale. It is built once, kept read-only in
@@ -86,7 +86,8 @@ refuses.
 Every public constructor refuses a cutoff that is not an integer >= 1
 (``is_integer``: a Python or numpy integer, not a bool), and the memo
 refuses one before it is touched. Stored arrays are read-only: the
-dataclasses are frozen, and so are their matrices and amplitudes.
+builders' operators, the arrays of the frozen state and column
+dataclasses, and the memo's blocks, indices and eigenbases.
 """
 
 from __future__ import annotations
@@ -106,26 +107,6 @@ _TAIL_PAD = 12
 # most bytes of complex arrays one route may allocate; the README states the
 # first size each guard refuses
 DENSE_BYTES_LIMIT = 2**30
-
-
-@dataclass(frozen=True, eq=False)
-class FockOperator:
-    """A dense operator together with its photon-number cutoff and mode count."""
-
-    cutoff: int
-    modes: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.modes not in (1, 2):
-            raise ValueError("modes must be 1 or 2")
-        dim = (self.cutoff + 1) ** self.modes
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} inconsistent with cutoff"
-                f" {self.cutoff} and {self.modes} mode(s)"
-            )
-        self.matrix.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +164,12 @@ def _require_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only in place."""
+    array.setflags(write=False)
+    return array
+
+
 def _ladder(cutoff: int) -> np.ndarray:
     a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     ns = np.arange(1, cutoff + 1)
@@ -190,23 +177,19 @@ def _ladder(cutoff: int) -> np.ndarray:
     return a
 
 
-def quadrature(cutoff: int, phi: float) -> FockOperator:
+def quadrature(cutoff: int, phi: float) -> np.ndarray:
     """Hermitian quadrature (e^{i phi} a^dag + e^{-i phi} a) / 2."""
     _require_cutoff(cutoff)
     require_finite("phi", phi)
     a = _ladder(cutoff)
     x = 0.5 * (np.exp(1j * phi) * a.conj().T + np.exp(-1j * phi) * a)
-    return FockOperator(cutoff, 1, x)
+    return _read_only(x)
 
 
-def _gram_defect(u: np.ndarray) -> float:
-    """Max entry of U^dag U - I over the columns of U."""
+def unitarity_defect(u: np.ndarray) -> float:
+    """Max entry of U^dag U - I over the columns of U: for a square U its
+    unitarity defect, for a block of its columns their Gram defect."""
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[1])).max())
-
-
-def unitarity_defect(op: FockOperator) -> float:
-    """Max entry of U^dag U - I."""
-    return _gram_defect(op.matrix)
 
 
 def _chain_expm(sub: np.ndarray) -> np.ndarray:
@@ -321,20 +304,20 @@ def _displacement_basis(cutoff: int, alpha: complex) -> tuple[np.ndarray, np.nda
     touched.
     """
     _require_fits(cutoff, (cutoff + 1) ** 2)
-    basis = _quadrature_basis(cutoff, np.pi / 2)
-    w = _phases(cutoff, -np.angle(alpha))[:, None] * basis.vectors
-    return w, np.exp(-2j * abs(alpha) * basis.values)
+    values, vectors = _quadrature_basis(cutoff, np.pi / 2)
+    w = _phases(cutoff, -np.angle(alpha))[:, None] * vectors
+    return w, np.exp(-2j * abs(alpha) * values)
 
 
-def displacement(cutoff: int, alpha: complex) -> FockOperator:
+def displacement(cutoff: int, alpha: complex) -> np.ndarray:
     """exp(alpha a^dag - conj(alpha) a) at the given cutoff, from the
     eigenbasis of ``_displacement_basis``; alpha = 0 gives exactly the identity."""
     _require_cutoff(cutoff)
     require_finite("alpha", alpha, complex_ok=True)
     if alpha == 0:
-        return FockOperator(cutoff, 1, np.eye(cutoff + 1, dtype=complex))
+        return _read_only(np.eye(cutoff + 1, dtype=complex))
     w, phases = _displacement_basis(cutoff, alpha)
-    return FockOperator(cutoff, 1, (w * phases) @ w.conj().T)
+    return _read_only((w * phases) @ w.conj().T)
 
 
 def _squeezer_chain(cutoff: int, r: float, first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +328,7 @@ def _squeezer_chain(cutoff: int, r: float, first: int) -> tuple[np.ndarray, np.n
     return ns, _chain_expm(sub)
 
 
-def squeezer(cutoff: int, r: float) -> FockOperator:
+def squeezer(cutoff: int, r: float) -> np.ndarray:
     """exp(log(r)(a^dag^2 - a^2)/2); maps x -> r x, p -> p / r in the Heisenberg picture.
 
     The truncated generator couples n to n + 2 only, so it is two chains, over
@@ -356,7 +339,7 @@ def squeezer(cutoff: int, r: float) -> FockOperator:
     if r <= 0:
         raise ValueError("squeezing parameter must be positive")
     chains = [_squeezer_chain(cutoff, r, first) for first in (0, 1)]
-    return FockOperator(cutoff, 1, _assemble(cutoff, 1, chains))
+    return _read_only(_assemble(cutoff, 1, chains))
 
 
 def _phases(cutoff: int, theta: float) -> np.ndarray:
@@ -364,37 +347,18 @@ def _phases(cutoff: int, theta: float) -> np.ndarray:
     return np.exp(-1j * theta * np.arange(cutoff + 1))
 
 
-def phase_shift(cutoff: int, theta: float) -> FockOperator:
+def phase_shift(cutoff: int, theta: float) -> np.ndarray:
     """Diagonal phase rotation exp(-i theta n)."""
     _require_cutoff(cutoff)
     require_finite("theta", theta)
-    return FockOperator(cutoff, 1, np.diag(_phases(cutoff, theta)))
+    return _read_only(np.diag(_phases(cutoff, theta)))
 
 
-@dataclass(frozen=True, eq=False)
-class _SectorTable:
-    """The (indices, block) pairs of every sector of one conserved quantity,
-    at one cutoff and generator scale; indices and blocks are read-only."""
-
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    nbytes: int
-
-
-@dataclass(frozen=True, eq=False)
-class _Eigenbasis:
-    """``np.linalg.eigh`` of one quadrature at one cutoff: the eigenvalues and
-    the eigenvectors as columns, both read-only."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-    nbytes: int
-
-
-# Sector tables by (cutoff, conserved, scale) and quadrature eigenbases by
-# (cutoff, "quadrature", phi), least recently used first; the entries held
-# here never exceed DENSE_BYTES_LIMIT bytes in all. The lock makes each
-# lookup, eviction and insertion one step for callers on several threads.
-_SECTOR_TABLES: dict[tuple[int, str, float], _SectorTable | _Eigenbasis] = {}
+# (entry, nbytes) pairs, least recently used first: sector tables by (cutoff,
+# conserved, scale) and eigenbases by (cutoff, "quadrature", phi), never more
+# than DENSE_BYTES_LIMIT bytes in all. The lock makes each lookup, eviction
+# and insertion one step for callers on several threads.
+_SECTOR_TABLES: dict[tuple[int, str, float], tuple[tuple, int]] = {}
 _SECTOR_TABLES_LOCK = threading.Lock()
 
 
@@ -406,35 +370,34 @@ def _memoized(key: tuple[int, str, float], nbytes: int, build: Callable[[], obje
     ones are dropped.
     """
     with _SECTOR_TABLES_LOCK:
-        entry = _SECTOR_TABLES.pop(key, None)
-        if entry is None:
+        held = _SECTOR_TABLES.pop(key, None)
+        if held is None:
             while _SECTOR_TABLES and (
-                sum(e.nbytes for e in _SECTOR_TABLES.values()) + nbytes > DENSE_BYTES_LIMIT
+                sum(size for _, size in _SECTOR_TABLES.values()) + nbytes > DENSE_BYTES_LIMIT
             ):
                 del _SECTOR_TABLES[next(iter(_SECTOR_TABLES))]
-            entry = build()
-        _SECTOR_TABLES[key] = entry
-        return entry
+            held = (build(), nbytes)
+        _SECTOR_TABLES[key] = held
+        return held[0]
 
 
-def _quadrature_basis(cutoff: int, phi: float) -> _Eigenbasis:
-    """The eigenbasis of ``quadrature(cutoff, phi)``, built once per cutoff
-    and angle. Its (N+1)^2 + (N+1) entries are guarded by its callers: the
+def _quadrature_basis(cutoff: int, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(quadrature(cutoff, phi))``, the eigenvalues and the
+    eigenvectors as columns, read-only and built once per cutoff and angle.
+    Its (N+1)^2 + (N+1) entries are guarded by its callers: the
     displacement's own guard, and ``_direct_bytes`` and
     ``require_block_checks_fit``, which count both eigenbases."""
 
-    def build() -> _Eigenbasis:
-        values, vectors = np.linalg.eigh(quadrature(cutoff, phi).matrix)
-        for array in (values, vectors):
-            array.setflags(write=False)
-        return _Eigenbasis(values, vectors, values.nbytes + vectors.nbytes)
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, np.linalg.eigh(quadrature(cutoff, phi))))
 
     _require_cutoff(cutoff)
     return _memoized((cutoff, "quadrature", float(phi)), _eigenbasis_bytes(cutoff), build)
 
 
-def _build_sector_table(cutoff: int, conserved: str, scale: float) -> _SectorTable:
-    """The blocks of each sector of a conserved two-mode quantity.
+def _build_sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
+    """The read-only (indices, block) pairs of each sector of a conserved
+    two-mode quantity.
 
     ``conserved`` is "total" for the generator scale (a^dag b - a b^dag),
     which conserves n_a + n_b, or "difference" for scale (a^dag b^dag - a b),
@@ -454,14 +417,11 @@ def _build_sector_table(cutoff: int, conserved: str, scale: float) -> _SectorTab
         inside = (ms >= 0) & (ms <= cutoff)
         k, m = ks[inside], ms[inside]
         sub = scale * np.sqrt((k[:-1] + 1) * np.maximum(m[:-1], m[1:]))
-        pair = (k * n1 + m, _chain_expm(sub))
-        for array in pair:
-            array.setflags(write=False)
-        blocks.append(pair)
-    return _SectorTable(tuple(blocks), _sector_table_bytes(cutoff))
+        blocks.append((_read_only(k * n1 + m), _read_only(_chain_expm(sub))))
+    return tuple(blocks)
 
 
-def _sector_table(cutoff: int, conserved: str, scale: float) -> _SectorTable:
+def _sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
     """The sector table of ``_build_sector_table``, built once per key.
 
     A table larger than DENSE_BYTES_LIMIT is refused before it is built. To
@@ -484,13 +444,13 @@ def _apply_sectors(vectors: np.ndarray, blocks) -> np.ndarray:
     return out
 
 
-def _parity_sectors(table: _SectorTable, cutoff: int, parity: int) -> tuple:
+def _parity_sectors(table: tuple, cutoff: int, parity: int) -> tuple:
     """The sectors of ``table`` whose states have total photon number of the
     given parity. A total sector has one total, and a difference sector k
     only totals of the parity of k; the table lists its sectors by a
     conserved value rising in steps of one, so their parities alternate."""
-    a, b = divmod(int(table.blocks[0][0][0]), cutoff + 1)
-    return table.blocks[(a + b + parity) % 2::2]
+    a, b = divmod(int(table[0][0][0]), cutoff + 1)
+    return table[(a + b + parity) % 2::2]
 
 
 def _apply_kron(a: np.ndarray, b: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -522,23 +482,23 @@ def _apply_kron_on_parity(a: np.ndarray, b: np.ndarray, vectors: np.ndarray,
 def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
     """expm of theta (a^dag b - a b^dag), assembled from its total-photon sectors."""
     _require_fits(cutoff, (cutoff + 1) ** 4)
-    return _assemble(cutoff, 2, _sector_table(cutoff, "total", theta).blocks)
+    return _assemble(cutoff, 2, _sector_table(cutoff, "total", theta))
 
 
-def mode_mixer(cutoff: int, theta: float) -> FockOperator:
+def mode_mixer(cutoff: int, theta: float) -> np.ndarray:
     """exp(theta (a^dag b - a b^dag)); theta = pi/4 is the 50-50 beam splitter."""
     _require_cutoff(cutoff)
     require_finite("theta", theta)
-    return FockOperator(cutoff, 2, _mixing_expm(cutoff, theta))
+    return _read_only(_mixing_expm(cutoff, theta))
 
 
-def opa(cutoff: int, alpha_param: float) -> FockOperator:
+def opa(cutoff: int, alpha_param: float) -> np.ndarray:
     """exp(-(alpha/2)(a^dag b^dag - a b)), assembled from its photon-number-difference sectors."""
     _require_cutoff(cutoff)
     require_finite("alpha_param", alpha_param)
     _require_fits(cutoff, (cutoff + 1) ** 4)
-    blocks = _sector_table(cutoff, "difference", -alpha_param / 2.0).blocks
-    return FockOperator(cutoff, 2, _assemble(cutoff, 2, blocks))
+    blocks = _sector_table(cutoff, "difference", -alpha_param / 2.0)
+    return _read_only(_assemble(cutoff, 2, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +523,10 @@ def block_mask(cutoff: int, max_total: int) -> np.ndarray:
 
 def lambda_fits(cutoff: int, lam: float) -> bool:
     """True iff the tail mass lambda^(2(N+1)) that the cutoff drops from
-    sum_n lambda^n |n, n> is at most ``TAIL_ERROR_TOL``."""
+    sum_n lambda^n |n, n> is at most ``TAIL_ERROR_TOL``. A complex or
+    non-finite lambda is refused."""
     _require_cutoff(cutoff)
+    require_finite("lam", lam)
     return lam ** (2 * (cutoff + 1)) <= TAIL_ERROR_TOL
 
 
@@ -628,7 +590,7 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     def build(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
         # the double-ket's amplitude matrix is diagonal, so D acts by scaling its columns
         base = identity_doubleket(n, lam)
-        return displacement(n, z).matrix * base.amplitudes[:: n + 2], base.warnings
+        return displacement(n, z) * base.amplitudes[:: n + 2], base.warnings
 
     return _padded_state(
         cutoff, build,
@@ -717,9 +679,7 @@ def _direct_images(cutoff: int, cols: np.ndarray, rows: int) -> np.ndarray:
     the arrays (``_direct_bytes``).
     """
     n1 = cutoff + 1
-    p_basis, x_basis = _quadrature_basis(cutoff, np.pi / 2), _quadrature_basis(cutoff, 0.0)
-    dp, up = p_basis.values, p_basis.vectors
-    dx, ux = x_basis.values, x_basis.vectors
+    (dp, up), (dx, ux) = _quadrature_basis(cutoff, np.pi / 2), _quadrature_basis(cutoff, 0.0)
     # W^dag |c, d> as an (N+1) x (N+1) x columns array, phased in place
     coeffs = up[cols // n1].conj().T[:, None, :] * ux[cols % n1].conj().T[None, :, :]
     coeffs *= np.exp(-2j * np.outer(dp, dx))[:, :, None]
@@ -759,8 +719,7 @@ def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
     tables = [_sector_table(cutoff, "total", params.beta / 2.0),
               _sector_table(cutoff, "difference", -params.alpha / 2.0),
               _sector_table(cutoff, "total", np.pi / 4)]
-    s1 = squeezer(cutoff, params.r1).matrix
-    s2 = squeezer(cutoff, params.r2).matrix
+    s1, s2 = squeezer(cutoff, params.r1), squeezer(cutoff, params.r2)
     c, d = np.divmod(cols, n1)
     halves = []
     for parity in (0, 1):
@@ -835,9 +794,9 @@ def sum_gate_block_checks(cutoff: int, block_photons: int) -> tuple[float, float
     unitary to rounding, so it reads rounding (about 1e-14 at N = 20 to 80)
     and cannot see truncation. Images of columns of different total parity
     have disjoint rows, so their cross products are exactly zero, and the
-    defect is the larger of the two parity halves' own. The distance,
-    phase-aligned, is between the two routes' images on the block's rows; it
-    is where the truncation shows. The direct gate builds only the rows a,
+    defect is the larger of the two parity halves' own, or NaN if either is.
+    The distance, phase-aligned, is between the two routes' images on the
+    block's rows; it is where the truncation shows. The direct gate builds only the rows a,
     b <= ``block_photons`` (``_direct_images``), which hold the block's.
     """
     require_block_checks_fit(cutoff, block_photons)
@@ -848,10 +807,10 @@ def sum_gate_block_checks(cutoff: int, block_photons: int) -> tuple[float, float
     direct = _direct_images(cutoff, block, rows)[a * rows + b]
     distance = phase_aligned_block_distance(direct, images[block])
     rows_parity, columns_parity = total_photon_numbers(cutoff) % 2, (a + b) % 2
-    gram_defect = max(
-        _gram_defect(images[np.ix_(rows_parity == parity, columns_parity == parity)])
+    gram_defect = float(np.max([
+        unitarity_defect(images[np.ix_(rows_parity == parity, columns_parity == parity)])
         for parity in (0, 1) if (columns_parity == parity).any()
-    )
+    ]))
     return gram_defect, distance
 
 
@@ -861,7 +820,11 @@ def sum_gate_block_checks(cutoff: int, block_photons: int) -> tuple[float, float
 
 def matched_lambda(s: float) -> float:
     """Damping parameter of the two-mode squeezed vacuum produced by feeding a
-    50-50 beam splitter with orthogonally squeezed inputs of sharpness s."""
+    50-50 beam splitter with orthogonally squeezed inputs of sharpness s.
+    An s outside (0, 1), whose lambda would lie outside (0, 1), is refused."""
+    require_finite("s", s)
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s must lie in (0, 1), got {s!r}")
     return (1.0 - s * s) / (1.0 + s * s)
 
 
@@ -879,7 +842,7 @@ def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
     in_a = quad_eigenstate_approx(cutoff, x / np.sqrt(2.0), 0.0, s)
     in_b = quad_eigenstate_approx(cutoff, y / np.sqrt(2.0), np.pi / 2.0, s)
     product = np.kron(in_a.amplitudes, in_b.amplitudes)
-    out = _apply_sectors(product, splitter.blocks)
+    out = _apply_sectors(product, splitter)
     return RegularizedState(
         cutoff, 2, out, {"x": x, "y": y, "s": s},
         in_a.warnings + in_b.warnings,
@@ -905,8 +868,10 @@ def entbs_fidelity(cutoff: int, x: float, y: float, s: float) -> float:
     * the pure-state Gaussian fidelity exp(-d^T V^{-1} d / 4) is then
       exp(-s^2 |z|^2 / 2) (Weedbrook et al., RMP 84, 621 (2012)).
 
-    Only the truncation moves the Fock value off the closed form.
+    Only the truncation moves the Fock value off the closed form. An s with
+    no matched lambda is refused before any state is built.
     """
+    lam = matched_lambda(s)
     out = entbs_output(cutoff, x, y, s)
-    ref = displaced_identity_doubleket(cutoff, matched_lambda(s), x + 1j * y)
+    ref = displaced_identity_doubleket(cutoff, lam, x + 1j * y)
     return float(abs(np.vdot(ref.amplitudes, out.amplitudes)) ** 2)

@@ -150,7 +150,7 @@ def bell_map_max_error(gs: QuditGateSet) -> float:
     The Bell vectors are built from the defining Z and W, so the gate set's
     own Z and W are held to them too: the error is inf unless W is exactly
     the cyclic shift and Z is diagonal, and it is at least max_k
-    |Z[k, k] - w^k|.
+    |Z[k, k] - w^k|. A NaN in Z or F gives NaN, which passes no tolerance.
     """
     d = gs.d
     k = np.arange(d)
@@ -161,7 +161,7 @@ def bell_map_max_error(gs: QuditGateSet) -> float:
         return float("inf")
     powers = _roots(d, np.outer(k, k))  # w^(i m), the clock phases w^k in row 1
     clock = np.abs(np.diagonal(z) - powers[1]).max()
-    return float(max(clock, np.linalg.norm(gs.F - powers / np.sqrt(d), axis=0).max()))
+    return float(np.max([clock, np.linalg.norm(gs.F - powers / np.sqrt(d), axis=0).max()]))
 
 
 def orthonormality_max_error(gs: QuditGateSet) -> float:

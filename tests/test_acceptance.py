@@ -173,9 +173,9 @@ def test_08_beam_splitter_factorization():
     lam = fock.matched_lambda(0.5)
     base = fock.identity_doubleket(n, lam).amplitudes.reshape(n + 1, n + 1)
     split = (
-        fock.displacement(n, z / 2).matrix
+        fock.displacement(n, z / 2)
         @ base
-        @ fock.displacement(n, -np.conj(z) / 2).matrix.T
+        @ fock.displacement(n, -np.conj(z) / 2).T
     ).reshape(-1)
     image = fock.entbs_output(n, z.real, z.imag, 0.5).amplitudes
     fid_displaced = abs(np.vdot(split, image)) ** 2 / np.vdot(split, split).real
@@ -223,7 +223,7 @@ def test_10_su11_commutator_in_fock_space():
 
     comm = 1j * (on_block(compose(kx, ky)) - on_block(compose(ky, kx))) - on_block(kz)
     comm_err = np.abs(comm).max()
-    x = fock.quadrature(n, 0.0).matrix
+    x = fock.quadrature(n, 0.0)
     gen_err = np.abs(
         -1j * on_block([(1.0, x, x)]) - (-0.5j) * (on_block(kx) - 1j * on_block(ky))
     ).max()

@@ -224,16 +224,20 @@ class TestQuditSynth:
             (("v_perm", 0), 0.0, "field 'v_perm' is not a permutation of range(9)"),
             (("v_perm", 1), True, "field 'v_perm' is not a permutation of range(9)"),
             (("v_perm",), {}, "field 'v_perm' has the wrong type: {}"),
+            (("matrices", "F", 1, 2), [float("nan"), 0.0], "F has a non-finite entry"),
+            (("matrices", "Z", 0, 0), [float("inf"), 0.0], "Z has a non-finite entry"),
+            (("matrices", "W", 1, 0), [1.0, float("nan")], "W has a non-finite entry"),
         ],
         ids=["d_fractional", "d_text", "d_bool", "d_below_two", "F_one_column", "Z_too_large",
              "W_ragged", "W_entry_without_imaginary_part", "v_perm_short", "v_perm_duplicate",
              "v_perm_out_of_range", "v_perm_negative", "v_perm_float", "v_perm_bool",
-             "v_perm_object"],
+             "v_perm_object", "F_nan", "Z_infinite", "W_nan_imaginary"],
     )
     def test_bad_payload_refused_naming_the_field(self, path, value, message):
         # unrefused, d = 3.7 would load as d = 3, an F of shape (3, 1) would
         # broadcast to a bell_map error of 1.41, and a True in v_perm would
-        # pass for the index 1
+        # pass for the index 1; a NaN in F, which json reads, scored a Bell-map
+        # error of 0.0
         payload = cli.synth_payload(qudit.make_gateset(3))
         *parents, last = path
         target = payload

@@ -52,8 +52,8 @@ def fock_block_error(images, m: np.ndarray, cutoff: int, kmax: int = 6) -> float
     """
     block = np.flatnonzero(fock.block_mask(cutoff, kmax))
     c = images(block)
-    x = fock.quadrature(cutoff, 0.0).matrix
-    p = fock.quadrature(cutoff, np.pi / 2).matrix
+    x = fock.quadrature(cutoff, 0.0)
+    p = fock.quadrature(cutoff, np.pi / 2)
     eye = np.eye(cutoff + 1)
     quads = [(x, eye), (p, eye), (eye, x), (eye, p)]
     on_block = [term_block([(1.0, a, b)], cutoff, block, block) for a, b in quads]
@@ -142,15 +142,15 @@ class TestElementSymplectics:
         [
             ("squeezer", {"r": 1.3, "mode": 0},
              lambda n, block: term_block(
-                 [(1.0, fock.squeezer(n, 1.3).matrix, np.eye(n + 1))], n, every_state(n), block)),
+                 [(1.0, fock.squeezer(n, 1.3), np.eye(n + 1))], n, every_state(n), block)),
             ("phase_shift", {"theta": np.pi / 2, "mode": 1},
              lambda n, block: term_block(
-                 [(1.0, np.eye(n + 1), fock.phase_shift(n, np.pi / 2).matrix)], n, every_state(n),
+                 [(1.0, np.eye(n + 1), fock.phase_shift(n, np.pi / 2))], n, every_state(n),
                  block)),
             ("beam_splitter", {},
-             lambda n, block: fock.mode_mixer(n, np.pi / 4).matrix[:, block]),
+             lambda n, block: fock.mode_mixer(n, np.pi / 4)[:, block]),
             ("opa", {"alpha": 0.7},
-             lambda n, block: fock.opa(n, 0.7).matrix[:, block]),
+             lambda n, block: fock.opa(n, 0.7)[:, block]),
         ],
     )
     def test_fock_oracle_confirms_elements(self, kind, kw, build):
@@ -160,8 +160,8 @@ class TestElementSymplectics:
 
     def test_composition_homomorphism_via_fock(self):
         cutoff = 30
-        u1 = fock.opa(cutoff, 0.4).matrix
-        u2 = fock.mode_mixer(cutoff, np.pi / 4).matrix
+        u1 = fock.opa(cutoff, 0.4)
+        u2 = fock.mode_mixer(cutoff, np.pi / 4)
         m1 = gaussian.opa_symplectic(0.4)
         m2 = gaussian.beam_splitter_symplectic()
         assert fock_block_error(lambda block: u1 @ u2[:, block], m1 @ m2, cutoff) <= 1e-6

@@ -285,6 +285,14 @@ class TestBellBasis:
         assert qudit.bell_map_max_error(wrong) > cli.TOL_BELL_MAP
         assert dense_errors(wrong)[0] > cli.TOL_BELL_MAP
 
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_nan_in_f_fails_bell_map(self, d):
+        # Python's max(clock, nan) is clock: unpropagated, the NaN scored 0.0
+        gs = qudit.make_gateset(d)
+        f = np.array(gs.F)
+        f[d - 1, 0] = np.nan
+        assert np.isnan(qudit.bell_map_max_error(dataclasses.replace(gs, F=f)))
+
     def test_colliding_supports_fail_gram(self, monkeypatch):
         # vectors of n = 1 on the rows of n = 0: no longer orthogonal
         supports = qudit._bell_supports
