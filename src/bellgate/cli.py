@@ -74,10 +74,10 @@ def _check(name: str, error: float, tol: float, passed=None) -> CheckResult:
 
 def _rising(name: str, values: list[float]) -> CheckResult:
     """The row for values that must rise strictly: its error is the largest
-    fall between neighbours, floored at 0, and it passes only if every fall
-    is negative, a strict rise."""
+    fall between neighbours, floored at 0 (NaN if a fall is), and it passes
+    only if every fall is negative, a strict rise."""
     falls = [a - b for a, b in zip(values, values[1:])]
-    return _check(name, max(0.0, max(falls)), 0.0, passed=all(fall < 0 for fall in falls))
+    return _check(name, np.max([0.0, *falls]), 0.0, passed=all(fall < 0 for fall in falls))
 
 
 def _graded(strict: float, cutoff: int) -> float:
@@ -186,7 +186,7 @@ def heterodyne_rows(cutoff: int) -> list[CheckResult]:
     res_base = residuals[0.0]
     lam_hi = heterodyne_lambda(n)
     res_hi = fock.heterodyne_eigen_residual(n, lam_hi, 1.0)
-    spread = max(abs(res - res_base) for res in residuals.values())
+    spread = np.max([abs(res - res_base) for res in residuals.values()])
     return [
         _check(f"N={n}:heterodyne_closed_form_lam{lam}",
                abs(res_base - np.sqrt((1 - lam) / (1 + lam))), _graded(TOL_HETERODYNE_CLOSED, n)),

@@ -12,12 +12,13 @@ cutoff. The displacement's truncated generator r e^{i theta} a^dag - h.c. is
 cutoff is read off one eigenbasis of X_{pi/2}, the same one the direct SUM
 gate uses. Every other truncated generator is block-diagonal in a conserved
 photon-number quantity, and inside a block it is a tridiagonal chain with
-zero diagonal: the squeezer has two (even and odd n), the beam splitter and
-mode mixer one per sector of total photon number, and the optical parametric
-amplifier one per sector of photon-number difference. A chain links only
-sites of opposite parity, so ``_chain_expm`` reads exp(G) off one SVD of its
-even-to-odd block X: cos and sin of the singular values give the four parity
-blocks, and a zero chain gives exactly the identity.
+zero diagonal: the squeezer has two (even and odd n, its "parity"
+sectors), the beam splitter and mode mixer one per sector of total photon
+number, and the optical parametric amplifier one per sector of
+photon-number difference. A chain links only sites of opposite parity, so
+``_chain_expm``, the one exponential of every sector table, reads exp(G)
+off one SVD of its even-to-odd block X: cos and sin of the singular values
+give the four parity blocks, and a zero chain gives exactly the identity.
 
 The truncated generator is exactly anti-Hermitian, so every factor and every
 sector block is unitary to rounding at any cutoff: the max entry of
@@ -30,14 +31,15 @@ masses of the states.
 Dirac-like states are only ever represented in regularized form: the identity
 double-ket as a two-mode squeezed vacuum with weight lambda^n, and quadrature
 eigenvectors as rotated displaced squeezed vacua with sharpness s. Each
-regularized constructor records its parameters and the tail mass it drops
-above the cutoff; tails above 1e-8 attach a warning, and the identity
-double-ket refuses lambda so large that the tail exceeds 1e-4. The two
+regularized constructor records the tail mass it drops above the cutoff;
+tails above 1e-8 attach a warning, and the identity double-ket refuses
+lambda so large that the tail exceeds 1e-4. The two
 displaced states take that tail from one helper, ``_padded_state``: it builds
 the state at cutoff N and at N + ``_TAIL_PAD``, sums the padded build's mass
 outside the first N+1 levels of each mode, normalizes the cutoff-N build and
 keeps the tail warning of the identity double-ket it is built from. A
-quadrature state applies its displacement as two products of a vector with
+quadrature state reads its squeezed vacuum S(s)|0> as column 0 of
+``squeezer``, applies its displacement as two products of a vector with
 the displacement's eigenbasis, and the double-ket, whose amplitude matrix is
 diagonal, as a column scaling of D. The beam splitter acts on two-mode
 states sector by sector, so no state path builds a dense two-mode matrix.
@@ -57,28 +59,34 @@ gate only on the rows a, b <= block: the distance compares the two sets of
 images on the block's rows, and the Gram defect (``unitarity_defect``)
 reads the chain's images, one parity half at a time.
 
-The sector blocks of each two-mode factor form one table per cutoff,
-conserved quantity and generator scale. It is built once, kept read-only in
-a module-level memo and shared by every later call: the 50-50 splitter of
-``entbs_output``, ``mode_mixer`` and the chain, the chain's mode mixer, and
-the OPA of ``opa`` and the chain. The same memo keeps the eigenbases of X_0
-and X_{pi/2} per cutoff, which ``sum_gate`` reads, and the displacements
-with it. The memo holds at most ``DENSE_BYTES_LIMIT`` bytes of entries; a
-new entry first drops the least recently used ones. Each table holds
-(N+1)(2N^2+4N+3)/3 complex entries and (N+1)^2 int64 indices; a table
-that alone exceeds the limit is refused before anything is built, and with
-it ``entbs_output`` and the fidelities built on it. An eigenbasis holds
-(N+1)^2 complex entries and N+1 eigenvalues.
+The sector blocks of each factor form one table per cutoff, conserved
+quantity and generator scale. It is built once, kept read-only in a
+module-level memo and shared by every later call: the squeezer's parity
+table, of scale log(r)/2, by ``squeezer``, the chain and the quadrature
+states; the 50-50 splitter by ``entbs_output``, ``mode_mixer`` and the
+chain; the chain's mode mixer; and the OPA by ``opa`` and the chain. Every
+dense factor is assembled from its table by ``_assemble``, which refuses
+the dense matrix before the table is fetched. The same memo keeps the
+eigenbases of X_0 and X_{pi/2} per cutoff, which ``sum_gate`` reads, and
+the displacements with it. The memo holds at most ``DENSE_BYTES_LIMIT``
+bytes of entries; a new entry first drops the least recently used ones. A
+two-mode table holds (N+1)(2N^2+4N+3)/3 complex entries and (N+1)^2 int64
+indices, a parity table ceil((N+1)/2)^2 + floor((N+1)/2)^2 entries and
+N+1 indices; a table that alone exceeds the limit is refused before
+anything is built, and with a two-mode one ``entbs_output`` and the
+fidelities built on it. An eigenbasis holds (N+1)^2 complex entries and
+N+1 eigenvalues.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
-``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix, a
-displacement's eigenbasis, the SUM-gate column images and a sector table
-(its blocks and their indices), and also the qudit layer's gate set, its
-dense V and the ``qudit synth`` export. The column routes count three
-image-sized arrays per column, their peak; ``_direct_bytes`` adds the direct
-gate's two eigenbases and phase table, ``_chain_bytes`` the chain's three
-sector tables, held at once, and ``require_block_checks_fit``, which refuses
-a cutoff list up front, counts the direct gate, the tables and one more
+``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix (a
+squeezer's, and so a quadrature state's), a displacement's eigenbasis,
+the SUM-gate column images and a sector table (its blocks and their
+indices), and also the qudit layer's gate set, its dense V and the
+``qudit synth`` export. The column routes count three image-sized arrays
+per column, their peak; ``_direct_bytes`` adds the direct gate's two
+eigenbases and phase table, ``_chain_bytes`` the chain's three sector
+tables, held at once, and ``require_block_checks_fit``, which refuses a
+cutoff list up front, counts the direct gate, the tables and one more
 array per block column: the chain's images, held while the direct gate
 runs. The README's guard paragraph states the first size each guard
 refuses.
@@ -93,7 +101,7 @@ dataclasses, and the memo's blocks, indices and eigenbases.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -131,12 +139,11 @@ class FockColumns:
 
 @dataclass(frozen=True, eq=False)
 class RegularizedState:
-    """A normalized state vector with its regularization parameters."""
+    """A normalized state vector with the truncation warnings of its build."""
 
     cutoff: int
     modes: int
     amplitudes: np.ndarray
-    params: dict[str, float] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -246,12 +253,17 @@ def _columns_bytes(cutoff: int, columns: int, arrays: int = 3) -> int:
     return arrays * 16 * (cutoff + 1) ** 2 * columns
 
 
-def _sector_table_bytes(cutoff: int) -> int:
-    """Bytes of one table of sector blocks. Either conserved quantity has
-    sectors of N + 1 - |k| states for k = -N..N, so the blocks hold
-    sum_k (N + 1 - |k|)^2 = (N + 1)(2N^2 + 4N + 3)/3 complex entries, and
-    their int64 indices one entry per basis state, (N+1)^2 in all."""
-    return 16 * ((cutoff + 1) * (2 * cutoff**2 + 4 * cutoff + 3) // 3) + 8 * (cutoff + 1) ** 2
+def _sector_table_bytes(cutoff: int, conserved: str = "total") -> int:
+    """Bytes of one table of sector blocks, whose int64 indices hold one
+    entry per basis state. The parity chains of one mode hold
+    ceil((N+1)/2)^2 + floor((N+1)/2)^2 complex entries. Either two-mode
+    quantity has sectors of N + 1 - |k| states for k = -N..N, so its blocks
+    hold sum_k (N + 1 - |k|)^2 = (N + 1)(2N^2 + 4N + 3)/3 complex entries,
+    and its indices (N+1)^2."""
+    n1 = cutoff + 1
+    if conserved == "parity":
+        return 16 * (((n1 + 1) // 2) ** 2 + (n1 // 2) ** 2) + 8 * n1
+    return 16 * (n1 * (2 * cutoff**2 + 4 * cutoff + 3) // 3) + 8 * n1**2
 
 
 def _eigenbasis_bytes(cutoff: int) -> int:
@@ -272,14 +284,17 @@ def _chain_bytes(cutoff: int, columns: int) -> int:
     return _columns_bytes(cutoff, columns) + 3 * _sector_table_bytes(cutoff)
 
 
-def _assemble(cutoff: int, modes: int, blocks) -> np.ndarray:
-    """Dense matrix from (indices, block) pairs that partition the basis."""
+def _assemble(cutoff: int, modes: int, conserved: str, scale: float) -> np.ndarray:
+    """The read-only dense matrix on ``modes`` modes of the sector table of
+    ``conserved`` and ``scale`` (``_sector_table``), whose blocks partition
+    the basis. The matrix is refused above DENSE_BYTES_LIMIT before the
+    table is fetched."""
     _require_fits(cutoff, (cutoff + 1) ** (2 * modes))
     dim = (cutoff + 1) ** modes
     out = np.zeros((dim, dim), dtype=complex)
-    for idx, block in blocks:
+    for idx, block in _sector_table(cutoff, conserved, scale):
         out[np.ix_(idx, idx)] = block
-    return out
+    return _read_only(out)
 
 
 def _truncation_warning(label: str, tail: float, where: str) -> tuple[str, ...]:
@@ -320,26 +335,17 @@ def displacement(cutoff: int, alpha: complex) -> np.ndarray:
     return _read_only((w * phases) @ w.conj().T)
 
 
-def _squeezer_chain(cutoff: int, r: float, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """The levels n = first, first + 2, ... <= N and the squeezer's block on
-    them: the ``_chain_expm`` of subdiagonal log(r) sqrt((n+1)(n+2)) / 2."""
-    ns = np.arange(first, cutoff + 1, 2)
-    sub = 0.5 * np.log(r) * np.sqrt((ns[:-1] + 1) * (ns[:-1] + 2))
-    return ns, _chain_expm(sub)
-
-
 def squeezer(cutoff: int, r: float) -> np.ndarray:
     """exp(log(r)(a^dag^2 - a^2)/2); maps x -> r x, p -> p / r in the Heisenberg picture.
 
     The truncated generator couples n to n + 2 only, so it is two chains, over
-    even and over odd n (``_squeezer_chain``).
+    even and over odd n: the memoized "parity" table of scale log(r)/2.
     """
     _require_cutoff(cutoff)
     require_finite("r", r)
     if r <= 0:
         raise ValueError("squeezing parameter must be positive")
-    chains = [_squeezer_chain(cutoff, r, first) for first in (0, 1)]
-    return _read_only(_assemble(cutoff, 1, chains))
+    return _assemble(cutoff, 1, "parity", 0.5 * np.log(r))
 
 
 def _phases(cutoff: int, theta: float) -> np.ndarray:
@@ -354,9 +360,10 @@ def phase_shift(cutoff: int, theta: float) -> np.ndarray:
     return _read_only(np.diag(_phases(cutoff, theta)))
 
 
-# (entry, nbytes) pairs, least recently used first: sector tables by (cutoff,
-# conserved, scale) and eigenbases by (cutoff, "quadrature", phi), never more
-# than DENSE_BYTES_LIMIT bytes in all. The lock makes each lookup, eviction
+# (entry, nbytes) pairs, least recently used first: the sector tables of the
+# squeezer and the two-mode factors by (cutoff, conserved, scale) and
+# eigenbases by (cutoff, "quadrature", phi), never more than
+# DENSE_BYTES_LIMIT bytes in all. The lock makes each lookup, eviction
 # and insertion one step for callers on several threads.
 _SECTOR_TABLES: dict[tuple[int, str, float], tuple[tuple, int]] = {}
 _SECTOR_TABLES_LOCK = threading.Lock()
@@ -397,28 +404,33 @@ def _quadrature_basis(cutoff: int, phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _build_sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
     """The read-only (indices, block) pairs of each sector of a conserved
-    two-mode quantity.
+    quantity: the indices are the sector's basis states, and the block is
+    the ``_chain_expm`` of the chain with links scale sqrt(link).
 
-    ``conserved`` is "total" for the generator scale (a^dag b - a b^dag),
-    which conserves n_a + n_b, or "difference" for scale (a^dag b^dag - a b),
-    which conserves n_a - n_b. Ordered by rising n_a, a sector is a chain
-    whose link from n_a to n_a + 1 moves n_b between m and m' with matrix
-    element scale sqrt((n_a + 1) max(m, m')); the block is its
-    ``_chain_expm``, and the indices are the sector's two-mode basis states.
+    ``conserved`` is "parity" for the one-mode generator scale
+    (a^dag^2 - a^2), whose sectors are the even and the odd n, linked from n
+    to n + 2 by (n + 1)(n + 2). It is "total" for the two-mode generator
+    scale (a^dag b - a b^dag), which conserves n_a + n_b, or "difference"
+    for scale (a^dag b^dag - a b), which conserves n_a - n_b. Ordered by
+    rising n_a, a two-mode sector is a chain whose link from n_a to n_a + 1
+    moves n_b between m and m' and is (n_a + 1) max(m, m').
     """
     n1 = cutoff + 1
     ks = np.arange(n1)
-    if conserved == "total":
-        mode_b = [tot - ks for tot in range(2 * cutoff + 1)]
+    if conserved == "parity":
+        sectors = [(ns, (ns[:-1] + 1) * (ns[:-1] + 2)) for ns in (ks[0::2], ks[1::2])]
     else:
-        mode_b = [ks - diff for diff in range(-cutoff, cutoff + 1)]
-    blocks = []
-    for ms in mode_b:
-        inside = (ms >= 0) & (ms <= cutoff)
-        k, m = ks[inside], ms[inside]
-        sub = scale * np.sqrt((k[:-1] + 1) * np.maximum(m[:-1], m[1:]))
-        blocks.append((_read_only(k * n1 + m), _read_only(_chain_expm(sub))))
-    return tuple(blocks)
+        if conserved == "total":
+            mode_b = [tot - ks for tot in range(2 * cutoff + 1)]
+        else:
+            mode_b = [ks - diff for diff in range(-cutoff, cutoff + 1)]
+        sectors = []
+        for ms in mode_b:
+            inside = (ms >= 0) & (ms <= cutoff)
+            k, m = ks[inside], ms[inside]
+            sectors.append((k * n1 + m, (k[:-1] + 1) * np.maximum(m[:-1], m[1:])))
+    return tuple((_read_only(idx), _read_only(_chain_expm(scale * np.sqrt(links))))
+                 for idx, links in sectors)
 
 
 def _sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
@@ -428,7 +440,7 @@ def _sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
     make room for a new one, the least recently used tables are dropped.
     """
     _require_cutoff(cutoff)
-    nbytes = _sector_table_bytes(cutoff)
+    nbytes = _sector_table_bytes(cutoff, conserved)
     require_memory(f"cutoff {cutoff}", nbytes)
     return _memoized((cutoff, conserved, float(scale)), nbytes,
                      lambda: _build_sector_table(cutoff, conserved, scale))
@@ -481,24 +493,21 @@ def _apply_kron_on_parity(a: np.ndarray, b: np.ndarray, vectors: np.ndarray,
 
 def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
     """expm of theta (a^dag b - a b^dag), assembled from its total-photon sectors."""
-    _require_fits(cutoff, (cutoff + 1) ** 4)
-    return _assemble(cutoff, 2, _sector_table(cutoff, "total", theta))
+    return _assemble(cutoff, 2, "total", theta)
 
 
 def mode_mixer(cutoff: int, theta: float) -> np.ndarray:
     """exp(theta (a^dag b - a b^dag)); theta = pi/4 is the 50-50 beam splitter."""
     _require_cutoff(cutoff)
     require_finite("theta", theta)
-    return _read_only(_mixing_expm(cutoff, theta))
+    return _mixing_expm(cutoff, theta)
 
 
 def opa(cutoff: int, alpha_param: float) -> np.ndarray:
     """exp(-(alpha/2)(a^dag b^dag - a b)), assembled from its photon-number-difference sectors."""
     _require_cutoff(cutoff)
     require_finite("alpha_param", alpha_param)
-    _require_fits(cutoff, (cutoff + 1) ** 4)
-    blocks = _sector_table(cutoff, "difference", -alpha_param / 2.0)
-    return _read_only(_assemble(cutoff, 2, blocks))
+    return _assemble(cutoff, 2, "difference", -alpha_param / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +533,11 @@ def block_mask(cutoff: int, max_total: int) -> np.ndarray:
 def lambda_fits(cutoff: int, lam: float) -> bool:
     """True iff the tail mass lambda^(2(N+1)) that the cutoff drops from
     sum_n lambda^n |n, n> is at most ``TAIL_ERROR_TOL``. A complex or
-    non-finite lambda is refused."""
+    non-finite lambda, or one outside (0, 1), is refused."""
     _require_cutoff(cutoff)
     require_finite("lam", lam)
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"lam must lie in (0, 1), got {lam!r}")
     return lam ** (2 * (cutoff + 1)) <= TAIL_ERROR_TOL
 
 
@@ -534,15 +545,13 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     """Normalized two-mode squeezed vacuum sum_n lambda^n |n, n>.
 
     The sharp limit lambda -> 1 recovers the (non-normalizable) identity
-    double-ket. Refuses lambda whose truncated tail mass lambda^(2(N+1))
-    exceeds 1e-4; tails above 1e-8 attach a warning.
+    double-ket. Refuses, through ``lambda_fits``, a lambda outside (0, 1)
+    and one whose truncated tail mass lambda^(2(N+1)) exceeds 1e-4; tails
+    above 1e-8 attach a warning.
     """
-    _require_cutoff(cutoff)
-    require_finite("lam", lam)
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie in (0, 1)")
+    fits = lambda_fits(cutoff, lam)
     tail = lam ** (2 * (cutoff + 1))
-    if not lambda_fits(cutoff, lam):
+    if not fits:
         raise ValueError(
             f"lambda = {lam} too close to 1 for cutoff {cutoff}:"
             f" tail mass {tail:.2e}"
@@ -552,12 +561,12 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     amps = np.zeros(n1 * n1, dtype=complex)
     amps[np.arange(n1) * n1 + np.arange(n1)] = lam ** np.arange(n1)
     amps /= np.linalg.norm(amps)
-    return RegularizedState(cutoff, 2, amps, {"lam": lam}, warns)
+    return RegularizedState(cutoff, 2, amps, warns)
 
 
 def _padded_state(
     cutoff: int, build: Callable[[int], tuple[np.ndarray, tuple[str, ...]]],
-    params: dict[str, float], label: str, where: str,
+    label: str, where: str,
 ) -> RegularizedState:
     """The state ``build(cutoff)``, normalized. ``build(n)`` returns the
     unnormalized amplitudes at cutoff n, one axis per mode, and the tail
@@ -572,7 +581,7 @@ def _padded_state(
     if mass.ndim == 2:
         tail += float(mass[: cutoff + 1, cutoff + 1:].sum())
     warns += _truncation_warning(label, tail, f"{where}, cutoff {cutoff}")
-    return RegularizedState(cutoff, amps.ndim, amps, params, warns)
+    return RegularizedState(cutoff, amps.ndim, amps, warns)
 
 
 def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> RegularizedState:
@@ -592,11 +601,7 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
         base = identity_doubleket(n, lam)
         return displacement(n, z) * base.amplitudes[:: n + 2], base.warnings
 
-    return _padded_state(
-        cutoff, build,
-        {"lam": lam, "z_re": float(np.real(z)), "z_im": float(np.imag(z))},
-        "displaced double-ket", f"lambda = {lam}, z = {z}",
-    )
+    return _padded_state(cutoff, build, "displaced double-ket", f"lambda = {lam}, z = {z}")
 
 
 def heterodyne_eigen_residual(cutoff: int, lam: float, z: complex) -> float:
@@ -631,18 +636,14 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
         raise ValueError("sharpness s must lie in (0, 1]")
 
     def build(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
-        # S(s)|0> is column 0 of the squeezer's even chain
-        evens, chain = _squeezer_chain(n, s, 0)
-        amps = np.zeros(n + 1, dtype=complex)
-        amps[evens] = chain[:, 0]
+        amps = squeezer(n, s)[:, 0]  # S(s)|0>
         if x != 0:  # D(0) is exactly the identity, as in ``displacement``
             w, phases = _displacement_basis(n, x)
             amps = w @ (phases * (w.conj().T @ amps))
         return _phases(n, -phi) * amps, ()
 
     return _padded_state(
-        cutoff, build, {"x": x, "phi": phi, "s": s},
-        "quadrature eigenstate", f"x = {x}, phi = {phi}, s = {s}",
+        cutoff, build, "quadrature eigenstate", f"x = {x}, phi = {phi}, s = {s}",
     )
 
 
@@ -843,10 +844,7 @@ def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
     in_b = quad_eigenstate_approx(cutoff, y / np.sqrt(2.0), np.pi / 2.0, s)
     product = np.kron(in_a.amplitudes, in_b.amplitudes)
     out = _apply_sectors(product, splitter)
-    return RegularizedState(
-        cutoff, 2, out, {"x": x, "y": y, "s": s},
-        in_a.warnings + in_b.warnings,
-    )
+    return RegularizedState(cutoff, 2, out, in_a.warnings + in_b.warnings)
 
 
 def entbs_fidelity(cutoff: int, x: float, y: float, s: float) -> float:

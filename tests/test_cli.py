@@ -571,6 +571,23 @@ class TestRising:
         row = cli._rising("falls", [1.0, 0.75, 2.0, 0.5])
         assert (row.error, row.tolerance, row.passed) == (1.5, 0.0, False)
 
+    def test_nan_fall_is_the_error(self):
+        # Python's max(0.0, nan) is 0.0: the row failed with error 0.0
+        row = cli._rising("nan", [1.0, np.nan, 2.0])
+        assert np.isnan(row.error) and not row.passed
+
+
+class TestHeterodyneRows:
+    def test_nan_residual_spreads_into_the_z_independence_row(self, monkeypatch):
+        # a NaN residual at the last z: Python's max over the spreads dropped
+        # it, and the row passed with the spread of the other points
+        residual = fock.heterodyne_eigen_residual
+        monkeypatch.setattr(fock, "heterodyne_eigen_residual", lambda n, lam, z: (
+            np.nan if z == 2j else residual(n, lam, z)
+        ))
+        row = next(r for r in cli.heterodyne_rows(40) if r.name == "N=40:heterodyne_z_independence")
+        assert np.isnan(row.error) and not row.passed
+
 
 class TestParams:
     def test_text_output(self, capsys):

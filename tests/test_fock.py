@@ -366,6 +366,12 @@ class TestIdentityDoubleKet:
         with pytest.raises(ValueError):
             fock.identity_doubleket(10, 1.0)
 
+    @pytest.mark.parametrize("lam", [-0.5, 0.0, 1.0, 1.5])
+    def test_lambda_fits_refuses_lambda_outside_the_unit_interval(self, lam):
+        # unrefused, lambda_fits(10, -0.5) and lambda_fits(10, 0.0) were True
+        with pytest.raises(ValueError, match=rf"^lam must lie in \(0, 1\), got {lam}$"):
+            fock.lambda_fits(10, lam)
+
 
 class TestHeterodyneResidual:
     def test_closed_form_at_half(self):
@@ -792,6 +798,35 @@ class TestDenseGuard:
         assert not empty_memo
         fock._require_fits(8191, 8192**2)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: fock.squeezer(1100, 0.7),
+         lambda: fock.quad_eigenstate_approx(1100, 0.0, 0.0, 0.5),
+         lambda: fock.quad_eigenstate_approx(1100, 0.5, 0.0, 0.5)],
+        ids=["squeezer", "quad_eigenstate_origin", "quad_eigenstate_displaced"],
+    )
+    def test_squeezer_refused_before_its_table(self, monkeypatch, empty_memo, build):
+        # 1101^2 complex entries exceed the patched limit, though the parity
+        # table alone (9.7 MB) fits it; the state at x = 0 reaches no
+        # displacement guard, and the one at x = 0.5 is refused by its squeezer
+        monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", 2**24)
+        assert refused_peak(build, "cutoff 1100 needs 19395216 bytes") < 2**20
+        assert not empty_memo
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: fock.squeezer(8192, 0.7),
+         lambda: fock.quad_eigenstate_approx(8192, 0.0, 0.0, 0.5)],
+        ids=["squeezer", "quad_eigenstate"],
+    )
+    def test_squeezer_refused_from_cutoff_8192(self, empty_memo, build):
+        # 8193^2 complex entries; the two-mode tables' closed form would
+        # have refused the parity table from cutoff 464
+        assert refused_peak(build, "cutoff 8192 needs 1074003984 bytes") < 2**20
+        assert not empty_memo
+        assert fock._sector_table_bytes(8192, "parity") <= fock.DENSE_BYTES_LIMIT
+        assert fock.squeezer(464, 0.7).shape == (465, 465)
+
     def test_opa_sector_blocks_refused_before_allocating(self):
         # sum_d (1001 - |d|)^2 = 668669001 complex entries, and 1001^2
         # indices, in each of the OPA's, the mixer's and the splitter's
@@ -932,10 +967,11 @@ class TestSectorMemo:
             lambda: fock.displaced_identity_doubleket(60, 0.5, 1 - 0.5j).amplitudes,
             lambda: fock.quad_eigenstate_approx(60, 0.7, np.pi / 2, 0.4).amplitudes,
             lambda: np.array(fock.heterodyne_eigen_residual(60, 0.9, 0.4 + 0.3j)),
+            lambda: fock.squeezer(40, 0.7),
         ],
         ids=["entbs_output", "sum_gate_circuit", "mode_mixer", "opa",
              "displaced_identity_doubleket", "quad_eigenstate_approx",
-             "heterodyne_eigen_residual"],
+             "heterodyne_eigen_residual", "squeezer"],
     )
     def test_warm_call_equals_cold_call(self, build):
         cold = build()
@@ -943,6 +979,54 @@ class TestSectorMemo:
         warm = build()
         assert built and all(fock._SECTOR_TABLES[key] is table for key, table in built.items())
         assert np.array_equal(cold, warm)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: fock.entbs_fidelity(60, 1, -0.5, 0.5),
+         lambda: fock.sum_gate_circuit(40, [0, 1, 5])],
+        ids=["entbs_fidelity", "sum_gate_circuit"],
+    )
+    def test_warm_call_builds_no_chain(self, monkeypatch, build):
+        # the squeezers, the states' squeezed vacua and the two-mode factors
+        # are all read from the memo on the second call
+        build()
+        calls = []
+        exact = fock._chain_expm
+
+        def counted(sub):
+            calls.append(sub)
+            return exact(sub)
+
+        monkeypatch.setattr(fock, "_chain_expm", counted)
+        build()
+        assert calls == []
+
+    def test_squeezer_and_states_read_one_parity_table(self):
+        n, r = 12, 0.7
+        squeezer = fock.squeezer(n, r)
+        key = (n, "parity", 0.5 * np.log(r))
+        assert list(fock._SECTOR_TABLES) == [key]
+        (evens, even), (odds, odd) = fock._SECTOR_TABLES[key][0]
+        np.testing.assert_array_equal(evens, np.arange(0, n + 1, 2))
+        np.testing.assert_array_equal(odds, np.arange(1, n + 1, 2))
+        assert np.array_equal(squeezer[np.ix_(evens, evens)], even)
+        assert np.array_equal(squeezer[np.ix_(odds, odds)], odd)
+        # a state at x = 0 reads the squeezer at its cutoff and 12 levels up
+        fock.quad_eigenstate_approx(n, 0.0, 0.0, r)
+        assert list(fock._SECTOR_TABLES) == [key, (n + 12, "parity", 0.5 * np.log(r))]
+
+    def test_parity_table_size_is_the_closed_form(self):
+        for n in (1, 2, 13, 20):
+            table = fock._sector_table(n, "parity", 0.3)
+            held = sum(idx.nbytes + block.nbytes for idx, block in table)
+            closed = 16 * (((n + 2) // 2) ** 2 + ((n + 1) // 2) ** 2) + 8 * (n + 1)
+            assert held == fock._SECTOR_TABLES[(n, "parity", 0.3)][1] == closed
+            assert fock._sector_table_bytes(n, "parity") == closed
+            for idx, block in table:
+                with pytest.raises(ValueError):
+                    idx[0] = 0
+                with pytest.raises(ValueError):
+                    block[0, 0] = 7
 
     def test_memoized_quadrature_bases_are_read_only(self):
         fock.displacement(8, 0.5)
