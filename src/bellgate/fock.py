@@ -34,15 +34,18 @@ eigenvectors as rotated displaced squeezed vacua with sharpness s. Each
 regularized constructor records the tail mass it drops above the cutoff;
 tails above 1e-8 attach a warning, and the identity double-ket refuses
 lambda so large that the tail exceeds 1e-4. The two
-displaced states take that tail from one helper, ``_padded_state``: it builds
-the state at cutoff N and at N + ``_TAIL_PAD``, sums the padded build's mass
-outside the first N+1 levels of each mode, normalizes the cutoff-N build and
-keeps the tail warning of the identity double-ket it is built from. A
-quadrature state reads its squeezed vacuum S(s)|0> as column 0 of
-``squeezer``, applies its displacement as two products of a vector with
-the displacement's eigenbasis, and the double-ket, whose amplitude matrix is
-diagonal, as a column scaling of D. The beam splitter acts on two-mode
-states sector by sector, so no state path builds a dense two-mode matrix.
+displaced states share one helper, ``_padded_state``: it normalizes the
+cutoff-N build, keeps the tail warning of the identity double-ket it is
+built from, and adds the tail, the mass the state built at N + ``_TAIL_PAD``
+holds outside the first N+1 levels of each mode. A quadrature state reads
+its squeezed vacuum S(s)|0> as column 0 of ``squeezer``, applies its
+displacement as two products of a vector with the displacement's
+eigenbasis, and takes its tail from a second build at N + 12. The
+double-ket, whose amplitude matrix is diagonal, is a column scaling of D,
+and it reads its tail off the padded displacement's rows m > N alone
+(``_displaced_doubleket_tail``): it builds no second state. The beam
+splitter acts on two-mode states sector by sector, so no state path builds
+a dense two-mode matrix.
 
 Both SUM-gate routes return the full-height images of the basis columns a
 caller reads (``FockColumns``). Every factor of the chain
@@ -70,18 +73,22 @@ the dense matrix before the table is fetched. The same memo keeps the
 eigenbases of X_0 and X_{pi/2} per cutoff, which ``sum_gate`` reads, and
 the displacements with it. The memo holds at most ``DENSE_BYTES_LIMIT``
 bytes of entries; a new entry first drops the least recently used ones. A
-two-mode table holds (N+1)(2N^2+4N+3)/3 complex entries and (N+1)^2 int64
-indices, a parity table ceil((N+1)/2)^2 + floor((N+1)/2)^2 entries and
-N+1 indices; a table that alone exceeds the limit is refused before
+table pairs each block with its sector's states as a slice of the
+row-major basis, which holds no array: step 2 in a parity sector, N in a
+total-photon one and N + 2 in a difference one, so ``_apply_sectors`` reads
+and writes each sector as a strided view. A two-mode table holds
+(N+1)(2N^2+4N+3)/3 complex entries, a parity table ceil((N+1)/2)^2 +
+floor((N+1)/2)^2; a table that alone exceeds the limit is refused before
 anything is built, and with a two-mode one ``entbs_output`` and the
 fidelities built on it. An eigenbasis holds (N+1)^2 complex entries and
 N+1 eigenvalues.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
 ``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix (a
-squeezer's, and so a quadrature state's), a displacement's eigenbasis,
-the SUM-gate column images and a sector table (its blocks and their
-indices), and also the qudit layer's gate set, its dense V and the
+squeezer's), a displacement's eigenbasis, the identity double-ket, the
+padded build of a displaced state (its (N+13)^2 entries at N + 12, counted
+before the cutoff-N build), the SUM-gate column images and a sector
+table's blocks, and also the qudit layer's gate set, its dense V and the
 ``qudit synth`` export. The column routes count three image-sized arrays
 per column, their peak; ``_direct_bytes`` adds the direct gate's two
 eigenbases and phase table, ``_chain_bytes`` the chain's three sector
@@ -95,7 +102,7 @@ Every public constructor refuses a cutoff that is not an integer >= 1
 (``is_integer``: a Python or numpy integer, not a bool), and the memo
 refuses one before it is touched. Stored arrays are read-only: the
 builders' operators, the arrays of the frozen state and column
-dataclasses, and the memo's blocks, indices and eigenbases.
+dataclasses, and the memo's blocks and eigenbases.
 """
 
 from __future__ import annotations
@@ -254,16 +261,15 @@ def _columns_bytes(cutoff: int, columns: int, arrays: int = 3) -> int:
 
 
 def _sector_table_bytes(cutoff: int, conserved: str = "total") -> int:
-    """Bytes of one table of sector blocks, whose int64 indices hold one
-    entry per basis state. The parity chains of one mode hold
-    ceil((N+1)/2)^2 + floor((N+1)/2)^2 complex entries. Either two-mode
-    quantity has sectors of N + 1 - |k| states for k = -N..N, so its blocks
-    hold sum_k (N + 1 - |k|)^2 = (N + 1)(2N^2 + 4N + 3)/3 complex entries,
-    and its indices (N+1)^2."""
+    """Bytes of the complex blocks of one sector table; each sector's states
+    are a slice, which holds no array. The parity chains of one mode hold
+    ceil((N+1)/2)^2 + floor((N+1)/2)^2 entries. Either two-mode quantity has
+    sectors of N + 1 - |k| states for k = -N..N, so its blocks hold
+    sum_k (N + 1 - |k|)^2 = (N + 1)(2N^2 + 4N + 3)/3 entries."""
     n1 = cutoff + 1
     if conserved == "parity":
-        return 16 * (((n1 + 1) // 2) ** 2 + (n1 // 2) ** 2) + 8 * n1
-    return 16 * (n1 * (2 * cutoff**2 + 4 * cutoff + 3) // 3) + 8 * n1**2
+        return 16 * (((n1 + 1) // 2) ** 2 + (n1 // 2) ** 2)
+    return 16 * (n1 * (2 * cutoff**2 + 4 * cutoff + 3) // 3)
 
 
 def _eigenbasis_bytes(cutoff: int) -> int:
@@ -292,8 +298,8 @@ def _assemble(cutoff: int, modes: int, conserved: str, scale: float) -> np.ndarr
     _require_fits(cutoff, (cutoff + 1) ** (2 * modes))
     dim = (cutoff + 1) ** modes
     out = np.zeros((dim, dim), dtype=complex)
-    for idx, block in _sector_table(cutoff, conserved, scale):
-        out[np.ix_(idx, idx)] = block
+    for sl, block in _sector_table(cutoff, conserved, scale):
+        out[sl, sl] = block
     return _read_only(out)
 
 
@@ -403,9 +409,9 @@ def _quadrature_basis(cutoff: int, phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
-    """The read-only (indices, block) pairs of each sector of a conserved
-    quantity: the indices are the sector's basis states, and the block is
-    the ``_chain_expm`` of the chain with links scale sqrt(link).
+    """The (states, block) pairs of each sector of a conserved quantity: the
+    states are the slice of the basis the sector holds, and the read-only
+    block is the ``_chain_expm`` of the chain with links scale sqrt(link).
 
     ``conserved`` is "parity" for the one-mode generator scale
     (a^dag^2 - a^2), whose sectors are the even and the odd n, linked from n
@@ -413,24 +419,28 @@ def _build_sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
     scale (a^dag b - a b^dag), which conserves n_a + n_b, or "difference"
     for scale (a^dag b^dag - a b), which conserves n_a - n_b. Ordered by
     rising n_a, a two-mode sector is a chain whose link from n_a to n_a + 1
-    moves n_b between m and m' and is (n_a + 1) max(m, m').
+    moves n_b between m and m' and is (n_a + 1) max(m, m'). In the row-major
+    two-mode basis the step from n_a to n_a + 1 is N in a total sector, where
+    n_b falls by one, and N + 2 in a difference sector, where it rises by one.
     """
     n1 = cutoff + 1
     ks = np.arange(n1)
     if conserved == "parity":
-        sectors = [(ns, (ns[:-1] + 1) * (ns[:-1] + 2)) for ns in (ks[0::2], ks[1::2])]
+        sectors = [(slice(p, n1, 2), (ns[:-1] + 1) * (ns[:-1] + 2))
+                   for p, ns in ((0, ks[0::2]), (1, ks[1::2]))]
     else:
         if conserved == "total":
-            mode_b = [tot - ks for tot in range(2 * cutoff + 1)]
+            mode_b, step = [tot - ks for tot in range(2 * cutoff + 1)], cutoff
         else:
-            mode_b = [ks - diff for diff in range(-cutoff, cutoff + 1)]
+            mode_b, step = [ks - diff for diff in range(-cutoff, cutoff + 1)], cutoff + 2
         sectors = []
         for ms in mode_b:
             inside = (ms >= 0) & (ms <= cutoff)
             k, m = ks[inside], ms[inside]
-            sectors.append((k * n1 + m, (k[:-1] + 1) * np.maximum(m[:-1], m[1:])))
-    return tuple((_read_only(idx), _read_only(_chain_expm(scale * np.sqrt(links))))
-                 for idx, links in sectors)
+            first = int(k[0] * n1 + m[0])
+            sectors.append((slice(first, first + step * (k.size - 1) + 1, step),
+                            (k[:-1] + 1) * np.maximum(m[:-1], m[1:])))
+    return tuple((sl, _read_only(_chain_expm(scale * np.sqrt(links)))) for sl, links in sectors)
 
 
 def _sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
@@ -447,12 +457,13 @@ def _sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
 
 
 def _apply_sectors(vectors: np.ndarray, blocks) -> np.ndarray:
-    """Apply (indices, block) pairs of distinct sectors to the rows of
+    """Apply (states, block) pairs of distinct sectors to the rows of
     ``vectors``, a two-mode vector or a batch of them as columns; rows that
-    no sector holds are zero in the result."""
+    no sector holds are zero in the result. Each sector's rows are a strided
+    view, read and written in place."""
     out = np.zeros_like(vectors)
-    for idx, block in blocks:
-        out[idx] = block @ vectors.take(idx, axis=0)
+    for sl, block in blocks:
+        out[sl] = block @ vectors[sl]
     return out
 
 
@@ -461,7 +472,7 @@ def _parity_sectors(table: tuple, cutoff: int, parity: int) -> tuple:
     given parity. A total sector has one total, and a difference sector k
     only totals of the parity of k; the table lists its sectors by a
     conserved value rising in steps of one, so their parities alternate."""
-    a, b = divmod(int(table[0][0][0]), cutoff + 1)
+    a, b = divmod(table[0][0].start, cutoff + 1)
     return table[(a + b + parity) % 2::2]
 
 
@@ -547,7 +558,8 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     The sharp limit lambda -> 1 recovers the (non-normalizable) identity
     double-ket. Refuses, through ``lambda_fits``, a lambda outside (0, 1)
     and one whose truncated tail mass lambda^(2(N+1)) exceeds 1e-4; tails
-    above 1e-8 attach a warning.
+    above 1e-8 attach a warning. Its (N+1)^2 entries are refused above
+    DENSE_BYTES_LIMIT before they are allocated.
     """
     fits = lambda_fits(cutoff, lam)
     tail = lam ** (2 * (cutoff + 1))
@@ -558,6 +570,7 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
         )
     warns = _truncation_warning("identity double-ket", tail, f"lambda = {lam}, cutoff {cutoff}")
     n1 = cutoff + 1
+    _require_fits(cutoff, n1 * n1)
     amps = np.zeros(n1 * n1, dtype=complex)
     amps[np.arange(n1) * n1 + np.arange(n1)] = lam ** np.arange(n1)
     amps /= np.linalg.norm(amps)
@@ -566,22 +579,42 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
 
 def _padded_state(
     cutoff: int, build: Callable[[int], tuple[np.ndarray, tuple[str, ...]]],
-    label: str, where: str,
+    tail: Callable[[], float], label: str, where: str,
 ) -> RegularizedState:
     """The state ``build(cutoff)``, normalized. ``build(n)`` returns the
     unnormalized amplitudes at cutoff n, one axis per mode, and the tail
-    warnings of the states they are built from. The tail, the mass of
-    ``build(N + _TAIL_PAD)`` outside the first N+1 levels of each mode, is
-    added to them above ``TAIL_WARN_TOL``."""
+    warnings of the states they are built from. ``tail()``, the mass the
+    state built at N + ``_TAIL_PAD`` holds outside the first N+1 levels of
+    each mode, is added to them above ``TAIL_WARN_TOL``. The padded
+    cutoff's (N+13)^2 entries, the largest array either route holds, are
+    refused above DENSE_BYTES_LIMIT, naming ``cutoff``, before either runs."""
     _require_cutoff(cutoff)
+    _require_fits(cutoff, (cutoff + _TAIL_PAD + 1) ** 2)
     amps, warns = build(cutoff)
     amps /= np.linalg.norm(amps)
-    mass = np.abs(build(cutoff + _TAIL_PAD)[0]) ** 2
-    tail = float(mass[cutoff + 1:].sum())
-    if mass.ndim == 2:
-        tail += float(mass[: cutoff + 1, cutoff + 1:].sum())
-    warns += _truncation_warning(label, tail, f"{where}, cutoff {cutoff}")
+    warns += _truncation_warning(label, tail(), f"{where}, cutoff {cutoff}")
     return RegularizedState(cutoff, amps.ndim, amps, warns)
+
+
+def _displaced_doubleket_tail(cutoff: int, lam: float, z: complex) -> float:
+    """Mass of D_P(z) diag(lambda^n)/sqrt(Lambda) outside the first N+1 levels
+    of each mode, at the padded cutoff P = N + ``_TAIL_PAD``, with Lambda =
+    sum_{n<=P} lambda^(2n) its squared norm.
+
+    D_P is unitary to rounding, so each column n > N keeps its whole weight
+    c_n^2 = lambda^(2n)/Lambda, and a column n <= N loses its rows m > N. The
+    mass is sum_{n>N} c_n^2 + sum_{n<=N} c_n^2 sum_{m>N} |D_P[m, n]|^2, and
+    those rows of D_P are W[N+1:] diag(phases) W[:N+1]^dag, read off the
+    memoized eigenbasis (``_displacement_basis``); at z = 0 they are 0.
+    """
+    weights = lam ** np.arange(cutoff + _TAIL_PAD + 1)
+    weights = (weights / np.linalg.norm(weights)) ** 2
+    tail = float(weights[cutoff + 1:].sum())
+    if z != 0:
+        w, phases = _displacement_basis(cutoff + _TAIL_PAD, z)
+        rows = (w[cutoff + 1:] * phases) @ w[: cutoff + 1].conj().T
+        tail += float((np.abs(rows) ** 2 @ weights[: cutoff + 1]).sum())
+    return tail
 
 
 def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> RegularizedState:
@@ -592,7 +625,7 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     lambda -> 1, because (I kron B)|I>> = (B^T kron I)|I>> and
     D(w)^T = D(-conj(w)); at lambda < 1 the two differ by a mean offset, so
     their overlap is exp(-s^2 |z|^2 / 2) at the matched lambda (see
-    ``entbs_fidelity``).
+    ``entbs_fidelity``). The tail is ``_displaced_doubleket_tail``'s.
     """
     require_finite("z", z, complex_ok=True)
 
@@ -601,7 +634,8 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
         base = identity_doubleket(n, lam)
         return displacement(n, z) * base.amplitudes[:: n + 2], base.warnings
 
-    return _padded_state(cutoff, build, "displaced double-ket", f"lambda = {lam}, z = {z}")
+    return _padded_state(cutoff, build, lambda: _displaced_doubleket_tail(cutoff, lam, z),
+                         "displaced double-ket", f"lambda = {lam}, z = {z}")
 
 
 def heterodyne_eigen_residual(cutoff: int, lam: float, z: complex) -> float:
@@ -642,8 +676,11 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
             amps = w @ (phases * (w.conj().T @ amps))
         return _phases(n, -phi) * amps, ()
 
+    def tail() -> float:
+        return float((np.abs(build(cutoff + _TAIL_PAD)[0][cutoff + 1:]) ** 2).sum())
+
     return _padded_state(
-        cutoff, build, "quadrature eigenstate", f"x = {x}, phi = {phi}, s = {s}",
+        cutoff, build, tail, "quadrature eigenstate", f"x = {x}, phi = {phi}, s = {s}",
     )
 
 

@@ -1,6 +1,6 @@
 """Helpers shared by the test files: the memory a call traces, the
-truncation defect of a Fock operator, and the two-mode references of the
-Fock oracles.
+truncation defect of a Fock operator, the two-mode references of the Fock
+oracles, and references for the sector tables and the state tails.
 
 The references are sums of Kronecker terms. A list of terms (w, A, B) stands
 for the sum of w kron(A, B): its entry between |a, b> and |c, d> is the sum
@@ -87,3 +87,35 @@ def su11_terms(cutoff: int) -> dict[str, list]:
         "ky": [(0.5j, a, ad), (0.5j, ad, a)],
         "kz": [(0.25, sq_gen, eye), (0.25, eye, sq_gen)],
     }
+
+
+def padded_doubleket_tail(cutoff: int, lam: float, z: complex) -> float:
+    """The displaced double-ket's tail by its full padded build: the mass of
+    (D(z) kron I)|lambda>> built at N + 12 outside the first N+1 levels of
+    each mode."""
+    big = cutoff + fock._TAIL_PAD
+    base = fock.identity_doubleket(big, lam)
+    mass = np.abs(fock.displacement(big, z) * base.amplitudes[:: big + 2]) ** 2
+    return float(mass[cutoff + 1:].sum()) + float(mass[: cutoff + 1, cutoff + 1:].sum())
+
+
+def sector_indices(cutoff: int, conserved: str) -> list[np.ndarray]:
+    """The basis states of each sector of ``conserved`` as index arrays, read
+    off the photon numbers, by the conserved value rising: the parity of n
+    on one mode, or n_a + n_b or n_a - n_b on two."""
+    levels = np.arange(cutoff + 1)
+    if conserved == "parity":
+        values = levels % 2
+    else:
+        a, b = np.divmod(np.arange((cutoff + 1) ** 2), cutoff + 1)
+        values = a + b if conserved == "total" else a - b
+    return [np.flatnonzero(values == v) for v in np.unique(values)]
+
+
+def gather_scatter(vectors: np.ndarray, sectors) -> np.ndarray:
+    """(indices, block) pairs applied to the rows of ``vectors`` by a gather
+    of each sector's rows and a scatter of its image."""
+    out = np.zeros_like(vectors)
+    for idx, block in sectors:
+        out[idx] = block @ vectors.take(idx, axis=0)
+    return out

@@ -510,16 +510,16 @@ class TestCvVerify:
     def test_oversized_cutoff_refused_before_allocating(self):
         # the total <= 10 block's 66 columns of length 301^2, four arrays each,
         # three sector tables, two eigenbases and a phase table would take
-        # 1261900360 bytes
-        needs = "cutoff 300 needs 1261900360 bytes"
+        # 1259725936 bytes
+        needs = "cutoff 300 needs 1259725936 bytes"
         assert refused_peak(lambda: cli.run_cv_verify([300]), needs) < 10 * 2**20
 
     def test_largest_accepted_cutoff(self):
         # 66 block columns at cutoff 282 fit with the three sector tables,
-        # the two eigenbases and the phase table; at 283 they take 1079508992
+        # the two eigenbases and the phase table; at 283 they take 1077573248
         # bytes, and the refusal allocates nothing
         assert cli.validate_cutoffs([20, 282]) == ([20, 282], 10)
-        needs = "cutoff 283 needs 1079508992 bytes"
+        needs = "cutoff 283 needs 1077573248 bytes"
         assert refused_peak(lambda: cli.validate_cutoffs([20, 283]), needs) < 2**20
 
     def test_oversized_cutoff_refused_before_any_check(self, capsys):
@@ -527,7 +527,7 @@ class TestCvVerify:
             cli.main(["cv", "verify", "--cutoffs", "20,30,40,300"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "cutoff 300 needs 1261900360 bytes" in err
+        assert "cutoff 300 needs 1259725936 bytes" in err
         assert "[pass]" not in err and "[FAIL]" not in err
 
     def test_oversized_cutoff_usage_error(self, capsys):
@@ -535,7 +535,7 @@ class TestCvVerify:
             cli.main(["cv", "verify", "--cutoffs", "300"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "cutoff 300 needs 1261900360 bytes" in err
+        assert "cutoff 300 needs 1259725936 bytes" in err
         assert "Traceback" not in err
 
 
