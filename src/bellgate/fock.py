@@ -20,6 +20,14 @@ photon-number difference. A chain links only sites of opposite parity, so
 off one SVD of its even-to-odd block X: cos and sin of the singular values
 give the four parity blocks, and a zero chain gives exactly the identity.
 
+Each of those generators is real with a real parameter: a^dag^2 - a^2,
+a^dag b - a b^dag and a^dag b^dag - a b. So their chains have real links,
+every sector block is real orthogonal and is built by a real SVD, and
+every table, dense factor (``squeezer``, ``mode_mixer``, ``opa``) and
+image of the chain is float64. Only the displacement, the direct SUM gate
+and the states are complex; ``entbs_output`` applies the real splitter
+blocks to the (re, im) pairs of its complex state.
+
 The truncated generator is exactly anti-Hermitian, so every factor and every
 sector block is unitary to rounding at any cutoff: the max entry of
 U^dag U - I (``unitarity_defect``) measures rounding, not truncation, and no
@@ -41,9 +49,10 @@ holds outside the first N+1 levels of each mode. A quadrature state reads
 its squeezed vacuum S(s)|0> as column 0 of ``squeezer``, applies its
 displacement as two products of a vector with the displacement's
 eigenbasis, and takes its tail from a second build at N + 12. The
-double-ket, whose amplitude matrix is diagonal, is a column scaling of D,
-and it reads its tail off the padded displacement's rows m > N alone
-(``_displaced_doubleket_tail``): it builds no second state. The beam
+double-ket's amplitude matrix is diag(c), so the displaced one, D diag(c),
+is read off the same eigenbasis as W diag(phases) (W^dag diag(c)) without
+forming D. It reads its tail off the padded displacement's rows m > N
+alone (``_displaced_doubleket_tail``): it builds no second state. The beam
 splitter acts on two-mode states sector by sector, so no state path builds
 a dense two-mode matrix.
 
@@ -77,26 +86,28 @@ table pairs each block with its sector's states as a slice of the
 row-major basis, which holds no array: step 2 in a parity sector, N in a
 total-photon one and N + 2 in a difference one, so ``_apply_sectors`` reads
 and writes each sector as a strided view. A two-mode table holds
-(N+1)(2N^2+4N+3)/3 complex entries, a parity table ceil((N+1)/2)^2 +
+(N+1)(2N^2+4N+3)/3 real entries of 8 bytes, a parity table ceil((N+1)/2)^2 +
 floor((N+1)/2)^2; a table that alone exceeds the limit is refused before
 anything is built, and with a two-mode one ``entbs_output`` and the
 fidelities built on it. An eigenbasis holds (N+1)^2 complex entries and
 N+1 eigenvalues.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
-``DENSE_BYTES_LIMIT`` before it allocates them: here a dense matrix (a
-squeezer's), a displacement's eigenbasis, the identity double-ket, the
-padded build of a displaced state (its (N+13)^2 entries at N + 12, counted
+``DENSE_BYTES_LIMIT`` before it allocates them: here a real dense matrix
+(a squeezer's), a displacement's eigenbasis, the identity double-ket, the
+padded build of a displaced state (its eigenbasis at N + 12, counted
 before the cutoff-N build), the SUM-gate column images and a sector
 table's blocks, and also the qudit layer's gate set, its dense V and the
-``qudit synth`` export. The column routes count three image-sized arrays
-per column, their peak; ``_direct_bytes`` adds the direct gate's two
-eigenbases and phase table, ``_chain_bytes`` the chain's three sector
-tables, held at once, and ``require_block_checks_fit``, which refuses a
-cutoff list up front, counts the direct gate, the tables and one more
-array per block column: the chain's images, held while the direct gate
-runs. The README's guard paragraph states the first size each guard
-refuses.
+``qudit synth`` export. Each count is of what the route holds: 8 bytes an
+entry for the real tables, dense factors and chain images, 16 for the
+complex eigenbases, states and direct images. The column routes count
+three image-sized arrays per column, their peak; ``_direct_bytes`` adds
+the direct gate's two eigenbases and phase table, ``_chain_bytes`` the
+chain's three sector tables, held at once, and
+``require_block_checks_fit``, which refuses a cutoff list up front, counts
+the direct gate, the tables and one more array per block column: the
+chain's images, held while the direct gate runs. The README's guard
+paragraph states the first size each guard refuses.
 
 Every public constructor refuses a cutoff that is not an integer >= 1
 (``is_integer``: a Python or numpy integer, not a bool), and the memo
@@ -119,8 +130,8 @@ from .gaussian import require_finite
 TAIL_WARN_TOL = 1e-8
 TAIL_ERROR_TOL = 1e-4
 _TAIL_PAD = 12
-# most bytes of complex arrays one route may allocate; the README states the
-# first size each guard refuses
+# most bytes of arrays one route may allocate; the README states the first
+# size each guard refuses
 DENSE_BYTES_LIMIT = 2**30
 
 
@@ -214,13 +225,16 @@ def _chain_expm(sub: np.ndarray) -> np.ndarray:
     [[0, X], [-X^H, 0]] with X[k, k] = -conj(sub[2k]) and X[k+1, k] =
     sub[2k+1]. With X = U S V^H (full U), expm(G) has the blocks U cos S U^H,
     U sin S V^H, -V sin S U^H and V cos S V^H; an even site beyond the rank of
-    X takes cos 0 = 1. An all-zero chain gives exactly the identity.
+    X takes cos 0 = 1. An all-zero chain gives exactly the identity. Real
+    links give a real orthogonal exp(G), in float64 from a real SVD; complex
+    links a complex unitary one.
     """
-    sub = np.asarray(sub, dtype=complex)
+    sub = np.asarray(sub)
+    dtype = np.result_type(sub, float)
     n = sub.size + 1
     if not sub.any():
-        return np.eye(n, dtype=complex)
-    x = np.zeros(((n + 1) // 2, n // 2), dtype=complex)
+        return np.eye(n, dtype=dtype)
+    x = np.zeros(((n + 1) // 2, n // 2), dtype=dtype)
     k = np.arange(n // 2)
     x[k, k] = -sub[0::2].conj()
     j = np.arange(sub[1::2].size)
@@ -228,7 +242,7 @@ def _chain_expm(sub: np.ndarray) -> np.ndarray:
     u, s, vh = np.linalg.svd(x)
     cos = np.ones(u.shape[0])
     cos[: s.size] = np.cos(s)
-    out = np.empty((n, n), dtype=complex)
+    out = np.empty((n, n), dtype=dtype)
     out[0::2, 0::2] = (u * cos) @ u.conj().T
     out[0::2, 1::2] = (u[:, : s.size] * np.sin(s)) @ vh
     out[1::2, 0::2] = -out[0::2, 1::2].conj().T
@@ -246,30 +260,27 @@ def require_memory(label: str, requested: int) -> None:
         )
 
 
-def _require_fits(cutoff: int, entries: int) -> None:
-    """Refuse complex arrays of ``entries`` entries in all, 16 bytes each."""
-    require_memory(f"cutoff {cutoff}", 16 * entries)
-
-
-def _columns_bytes(cutoff: int, columns: int, arrays: int = 3) -> int:
-    """Bytes of ``arrays`` complex arrays of ``columns`` two-mode columns,
-    (N+1)^2 entries each. Three is the peak of either SUM-gate route: in
-    ``sum_gate`` the phased eigenbasis coefficients, the product with one
-    eigenbasis and the images; in the chain a parity half's input and output
-    of a factor, with the other half's images held."""
-    return arrays * 16 * (cutoff + 1) ** 2 * columns
+def _columns_bytes(cutoff: int, columns: int, arrays: int = 3, itemsize: int = 16) -> int:
+    """Bytes of ``arrays`` arrays of ``columns`` two-mode columns, (N+1)^2
+    entries of ``itemsize`` bytes each: 16 for the complex images of
+    ``sum_gate``, 8 for the real ones of the chain. Three is the peak of
+    either SUM-gate route: in ``sum_gate`` the phased eigenbasis
+    coefficients, the product with one eigenbasis and the images; in the
+    chain a parity half's input and output of a factor, with the other
+    half's images held."""
+    return arrays * itemsize * (cutoff + 1) ** 2 * columns
 
 
 def _sector_table_bytes(cutoff: int, conserved: str = "total") -> int:
-    """Bytes of the complex blocks of one sector table; each sector's states
-    are a slice, which holds no array. The parity chains of one mode hold
-    ceil((N+1)/2)^2 + floor((N+1)/2)^2 entries. Either two-mode quantity has
-    sectors of N + 1 - |k| states for k = -N..N, so its blocks hold
-    sum_k (N + 1 - |k|)^2 = (N + 1)(2N^2 + 4N + 3)/3 entries."""
+    """Bytes of the real blocks of one sector table, 8 per entry; each
+    sector's states are a slice, which holds no array. The parity chains of
+    one mode hold ceil((N+1)/2)^2 + floor((N+1)/2)^2 entries. Either
+    two-mode quantity has sectors of N + 1 - |k| states for k = -N..N, so its
+    blocks hold sum_k (N + 1 - |k|)^2 = (N + 1)(2N^2 + 4N + 3)/3 entries."""
     n1 = cutoff + 1
     if conserved == "parity":
-        return 16 * (((n1 + 1) // 2) ** 2 + (n1 // 2) ** 2)
-    return 16 * (n1 * (2 * cutoff**2 + 4 * cutoff + 3) // 3)
+        return 8 * (((n1 + 1) // 2) ** 2 + (n1 // 2) ** 2)
+    return 8 * (n1 * (2 * cutoff**2 + 4 * cutoff + 3) // 3)
 
 
 def _eigenbasis_bytes(cutoff: int) -> int:
@@ -286,18 +297,19 @@ def _direct_bytes(cutoff: int, columns: int) -> int:
 
 def _chain_bytes(cutoff: int, columns: int) -> int:
     """Peak bytes of ``sum_gate_circuit`` over ``columns`` basis columns: their
-    images, and the splitter, mixer and OPA tables the chain holds at once."""
-    return _columns_bytes(cutoff, columns) + 3 * _sector_table_bytes(cutoff)
+    real images, 8 bytes per entry, and the splitter, mixer and OPA tables
+    the chain holds at once."""
+    return _columns_bytes(cutoff, columns, itemsize=8) + 3 * _sector_table_bytes(cutoff)
 
 
 def _assemble(cutoff: int, modes: int, conserved: str, scale: float) -> np.ndarray:
-    """The read-only dense matrix on ``modes`` modes of the sector table of
-    ``conserved`` and ``scale`` (``_sector_table``), whose blocks partition
-    the basis. The matrix is refused above DENSE_BYTES_LIMIT before the
-    table is fetched."""
-    _require_fits(cutoff, (cutoff + 1) ** (2 * modes))
+    """The read-only real dense matrix on ``modes`` modes of the sector table
+    of ``conserved`` and ``scale`` (``_sector_table``), whose blocks
+    partition the basis. Its 8-byte entries are refused above
+    DENSE_BYTES_LIMIT before the table is fetched."""
     dim = (cutoff + 1) ** modes
-    out = np.zeros((dim, dim), dtype=complex)
+    require_memory(f"cutoff {cutoff}", 8 * dim**2)
+    out = np.zeros((dim, dim))
     for sl, block in _sector_table(cutoff, conserved, scale):
         out[sl, sl] = block
     return _read_only(out)
@@ -321,10 +333,10 @@ def _displacement_basis(cutoff: int, alpha: complex) -> tuple[np.ndarray, np.nda
     R r(a^dag - a) R^dag with R = diag(e^{i theta n}), and r(a^dag - a) =
     -2i r X_{pi/2}. So W = R U and phases = e^{-2i r p}, read off the
     memoized eigenbasis (p, U) of X_{pi/2}, which does not depend on alpha.
-    Refuses an (N+1)^2 basis above DENSE_BYTES_LIMIT before the memo is
-    touched.
+    Refuses the basis the memo would hold, its (N+1)^2 vectors and N+1
+    values, above DENSE_BYTES_LIMIT before the memo is touched.
     """
-    _require_fits(cutoff, (cutoff + 1) ** 2)
+    require_memory(f"cutoff {cutoff}", _eigenbasis_bytes(cutoff))
     values, vectors = _quadrature_basis(cutoff, np.pi / 2)
     w = _phases(cutoff, -np.angle(alpha))[:, None] * vectors
     return w, np.exp(-2j * abs(alpha) * values)
@@ -570,7 +582,7 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
         )
     warns = _truncation_warning("identity double-ket", tail, f"lambda = {lam}, cutoff {cutoff}")
     n1 = cutoff + 1
-    _require_fits(cutoff, n1 * n1)
+    require_memory(f"cutoff {cutoff}", 16 * n1 * n1)
     amps = np.zeros(n1 * n1, dtype=complex)
     amps[np.arange(n1) * n1 + np.arange(n1)] = lam ** np.arange(n1)
     amps /= np.linalg.norm(amps)
@@ -586,10 +598,11 @@ def _padded_state(
     warnings of the states they are built from. ``tail()``, the mass the
     state built at N + ``_TAIL_PAD`` holds outside the first N+1 levels of
     each mode, is added to them above ``TAIL_WARN_TOL``. The padded
-    cutoff's (N+13)^2 entries, the largest array either route holds, are
-    refused above DENSE_BYTES_LIMIT, naming ``cutoff``, before either runs."""
+    cutoff's eigenbasis, whose (N+13)^2 vectors are the largest array
+    either route holds, is refused above DENSE_BYTES_LIMIT with its N+13
+    values, naming ``cutoff``, before either runs."""
     _require_cutoff(cutoff)
-    _require_fits(cutoff, (cutoff + _TAIL_PAD + 1) ** 2)
+    require_memory(f"cutoff {cutoff}", _eigenbasis_bytes(cutoff + _TAIL_PAD))
     amps, warns = build(cutoff)
     amps /= np.linalg.norm(amps)
     warns += _truncation_warning(label, tail(), f"{where}, cutoff {cutoff}")
@@ -630,9 +643,17 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     require_finite("z", z, complex_ok=True)
 
     def build(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
-        # the double-ket's amplitude matrix is diagonal, so D acts by scaling its columns
+        # the double-ket's amplitude matrix is diag(c), so the state's is
+        # D diag(c) = W diag(phases) (W^dag diag(c)), and no D is formed
         base = identity_doubleket(n, lam)
-        return displacement(n, z) * base.amplitudes[:: n + 2], base.warnings
+        c, warns = base.amplitudes[:: n + 2].copy(), base.warnings
+        del base  # its (N+1)^2 entries are not held through the product
+        if z == 0:  # D(0) is exactly the identity, as in ``displacement``
+            return np.diag(c), warns
+        w, phases = _displacement_basis(n, z)
+        right = w.conj().T * c
+        w *= phases
+        return w @ right, warns
 
     return _padded_state(cutoff, build, lambda: _displaced_doubleket_tail(cutoff, lam, z),
                          "displaced double-ket", f"lambda = {lam}, z = {z}")
@@ -747,9 +768,10 @@ def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
     the mixer, the OPA and the beam splitter as their sector blocks of the
     half's parity, and the other squeezer pair on the two nonzero parity
     blocks of each amplitude matrix (``_apply_kron_on_parity``), so no factor
-    is built as a two-mode matrix. Each factor is unitary to rounding at any
-    cutoff, so the images carry no warning: their truncation shows in the
-    block distance of ``sum_gate_block_checks``.
+    is built as a two-mode matrix. Every factor is real, so the chain runs
+    in float64 and its images are real. Each factor is unitary to rounding
+    at any cutoff, so the images carry no warning: their truncation shows in
+    the block distance of ``sum_gate_block_checks``.
     """
     params = gaussian.decomposition_params()
     n1 = cutoff + 1
@@ -772,7 +794,7 @@ def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
         images = _apply_sectors(images, amplifier)
         images = _apply_kron_on_parity(s1, s1.conj().T, images, parity)
         halves.append((half, _apply_sectors(images, splitter)))
-    out = np.empty((n1 * n1, cols.size), dtype=complex)
+    out = np.empty((n1 * n1, cols.size))
     for half, images in halves:
         out[:, half] = images
     return FockColumns(cutoff, cols, out)
@@ -807,18 +829,18 @@ def require_block_checks_fit(cutoff: int, block_photons: int) -> None:
     """Refuse, before anything is allocated, a cutoff whose
     :func:`sum_gate_block_checks` arrays would exceed DENSE_BYTES_LIMIT: the
     chain's three sector tables (splitter, mixer, OPA) and four image-sized
-    arrays per block column, the chain's images held while the direct gate
-    holds its three, and the direct gate's two quadrature eigenbases and its
-    (N+1)^2 phase table. The column count is computed, not masked, so that a
-    huge cutoff is refused without an (N+1)^2 mask. A ``block_photons`` that
-    is not an integer >= 0 is refused.
+    arrays per block column, the chain's real images held while the direct
+    gate holds its three complex ones, and the direct gate's two quadrature
+    eigenbases and its (N+1)^2 phase table. The column count is computed,
+    not masked, so that a huge cutoff is refused without an (N+1)^2 mask. A
+    ``block_photons`` that is not an integer >= 0 is refused.
     """
     _require_cutoff(cutoff)
     if not is_integer(block_photons) or block_photons < 0:
         raise ValueError(f"block_photons must be an integer >= 0, got {block_photons!r}")
     columns = _states_up_to(cutoff, block_photons)
     require_memory(f"cutoff {cutoff}",
-                   _direct_bytes(cutoff, columns) + _columns_bytes(cutoff, columns, 1)
+                   _direct_bytes(cutoff, columns) + _columns_bytes(cutoff, columns, 1, 8)
                    + 3 * _sector_table_bytes(cutoff))
 
 
@@ -880,8 +902,9 @@ def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
     in_a = quad_eigenstate_approx(cutoff, x / np.sqrt(2.0), 0.0, s)
     in_b = quad_eigenstate_approx(cutoff, y / np.sqrt(2.0), np.pi / 2.0, s)
     product = np.kron(in_a.amplitudes, in_b.amplitudes)
-    out = _apply_sectors(product, splitter)
-    return RegularizedState(cutoff, 2, out, in_a.warnings + in_b.warnings)
+    # the real blocks act on the (re, im) pairs of the complex state
+    out = _apply_sectors(product.view(np.float64).reshape(-1, 2), splitter)
+    return RegularizedState(cutoff, 2, out.view(complex), in_a.warnings + in_b.warnings)
 
 
 def entbs_fidelity(cutoff: int, x: float, y: float, s: float) -> float:

@@ -508,34 +508,34 @@ class TestCvVerify:
         assert VerificationReport.from_json(report.to_json()) == report
 
     def test_oversized_cutoff_refused_before_allocating(self):
-        # the total <= 10 block's 66 columns of length 301^2, four arrays each,
+        # the total <= 10 block's 66 columns of length 351^2, four arrays each,
         # three sector tables, two eigenbases and a phase table would take
-        # 1259725936 bytes
-        needs = "cutoff 300 needs 1259725936 bytes"
-        assert refused_peak(lambda: cli.run_cv_verify([300]), needs) < 10 * 2**20
+        # 1153169784 bytes
+        needs = "cutoff 350 needs 1153169784 bytes"
+        assert refused_peak(lambda: cli.run_cv_verify([350]), needs) < 10 * 2**20
 
     def test_largest_accepted_cutoff(self):
-        # 66 block columns at cutoff 282 fit with the three sector tables,
-        # the two eigenbases and the phase table; at 283 they take 1077573248
+        # 66 block columns at cutoff 340 fit with the three sector tables,
+        # the two eigenbases and the phase table; at 341 they take 1077948432
         # bytes, and the refusal allocates nothing
-        assert cli.validate_cutoffs([20, 282]) == ([20, 282], 10)
-        needs = "cutoff 283 needs 1077573248 bytes"
-        assert refused_peak(lambda: cli.validate_cutoffs([20, 283]), needs) < 2**20
+        assert cli.validate_cutoffs([20, 340]) == ([20, 340], 10)
+        needs = "cutoff 341 needs 1077948432 bytes"
+        assert refused_peak(lambda: cli.validate_cutoffs([20, 341]), needs) < 2**20
 
     def test_oversized_cutoff_refused_before_any_check(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["cv", "verify", "--cutoffs", "20,30,40,300"])
+            cli.main(["cv", "verify", "--cutoffs", "20,30,40,350"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "cutoff 300 needs 1259725936 bytes" in err
+        assert "cutoff 350 needs 1153169784 bytes" in err
         assert "[pass]" not in err and "[FAIL]" not in err
 
     def test_oversized_cutoff_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["cv", "verify", "--cutoffs", "300"])
+            cli.main(["cv", "verify", "--cutoffs", "350"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "cutoff 300 needs 1259725936 bytes" in err
+        assert "cutoff 350 needs 1153169784 bytes" in err
         assert "Traceback" not in err
 
 

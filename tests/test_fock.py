@@ -146,6 +146,8 @@ CHAIN_LINKS = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=4))
 # the same up to modulus 1e6, beyond any link a constructor forms at the
 # cutoffs the checks use
 LARGE_CHAIN_LINKS = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e6))
+# a real link, the only kind the library's tables are built from
+REAL_CHAIN_LINKS = st.one_of(st.just(0.0), st.floats(-4, 4))
 
 
 class TestChainExpm:
@@ -180,6 +182,20 @@ class TestChainExpm:
     def test_zero_chain_is_exact_identity(self):
         for n in (1, 2, 7, 8):
             np.testing.assert_array_equal(fock._chain_expm(np.zeros(n - 1)), np.eye(n))
+
+    # the real generator is real antisymmetric, so its exponential is real
+    # orthogonal and read off a real SVD
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 90).flatmap(
+        lambda n: st.lists(REAL_CHAIN_LINKS, min_size=n - 1, max_size=n - 1)))
+    @example([1.0, -2.0, 0.0, 3.5])
+    @example([0.0 if k % 7 == 3 else 4 * np.cos(0.3 * k) for k in range(89)])
+    def test_real_links_give_a_real_exponential(self, links):
+        sub = np.array(links, dtype=float)
+        out = fock._chain_expm(sub)
+        assert out.dtype == np.float64
+        gen = np.diag(sub, -1) - np.diag(sub, 1)
+        np.testing.assert_allclose(out, scipy.linalg.expm(gen), rtol=0, atol=1e-12)
 
 
 class TestDisplacement:
@@ -551,6 +567,48 @@ class TestSectorSlices:
                                   gather_scatter(vectors, pairs))
 
 
+class TestRealFactors:
+    """Every optical factor has a real generator with a real parameter, so its
+    sector blocks, the chain's images and the dense builders are real."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 13, 20, 60])
+    def test_tables_are_real_orthogonal(self, n):
+        # the scales the library builds: both squeezers, the splitter, the
+        # chain's mixer and its OPA
+        params = gaussian.decomposition_params()
+        tables = [("parity", 0.5 * np.log(params.r1)), ("parity", 0.5 * np.log(params.r2)),
+                  ("total", np.pi / 4), ("total", params.beta / 2.0),
+                  ("difference", -params.alpha / 2.0)]
+        for conserved, scale in tables:
+            for _, block in fock._sector_table(n, conserved, scale):
+                assert block.dtype == np.float64
+                assert np.abs(block.T @ block - np.eye(len(block))).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: fock.squeezer(12, 0.7), lambda: fock.mode_mixer(6, 0.3),
+         lambda: fock.opa(6, 0.3)],
+        ids=["squeezer", "mode_mixer", "opa"],
+    )
+    def test_dense_builders_are_real(self, build):
+        assert build().dtype == np.float64
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_entbs_pair_view_matches_complex_blocks(self, n):
+        # the real splitter blocks on the (re, im) pairs of the complex
+        # product state against the blocks cast to complex, gathered and
+        # scattered
+        x, y, s = 1.0, -0.5, 0.5
+        in_a = fock.quad_eigenstate_approx(n, x / np.sqrt(2.0), 0.0, s)
+        in_b = fock.quad_eigenstate_approx(n, y / np.sqrt(2.0), np.pi / 2.0, s)
+        product = np.kron(in_a.amplitudes, in_b.amplitudes)
+        pairs = [(idx, block.astype(complex)) for idx, (_, block) in zip(
+            sector_indices(n, "total"), fock._sector_table(n, "total", np.pi / 4), strict=True)]
+        out = fock.entbs_output(n, x, y, s).amplitudes
+        assert out.dtype == np.complex128
+        np.testing.assert_allclose(out, gather_scatter(product, pairs), rtol=0, atol=1e-15)
+
+
 class TestApplyKron:
     """The double-ket layout the Fock kernels write: a two-mode vector is the
     row-major reshape of its amplitude matrix M, and kron(a, b) acts as a M b^T."""
@@ -785,7 +843,8 @@ class TestSumGateColumns:
         out = fock.sum_gate_circuit(n, columns=columns)
         np.testing.assert_array_equal(out.columns, columns)
         np.testing.assert_allclose(out.matrix, dense[:, columns], rtol=0, atol=1e-13)
-        # and exactly zero off each column's parity, as the dense chain is
+        # real, and exactly zero off each column's parity, as the dense chain is
+        assert out.matrix.dtype == np.float64
         parity = fock.total_photon_numbers(n) % 2
         assert not out.matrix[np.not_equal.outer(parity, parity[columns])].any()
 
@@ -819,79 +878,87 @@ class TestDenseGuard:
     @pytest.mark.parametrize(
         "build, needs",
         [
-            (lambda: fock.mode_mixer(400, np.pi / 4), 413711385616),
-            (lambda: fock.opa(400, 0.5), 413711385616),
-            # three image-sized arrays per column, the column routes' peak, and
-            # the chain's three sector tables of 687801616 bytes of blocks each
+            # 401^4 real entries, 8 bytes each
+            (lambda: fock.mode_mixer(400, np.pi / 4), 206855692808),
+            (lambda: fock.opa(400, 0.5), 206855692808),
+            # three real image-sized arrays per column, the chain's peak, and
+            # its three sector tables of 343900808 bytes of real blocks each
             (lambda: fock.sum_gate_circuit(400, EVERY_STATE_400),
-             3 * 413711385616 + 3 * 687801616),
-            # and the direct gate's two eigenbases (with their 401 eigenvalues)
-            # and its phase table
+             3 * 206855692808 + 3 * 343900808),
+            # three complex image-sized arrays per column, the direct gate's
+            # peak, its two eigenbases (with their 401 eigenvalues) and its
+            # phase table
             (lambda: fock.sum_gate(400, EVERY_STATE_400),
              3 * 413711385616 + 3 * 2572816 + 2 * 8 * 401),
-            # the block checks' 66 columns of total <= 10, four arrays each,
-            # the chain's tables, the eigenbases and the phase table
+            # the block checks' 66 columns of total <= 10, three complex arrays
+            # each and the chain's real images, the chain's tables, the
+            # eigenbases and the phase table
             (lambda: fock.sum_gate_block_checks(400, 10),
-             66 * 4 * 2572816 + 3 * 687801616 + 3 * 2572816 + 2 * 8 * 401),
+             66 * (3 * 2572816 + 1286408) + 3 * 343900808 + 3 * 2572816 + 2 * 8 * 401),
         ],
         # the ids the cases had while only ``build`` was parametrized
         ids=[f"<lambda>{i}" for i in range(5)],
     )
     def test_oversized_two_mode_operator_refused_before_allocating(self, build, needs):
-        # 401^4 complex entries are 413711385616 bytes, far above the limit: a
-        # dense operator, or every basis state's image column under either route
+        # 401^4 entries are 206855692808 bytes real and 413711385616 complex,
+        # far above the limit: a dense operator, or every basis state's image
+        # column under either route
         assert refused_peak(build, f"cutoff 400 needs {needs} bytes,") < 2**20
 
     def test_column_route_runs_beyond_the_dense_limit(self):
-        # every state's column at cutoff 90: three arrays of 91^4 complex
-        # entries, and three sector tables of 8038576 bytes
-        with pytest.raises(ValueError, match="cutoff 90 needs 3315713856 bytes"):
-            fock.sum_gate_circuit(90, every_state(90))
-        assert fock.sum_gate_circuit(90, columns=[0]).matrix.shape == (91 ** 2, 1)
+        # a dense two-mode operator is refused from cutoff 107; every state's
+        # column at cutoff 110: three arrays of 111^4 real entries, and three
+        # sector tables of 7294328 bytes
+        with pytest.raises(ValueError, match="cutoff 110 needs 3665251968 bytes"):
+            fock.sum_gate_circuit(110, every_state(110))
+        assert fock.sum_gate_circuit(110, columns=[0]).matrix.shape == (111 ** 2, 1)
 
     def test_displacement_basis_refused_before_the_memo(self, empty_memo):
-        # 8193^2 complex entries; the largest basis that fits is at cutoff 8191
-        needs = "cutoff 8192 needs 1074003984 bytes"
-        assert refused_peak(lambda: fock.displacement(8192, 1.0), needs) < 2**20
+        # the basis the memo would hold, 8192^2 complex vectors and 8192
+        # values; the largest basis that fits is at cutoff 8190
+        needs = "cutoff 8191 needs 1073807360 bytes"
+        assert refused_peak(lambda: fock.displacement(8191, 1.0), needs) < 2**20
         assert not empty_memo
-        fock._require_fits(8191, 8192**2)
+        assert fock._eigenbasis_bytes(8190) <= fock.DENSE_BYTES_LIMIT
 
     @pytest.mark.parametrize(
         "build, needs",
-        [(lambda: fock.squeezer(1100, 0.7), 19395216),
-         # a state counts its squeezer 12 levels up, 1113^2 entries
-         (lambda: fock.quad_eigenstate_approx(1100, 0.0, 0.0, 0.5), 19820304),
-         (lambda: fock.quad_eigenstate_approx(1100, 0.5, 0.0, 0.5), 19820304)],
+        [(lambda: fock.squeezer(1100, 0.7), 9697608),
+         # a state counts its eigenbasis 12 levels up, 1113^2 complex entries
+         (lambda: fock.quad_eigenstate_approx(1100, 0.0, 0.0, 0.5), 19829208),
+         (lambda: fock.quad_eigenstate_approx(1100, 0.5, 0.0, 0.5), 19829208)],
         ids=["squeezer", "quad_eigenstate_origin", "quad_eigenstate_displaced"],
     )
     def test_squeezer_refused_before_its_table(self, monkeypatch, empty_memo, build, needs):
-        # 1101^2 complex entries exceed the patched limit, though the parity
-        # table alone (9.7 MB) fits it; the states, at x = 0 and at x = 0.5,
+        # 1101^2 real entries exceed the patched limit, though the parity
+        # table alone (4.8 MB) fits it; the states, at x = 0 and at x = 0.5,
         # are refused by the count of their padded build before either build
-        monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", 2**24)
+        monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", 2**23)
         assert refused_peak(build, f"cutoff 1100 needs {needs} bytes") < 2**20
         assert not empty_memo
 
     @pytest.mark.parametrize(
         "build, needs",
-        [(lambda: fock.squeezer(8192, 0.7), 1074003984),
-         # 8205^2 entries: a state is refused from cutoff 8180 on
-         (lambda: fock.quad_eigenstate_approx(8192, 0.0, 0.0, 0.5), 1077152400)],
+        [(lambda: fock.squeezer(11585, 0.7), "cutoff 11585 needs 1073883168 bytes"),
+         # the eigenbasis 12 levels up, 8192^2 complex entries: a state is
+         # refused from cutoff 8179 on
+         (lambda: fock.quad_eigenstate_approx(8179, 0.0, 0.0, 0.5),
+          "cutoff 8179 needs 1073807360 bytes")],
         ids=["squeezer", "quad_eigenstate"],
     )
-    def test_squeezer_refused_from_cutoff_8192(self, empty_memo, build, needs):
-        # 8193^2 complex entries; the two-mode tables' closed form would
-        # have refused the parity table from cutoff 465
-        assert refused_peak(build, f"cutoff 8192 needs {needs} bytes") < 2**20
+    def test_squeezer_refused_from_cutoff_11585(self, empty_memo, build, needs):
+        # 11586^2 real entries; the two-mode tables' closed form would have
+        # refused the parity table from cutoff 586
+        assert refused_peak(build, needs) < 2**20
         assert not empty_memo
-        assert fock._sector_table_bytes(8192, "parity") <= fock.DENSE_BYTES_LIMIT
-        assert fock.squeezer(465, 0.7).shape == (466, 466)
+        assert fock._sector_table_bytes(11585, "parity") <= fock.DENSE_BYTES_LIMIT
+        assert fock.squeezer(586, 0.7).shape == (587, 587)
 
     def test_opa_sector_blocks_refused_before_allocating(self):
-        # sum_d (1001 - |d|)^2 = 668669001 complex entries in each of the
+        # sum_d (1001 - |d|)^2 = 668669001 real entries in each of the
         # OPA's, the mixer's and the splitter's tables at cutoff 1000, though
-        # a single column's image is 16 MB
-        needs = "cutoff 1000 needs 32144208096 bytes"
+        # a single column's image is 8 MB
+        needs = "cutoff 1000 needs 16072104048 bytes"
         assert refused_peak(lambda: fock.sum_gate_circuit(1000, columns=[0]), needs) < 2**20
 
     @pytest.mark.parametrize("cutoff, max_total", [(4, 0), (4, 3), (4, 4), (4, 5), (4, 7),
@@ -902,7 +969,7 @@ class TestDenseGuard:
 
     def test_chain_counts_its_three_tables_with_its_columns(self, monkeypatch):
         # one column's three arrays and the splitter, mixer and OPA tables fit at cutoff
-        # 321, not 322 (one table alone fits up to 464); raising stops the chain there
+        # 404, not 405 (one table alone fits up to 585); raising stops the chain there
         requested = []
 
         def record(label, nbytes):
@@ -910,22 +977,22 @@ class TestDenseGuard:
             raise LookupError
 
         monkeypatch.setattr(fock, "require_memory", record)
-        for n in (321, 322):
+        for n in (404, 405):
             with pytest.raises(LookupError):
                 fock.sum_gate_circuit(n, [0])
-        assert requested == [("cutoff 321", 1073341920), ("cutoff 322", 1083357504)]
+        assert requested == [("cutoff 404", 1066821840), ("cutoff 405", 1074733968)]
         assert requested[0][1] <= fock.DENSE_BYTES_LIMIT < requested[1][1]
         monkeypatch.undo()
-        needs = "cutoff 322 needs 1083357504 bytes,"
-        assert refused_peak(lambda: fock.sum_gate_circuit(322, [0]), needs) < 2**20
+        needs = "cutoff 405 needs 1074733968 bytes,"
+        assert refused_peak(lambda: fock.sum_gate_circuit(405, [0]), needs) < 2**20
 
     def test_block_checks_refused_before_the_mask(self):
-        # cutoff 282 is the largest whose 66 columns of total <= 10, four
+        # cutoff 340 is the largest whose 66 columns of total <= 10, four
         # arrays each, three sector tables, two eigenbases and a phase table
         # fit; at cutoff 10^5 even the (N+1)^2 block mask would take 10 GB
-        fock.require_block_checks_fit(282, 10)
-        with pytest.raises(ValueError, match="cutoff 283 needs 1077573248 bytes"):
-            fock.require_block_checks_fit(283, 10)
+        fock.require_block_checks_fit(340, 10)
+        with pytest.raises(ValueError, match="cutoff 341 needs 1077948432 bytes"):
+            fock.require_block_checks_fit(341, 10)
         needs = "cutoff 100000 needs"
         assert refused_peak(lambda: fock.sum_gate_block_checks(10**5, 10), needs) < 2**20
 
@@ -961,10 +1028,11 @@ class TestDenseGuard:
 class TestStateGuards:
     """The guard contract of the regularized-state routes under a 4 MiB
     limit. The identity double-ket counts its (N+1)^2 entries; a displaced
-    state counts its padded build's (N+13)^2, the largest array it holds, so
-    its peak is a stated multiple of that count: at x or z != 0 the
-    eigenbasis at N and at N + 12 with their phased copies, and the dense
-    displacement at N."""
+    state counts its padded build's eigenbasis, (N+13)^2 vectors and the
+    largest array it holds, so its peak is a stated multiple of that count:
+    at x or z != 0 the eigenbasis at N and at N + 12, the phased copy of the
+    one at N and the product with it; the heterodyne residual adds the
+    shifted copies of the state's amplitude matrix."""
 
     LIMIT = 2**22
 
@@ -972,22 +1040,23 @@ class TestStateGuards:
         "build, count, largest, factor",
         [(lambda n: fock.identity_doubleket(n, 0.5), lambda n: 16 * (n + 1) ** 2, 511, 1.01),
          (lambda n: fock.displaced_identity_doubleket(n, 0.5, 1 - 0.5j),
-          lambda n: 16 * (n + 13) ** 2, 499, 6),
+          lambda n: fock._eigenbasis_bytes(n + 12), 498, 4.5),
          (lambda n: fock.heterodyne_eigen_residual(n, 0.5, 1 - 0.5j),
-          lambda n: 16 * (n + 13) ** 2, 499, 6),
+          lambda n: fock._eigenbasis_bytes(n + 12), 498, 6),
          (lambda n: fock.quad_eigenstate_approx(n, 0.0, 0.3, 0.5),
-          lambda n: 16 * (n + 13) ** 2, 499, 2.5),
+          lambda n: fock._eigenbasis_bytes(n + 12), 498, 1.5),
          (lambda n: fock.quad_eigenstate_approx(n, 0.5, 0.3, 0.5),
-          lambda n: 16 * (n + 13) ** 2, 499, 4.5)],
+          lambda n: fock._eigenbasis_bytes(n + 12), 498, 4)],
         ids=["identity_doubleket", "displaced_identity_doubleket", "heterodyne_eigen_residual",
              "quad_eigenstate_origin", "quad_eigenstate_displaced"],
     )
     def test_peak_bounded_and_first_refusal_before_the_build(
             self, monkeypatch, empty_memo, build, count, largest, factor):
         # the largest accepted cutoff traces at most ``factor`` times the
-        # count (5.7 for a displaced double-ket, 4.1 for a displaced
-        # quadrature state here); the next is refused before anything is
-        # built, naming the cutoff the caller asked for
+        # count (4.0 for a displaced double-ket, 5.8 for the heterodyne
+        # residual, 1.2 and 3.6 for a quadrature state at x = 0 and x = 0.5
+        # here); the next is refused before anything is built, naming the
+        # cutoff the caller asked for
         monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", self.LIMIT)
         assert count(largest) <= self.LIMIT < count(largest + 1)
         assert traced_peak(lambda: build(largest)) <= factor * count(largest)
@@ -1002,10 +1071,10 @@ class TestStateGuards:
          lambda n: fock.quad_eigenstate_approx(n, 0.5, 0.0, 0.5)],
         ids=["displaced_identity_doubleket", "quad_eigenstate"],
     )
-    def test_padded_states_refused_from_cutoff_8180(self, monkeypatch, empty_memo, build):
-        # the first count is the padded build's, 8193^2 entries at 8180 + 12;
-        # the recorder raises at the first count, so no route allocates here
-        # even if it counted after a build
+    def test_padded_states_refused_from_cutoff_8179(self, monkeypatch, empty_memo, build):
+        # the first count is the padded build's eigenbasis, 8192^2 vectors
+        # and 8192 values at 8179 + 12; the recorder raises at the first
+        # count, so no route allocates here even if it counted after a build
         requested = []
 
         def record(label, nbytes):
@@ -1013,10 +1082,11 @@ class TestStateGuards:
             raise LookupError
 
         monkeypatch.setattr(fock, "require_memory", record)
-        for n in (8179, 8180):
+        for n in (8178, 8179):
             with pytest.raises(LookupError):
                 build(n)
-        assert requested == [("cutoff 8179", 16 * 8192**2), ("cutoff 8180", 16 * 8193**2)]
+        assert requested == [("cutoff 8178", fock._eigenbasis_bytes(8190)),
+                             ("cutoff 8179", fock._eigenbasis_bytes(8191))]
         assert requested[0][1] <= fock.DENSE_BYTES_LIMIT < requested[1][1]
         assert not empty_memo
 
@@ -1073,7 +1143,7 @@ class TestEntbs:
 
     def test_output_builds_no_two_mode_matrix(self, empty_memo):
         # a dense N=60 two-mode matrix alone is 3721^2 complex entries, 221 MB;
-        # the bound also covers building the 2.3 MB table of splitter blocks
+        # the bound also covers building the 1.2 MB table of splitter blocks
         peak = traced_peak(lambda: fock.entbs_output(60, 1.0, -0.5, 0.5))
         assert peak < 20 * 2**20
 
@@ -1141,7 +1211,7 @@ class TestSectorMemo:
         for n in (1, 2, 13, 20):
             table = fock._sector_table(n, "parity", 0.3)
             held = sum(block.nbytes for _, block in table)
-            closed = 16 * (((n + 2) // 2) ** 2 + ((n + 1) // 2) ** 2)
+            closed = 8 * (((n + 2) // 2) ** 2 + ((n + 1) // 2) ** 2)
             assert held == fock._SECTOR_TABLES[(n, "parity", 0.3)][1] == closed
             assert fock._sector_table_bytes(n, "parity") == closed
             for sl, block in table:
@@ -1199,12 +1269,12 @@ class TestSectorMemo:
                 assert held == nbytes == fock._sector_table_bytes(n)
 
     def test_least_recently_used_table_goes_first(self, monkeypatch):
-        # tables of 98896, 317936 and 735376 bytes at N = 20, 30 and 40: the
-        # three exceed 1 MiB together, and 20 and 40 fit without 30
-        monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", 2**20)
+        # tables of 49448, 158968 and 367688 bytes at N = 20, 30 and 40: the
+        # three exceed 512 KiB together, and 20 and 40 fit without 30
+        monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", 2**19)
         for n in (20, 30, 20, 40):
             fock._sector_table(n, "total", 0.3)
-            assert sum(size for _, size in fock._SECTOR_TABLES.values()) <= 2**20
+            assert sum(size for _, size in fock._SECTOR_TABLES.values()) <= 2**19
         assert [key[0] for key in fock._SECTOR_TABLES] == [20, 40]
 
     def test_threads_share_the_memo_within_its_bound(self, monkeypatch):
@@ -1247,18 +1317,18 @@ class TestSectorMemo:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: fock.entbs_output(465, 0.0, 0.0, 0.5),
-            lambda: fock.entbs_fidelity(465, 0.0, 0.0, 0.5),
+            lambda: fock.entbs_output(586, 0.0, 0.0, 0.5),
+            lambda: fock.entbs_fidelity(586, 0.0, 0.0, 0.5),
         ],
         ids=["entbs_output", "entbs_fidelity"],
     )
     def test_oversized_splitter_refused_before_the_states(self, build):
-        # the N=465 splitter blocks hold 67463286 complex entries; the
+        # the N=586 splitter blocks hold 134841531 real entries; the
         # quadrature states alone would trace more than 1 MiB
-        assert refused_peak(build, "cutoff 465 needs 1079412576 bytes") < 2**20
+        assert refused_peak(build, "cutoff 586 needs 1078732248 bytes") < 2**20
         assert not fock._SECTOR_TABLES
         # the largest table that fits
-        assert fock._sector_table_bytes(464) <= fock.DENSE_BYTES_LIMIT
+        assert fock._sector_table_bytes(585) <= fock.DENSE_BYTES_LIMIT
 
 
 class TestSu11Generators:
@@ -1415,6 +1485,21 @@ class TestLibraryBoundary:
             CUTOFF_BUILDERS[build](cutoff)
         assert empty_memo.keys() == before.keys()
         assert all(empty_memo[key] is table for key, table in before.items())
+
+    @pytest.mark.parametrize("build", sorted(CUTOFF_BUILDERS))
+    def test_memo_stays_within_its_limit(self, monkeypatch, empty_memo, build):
+        # under a 64 KiB limit, at cutoff 63, whose eigenbasis's 64^2 vectors
+        # alone reach the limit, at 51, whose padded states reach it 12
+        # levels up, and at 20, where the tables and bases of one call
+        # evict each other; each call is built or refused, and the memo
+        # never holds more than the limit
+        monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", 2**16)
+        for n in (20, 51, 63):
+            try:
+                CUTOFF_BUILDERS[build](n)
+            except ValueError as exc:
+                assert f"cutoff {n} needs" in str(exc)
+            assert sum(size for _, size in empty_memo.values()) <= 2**16
 
     @pytest.mark.parametrize(
         "build",
