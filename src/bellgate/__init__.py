@@ -8,7 +8,6 @@ checked against its exact 4x4 symplectic representation.
 """
 
 from .fock import (
-    FockColumns,
     RegularizedState,
     displacement,
     displaced_identity_doubleket,
@@ -28,6 +27,7 @@ from .fock import (
 )
 from .gaussian import (
     DecompositionParams,
+    circuit_factors,
     circuit_symplectic,
     circuit_vs_target_error,
     consistency_notes,

@@ -56,9 +56,10 @@ alone (``_displaced_doubleket_tail``): it builds no second state. The beam
 splitter acts on two-mode states sector by sector, so no state path builds
 a dense two-mode matrix.
 
-Both SUM-gate routes return the full-height images of the basis columns a
-caller reads (``FockColumns``). Every factor of the chain
-(``sum_gate_circuit``) conserves the parity of n_a + n_b: a squeezer pair
+Both SUM-gate routes return the read-only full-height images of the basis
+columns a caller reads. The chain (``sum_gate_circuit``) folds the factor
+list of ``gaussian.circuit_factors``, as the 4x4 route does. Every factor
+conserves the parity of n_a + n_b: a squeezer pair
 moves each mode by an even number of photons, the mixer and the splitter
 conserve n_a + n_b, and the OPA's sector of difference k holds only totals
 of the parity of k. So the chain runs the columns of each parity through
@@ -72,17 +73,15 @@ images on the block's rows, and the Gram defect (``unitarity_defect``)
 reads the chain's images, one parity half at a time.
 
 The sector blocks of each factor form one table per cutoff, conserved
-quantity and generator scale. It is built once, kept read-only in a
-module-level memo and shared by every later call: the squeezer's parity
-table, of scale log(r)/2, by ``squeezer``, the chain and the quadrature
-states; the 50-50 splitter by ``entbs_output``, ``mode_mixer`` and the
-chain; the chain's mode mixer; and the OPA by ``opa`` and the chain. Every
-dense factor is assembled from its table by ``_assemble``, which refuses
-the dense matrix before the table is fetched. The same memo keeps the
-eigenbases of X_0 and X_{pi/2} per cutoff, which ``sum_gate`` reads, and
-the displacements with it. The memo holds at most ``DENSE_BYTES_LIMIT``
-bytes of entries; a new entry first drops the least recently used ones. A
-table pairs each block with its sector's states as a slice of the
+quantity and generator scale: the key ``_TABLE_KEYS`` gives each element
+kind of the factor list, which every caller reads (``_element_table``). A
+table is built once, kept read-only in a module-level memo and shared by
+every later call. Every dense factor is assembled from its table by
+``_assemble``, which refuses the dense matrix before the table is fetched.
+The same memo keeps the eigenbases of X_0 and X_{pi/2} per cutoff, which
+``sum_gate`` reads, and the displacements with it. The memo holds at most
+``DENSE_BYTES_LIMIT`` bytes of entries; a new entry first drops the least
+recently used ones. A table pairs each block with its sector's states as a slice of the
 row-major basis, which holds no array: step 2 in a parity sector, N in a
 total-photon one and N + 2 in a difference one, so ``_apply_sectors`` reads
 and writes each sector as a strided view. A two-mode table holds
@@ -111,9 +110,9 @@ paragraph states the first size each guard refuses.
 
 Every public constructor refuses a cutoff that is not an integer >= 1
 (``is_integer``: a Python or numpy integer, not a bool), and the memo
-refuses one before it is touched. Stored arrays are read-only: the
-builders' operators, the arrays of the frozen state and column
-dataclasses, and the memo's blocks and eigenbases.
+refuses one before it is touched. Stored and returned arrays are
+read-only: the builders' operators, the SUM-gate images, the amplitudes of
+the frozen state dataclass, and the memo's blocks and eigenbases.
 """
 
 from __future__ import annotations
@@ -133,26 +132,6 @@ _TAIL_PAD = 12
 # most bytes of arrays one route may allocate; the README states the first
 # size each guard refuses
 DENSE_BYTES_LIMIT = 2**30
-
-
-@dataclass(frozen=True, eq=False)
-class FockColumns:
-    """Images of selected two-mode basis states under an operator: column j of
-    ``matrix`` is the image of basis state ``columns[j]``."""
-
-    cutoff: int
-    columns: np.ndarray
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        shape = ((self.cutoff + 1) ** 2, len(self.columns))
-        if self.matrix.shape != shape:
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} inconsistent with cutoff"
-                f" {self.cutoff} and {len(self.columns)} column(s)"
-            )
-        self.columns.setflags(write=False)
-        self.matrix.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,19 +174,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _ladder(cutoff: int) -> np.ndarray:
-    a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    ns = np.arange(1, cutoff + 1)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
-
-
 def quadrature(cutoff: int, phi: float) -> np.ndarray:
-    """Hermitian quadrature (e^{i phi} a^dag + e^{-i phi} a) / 2."""
+    """Hermitian quadrature (e^{i phi} a^dag + e^{-i phi} a) / 2, written as
+    its off-diagonals x[k+1, k] = e^{i phi} sqrt(k+1) / 2 and their conjugates."""
     _require_cutoff(cutoff)
     require_finite("phi", phi)
-    a = _ladder(cutoff)
-    x = 0.5 * (np.exp(1j * phi) * a.conj().T + np.exp(-1j * phi) * a)
+    k = np.arange(cutoff)
+    root = np.sqrt(k + 1)
+    x = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    x[k + 1, k] = 0.5 * np.exp(1j * phi) * root
+    x[k, k + 1] = 0.5 * np.exp(-1j * phi) * root
     return _read_only(x)
 
 
@@ -266,8 +242,7 @@ def _columns_bytes(cutoff: int, columns: int, arrays: int = 3, itemsize: int = 1
     ``sum_gate``, 8 for the real ones of the chain. Three is the peak of
     either SUM-gate route: in ``sum_gate`` the phased eigenbasis
     coefficients, the product with one eigenbasis and the images; in the
-    chain a parity half's input and output of a factor, with the other
-    half's images held."""
+    chain the images and a parity half's input and output of a factor."""
     return arrays * itemsize * (cutoff + 1) ** 2 * columns
 
 
@@ -302,15 +277,15 @@ def _chain_bytes(cutoff: int, columns: int) -> int:
     return _columns_bytes(cutoff, columns, itemsize=8) + 3 * _sector_table_bytes(cutoff)
 
 
-def _assemble(cutoff: int, modes: int, conserved: str, scale: float) -> np.ndarray:
-    """The read-only real dense matrix on ``modes`` modes of the sector table
-    of ``conserved`` and ``scale`` (``_sector_table``), whose blocks
-    partition the basis. Its 8-byte entries are refused above
+def _assemble(cutoff: int, kind: str, param: float) -> np.ndarray:
+    """The read-only real dense matrix of the element ``kind`` at ``param``,
+    on one mode for the squeezer and on two otherwise, from the blocks of
+    ``_element_table``. Its 8-byte entries are refused above
     DENSE_BYTES_LIMIT before the table is fetched."""
-    dim = (cutoff + 1) ** modes
+    dim = (cutoff + 1) ** (1 if kind == "squeezers" else 2)
     require_memory(f"cutoff {cutoff}", 8 * dim**2)
     out = np.zeros((dim, dim))
-    for sl, block in _sector_table(cutoff, conserved, scale):
+    for sl, block in _element_table(cutoff, kind, param):
         out[sl, sl] = block
     return _read_only(out)
 
@@ -357,13 +332,13 @@ def squeezer(cutoff: int, r: float) -> np.ndarray:
     """exp(log(r)(a^dag^2 - a^2)/2); maps x -> r x, p -> p / r in the Heisenberg picture.
 
     The truncated generator couples n to n + 2 only, so it is two chains, over
-    even and over odd n: the memoized "parity" table of scale log(r)/2.
+    even and over odd n: the memoized table of a squeezer pair of ``r``.
     """
     _require_cutoff(cutoff)
     require_finite("r", r)
     if r <= 0:
         raise ValueError("squeezing parameter must be positive")
-    return _assemble(cutoff, 1, "parity", 0.5 * np.log(r))
+    return _assemble(cutoff, "squeezers", r)
 
 
 def _phases(cutoff: int, theta: float) -> np.ndarray:
@@ -468,6 +443,20 @@ def _sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
                      lambda: _build_sector_table(cutoff, conserved, scale))
 
 
+# element kind of ``gaussian.circuit_factors`` -> its sector table's key at a
+# parameter: the quantity the generator conserves and the generator's scale
+_TABLE_KEYS = {
+    "squeezers": lambda r: ("parity", 0.5 * np.log(r)),
+    "mixer": lambda theta: ("total", theta),
+    "opa": lambda alpha: ("difference", -alpha / 2.0),
+}
+
+
+def _element_table(cutoff: int, kind: str, param: float) -> tuple:
+    """The sector table of the element ``kind`` of ``gaussian.circuit_factors`` at ``param``."""
+    return _sector_table(cutoff, *_TABLE_KEYS[kind](param))
+
+
 def _apply_sectors(vectors: np.ndarray, blocks) -> np.ndarray:
     """Apply (states, block) pairs of distinct sectors to the rows of
     ``vectors``, a two-mode vector or a batch of them as columns; rows that
@@ -516,7 +505,7 @@ def _apply_kron_on_parity(a: np.ndarray, b: np.ndarray, vectors: np.ndarray,
 
 def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
     """expm of theta (a^dag b - a b^dag), assembled from its total-photon sectors."""
-    return _assemble(cutoff, 2, "total", theta)
+    return _assemble(cutoff, "mixer", theta)
 
 
 def mode_mixer(cutoff: int, theta: float) -> np.ndarray:
@@ -530,7 +519,7 @@ def opa(cutoff: int, alpha_param: float) -> np.ndarray:
     """exp(-(alpha/2)(a^dag b^dag - a b)), assembled from its photon-number-difference sectors."""
     _require_cutoff(cutoff)
     require_finite("alpha_param", alpha_param)
-    return _assemble(cutoff, 2, "difference", -alpha_param / 2.0)
+    return _assemble(cutoff, "opa", alpha_param)
 
 
 # ---------------------------------------------------------------------------
@@ -669,12 +658,14 @@ def heterodyne_eigen_residual(cutoff: int, lam: float, z: complex) -> float:
     state = displaced_identity_doubleket(cutoff, lam, z)
     m = state.amplitudes.reshape(cutoff + 1, cutoff + 1)
     # (a kron I) v = vec(a m) and (I kron b^dag) v = vec(m a) for the ladder a:
-    # a m moves row n+1 of m to row n, m a moves column n to n+1, each times sqrt(n+1)
+    # a m moves row n+1 of m to row n, m a moves column n to n+1, each times
+    # sqrt(n+1), both formed in the residual's one array
     root = np.sqrt(np.arange(1, cutoff + 1))
-    am, ma = np.zeros_like(m), np.zeros_like(m)
-    am[:-1] = root[:, None] * m[1:]
-    ma[:, 1:] = m[:, :-1] * root
-    return float(np.linalg.norm(am - ma - z * m))
+    r = np.zeros_like(m)
+    r[:-1] = root[:, None] * m[1:]
+    r[:, 1:] -= m[:, :-1] * root
+    r -= z * m
+    return float(np.linalg.norm(r))
 
 
 def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> RegularizedState:
@@ -710,8 +701,8 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
 # ---------------------------------------------------------------------------
 
 def _basis_indices(cutoff: int, indices, nbytes: Callable[[int, int], int]) -> np.ndarray:
-    """Validated non-empty 1-D array of two-mode basis indices, copied only after
-    the memory guard has passed ``nbytes(cutoff, count)`` for ``count`` indices."""
+    """Validated non-empty 1-D array of two-mode basis indices, once the memory
+    guard has passed ``nbytes(cutoff, count)`` for ``count`` indices."""
     _require_cutoff(cutoff)
     dim = (cutoff + 1) ** 2
     idx = np.asarray(indices)
@@ -721,7 +712,7 @@ def _basis_indices(cutoff: int, indices, nbytes: Callable[[int, int], int]) -> n
             f"basis indices must be a non-empty 1-D integer array within [0, {dim})"
         )
     require_memory(f"cutoff {cutoff}", nbytes(cutoff, idx.size))
-    return idx.copy()
+    return idx
 
 
 def _direct_images(cutoff: int, cols: np.ndarray, rows: int) -> np.ndarray:
@@ -745,59 +736,60 @@ def _direct_images(cutoff: int, cols: np.ndarray, rows: int) -> np.ndarray:
     return _apply_kron(up[:rows], ux[:rows], coeffs.reshape(n1 * n1, -1))
 
 
-def sum_gate(cutoff: int, columns) -> FockColumns:
+def sum_gate(cutoff: int, columns) -> np.ndarray:
     """exp(-2i X_{pi/2} kron X_0), evaluated spectrally (``_direct_images``
     on every row) and applied to the basis states ``columns`` (an array of
-    two-mode indices). This is exact and avoids a dense two-mode Pade
-    exponential."""
+    two-mode indices): the read-only images, column j that of ``columns[j]``.
+    This is exact and avoids a dense two-mode Pade exponential."""
     cols = _basis_indices(cutoff, columns, _direct_bytes)
-    return FockColumns(cutoff, cols, _direct_images(cutoff, cols, cutoff + 1))
+    return _read_only(_direct_images(cutoff, cols, cutoff + 1))
 
 
-def sum_gate_circuit(cutoff: int, columns) -> FockColumns:
-    """The optical realization of the SUM gate as a five-factor product,
-    applied to the basis states ``columns`` (an array of two-mode indices).
+def _squeezer_pair(cutoff: int, r: float, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mode a's and b's factor of ("squeezers", r, mode): S(r) on ``mode``, S(r)^T on the other."""
+    s = squeezer(cutoff, r)
+    return (s, s.T) if mode == 0 else (s.T, s)
 
-    50-50 beam splitter, squeezer pair (r1, r1^dag), two-mode squeezer of
-    exponent alpha, mode mixer of angle beta/2, squeezer pair (r2^dag, r2),
-    in operator order, with ``gaussian.decomposition_params()``. Every factor
-    conserves the parity of n_a + n_b, so the image of |c, d> lives on the
-    rows of parity c + d, and the columns run in two halves by that parity.
-    In a half the factors act one at a time, rightmost first: the squeezer
-    pair on the unit columns as the outer products s2^dag[:, c] s2[:, d]^T,
-    the mixer, the OPA and the beam splitter as their sector blocks of the
-    half's parity, and the other squeezer pair on the two nonzero parity
-    blocks of each amplitude matrix (``_apply_kron_on_parity``), so no factor
-    is built as a two-mode matrix. Every factor is real, so the chain runs
-    in float64 and its images are real. Each factor is unitary to rounding
-    at any cutoff, so the images carry no warning: their truncation shows in
-    the block distance of ``sum_gate_block_checks``.
+
+def sum_gate_circuit(cutoff: int, columns) -> np.ndarray:
+    """The optical realization of the SUM gate, ``gaussian.circuit_factors``
+    at ``gaussian.decomposition_params()``, applied to the basis states
+    ``columns`` (an array of two-mode indices): the read-only images, column
+    j that of ``columns[j]``.
+
+    Every factor conserves the parity of n_a + n_b, so the image of |c, d>
+    lives on the rows of parity c + d, and the columns run in two halves by
+    that parity. In a half the factors act rightmost first: that squeezer
+    pair kron(A, B) on the unit columns as the outer products A[:, c]
+    B[:, d]^T, a two-mode element as its sector blocks of the half's parity,
+    and the other squeezer pair on the two nonzero parity blocks of each
+    amplitude matrix (``_apply_kron_on_parity``), so no factor is built as a
+    two-mode matrix. Every factor is real and unitary to rounding at any
+    cutoff, so the images are float64 and carry no warning: their
+    truncation shows in the block distance of ``sum_gate_block_checks``.
     """
-    params = gaussian.decomposition_params()
     n1 = cutoff + 1
     cols = _basis_indices(cutoff, columns, _chain_bytes)
-    tables = [_sector_table(cutoff, "total", params.beta / 2.0),
-              _sector_table(cutoff, "difference", -params.alpha / 2.0),
-              _sector_table(cutoff, "total", np.pi / 4)]
-    s1, s2 = squeezer(cutoff, params.r1), squeezer(cutoff, params.r2)
+    *later, (_, (first_a, first_b)) = [
+        (kind, _squeezer_pair(cutoff, *args) if kind == "squeezers"
+         else _element_table(cutoff, kind, *args))
+        for kind, *args in gaussian.circuit_factors(gaussian.decomposition_params())]
     c, d = np.divmod(cols, n1)
-    halves = []
+    out = np.empty((n1 * n1, cols.size))
     for parity in (0, 1):
         half = np.flatnonzero((c + d) % 2 == parity)
         if half.size == 0:
             continue
-        mixer, amplifier, splitter = (_parity_sectors(t, cutoff, parity) for t in tables)
         # in C order, as every later factor reads rows and amplitude blocks
-        images = np.multiply(s2[c[half]].conj().T[:, None, :], s2[:, d[half]][None, :, :],
-                             order="C")
-        images = _apply_sectors(images.reshape(n1 * n1, -1), mixer)
-        images = _apply_sectors(images, amplifier)
-        images = _apply_kron_on_parity(s1, s1.conj().T, images, parity)
-        halves.append((half, _apply_sectors(images, splitter)))
-    out = np.empty((n1 * n1, cols.size))
-    for half, images in halves:
+        images = np.multiply(first_a[:, c[half]][:, None, :], first_b[:, d[half]][None, :, :],
+                             order="C").reshape(n1 * n1, -1)
+        for kind, operand in reversed(later):
+            if kind == "squeezers":
+                images = _apply_kron_on_parity(*operand, images, parity)
+            else:
+                images = _apply_sectors(images, _parity_sectors(operand, cutoff, parity))
         out[:, half] = images
-    return FockColumns(cutoff, cols, out)
+    return _read_only(out)
 
 
 def phase_aligned_block_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -861,7 +853,7 @@ def sum_gate_block_checks(cutoff: int, block_photons: int) -> tuple[float, float
     """
     require_block_checks_fit(cutoff, block_photons)
     block = np.flatnonzero(block_mask(cutoff, block_photons))
-    images = sum_gate_circuit(cutoff, block).matrix
+    images = sum_gate_circuit(cutoff, block)
     rows = min(block_photons, cutoff) + 1
     a, b = np.divmod(block, cutoff + 1)
     direct = _direct_images(cutoff, block, rows)[a * rows + b]
@@ -898,7 +890,7 @@ def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
     """
     require_finite("x", x)
     require_finite("y", y)
-    splitter = _sector_table(cutoff, "total", np.pi / 4)
+    splitter = _element_table(cutoff, "mixer", np.pi / 4)
     in_a = quad_eigenstate_approx(cutoff, x / np.sqrt(2.0), 0.0, s)
     in_b = quad_eigenstate_approx(cutoff, y / np.sqrt(2.0), np.pi / 2.0, s)
     product = np.kron(in_a.amplitudes, in_b.amplitudes)

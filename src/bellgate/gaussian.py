@@ -11,7 +11,8 @@ The target gate is the continuous-variable SUM interaction exp(-2i P_a X_b);
 its Heisenberg action is the shear x_a -> x_a + x_b, p_b -> p_b - p_a. The
 five-factor optical chain (50-50 beam splitter, a squeezer pair r1, a
 two-mode squeezer of exponent alpha, a mode mixer of angle beta/2, and a
-second squeezer pair r2) reproduces that shear exactly for
+second squeezer pair r2), listed once by ``circuit_factors``, reproduces
+that shear exactly for
 
     alpha = -2 atanh(2 - sqrt 3),  beta = -2 atan(2 - sqrt 3),
     gamma = log(sqrt 3 / 2),       r1 = 2^(-1/2),  r2 = (3/4)^(-1/4).
@@ -22,6 +23,7 @@ realization of su(1,1), checked independently of the 4x4 route.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,24 +139,28 @@ def sum_gate_symplectic() -> np.ndarray:
 # The five-factor decomposition, verified exactly
 # ---------------------------------------------------------------------------
 
+def circuit_factors(params: DecompositionParams) -> tuple[tuple, ...]:
+    """The optical chain's elements in operator order, applied right to left:
+    BS(pi/4) (S(r1) kron S(r1)^dag) OPA(alpha) MIX(beta/2) (S(r2)^dag kron S(r2)).
+    ("mixer", theta) and ("opa", alpha) are the elements of
+    ``beam_splitter_symplectic`` and ``opa_symplectic``; ("squeezers", r, m)
+    is S(r) on mode m and S(r)^dag = S(r)^T = S(1/r) on the other."""
+    return (("mixer", np.pi / 4), ("squeezers", params.r1, 0), ("opa", params.alpha),
+            ("mixer", params.beta / 2.0), ("squeezers", params.r2, 1))
+
+
+# each element kind of ``circuit_factors`` -> its symplectic matrix
+_ELEMENT_SYMPLECTICS = {
+    "mixer": beam_splitter_symplectic,
+    "opa": opa_symplectic,
+    "squeezers": lambda r, m: squeezer_symplectic(r, m) @ squeezer_symplectic(1.0 / r, 1 - m),
+}
+
+
 def circuit_symplectic(params: DecompositionParams) -> np.ndarray:
-    """Symplectic matrix of the optical chain, composed in operator order.
-
-    The chain reads, as operators applied right to left,
-
-        BS(pi/4) (S(r1) kron S(r1)^dag) OPA(alpha) MIX(beta/2) (S(r2)^dag kron S(r2)),
-
-    and S(r)^dag = S(1/r).
-    """
-    return (
-        beam_splitter_symplectic(np.pi / 4)
-        @ squeezer_symplectic(params.r1, 0)
-        @ squeezer_symplectic(1.0 / params.r1, 1)
-        @ opa_symplectic(params.alpha)
-        @ beam_splitter_symplectic(params.beta / 2.0)
-        @ squeezer_symplectic(1.0 / params.r2, 0)
-        @ squeezer_symplectic(params.r2, 1)
-    )
+    """The optical chain's symplectic matrix: ``circuit_factors`` multiplied in operator order."""
+    return functools.reduce(np.matmul, (
+        _ELEMENT_SYMPLECTICS[kind](*args) for kind, *args in circuit_factors(params)))
 
 
 def circuit_vs_target_error(params: DecompositionParams) -> float:

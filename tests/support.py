@@ -1,6 +1,7 @@
 """Helpers shared by the test files: the memory a call traces, the
-truncation defect of a Fock operator, the two-mode references of the Fock
-oracles, and references for the sector tables and the state tails.
+truncation defect of a Fock operator, the ladder matrix, the two-mode
+references of the Fock oracles, and references for the sector tables and
+the state tails.
 
 The references are sums of Kronecker terms. A list of terms (w, A, B) stands
 for the sum of w kron(A, B): its entry between |a, b> and |c, d> is the sum
@@ -58,6 +59,14 @@ def truncation_defect(images, cutoff: int, modes: int) -> float:
     return float(np.linalg.norm(small - large, axis=0).max())
 
 
+def ladder(cutoff: int) -> np.ndarray:
+    """The truncated annihilation operator: a[n-1, n] = sqrt(n), complex."""
+    a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    ns = np.arange(1, cutoff + 1)
+    a[ns - 1, ns] = np.sqrt(ns)
+    return a
+
+
 def kron_apply(a: np.ndarray, b: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """kron(a, b) applied to two-mode column vectors."""
     m = vectors.reshape(len(a), len(b), -1)
@@ -79,7 +88,7 @@ def su11_terms(cutoff: int) -> dict[str, list]:
     """The su(1,1) generators as terms of the ladder: Kx = (a^dag b^dag + a b)/2,
     Ky = i(a b^dag + a^dag b)/2 and Kz = (a^dag^2 - a^2 + b^dag^2 - b^2)/4. Away
     from the cutoff Kz = i [Kx, Ky], and X_0 kron X_0 = (Kx - i Ky)/2."""
-    a = fock._ladder(cutoff)
+    a = ladder(cutoff)
     ad, eye = a.conj().T, np.eye(cutoff + 1)
     sq_gen = ad @ ad - a @ a
     return {

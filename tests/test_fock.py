@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import (
-    compose, every_state, gather_scatter, padded_doubleket_tail, refused_peak, sector_indices,
-    su11_terms, term_block, traced_peak, truncation_defect,
+    compose, every_state, gather_scatter, ladder, padded_doubleket_tail, refused_peak,
+    sector_indices, su11_terms, term_block, traced_peak, truncation_defect,
 )
 
 from bellgate import cli, fock, gaussian
@@ -51,26 +52,23 @@ def dense_sum_gate(n: int) -> np.ndarray:
 
 @functools.cache
 def dense_sum_gate_chain(n: int, params: gaussian.DecompositionParams) -> np.ndarray:
-    """The optical five-factor chain multiplied out from dense Pade exponentials
-    of its generators, independent of the sector and chain builders; read-only."""
-    a = fock._ladder(n)
+    """The factors of ``gaussian.circuit_factors`` as dense Pade exponentials
+    of their generators, multiplied in operator order, independent of the
+    sector and chain builders; read-only."""
+    a = ladder(n)
     ad = a.conj().T
 
-    def squeeze(r):
-        return scipy.linalg.expm(0.5 * np.log(r) * (ad @ ad - a @ a))
+    def squeezers(r, mode):
+        s = scipy.linalg.expm(0.5 * np.log(r) * (ad @ ad - a @ a))
+        return np.kron(s, s.conj().T) if mode == 0 else np.kron(s.conj().T, s)
 
-    def mix(theta):
-        return scipy.linalg.expm(theta * (np.kron(ad, a) - np.kron(a, ad)))
-
-    s1, s2 = squeeze(params.r1), squeeze(params.r2)
-    amp = scipy.linalg.expm(-(params.alpha / 2) * (np.kron(ad, ad) - np.kron(a, a)))
-    chain = (
-        mix(np.pi / 4)
-        @ np.kron(s1, s1.conj().T)
-        @ amp
-        @ mix(params.beta / 2)
-        @ np.kron(s2.conj().T, s2)
-    )
+    dense = {
+        "mixer": lambda theta: scipy.linalg.expm(theta * (np.kron(ad, a) - np.kron(a, ad))),
+        "opa": lambda alpha: scipy.linalg.expm(-(alpha / 2) * (np.kron(ad, ad) - np.kron(a, a))),
+        "squeezers": squeezers,
+    }
+    chain = functools.reduce(np.matmul, (
+        dense[kind](*args) for kind, *args in gaussian.circuit_factors(params)))
     chain.setflags(write=False)
     return chain
 
@@ -102,18 +100,18 @@ def empty_memo():
 
 
 class TestLadderOps:
-    """The ladder matrix that every quadrature, generator and residual is built from."""
+    """The ladder matrix that the tests' generators and references are built from."""
 
     def test_annihilation_on_one(self):
-        np.testing.assert_allclose(fock._ladder(5) @ basis_state(5, 1), basis_state(5, 0))
+        np.testing.assert_allclose(ladder(5) @ basis_state(5, 1), basis_state(5, 0))
 
     def test_creation_on_vacuum(self):
-        adag = fock._ladder(5).conj().T
+        adag = ladder(5).conj().T
         np.testing.assert_allclose(adag @ basis_state(5, 0), basis_state(5, 1))
 
     def test_commutator_identity_below_cutoff(self):
         n = 9
-        a = fock._ladder(n)
+        a = ladder(n)
         adag = a.conj().T
         comm = a @ adag - adag @ a
         # sqrt(n)^2 rounds at machine epsilon, so "exact" means to eps here
@@ -139,6 +137,21 @@ class TestQuadratures:
     def test_vacuum_variance(self):
         x = fock.quadrature(10, 0.0)
         assert vacuum_expectation(x @ x).real == pytest.approx(0.25, abs=1e-14)
+
+    @pytest.mark.parametrize("phi", [0.0, np.pi / 2, 0.3])
+    @pytest.mark.parametrize("n", [1, 12, 40, 200])
+    def test_off_diagonals_equal_the_ladder_form(self, n, phi):
+        # bit for bit, so every eigenbasis read off it is unchanged
+        a = ladder(n)
+        expected = 0.5 * (np.exp(1j * phi) * a.conj().T + np.exp(-1j * phi) * a)
+        assert np.array_equal(fock.quadrature(n, phi), expected)
+
+    def test_quadrature_traces_about_its_own_bytes(self, empty_memo):
+        # only the matrix, 1.01 times an eigenbasis's bytes at N = 510 here;
+        # built from a complex ladder, its adjoint and two phased copies it
+        # traced 3.06
+        peak = traced_peak(lambda: fock.quadrature(510, np.pi / 2))
+        assert peak <= 1.2 * fock._eigenbasis_bytes(510)
 
 
 # a chain link: complex, of modulus up to 4, and often exactly 0
@@ -223,7 +236,7 @@ class TestDisplacement:
     @pytest.mark.parametrize("cutoff", CHAIN_CUTOFFS + [60, 72])
     @pytest.mark.parametrize("alpha", [0.8, 0.6j, 1 - 0.5j, 1.7, 1.2j])
     def test_chain_route_matches_dense_expm(self, cutoff, alpha):
-        a = fock._ladder(cutoff)
+        a = ladder(cutoff)
         gen = alpha * a.conj().T - np.conj(alpha) * a
         np.testing.assert_allclose(
             fock.displacement(cutoff, alpha), scipy.linalg.expm(gen), rtol=0, atol=1e-12
@@ -246,7 +259,7 @@ class TestSqueezer:
     @pytest.mark.parametrize("cutoff", CHAIN_CUTOFFS)
     @pytest.mark.parametrize("r", [0.6, 1.3])
     def test_chain_route_matches_dense_expm(self, cutoff, r):
-        a = fock._ladder(cutoff)
+        a = ladder(cutoff)
         ad = a.conj().T
         gen = 0.5 * np.log(r) * (ad @ ad - a @ a)
         np.testing.assert_allclose(
@@ -301,7 +314,7 @@ class TestBeamSplitter:
 
     def test_sector_route_matches_dense_expm(self):
         n = 10
-        a = fock._ladder(n)
+        a = ladder(n)
         gen = (np.pi / 4) * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
         np.testing.assert_allclose(
             fock.mode_mixer(n, np.pi / 4), scipy.linalg.expm(gen), rtol=0, atol=1e-12
@@ -323,7 +336,7 @@ class TestOpa:
 
     def test_sector_route_matches_dense_expm(self):
         n, alpha = 10, -0.5493061443340549
-        a = fock._ladder(n)
+        a = ladder(n)
         ad = a.conj().T
         gen = -(alpha / 2) * (np.kron(ad, ad) - np.kron(a, a))
         np.testing.assert_allclose(
@@ -364,7 +377,7 @@ class TestIdentityDoubleKet:
     def test_two_mode_squeezed_vacuum_relation(self):
         lam, n = 0.5, 20
         state = fock.identity_doubleket(n, lam)
-        a = fock._ladder(n)
+        a = ladder(n)
         m = state.amplitudes.reshape(n + 1, n + 1)
         # (a kron I - lam I kron b^dag) annihilates the state
         resid = a @ m - lam * (m @ a)
@@ -405,7 +418,7 @@ class TestHeterodyneResidual:
         n, lam = 40, 0.5
         state = fock.identity_doubleket(n, lam)
         m = state.amplitudes.reshape(n + 1, n + 1)
-        bdag_norm = np.linalg.norm(m @ fock._ladder(n))
+        bdag_norm = np.linalg.norm(m @ ladder(n))
         assert fock.heterodyne_eigen_residual(n, lam, 0.0) == pytest.approx(
             (1 - lam) * bdag_norm, abs=1e-9
         )
@@ -423,7 +436,7 @@ class TestHeterodyneResidual:
     def test_reshape_route_matches_kron_route(self):
         n, lam, z = 12, 0.4, 0.3 + 0.2j
         state = fock.displaced_identity_doubleket(n, lam, z)
-        a = fock._ladder(n)
+        a = ladder(n)
         eye = np.eye(n + 1)
         zop = np.kron(a, eye) - np.kron(eye, a.conj().T) - z * np.eye((n + 1) ** 2)
         expected = np.linalg.norm(zop @ state.amplitudes)
@@ -487,7 +500,7 @@ class TestPaddedTail:
     def test_quadrature_state_tail(self):
         n, big, x, s = 20, 60, 1 / np.sqrt(2.0), 0.4
         state = fock.quad_eigenstate_approx(n, x, 0.0, s)
-        a = fock._ladder(big)
+        a = ladder(big)
         ad = a.conj().T
         amps = (
             scipy.linalg.expm(x * (ad - a))
@@ -502,7 +515,7 @@ class TestPaddedTail:
     def test_displaced_double_ket_tail(self):
         n, big, lam, z = 20, 60, fock.matched_lambda(0.4), 1 - 0.5j
         state = fock.displaced_identity_doubleket(n, lam, z)
-        a = fock._ladder(big)
+        a = ladder(big)
         gen = z * a.conj().T - np.conj(z) * a
         amps = scipy.linalg.expm(gen) @ np.diag(lam ** np.arange(big + 1))
         tail = tail_in_warning(state.warnings, "displaced double-ket")
@@ -573,14 +586,10 @@ class TestRealFactors:
 
     @pytest.mark.parametrize("n", [1, 2, 12, 13, 20, 60])
     def test_tables_are_real_orthogonal(self, n):
-        # the scales the library builds: both squeezers, the splitter, the
-        # chain's mixer and its OPA
-        params = gaussian.decomposition_params()
-        tables = [("parity", 0.5 * np.log(params.r1)), ("parity", 0.5 * np.log(params.r2)),
-                  ("total", np.pi / 4), ("total", params.beta / 2.0),
-                  ("difference", -params.alpha / 2.0)]
-        for conserved, scale in tables:
-            for _, block in fock._sector_table(n, conserved, scale):
+        # the tables of the chain's five factors: the splitter, both
+        # squeezers, the OPA and the mixer
+        for kind, param, *_ in gaussian.circuit_factors(gaussian.decomposition_params()):
+            for _, block in fock._element_table(n, kind, param):
                 assert block.dtype == np.float64
                 assert np.abs(block.T @ block - np.eye(len(block))).max() <= 1e-13
 
@@ -678,7 +687,7 @@ class TestApplyKron:
 class TestSumGate:
     def test_spectral_route_matches_dense_expm(self):
         n = 12
-        out = fock.sum_gate(n, every_state(n)).matrix
+        out = fock.sum_gate(n, every_state(n))
         np.testing.assert_allclose(out, dense_sum_gate(n), rtol=0, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -686,8 +695,7 @@ class TestSumGate:
     def test_spectral_route_matches_dense_expm_on_drawn_columns(self, columns):
         # unsorted, and repeats allowed: each image is its column of the gate
         out = fock.sum_gate(12, columns)
-        np.testing.assert_array_equal(out.columns, columns)
-        np.testing.assert_allclose(out.matrix, dense_sum_gate(12)[:, columns], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, dense_sum_gate(12)[:, columns], rtol=0, atol=1e-12)
 
     def test_circuit_unitary_on_inner_block(self):
         # the Gram defect of the chain's images of the total <= 10 basis columns
@@ -732,7 +740,7 @@ class TestSumGate:
         block = np.flatnonzero(fock.block_mask(n, 10))
         a, b = np.divmod(block, n + 1)
         rows = fock._direct_images(n, block, 11)[a * 11 + b]
-        assert np.array_equal(rows, fock.sum_gate(n, block).matrix[block])
+        assert np.array_equal(rows, fock.sum_gate(n, block)[block])
 
     def test_chain_run_once_on_the_compared_block(self, monkeypatch):
         # one pass of the chain at N=40, over the 66 columns the distance
@@ -781,33 +789,51 @@ class TestSumGate:
         assert row.error > row.tolerance == cli.TOL_UNITARITY_BLOCK
         assert not row.passed
 
-    @pytest.mark.parametrize("factor", ["splitter", "mixer", "opa", "r1", "r2"])
-    def test_gram_defect_catches_each_factor_off_unitary(self, monkeypatch, empty_memo, factor):
-        # one factor 1e-5 off unitary and the others exact: the sector table
-        # in the memo, or the squeezer of that parameter, which acts twice
-        n, params, off = 12, gaussian.decomposition_params(), 1 + 1e-5
-        tables = {"splitter": ("total", np.pi / 4), "mixer": ("total", params.beta / 2.0),
-                  "opa": ("difference", -params.alpha / 2.0)}
-        if factor in tables:
-            conserved, scale = tables[factor]
-            key = (n, conserved, float(scale))
-            fock._sector_table(n, conserved, scale)
-            exact, nbytes = empty_memo[key]
-            empty_memo[key] = (tuple((idx, off * block) for idx, block in exact), nbytes)
-        else:
-            squeezer, r = fock.squeezer, getattr(params, factor)
-            monkeypatch.setattr(fock, "squeezer", lambda cutoff, r_: (
-                (off if r_ == r else 1.0) * squeezer(cutoff, r_)
+    @pytest.mark.parametrize(
+        "index", [0, 3, 2, 1, 4], ids=["splitter", "mixer", "opa", "r1", "r2"]
+    )
+    def test_gram_defect_catches_each_factor_off_unitary(self, monkeypatch, empty_memo, index):
+        # one factor of ``gaussian.circuit_factors`` 1e-5 off unitary and the
+        # others exact: its sector table in the memo, or the squeezer of its
+        # parameter, which acts on both modes
+        n, off = 12, 1 + 1e-5
+        kind, param, *_ = gaussian.circuit_factors(gaussian.decomposition_params())[index]
+        if kind == "squeezers":
+            squeezer = fock.squeezer
+            monkeypatch.setattr(fock, "squeezer", lambda cutoff, r: (
+                (off if r == param else 1.0) * squeezer(cutoff, r)
             ))
+        else:
+            fock._element_table(n, kind, param)
+            ((key, (exact, nbytes)),) = empty_memo.items()
+            empty_memo[key] = (tuple((idx, off * block) for idx, block in exact), nbytes)
         report = cli.run_cv_verify([n])
         row = next(c for c in report.checks if c.name == "N=12:sum_gate_unitarity_block")
         assert row.error > row.tolerance == cli.TOL_UNITARITY_BLOCK
         assert not row.passed
 
+    @pytest.mark.parametrize(
+        "ablate",
+        [lambda p: replace(p, alpha=0.0), lambda p: replace(p, r1=p.r2, r2=p.r1)],
+        ids=["drop_opa", "swap_squeezers"],
+    )
+    def test_ablated_chain_misses_the_direct_gate(self, monkeypatch, empty_memo, ablate):
+        # the Fock twins of the symplectic ablation rows: the chain reads
+        # decomposition_params at call time. Its block distance clears the
+        # floor and does not move with N: 0.44146 and 0.74514 at N = 30 and
+        # 40 here, apart by 2e-13 and 5e-15 (the 4x4 route gives 0.30969 and
+        # 0.65470)
+        params = ablate(gaussian.decomposition_params())
+        monkeypatch.setattr(gaussian, "decomposition_params", lambda: params)
+        _, d30 = fock.sum_gate_block_checks(30, 10)
+        _, d40 = fock.sum_gate_block_checks(40, 10)
+        assert d30 > cli.ABLATION_FLOOR and d40 > cli.ABLATION_FLOOR
+        assert d30 == pytest.approx(d40, rel=0, abs=1e-10)
+
     def test_vacuum_image_agreement(self):
         n = 30
-        target = fock.sum_gate(n, [0]).matrix[:, 0]
-        circuit = fock.sum_gate_circuit(n, [0]).matrix[:, 0]
+        target = fock.sum_gate(n, [0])[:, 0]
+        circuit = fock.sum_gate_circuit(n, [0])[:, 0]
         phase = np.vdot(circuit, target)
         phase /= abs(phase)
         assert np.linalg.norm(target - phase * circuit) <= 1e-4
@@ -841,19 +867,18 @@ class TestSumGateColumns:
         n, dense = dense_chain
         columns = self.column_set(n, which)
         out = fock.sum_gate_circuit(n, columns=columns)
-        np.testing.assert_array_equal(out.columns, columns)
-        np.testing.assert_allclose(out.matrix, dense[:, columns], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(out, dense[:, columns], rtol=0, atol=1e-13)
         # real, and exactly zero off each column's parity, as the dense chain is
-        assert out.matrix.dtype == np.float64
+        assert out.dtype == np.float64
         parity = fock.total_photon_numbers(n) % 2
-        assert not out.matrix[np.not_equal.outer(parity, parity[columns])].any()
+        assert not out[np.not_equal.outer(parity, parity[columns])].any()
 
     @pytest.mark.parametrize("n", [12, 20])
     @pytest.mark.parametrize("which", ["half_block", "scattered"])
     def test_sum_gate_block_matches_dense(self, n, which):
         block = self.column_set(n, which)
         np.testing.assert_allclose(
-            fock.sum_gate(n, block).matrix, fock.sum_gate(n, every_state(n)).matrix[:, block],
+            fock.sum_gate(n, block), fock.sum_gate(n, every_state(n))[:, block],
             rtol=0, atol=1e-13,
         )
 
@@ -911,7 +936,7 @@ class TestDenseGuard:
         # sector tables of 7294328 bytes
         with pytest.raises(ValueError, match="cutoff 110 needs 3665251968 bytes"):
             fock.sum_gate_circuit(110, every_state(110))
-        assert fock.sum_gate_circuit(110, columns=[0]).matrix.shape == (111 ** 2, 1)
+        assert fock.sum_gate_circuit(110, columns=[0]).shape == (111 ** 2, 1)
 
     def test_displacement_basis_refused_before_the_memo(self, empty_memo):
         # the basis the memo would hold, 8192^2 complex vectors and 8192
@@ -1031,8 +1056,8 @@ class TestStateGuards:
     state counts its padded build's eigenbasis, (N+13)^2 vectors and the
     largest array it holds, so its peak is a stated multiple of that count:
     at x or z != 0 the eigenbasis at N and at N + 12, the phased copy of the
-    one at N and the product with it; the heterodyne residual adds the
-    shifted copies of the state's amplitude matrix."""
+    one at N and the product with it; the heterodyne residual holds one
+    array of the state's size, and one product, after the state is built."""
 
     LIMIT = 2**22
 
@@ -1042,7 +1067,7 @@ class TestStateGuards:
          (lambda n: fock.displaced_identity_doubleket(n, 0.5, 1 - 0.5j),
           lambda n: fock._eigenbasis_bytes(n + 12), 498, 4.5),
          (lambda n: fock.heterodyne_eigen_residual(n, 0.5, 1 - 0.5j),
-          lambda n: fock._eigenbasis_bytes(n + 12), 498, 6),
+          lambda n: fock._eigenbasis_bytes(n + 12), 498, 4.5),
          (lambda n: fock.quad_eigenstate_approx(n, 0.0, 0.3, 0.5),
           lambda n: fock._eigenbasis_bytes(n + 12), 498, 1.5),
          (lambda n: fock.quad_eigenstate_approx(n, 0.5, 0.3, 0.5),
@@ -1053,8 +1078,8 @@ class TestStateGuards:
     def test_peak_bounded_and_first_refusal_before_the_build(
             self, monkeypatch, empty_memo, build, count, largest, factor):
         # the largest accepted cutoff traces at most ``factor`` times the
-        # count (4.0 for a displaced double-ket, 5.8 for the heterodyne
-        # residual, 1.2 and 3.6 for a quadrature state at x = 0 and x = 0.5
+        # count (4.0 for a displaced double-ket, 4.0 for the heterodyne
+        # residual, 1.2 and 3.5 for a quadrature state at x = 0 and x = 0.5
         # here); the next is refused before anything is built, naming the
         # cutoff the caller asked for
         monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", self.LIMIT)
@@ -1154,7 +1179,7 @@ class TestSectorMemo:
         "build",
         [
             lambda: fock.entbs_output(60, 1, -0.5, 0.5).amplitudes,
-            lambda: fock.sum_gate_circuit(20, np.flatnonzero(fock.block_mask(20, 10))).matrix,
+            lambda: fock.sum_gate_circuit(20, np.flatnonzero(fock.block_mask(20, 10))),
             lambda: fock.mode_mixer(12, np.pi / 4),
             lambda: fock.opa(10, 0.7),
             lambda: fock.displaced_identity_doubleket(60, 0.5, 1 - 0.5j).amplitudes,
@@ -1241,7 +1266,7 @@ class TestSectorMemo:
         inline = fock._apply_kron(up, ux, coeffs.reshape(n1 * n1, -1))
         fock.displacement(n, 0.3)  # the displacement's basis first
         for _ in ("cold", "warm"):
-            assert np.array_equal(fock.sum_gate(n, cols).matrix, inline)
+            assert np.array_equal(fock.sum_gate(n, cols), inline)
 
     def test_import_builds_nothing(self):
         code = "import bellgate.cli; from bellgate import fock; assert not fock._SECTOR_TABLES"
@@ -1309,7 +1334,7 @@ class TestSectorMemo:
     def test_tables_are_kept_apart_by_scale(self):
         n, theta = 12, 0.3
         fock.mode_mixer(n, np.pi / 4)
-        a = fock._ladder(n)
+        a = ladder(n)
         dense = scipy.linalg.expm(theta * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T)))
         np.testing.assert_allclose(fock.mode_mixer(n, theta), dense, rtol=0, atol=1e-13)
         assert len(fock._SECTOR_TABLES) == 2
@@ -1518,9 +1543,7 @@ class TestLibraryBoundary:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1
         requested = np.array([0, 3])
-        images = fock.sum_gate_circuit(4, columns=requested)
-        with pytest.raises(ValueError):
-            images.matrix[0, 0] = 7
-        with pytest.raises(ValueError):
-            images.columns[0] = 1
-        requested[0] = 1  # the caller's array is copied, not frozen
+        for images in (fock.sum_gate_circuit(4, columns=requested), fock.sum_gate(4, requested)):
+            with pytest.raises(ValueError):
+                images[0, 0] = 7
+        requested[0] = 1  # the caller's array is not frozen

@@ -200,7 +200,7 @@ class TestSumGateTarget:
     def test_fock_oracle_confirms_target_signs(self):
         cutoff = 40
         err = fock_block_error(
-            lambda block: fock.sum_gate(cutoff, block).matrix, gaussian.sum_gate_symplectic(),
+            lambda block: fock.sum_gate(cutoff, block), gaussian.sum_gate_symplectic(),
             cutoff,
         )
         assert err <= 1e-6
