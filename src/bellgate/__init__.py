@@ -11,6 +11,7 @@ from .fock import (
     RegularizedState,
     displacement,
     displaced_identity_doubleket,
+    entbs_fidelities,
     entbs_fidelity,
     heterodyne_eigen_residual,
     identity_doubleket,

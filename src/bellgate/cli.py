@@ -153,23 +153,28 @@ def entbs_sharpness(cutoff: int) -> list[float]:
 
 def heterodyne_lambda(cutoff: int) -> float:
     """The first, sharpest, value of HETERODYNE_LAMBDAS that the cutoff holds;
-    every cutoff from 12 on holds the last."""
-    return next(lam for lam in HETERODYNE_LAMBDAS if fock.lambda_fits(cutoff, lam))
+    every cutoff from 9 on holds the last, and a cutoff that holds none is
+    refused."""
+    lam = next((lam for lam in HETERODYNE_LAMBDAS if fock.lambda_fits(cutoff, lam)), None)
+    if lam is None:
+        raise ValueError(f"cutoff {cutoff} holds no lambda of"
+                         f" HETERODYNE_LAMBDAS {HETERODYNE_LAMBDAS}")
+    return lam
 
 
 def entbs_rows(cutoff: int) -> list[CheckResult]:
     """The beam-splitter rows at one cutoff: the fidelity at the origin, the
-    fidelity at (1, -0.5) for each sharpness the cutoff holds, and, for two
-    or more of them, their rise as the states sharpen."""
+    fidelity at (1, -0.5) for each sharpness the cutoff holds, from one
+    ``fock.entbs_fidelities`` pass, and, for two or more of them, their rise
+    as the states sharpen."""
     n = cutoff
     rows = [_check(
         f"N={n}:entbs_origin_fidelity", 1.0 - fock.entbs_fidelity(n, 0.0, 0.0, 0.5),
         TOL_ENTBS_ORIGIN,
     )]
-    fids = []
-    for s in entbs_sharpness(n):
-        f = fock.entbs_fidelity(n, 1.0, -0.5, s)
-        fids.append(f)
+    sharpness = entbs_sharpness(n)
+    fids = fock.entbs_fidelities(n, 1.0, -0.5, sharpness)
+    for s, f in zip(sharpness, fids):
         rows.append(_check(f"N={n}:entbs_fidelity_s={s}_at_(1,-0.5)", 1.0 - f, 1.0))
     if len(fids) >= 2:
         rows.append(_rising(f"N={n}:entbs_sharpening_trend", fids))

@@ -13,7 +13,7 @@ ValueError naming the field. Infinite errors are legal.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
@@ -53,7 +53,10 @@ class VerificationReport:
             "suite": self.suite,
             "params": self.params,
             "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
+            # each check's fields as they are: ``dataclasses.asdict`` would
+            # deep-copy every one
+            "checks": [{"name": c.name, "error": c.error, "tolerance": c.tolerance,
+                        "passed": c.passed} for c in self.checks],
             "warnings": list(self.warnings),
             "duration_s": self.duration_s,
         }

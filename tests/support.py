@@ -1,7 +1,7 @@
 """Helpers shared by the test files: the memory a call traces, the
-truncation defect of a Fock operator, the ladder matrix, the two-mode
-references of the Fock oracles, and references for the sector tables and
-the state tails.
+truncation defect of a Fock operator, the ladder matrix, kron(A, B) applied
+to double-kets, the two-mode references of the Fock oracles, and references
+for the sector tables and the state tails.
 
 The references are sums of Kronecker terms. A list of terms (w, A, B) stands
 for the sum of w kron(A, B): its entry between |a, b> and |c, d> is the sum
@@ -68,9 +68,11 @@ def ladder(cutoff: int) -> np.ndarray:
 
 
 def kron_apply(a: np.ndarray, b: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """kron(a, b) applied to two-mode column vectors."""
-    m = vectors.reshape(len(a), len(b), -1)
-    return np.einsum("ij,jkc,lk->ilc", a, m, b, optimize=True).reshape(vectors.shape)
+    """kron(a, b) applied to a batch of two-mode column vectors: on each column
+    reshaped to its amplitude matrix M it acts as a M b^T. ``a`` and ``b``
+    may be row slices of the factors, which give only those rows."""
+    t = (a @ vectors.reshape(a.shape[1], -1)).reshape(len(a), b.shape[1], -1)
+    return np.matmul(b, t).reshape(len(a) * len(b), -1)
 
 
 def term_block(terms, cutoff: int, rows, columns) -> np.ndarray:

@@ -80,18 +80,25 @@ def test_03_bell_basis_orthonormal(qudit_rows):
 
 
 def test_04_double_ket_identities():
-    # (A kron B)|C>> = |A C B^T>>, on the kernel that applies the direct SUM
-    # gate's Kronecker eigenbasis (fock._apply_kron), against the index sum;
-    # and both reduced states of each Bell vector, as index sums, are I/d
+    # (A kron B)|C>> = |A C B^T>>, on the kernel that applies the chain's
+    # squeezer pairs (fock._apply_kron_on_parity), against the index sum: A
+    # and B conserve the parity of n, as a squeezer does, and C runs as its
+    # two halves of total photon parity; and both reduced states of each Bell
+    # vector, as index sums, are I/d
     worst = 0.0
     for d in range(2, 9):
         rng = np.random.default_rng(1000 + d)
+        levels = np.arange(d)
+        conserving = (levels[:, None] - levels) % 2 == 0
+        total_parity = np.add.outer(levels, levels) % 2
         for _ in range(100):
             a, b, c = (_random_complex(rng, d, d) for _ in range(3))
+            a, b = a * conserving, b * conserving
             sandwich = np.einsum("im,jn,mn->ij", a, b, c).reshape(-1)
-            worst = max(worst, np.abs(
-                fock._apply_kron(a, b, c.reshape(-1, 1))[:, 0] - sandwich
-            ).max())
+            image = sum(fock._apply_kron_on_parity(
+                a, b, (c * (total_parity == parity)).reshape(-1, 1), parity)[:, 0]
+                for parity in (0, 1))
+            worst = max(worst, np.abs(image - sandwich).max())
         gs = qudit.make_gateset(d)
         for m in range(d):
             for n in range(d):
@@ -100,8 +107,9 @@ def test_04_double_ket_identities():
                 for reduced in (np.einsum("anam->nm", outer), np.einsum("ijkj->ik", outer)):
                     worst = max(worst, np.abs(reduced - np.eye(d) / d).max())
     ok = _report(
-        "double-ket sandwich on the Fock kernel vs index sums, 100 random"
-        " triples per d=2..8; every Bell vector's reduced states are I/d",
+        "double-ket sandwich on the Fock parity kernel vs index sums, 100 random"
+        " triples (A, B parity-conserving) per d=2..8; every Bell vector's reduced"
+        " states are I/d",
         worst <= 1e-13,
         f"max entrywise error {worst:.3e} (tol 1e-13)",
     )
@@ -161,7 +169,7 @@ def test_08_beam_splitter_factorization():
     sweep = [1.0 - rows[f"N={n}:entbs_fidelity_s={s}_at_(1,-0.5)"].error for s in sharpness]
     # Against the one-sided reference (D(z) kron I)|lam>> the fidelity is
     # exactly exp(-s^2 |z|^2 / 2) at every cutoff that holds the states (see
-    # fock.entbs_fidelity); measured gaps 3.3e-16, 6.6e-14, 3.5e-9, 1.6e-5 at
+    # fock.entbs_fidelity); measured gaps 1.1e-16, 6.6e-14, 3.5e-9, 1.6e-5 at
     # N=60, the last from truncation. No row states these gaps.
     closed_tols = {0.6: 1e-12, 0.5: 1e-12, 0.4: 5e-8, 0.3: 2e-4}
     gaps = [abs(f - np.exp(-s * s * abs(z) ** 2 / 2)) for f, s in zip(sweep, sharpness)]

@@ -578,6 +578,16 @@ class TestRising:
 
 
 class TestHeterodyneRows:
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_cutoff_that_holds_no_lambda_refused(self, n):
+        # unrefused, a bare StopIteration with no message escaped
+        with pytest.raises(ValueError, match=re.escape(
+                f"cutoff {n} holds no lambda of HETERODYNE_LAMBDAS {cli.HETERODYNE_LAMBDAS}")):
+            cli.heterodyne_lambda(n)
+
+    def test_smallest_cutoff_that_holds_a_lambda(self):
+        assert cli.heterodyne_lambda(9) == cli.HETERODYNE_LAMBDAS[-1]
+
     def test_nan_residual_spreads_into_the_z_independence_row(self, monkeypatch):
         # a NaN residual at the last z: Python's max over the spreads dropped
         # it, and the row passed with the spread of the other points

@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import (
-    compose, every_state, gather_scatter, ladder, padded_doubleket_tail, refused_peak,
+    compose, every_state, gather_scatter, kron_apply, ladder, padded_doubleket_tail, refused_peak,
     sector_indices, su11_terms, term_block, traced_peak, truncation_defect,
 )
 
@@ -529,7 +529,8 @@ class TestPaddedTail:
         # of 1e-40 to 0.19, and print the same warning
         lam = fock.matched_lambda(s)
         reference = padded_doubleket_tail(n, lam, z)
-        assert fock._displaced_doubleket_tail(n, lam, z) == pytest.approx(reference, rel=4e-15)
+        (tail,) = fock._displaced_doubleket_tails(n, [lam], z)
+        assert tail == pytest.approx(reference, rel=4e-15)
         expected = fock.identity_doubleket(n, lam).warnings + fock._truncation_warning(
             "displaced double-ket", reference, f"lambda = {lam}, z = {z}, cutoff {n}")
         assert fock.displaced_identity_doubleket(n, lam, z).warnings == expected
@@ -620,30 +621,31 @@ class TestRealFactors:
 
 class TestApplyKron:
     """The double-ket layout the Fock kernels write: a two-mode vector is the
-    row-major reshape of its amplitude matrix M, and kron(a, b) acts as a M b^T."""
+    row-major reshape of its amplitude matrix M, and kron(a, b) acts as a M b^T,
+    on the tests' ``kron_apply`` and on the chain's ``_apply_kron_on_parity``."""
 
     def test_identity_factors_leave_vectors(self):
         c = np.array([[1, 2], [3, 4]], dtype=complex)
-        out = fock._apply_kron(np.eye(2), np.eye(2), c.reshape(-1, 1))[:, 0]
+        out = kron_apply(np.eye(2), np.eye(2), c.reshape(-1, 1))[:, 0]
         np.testing.assert_array_equal(out, c.reshape(-1))
 
     def test_left_factor_acts_on_rows(self):
         # kron(X, I)|I>> = |X>>
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        out = fock._apply_kron(sx, np.eye(2), np.eye(2).reshape(-1, 1))[:, 0]
+        out = kron_apply(sx, np.eye(2), np.eye(2).reshape(-1, 1))[:, 0]
         np.testing.assert_array_equal(out, sx.reshape(-1))
 
     def test_right_factor_acts_transposed(self):
         # kron(I, B)|I>> = |B^T>>
         b = np.array([[1, 2], [3, 4]], dtype=complex)
-        out = fock._apply_kron(np.eye(2), b, np.eye(2).reshape(-1, 1))[:, 0]
+        out = kron_apply(np.eye(2), b, np.eye(2).reshape(-1, 1))[:, 0]
         np.testing.assert_array_equal(out, b.T.reshape(-1))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_kron_and_index_sum_routes_agree(self, seed):
         rng = np.random.default_rng(seed)
         a, b, c = (_random_complex(rng, 4, 4) for _ in range(3))
-        out = fock._apply_kron(a, b, c.reshape(-1, 1))[:, 0]
+        out = kron_apply(a, b, c.reshape(-1, 1))[:, 0]
         np.testing.assert_allclose(out, np.kron(a, b) @ c.reshape(-1), rtol=0, atol=1e-13)
         np.testing.assert_allclose(
             out, np.einsum("im,jn,mn->ij", a, b, c).reshape(-1), rtol=0, atol=1e-13
@@ -656,7 +658,7 @@ class TestApplyKron:
         vectors = _random_complex(rng, 25, 3)
         rows = (np.arange(rows_a)[:, None] * 5 + np.arange(rows_b)).reshape(-1)
         np.testing.assert_allclose(
-            fock._apply_kron(a[:rows_a], b[:rows_b], vectors),
+            kron_apply(a[:rows_a], b[:rows_b], vectors),
             (np.kron(a, b) @ vectors)[rows], rtol=0, atol=1e-12,
         )
 
@@ -673,7 +675,7 @@ class TestApplyKron:
         vectors = _random_complex(rng, n1 * n1, 3) * in_parity
         np.testing.assert_allclose(
             fock._apply_kron_on_parity(a, b, vectors, parity),
-            fock._apply_kron(a, b, vectors), rtol=0, atol=1e-12,
+            kron_apply(a, b, vectors), rtol=0, atol=1e-12,
         )
 
     def test_regularized_state_holds_the_row_major_layout(self):
@@ -1057,7 +1059,9 @@ class TestStateGuards:
     largest array it holds, so its peak is a stated multiple of that count:
     at x or z != 0 the eigenbasis at N and at N + 12, the phased copy of the
     one at N and the product with it; the heterodyne residual holds one
-    array of the state's size, and one product, after the state is built."""
+    array of the state's size, and one product, after the state is built.
+    A batch of k states (``_padded_bytes``) also counts the amplitudes of
+    its k - 1 further columns."""
 
     LIMIT = 2**22
 
@@ -1071,17 +1075,23 @@ class TestStateGuards:
          (lambda n: fock.quad_eigenstate_approx(n, 0.0, 0.3, 0.5),
           lambda n: fock._eigenbasis_bytes(n + 12), 498, 1.5),
          (lambda n: fock.quad_eigenstate_approx(n, 0.5, 0.3, 0.5),
-          lambda n: fock._eigenbasis_bytes(n + 12), 498, 4)],
+          lambda n: fock._eigenbasis_bytes(n + 12), 498, 4),
+         # a batch of four columns counts the three beyond the first
+         (lambda n: fock._displaced_doublekets(n, [0.4, 0.5, 0.6, 0.7], 1 - 0.5j),
+          lambda n: fock._padded_bytes(n, 2, 4), 251, 2.5),
+         (lambda n: fock._quad_states(n, 0.5, 0.3, [0.6, 0.5, 0.4, 0.3]),
+          lambda n: fock._padded_bytes(n, 1, 4), 497, 4)],
         ids=["identity_doubleket", "displaced_identity_doubleket", "heterodyne_eigen_residual",
-             "quad_eigenstate_origin", "quad_eigenstate_displaced"],
+             "quad_eigenstate_origin", "quad_eigenstate_displaced", "displaced_doublekets_4",
+             "quad_states_4"],
     )
     def test_peak_bounded_and_first_refusal_before_the_build(
             self, monkeypatch, empty_memo, build, count, largest, factor):
         # the largest accepted cutoff traces at most ``factor`` times the
         # count (4.0 for a displaced double-ket, 4.0 for the heterodyne
-        # residual, 1.2 and 3.5 for a quadrature state at x = 0 and x = 0.5
-        # here); the next is refused before anything is built, naming the
-        # cutoff the caller asked for
+        # residual, 1.2 and 3.0 for a quadrature state at x = 0 and x = 0.5,
+        # 2.0 and 3.0 for the batches of four here); the next is refused
+        # before anything is built, naming the cutoff the caller asked for
         monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", self.LIMIT)
         assert count(largest) <= self.LIMIT < count(largest + 1)
         assert traced_peak(lambda: build(largest)) <= factor * count(largest)
@@ -1144,6 +1154,36 @@ class TestEntbs:
     def test_origin_fidelity_high(self):
         assert fock.entbs_fidelity(40, 0.0, 0.0, 0.5) >= 0.999
 
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_fidelities_equal_their_one_column_cases(self, n):
+        # the sweep of ``cli.entbs_rows``: one pass over every sharpness the
+        # cutoff holds, each entry against its own one-column pass
+        sharpness = cli.entbs_sharpness(n)
+        fids = fock.entbs_fidelities(n, 1.0, -0.5, sharpness)
+        assert len(fids) == len(sharpness)
+        for fid, s in zip(fids, sharpness):
+            assert abs(fid - fock.entbs_fidelity(n, 1.0, -0.5, s)) <= 1e-14
+
+    def test_fidelities_hold_the_closed_form_at_60(self):
+        # the gaps to exp(-s^2 |z|^2 / 2) within the bs workload's tolerances
+        tols = {0.6: 1e-12, 0.5: 1e-12, 0.4: 5e-8, 0.3: 2e-4}
+        fids = fock.entbs_fidelities(60, 1.0, -0.5, list(tols))
+        for fid, (s, tol) in zip(fids, tols.items(), strict=True):
+            assert abs(fid - np.exp(-s * s * 1.25 / 2)) <= tol
+
+    def test_empty_sharpness_builds_nothing(self, monkeypatch, empty_memo):
+        requested = []
+        monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
+        assert fock.entbs_fidelities(60, 1.0, -0.5, []) == []
+        assert requested == [] and not empty_memo
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, np.nan])
+    def test_fidelities_refuse_a_bad_sharpness_before_any_build(self, empty_memo, bad):
+        # the bad value is last, after one that would build
+        with pytest.raises(ValueError, match="^s must "):
+            fock.entbs_fidelities(20, 1.0, -0.5, [0.5, bad])
+        assert not empty_memo
+
     def test_scan_peaks_at_matched_lambda(self):
         # at z = 0 only; at z = 1 - 0.5i, s = 0.5 the one-sided reference
         # peaks at 0.8605 near lambda = 0.65, not at the matched 0.6
@@ -1201,8 +1241,9 @@ class TestSectorMemo:
     @pytest.mark.parametrize(
         "build",
         [lambda: fock.entbs_fidelity(60, 1, -0.5, 0.5),
-         lambda: fock.sum_gate_circuit(40, [0, 1, 5])],
-        ids=["entbs_fidelity", "sum_gate_circuit"],
+         lambda: fock.sum_gate_circuit(40, [0, 1, 5]),
+         lambda: fock.entbs_fidelities(60, 1, -0.5, [0.6, 0.5, 0.4, 0.3])],
+        ids=["entbs_fidelity", "sum_gate_circuit", "entbs_fidelities"],
     )
     def test_warm_call_builds_no_chain(self, monkeypatch, build):
         # the squeezers, the states' squeezed vacua and the two-mode factors
@@ -1256,14 +1297,17 @@ class TestSectorMemo:
                 vectors[0, 0] = 7
 
     def test_sum_gate_equals_its_inline_eigh_route(self):
-        # the bases the memo holds are the eigh output the gate once computed inline
+        # the bases the memo holds are the eigh output the gate once computed
+        # inline: L_c P over the distinct c, gathered per column, scaled by
+        # conj ux[d] and multiplied by ux^T
         n, n1 = 20, 21
         cols = np.flatnonzero(fock.block_mask(n, 10))
         dp, up = np.linalg.eigh(fock.quadrature(n, np.pi / 2))
         dx, ux = np.linalg.eigh(fock.quadrature(n, 0.0))
-        coeffs = up[cols // n1].conj().T[:, None, :] * ux[cols % n1].conj().T[None, :, :]
-        coeffs *= np.exp(-2j * np.outer(dp, dx))[:, :, None]
-        inline = fock._apply_kron(up, ux, coeffs.reshape(n1 * n1, -1))
+        firsts, which = np.unique(cols // n1, return_inverse=True)
+        left = (up * up[firsts].conj()[:, None, :]).reshape(-1, n1) @ np.exp(-2j * np.outer(dp, dx))
+        images = left.reshape(firsts.size, n1, n1)[which] * ux[cols % n1].conj()[:, None, :]
+        inline = (images.reshape(-1, n1) @ ux.T).reshape(cols.size, -1).T
         fock.displacement(n, 0.3)  # the displacement's basis first
         for _ in ("cold", "warm"):
             assert np.array_equal(fock.sum_gate(n, cols), inline)
@@ -1344,8 +1388,9 @@ class TestSectorMemo:
         [
             lambda: fock.entbs_output(586, 0.0, 0.0, 0.5),
             lambda: fock.entbs_fidelity(586, 0.0, 0.0, 0.5),
+            lambda: fock.entbs_fidelities(586, 1.0, -0.5, [0.6, 0.5, 0.4, 0.3]),
         ],
-        ids=["entbs_output", "entbs_fidelity"],
+        ids=["entbs_output", "entbs_fidelity", "entbs_fidelities"],
     )
     def test_oversized_splitter_refused_before_the_states(self, build):
         # the N=586 splitter blocks hold 134841531 real entries; the
@@ -1448,6 +1493,7 @@ CUTOFF_BUILDERS = {
     "sum_gate_block_checks": lambda n: fock.sum_gate_block_checks(n, 1),
     "entbs_output": lambda n: fock.entbs_output(n, 0.1, 0.1, 0.5),
     "entbs_fidelity": lambda n: fock.entbs_fidelity(n, 0.1, 0.1, 0.5),
+    "entbs_fidelities": lambda n: fock.entbs_fidelities(n, 0.1, 0.1, [0.6, 0.5]),
     "lambda_fits": lambda n: fock.lambda_fits(n, 0.5),
     "_sector_table": lambda n: fock._sector_table(n, "total", 0.3),
 }
@@ -1462,6 +1508,7 @@ OTHER_ARGS = {
     "displaced_identity_doubleket": {"lam": 0.5},
     "heterodyne_eigen_residual": {"lam": 0.5},
     "entbs_fidelity": {"x": 0.1, "y": 0.1, "s": 0.5},
+    "entbs_fidelities": {"x": 0.1, "y": 0.1, "sharpness": [0.5]},
 }
 
 
@@ -1472,7 +1519,8 @@ class TestLibraryBoundary:
          ("phase_shift", "theta"), ("quadrature", "phi"),
          ("displaced_identity_doubleket", "z"), ("heterodyne_eigen_residual", "z"),
          ("identity_doubleket", "lam"), ("lambda_fits", "lam"),
-         ("entbs_fidelity", "x"), ("entbs_fidelity", "y"), ("entbs_fidelity", "s")],
+         ("entbs_fidelity", "x"), ("entbs_fidelity", "y"), ("entbs_fidelity", "s"),
+         ("entbs_fidelities", "x"), ("entbs_fidelities", "y")],
     )
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.5j])
     def test_non_finite_parameter_rejected(self, builder, name, value):

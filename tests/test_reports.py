@@ -1,10 +1,11 @@
 """Report container round-trips and pass semantics."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
-from bellgate.reports import CheckResult, VerificationReport
+from bellgate.reports import SCHEMA_VERSION, CheckResult, VerificationReport
 
 
 def _sample_report(duration=1.5):
@@ -63,6 +64,19 @@ def test_key_order():
     assert [list(check) for check in payload["checks"]] == [
         ["name", "error", "tolerance", "passed"]
     ] * 2
+
+
+def test_json_equals_the_asdict_form():
+    # ``to_dict`` writes each check's fields itself; the text is the one the
+    # ``dataclasses.asdict`` form of every check gives
+    report = _sample_report()
+    report.checks.append(CheckResult("inf", float("inf"), 0.0, False))
+    expected = {
+        "schema": SCHEMA_VERSION, "suite": report.suite, "params": report.params,
+        "passed": report.passed, "checks": [asdict(c) for c in report.checks],
+        "warnings": report.warnings, "duration_s": report.duration_s,
+    }
+    assert report.to_json() == json.dumps(expected, indent=2)
 
 
 def test_infinite_error_round_trips():
