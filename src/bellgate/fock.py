@@ -38,26 +38,31 @@ masses of the states.
 
 Dirac-like states are only ever represented in regularized form: the identity
 double-ket as a two-mode squeezed vacuum with weight lambda^n, and quadrature
-eigenvectors as rotated displaced squeezed vacua with sharpness s. Each
-regularized constructor records the tail mass it drops above the cutoff;
-tails above 1e-8 attach a warning, and the identity double-ket refuses
-lambda so large that the tail exceeds 1e-4. Each displaced state is the
+eigenvectors as rotated displaced squeezed vacua with sharpness s. The
+double-ket's weights lambda^n/||lambda^n||, its refusal of a lambda so
+large that the tail lambda^(2(N+1)) exceeds 1e-4 and its tail warning are
+one helper's, ``_doubleket_weights``. Each displaced state is the
 one-column case of a core that builds k states at once and shares their
 factors: ``_quad_states`` over sharpness values and
 ``_displaced_doublekets`` over lambdas. Both use one helper,
-``_padded_states``: it normalizes each column of the cutoff-N build, keeps
-the tail warning of the identity double-ket a column is built from, and
-adds the column's tail, the mass the state built at N + ``_TAIL_PAD`` holds
-outside the first N+1 levels of each mode. The quadrature states' squeezed
-vacua S(s)|0>, each column 0 of ``squeezer``, are the columns of one block;
-the displacement is two products of the block with the displacement's
-eigenbasis, and the tails come from a second build at N + 12. The
-double-ket's amplitude matrix is diag(c), so the displaced one is D
-diag(c): D = W diag(phases) W^dag is formed once from the same eigenbasis
-and scaled by each lambda's c. The tails are read off the padded
-displacement's rows m > N alone, formed once for every lambda
-(``_displaced_doubleket_tails``): no second state is built. The beam
-splitter acts on two-mode states sector by sector, and
+``_padded_states``: it refuses the padded build's bytes, normalizes each
+column of the cutoff-N build and keeps the tail warning of the identity
+double-ket a column is built from. Only the state constructors,
+``quad_eigenstate_approx``, ``displaced_identity_doubleket`` and
+``entbs_output``, also take the padded tail: the mass the state built at
+N + ``_TAIL_PAD`` holds outside the first N+1 levels of each mode, which
+above 1e-8 attaches a warning. The routes that return bare floats,
+``entbs_fidelities`` and ``heterodyne_eigen_residuals`` with their
+one-column cases, drop every warning, so they build nothing above the
+cutoff. The quadrature states' squeezed vacua S(s)|0>, each column 0 of
+``squeezer``, are the columns of one block; the displacement is two
+products of the block with the displacement's eigenbasis, and the tails
+come from a second build at N + 12. The double-ket's amplitude matrix is
+diag(c), so the displaced one is D diag(c): D = W diag(phases) W^dag is
+formed once from the same eigenbasis and scaled by each lambda's c. Its
+tails are read off the padded displacement's rows m > N alone, formed once
+for every lambda (``_displaced_doubleket_tails``): no second state is
+built. The beam splitter acts on two-mode states sector by sector, and
 ``entbs_fidelities`` runs it once over every sharpness, so no state path
 builds a dense two-mode matrix.
 
@@ -553,28 +558,45 @@ def lambda_fits(cutoff: int, lam: float) -> bool:
     return lam ** (2 * (cutoff + 1)) <= TAIL_ERROR_TOL
 
 
+def _doubleket_weights(cutoff: int, lams) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """The identity double-ket's weights lambda^n / ||lambda^n|| over n <= N,
+    one row per lambda of ``lams``, and the tail warning of each. Every
+    lambda is refused, through ``lambda_fits``, before any row is formed:
+    one outside (0, 1), and one whose truncated tail mass lambda^(2(N+1))
+    exceeds 1e-4; tails above 1e-8 warn."""
+    warns = []
+    for lam in lams:
+        fits = lambda_fits(cutoff, lam)
+        tail = lam ** (2 * (cutoff + 1))
+        if not fits:
+            raise ValueError(
+                f"lambda = {lam} too close to 1 for cutoff {cutoff}:"
+                f" tail mass {tail:.2e}"
+            )
+        warns.append(_truncation_warning("identity double-ket", tail,
+                                         f"lambda = {lam}, cutoff {cutoff}"))
+    weights = np.array(lams, dtype=float)[:, None] ** np.arange(cutoff + 1)
+    for row in weights:
+        row /= np.linalg.norm(row)
+    return weights, warns
+
+
 def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     """Normalized two-mode squeezed vacuum sum_n lambda^n |n, n>.
 
     The sharp limit lambda -> 1 recovers the (non-normalizable) identity
-    double-ket. Refuses, through ``lambda_fits``, a lambda outside (0, 1)
-    and one whose truncated tail mass lambda^(2(N+1)) exceeds 1e-4; tails
-    above 1e-8 attach a warning. Its (N+1)^2 entries are refused above
-    DENSE_BYTES_LIMIT before they are allocated.
+    double-ket. Its (N+1)^2 entries are refused above DENSE_BYTES_LIMIT
+    before anything is allocated; then ``_doubleket_weights`` refuses a
+    lambda outside (0, 1) and one whose truncated tail mass lambda^(2(N+1))
+    exceeds 1e-4, and gives the weights on the diagonal and the warning of
+    a tail above 1e-8.
     """
-    fits = lambda_fits(cutoff, lam)
-    tail = lam ** (2 * (cutoff + 1))
-    if not fits:
-        raise ValueError(
-            f"lambda = {lam} too close to 1 for cutoff {cutoff}:"
-            f" tail mass {tail:.2e}"
-        )
-    warns = _truncation_warning("identity double-ket", tail, f"lambda = {lam}, cutoff {cutoff}")
+    _require_cutoff(cutoff)
     n1 = cutoff + 1
     require_memory(f"cutoff {cutoff}", 16 * n1 * n1)
+    (weights,), (warns,) = _doubleket_weights(cutoff, [lam])
     amps = np.zeros(n1 * n1, dtype=complex)
-    amps[np.arange(n1) * n1 + np.arange(n1)] = lam ** np.arange(n1)
-    amps /= np.linalg.norm(amps)
+    amps[:: n1 + 1] = weights
     return RegularizedState(cutoff, 2, amps, warns)
 
 
@@ -582,28 +604,37 @@ def _padded_bytes(cutoff: int, modes: int, columns: int) -> int:
     """Bytes a padded build of ``columns`` states of ``modes`` modes counts:
     the eigenbasis at N + ``_TAIL_PAD``, whose (N+13)^2 vectors are the
     largest array one column's build holds, and the (N+1)^modes complex
-    amplitudes of each further column."""
+    amplitudes of each further column. A route that builds no tail, such as
+    ``entbs_fidelities`` and ``heterodyne_eigen_residuals``, counts it too,
+    so every route of a state refuses the same first cutoff."""
     return _eigenbasis_bytes(cutoff + _TAIL_PAD) + 16 * (cutoff + 1) ** modes * (columns - 1)
 
 
 def _padded_states(
-    cutoff: int, modes: int, build: Callable[[int], tuple],
-    tails: Callable[[], np.ndarray], label: str, wheres: list[str],
+    cutoff: int, modes: int, build: Callable[[int], tuple], label: str, wheres: list[str],
+    tails: Callable[[], np.ndarray] | None = None,
 ) -> tuple:
     """The states ``build(cutoff)``, one per entry of ``wheres``, each
     normalized in place, and the warnings of each. ``build(n)`` returns the
     unnormalized amplitudes at cutoff n, a sequence of one array per state
     with one axis per mode, and the tail warnings of the states each is
-    built from. ``tails()`` gives each state's tail, the mass the state built
-    at N + ``_TAIL_PAD`` holds outside the first N+1 levels of each mode;
-    above ``TAIL_WARN_TOL`` it is added to that state's warnings, at its
-    entry of ``wheres``. ``_padded_bytes`` is refused above
-    DENSE_BYTES_LIMIT, naming ``cutoff``, before either runs."""
+    built from. ``_padded_bytes`` is refused above DENSE_BYTES_LIMIT, naming
+    ``cutoff``, before anything runs.
+
+    Only the state constructors (``quad_eigenstate_approx``,
+    ``displaced_identity_doubleket`` and ``entbs_output``) pass ``tails``:
+    ``tails()`` gives each state's tail, the mass the state built at N +
+    ``_TAIL_PAD`` holds outside the first N+1 levels of each mode, and above
+    ``TAIL_WARN_TOL`` it is added to that state's warnings, at its entry of
+    ``wheres``. The routes that return bare floats pass none, so they build
+    nothing above the cutoff."""
     _require_cutoff(cutoff)
     require_memory(f"cutoff {cutoff}", _padded_bytes(cutoff, modes, len(wheres)))
     columns, warns = build(cutoff)
     for column in columns:
         column /= np.linalg.norm(column)
+    if tails is None:
+        return columns, warns
     return columns, [w + _truncation_warning(label, tail, f"{where}, cutoff {cutoff}")
                      for w, tail, where in zip(warns, tails(), wheres, strict=True)]
 
@@ -620,8 +651,8 @@ def _displaced_doubleket_tails(cutoff: int, lams, z: complex) -> np.ndarray:
     memoized eigenbasis (``_displacement_basis``) once for every lambda; at
     z = 0 they are 0.
     """
-    weights = np.array(lams, dtype=float)[:, None] ** np.arange(cutoff + _TAIL_PAD + 1)
-    weights = (weights / np.linalg.norm(weights, axis=1, keepdims=True)) ** 2
+    weights, _ = _doubleket_weights(cutoff + _TAIL_PAD, lams)
+    weights **= 2
     tails = weights[:, cutoff + 1:].sum(axis=1)
     if z != 0:
         w, phases = _displacement_basis(cutoff + _TAIL_PAD, z)
@@ -630,37 +661,34 @@ def _displaced_doubleket_tails(cutoff: int, lams, z: complex) -> np.ndarray:
     return tails
 
 
-def _displaced_doublekets(cutoff: int, lams, z: complex) -> tuple:
+def _displaced_doublekets(cutoff: int, lams, z: complex, with_tails: bool = False) -> tuple:
     """The states of ``displaced_identity_doubleket`` at each lambda of
     ``lams`` and one z: their (N+1) x (N+1) amplitude matrices and the
-    warnings of each.
+    warnings of each, with the tails of ``_displaced_doubleket_tails`` only
+    if ``with_tails``.
 
-    The double-ket's amplitude matrix is diag(c), so the state's is D
-    diag(c): D = W diag(phases) W^dag is formed once from the eigenbasis and
-    scaled by each lambda's c, the last in place. The tails are
-    ``_displaced_doubleket_tails``'s.
+    The double-ket's amplitude matrix is diag(c), with c the weights of
+    ``_doubleket_weights``, so the state's is D diag(c): D = W diag(phases)
+    W^dag is formed once from the eigenbasis and scaled by each lambda's c,
+    the last in place. No (N+1)^2 double-ket is filled.
     """
     require_finite("z", z, complex_ok=True)
 
     def build(n: int) -> tuple[list[np.ndarray], list[tuple[str, ...]]]:
-        cs, warns = [], []
-        for lam in lams:
-            base = identity_doubleket(n, lam)
-            cs.append(base.amplitudes[:: n + 2].copy())
-            warns.append(base.warnings)
-            del base  # its (N+1)^2 entries are not held through the product
+        weights, warns = _doubleket_weights(n, lams)
         if z == 0:  # D(0) is exactly the identity, as in ``displacement``
-            return [np.diag(c) for c in cs], warns
+            return [np.diag(c).astype(complex) for c in weights], warns
         w, phases = _displacement_basis(n, z)
         right = w.conj().T
         w *= phases
         d = w @ right
         del w, right
-        *first, last = cs
+        *first, last = weights
         return [d * c for c in first] + [np.multiply(d, last, out=d)], warns
 
-    return _padded_states(cutoff, 2, build, lambda: _displaced_doubleket_tails(cutoff, lams, z),
-                          "displaced double-ket", [f"lambda = {lam}, z = {z}" for lam in lams])
+    tails = (lambda: _displaced_doubleket_tails(cutoff, lams, z)) if with_tails else None
+    return _padded_states(cutoff, 2, build, "displaced double-ket",
+                          [f"lambda = {lam}, z = {z}" for lam in lams], tails)
 
 
 def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> RegularizedState:
@@ -673,8 +701,33 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     their overlap is exp(-s^2 |z|^2 / 2) at the matched lambda (see
     ``entbs_fidelity``). It is the one-column case of ``_displaced_doublekets``.
     """
-    (amps,), (warns,) = _displaced_doublekets(cutoff, [lam], z)
+    (amps,), (warns,) = _displaced_doublekets(cutoff, [lam], z, with_tails=True)
     return RegularizedState(cutoff, 2, amps, warns)
+
+
+def heterodyne_eigen_residuals(cutoff: int, lams, z: complex) -> list[float]:
+    """``heterodyne_eigen_residual`` at one z for each lambda of ``lams``,
+    from one pass: the states share one D(z) (``_displaced_doublekets``),
+    and no tail is built, as no warning is returned. Every lambda is refused
+    before anything is built, and an empty ``lams`` builds nothing."""
+    _require_cutoff(cutoff)
+    require_finite("z", z, complex_ok=True)
+    lams = list(lams)
+    if not lams:
+        return []
+    states, _ = _displaced_doublekets(cutoff, lams, z)
+    # (a kron I) v = vec(a m) and (I kron b^dag) v = vec(m a) for the ladder a:
+    # a m moves row n+1 of m to row n, m a moves column n to n+1, each times
+    # sqrt(n+1), both formed in the residual's one array
+    root = np.sqrt(np.arange(1, cutoff + 1))
+    residuals = []
+    for m in states:
+        r = np.zeros_like(m)
+        r[:-1] = root[:, None] * m[1:]
+        r[:, 1:] -= m[:, :-1] * root
+        r -= z * m
+        residuals.append(float(np.linalg.norm(r)))
+    return residuals
 
 
 def heterodyne_eigen_residual(cutoff: int, lam: float, z: complex) -> float:
@@ -682,25 +735,17 @@ def heterodyne_eigen_residual(cutoff: int, lam: float, z: complex) -> float:
 
     Converges to zero as lambda -> 1 at adequate cutoff, certifying the state
     as a generalized eigenvector of the heterodyne photocurrent a - b^dag; the
-    value is independent of z because the displacement commutes through.
+    value is independent of z because the displacement commutes through. It
+    is the one-column case of ``heterodyne_eigen_residuals``, and reads the
+    state's amplitude matrix without its tail.
     """
-    state = displaced_identity_doubleket(cutoff, lam, z)
-    m = state.amplitudes.reshape(cutoff + 1, cutoff + 1)
-    # (a kron I) v = vec(a m) and (I kron b^dag) v = vec(m a) for the ladder a:
-    # a m moves row n+1 of m to row n, m a moves column n to n+1, each times
-    # sqrt(n+1), both formed in the residual's one array
-    root = np.sqrt(np.arange(1, cutoff + 1))
-    r = np.zeros_like(m)
-    r[:-1] = root[:, None] * m[1:]
-    r[:, 1:] -= m[:, :-1] * root
-    r -= z * m
-    return float(np.linalg.norm(r))
+    return heterodyne_eigen_residuals(cutoff, [lam], z)[0]
 
 
-def _quad_states(cutoff: int, x: float, phi: float, sharpness) -> tuple:
+def _quad_states(cutoff: int, x: float, phi: float, sharpness, with_tails: bool = False) -> tuple:
     """The states of ``quad_eigenstate_approx`` at one x and phi and each
     sharpness of ``sharpness``: the columns of one (N+1) x k array, and the
-    warnings of each.
+    warnings of each, which hold a tail only if ``with_tails``.
 
     The squeezed vacua S(s)|0>, column 0 of each ``squeezer``, are the
     columns of one block, so the displacement is two products of its
@@ -727,8 +772,8 @@ def _quad_states(cutoff: int, x: float, phi: float, sharpness) -> tuple:
 
     # the rows of the transpose are the states, normalized in place
     columns, warns = _padded_states(
-        cutoff, 1, lambda n: (build(n).T, [()] * len(sharpness)), tails, "quadrature eigenstate",
-        [f"x = {x}, phi = {phi}, s = {s}" for s in sharpness],
+        cutoff, 1, lambda n: (build(n).T, [()] * len(sharpness)), "quadrature eigenstate",
+        [f"x = {x}, phi = {phi}, s = {s}" for s in sharpness], tails if with_tails else None,
     )
     return columns.T, warns
 
@@ -741,7 +786,7 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
     X_phi with mean <X_phi> = x. Smaller s means a sharper approximation.
     It is the one-column case of ``_quad_states``.
     """
-    amps, (warns,) = _quad_states(cutoff, x, phi, [s])
+    amps, (warns,) = _quad_states(cutoff, x, phi, [s], with_tails=True)
     return RegularizedState(cutoff, 1, amps[:, 0], warns)
 
 
@@ -934,17 +979,17 @@ def matched_lambda(s: float) -> float:
     return (1.0 - s * s) / (1.0 + s * s)
 
 
-def _entbs_outputs(cutoff: int, x: float, y: float, sharpness) -> tuple:
+def _entbs_outputs(cutoff: int, x: float, y: float, sharpness, with_tails: bool = False) -> tuple:
     """The states of ``entbs_output`` at one (x, y) and each sharpness of
     ``sharpness``: the columns of one (N+1)^2 x k array, and the warnings of
-    each. The inputs of every s are the columns of one block per mode
-    (``_quad_states``), and the splitter makes one pass over the (re, im)
-    pairs of every column."""
+    each, which hold the inputs' tails only if ``with_tails``. The inputs of
+    every s are the columns of one block per mode (``_quad_states``), and
+    the splitter makes one pass over the (re, im) pairs of every column."""
     require_finite("x", x)
     require_finite("y", y)
     splitter = _element_table(cutoff, "mixer", np.pi / 4)
-    in_a, warns_a = _quad_states(cutoff, x / np.sqrt(2.0), 0.0, sharpness)
-    in_b, warns_b = _quad_states(cutoff, y / np.sqrt(2.0), np.pi / 2.0, sharpness)
+    in_a, warns_a = _quad_states(cutoff, x / np.sqrt(2.0), 0.0, sharpness, with_tails)
+    in_b, warns_b = _quad_states(cutoff, y / np.sqrt(2.0), np.pi / 2.0, sharpness, with_tails)
     # column j is kron(in_a[:, j], in_b[:, j])
     product = (in_a[:, None, :] * in_b[None, :, :]).reshape(-1, len(sharpness))
     # the real blocks act on the (re, im) pairs of the complex columns
@@ -961,7 +1006,7 @@ def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
     whose table is refused builds no state. It is the one-column case of
     ``_entbs_outputs``.
     """
-    out, (warns,) = _entbs_outputs(cutoff, x, y, [s])
+    out, (warns,) = _entbs_outputs(cutoff, x, y, [s], with_tails=True)
     return RegularizedState(cutoff, 2, out[:, 0], warns)
 
 
@@ -969,9 +1014,9 @@ def entbs_fidelities(cutoff: int, x: float, y: float, sharpness) -> list[float]:
     """``entbs_fidelity`` at one (x, y) for each sharpness of ``sharpness``,
     from one pass: the inputs of every s are the columns of one block, the
     splitter runs once over them (``_entbs_outputs``), and the references
-    share one D(x + iy) and its tail rows (``_displaced_doublekets``). Every
-    s is refused before anything is built, and an empty ``sharpness``
-    builds nothing."""
+    share one D(x + iy) (``_displaced_doublekets``). No tail is built, as no
+    warning is returned. Every s is refused before anything is built, and
+    an empty ``sharpness`` builds nothing."""
     lams = [matched_lambda(s) for s in sharpness]
     require_finite("x", x)
     require_finite("y", y)

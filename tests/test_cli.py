@@ -464,6 +464,21 @@ class TestCvVerify:
             ("sum_gate_convergence_monotone", 0.0),
         ]
 
+    def test_cold_report_equals_warm_report(self):
+        # from an empty memo every table and eigenbasis is built inside the
+        # run; report equality ignores duration_s
+        fock._SECTOR_TABLES.clear()
+        cold = cli.run_cv_verify([20, 30, 40])
+        assert cli.run_cv_verify([20, 30, 40]) == cold
+
+    def test_origin_row_may_round_below_zero(self):
+        # 1 - F is reported as computed: at N = 80 the origin fidelity
+        # rounds above 1, and the row passes with its negative error
+        row = cli.entbs_rows(80)[0]
+        assert row.name == "N=80:entbs_origin_fidelity"
+        assert row.error == 1.0 - fock.entbs_fidelity(80, 0.0, 0.0, 0.5) < 0
+        assert row.passed
+
     def test_single_cutoff_skips_convergence_row(self, capsys):
         code, out, _ = run_cli(capsys, "cv", "verify", "--cutoffs", "14")
         assert code == 0

@@ -433,6 +433,29 @@ class TestHeterodyneResidual:
         base = fock.heterodyne_eigen_residual(60, 0.5, 0.0)
         assert abs(fock.heterodyne_eigen_residual(60, 0.5, z) - base) <= 1e-8
 
+    @pytest.mark.parametrize("n", [20, 30, 40, 60])
+    def test_residuals_equal_their_one_column_cases(self, n):
+        # the pass of ``cli.heterodyne_rows`` at z = 1: the base lambda and
+        # the sharpest one the cutoff holds share one D(1)
+        lams = [cli.HETERODYNE_BASE_LAMBDA, cli.heterodyne_lambda(n)]
+        expected = [fock.heterodyne_eigen_residual(n, lam, 1.0) for lam in lams]
+        assert fock.heterodyne_eigen_residuals(n, lams, 1.0) == expected
+        assert fock.heterodyne_eigen_residuals(n, np.array(lams), 1.0) == expected
+
+    def test_empty_lambdas_build_nothing(self, monkeypatch, empty_memo):
+        requested = []
+        monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
+        assert fock.heterodyne_eigen_residuals(60, [], 1.0) == []
+        assert requested == [] and not empty_memo
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 0.99, np.nan])
+    def test_residuals_refuse_a_bad_lambda_before_any_build(self, empty_memo, bad):
+        # the bad value is last, after one that would build; 0.99 is too
+        # close to 1 for cutoff 20
+        with pytest.raises(ValueError, match="^lam"):
+            fock.heterodyne_eigen_residuals(20, [0.5, bad], 1.0)
+        assert not empty_memo
+
     def test_reshape_route_matches_kron_route(self):
         n, lam, z = 12, 0.4, 0.3 + 0.2j
         state = fock.displaced_identity_doubleket(n, lam, z)
@@ -534,6 +557,62 @@ class TestPaddedTail:
         expected = fock.identity_doubleket(n, lam).warnings + fock._truncation_warning(
             "displaced double-ket", reference, f"lambda = {lam}, z = {z}, cutoff {n}")
         assert fock.displaced_identity_doubleket(n, lam, z).warnings == expected
+
+
+class TestBareFloatRoutes:
+    """The routes that return bare floats build no tail: no state 12 levels
+    above the cutoff and no padded rows of the displacement. Their values
+    equal the same quantities read off the state constructors, which keep
+    their tail warnings (``TestPaddedTail``)."""
+
+    BUILDS = {
+        "entbs_fidelity": lambda: fock.entbs_fidelity(60, 1, -0.5, 0.5),
+        "entbs_fidelities": lambda: fock.entbs_fidelities(60, 1, -0.5, [0.6, 0.5, 0.4, 0.3]),
+        "heterodyne_eigen_residual": lambda: fock.heterodyne_eigen_residual(60, 0.5, 1 - 0.5j),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_nothing_built_above_the_cutoff(self, monkeypatch, empty_memo, name):
+        def refuse(*args):
+            raise AssertionError("the padded rows of a displacement were built")
+
+        monkeypatch.setattr(fock, "_displaced_doubleket_tails", refuse)
+        self.BUILDS[name]()
+        assert empty_memo and {key[0] for key in empty_memo} == {60}
+
+    def test_fidelity_equals_the_constructors_overlap(self):
+        out = fock.entbs_output(60, 1, -0.5, 0.5).amplitudes
+        ref = fock.displaced_identity_doubleket(60, fock.matched_lambda(0.5), 1 - 0.5j).amplitudes
+        assert fock.entbs_fidelity(60, 1, -0.5, 0.5) == float(abs(np.vdot(ref, out)) ** 2)
+
+    def test_fidelities_equal_their_batch_with_its_tails(self):
+        # a batch of four moves from its one-column cases at rounding
+        # (TestEntbs), so it is held to the same batch with every tail built
+        sharpness = [0.6, 0.5, 0.4, 0.3]
+        lams = [fock.matched_lambda(s) for s in sharpness]
+        out, _ = fock._entbs_outputs(60, 1, -0.5, sharpness, with_tails=True)
+        refs, warns = fock._displaced_doublekets(60, lams, 1 - 0.5j, with_tails=True)
+        assert any(warns)  # the tails were built: s = 0.3 warns
+        expected = [float(abs(np.vdot(ref, out[:, j].copy())) ** 2) for j, ref in enumerate(refs)]
+        assert fock.entbs_fidelities(60, 1, -0.5, sharpness) == expected
+
+    def test_residual_equals_the_constructors_residual(self):
+        n, z = 60, 1 - 0.5j
+        m = fock.displaced_identity_doubleket(n, 0.5, z).amplitudes.reshape(n + 1, n + 1)
+        root = np.sqrt(np.arange(1, n + 1))
+        r = np.zeros_like(m)
+        r[:-1] = root[:, None] * m[1:]
+        r[:, 1:] -= m[:, :-1] * root
+        r -= z * m
+        assert fock.heterodyne_eigen_residual(n, 0.5, z) == float(np.linalg.norm(r))
+
+    def test_entbs_output_keeps_its_inputs_tail_warnings(self):
+        # the tails of 2.32e-4 and 2.04e-4 that the fidelity rows do not report
+        n, x, y, s = 20, 1.0, -0.5, 0.4
+        warns = fock.entbs_output(n, x, y, s).warnings
+        assert warns == (fock.quad_eigenstate_approx(n, x / np.sqrt(2.0), 0.0, s).warnings
+                         + fock.quad_eigenstate_approx(n, y / np.sqrt(2.0), np.pi / 2, s).warnings)
+        assert [tail_in_warning((w,), "quadrature eigenstate") for w in warns] == [2.32e-4, 2.04e-4]
 
 
 def _random_complex(rng, rows, cols):
@@ -1053,15 +1132,21 @@ class TestDenseGuard:
 
 
 class TestStateGuards:
-    """The guard contract of the regularized-state routes under a 4 MiB
-    limit. The identity double-ket counts its (N+1)^2 entries; a displaced
-    state counts its padded build's eigenbasis, (N+13)^2 vectors and the
-    largest array it holds, so its peak is a stated multiple of that count:
-    at x or z != 0 the eigenbasis at N and at N + 12, the phased copy of the
-    one at N and the product with it; the heterodyne residual holds one
-    array of the state's size, and one product, after the state is built.
-    A batch of k states (``_padded_bytes``) also counts the amplitudes of
-    its k - 1 further columns."""
+    """The guard contract of the regularized-state routes, and of the
+    single-mode factors and the fidelities they are built from, under a
+    4 MiB limit. The identity double-ket counts its (N+1)^2 entries; a
+    displaced state counts its padded build's eigenbasis, (N+13)^2 vectors
+    and the largest array it holds, so its peak is a stated multiple of that
+    count: at x or z != 0 the eigenbasis at N and at N + 12, the phased copy
+    of the one at N and the product with it; the heterodyne residual builds
+    no tail and holds one array of the state's size after the state is
+    built. A batch of k states (``_padded_bytes``) also counts the
+    amplitudes of its k - 1 further columns; the batches here build no tail,
+    like those of the fidelities and residuals. The squeezer counts its dense real
+    matrix and also holds its parity table; the displacement counts its
+    eigenbasis and also holds the quadrature, the phased copy of the basis
+    and the product; the fidelities count the splitter's sector table, the
+    first they fetch, and also hold the states."""
 
     LIMIT = 2**22
 
@@ -1080,18 +1165,24 @@ class TestStateGuards:
          (lambda n: fock._displaced_doublekets(n, [0.4, 0.5, 0.6, 0.7], 1 - 0.5j),
           lambda n: fock._padded_bytes(n, 2, 4), 251, 2.5),
          (lambda n: fock._quad_states(n, 0.5, 0.3, [0.6, 0.5, 0.4, 0.3]),
-          lambda n: fock._padded_bytes(n, 1, 4), 497, 4)],
+          lambda n: fock._padded_bytes(n, 1, 4), 497, 4),
+         (lambda n: fock.squeezer(n, 0.7), lambda n: 8 * (n + 1) ** 2, 723, 2),
+         (lambda n: fock.displacement(n, 1 - 0.5j), fock._eigenbasis_bytes, 510, 5.5),
+         (lambda n: fock.entbs_fidelities(n, 1.0, -0.5, [0.6, 0.5, 0.4, 0.3]),
+          fock._sector_table_bytes, 91, 1.5)],
         ids=["identity_doubleket", "displaced_identity_doubleket", "heterodyne_eigen_residual",
              "quad_eigenstate_origin", "quad_eigenstate_displaced", "displaced_doublekets_4",
-             "quad_states_4"],
+             "quad_states_4", "squeezer", "displacement", "entbs_fidelities"],
     )
     def test_peak_bounded_and_first_refusal_before_the_build(
             self, monkeypatch, empty_memo, build, count, largest, factor):
         # the largest accepted cutoff traces at most ``factor`` times the
-        # count (4.0 for a displaced double-ket, 4.0 for the heterodyne
+        # count (4.0 for a displaced double-ket, 3.9 for the heterodyne
         # residual, 1.2 and 3.0 for a quadrature state at x = 0 and x = 0.5,
-        # 2.0 and 3.0 for the batches of four here); the next is refused
-        # before anything is built, naming the cutoff the caller asked for
+        # 1.3 and 2.9 for the batches of four here, 1.8 for the squeezer, 5.0
+        # for the displacement and 1.3 for the fidelities); the next is
+        # refused before anything is built, naming the cutoff the caller
+        # asked for
         monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", self.LIMIT)
         assert count(largest) <= self.LIMIT < count(largest + 1)
         assert traced_peak(lambda: build(largest)) <= factor * count(largest)
@@ -1487,6 +1578,7 @@ CUTOFF_BUILDERS = {
     "displaced_identity_doubleket": lambda n: fock.displaced_identity_doubleket(n, 1e-3, 0.1),
     "quad_eigenstate_approx": lambda n: fock.quad_eigenstate_approx(n, 0.1, 0.0, 0.5),
     "heterodyne_eigen_residual": lambda n: fock.heterodyne_eigen_residual(n, 1e-3, 0.1),
+    "heterodyne_eigen_residuals": lambda n: fock.heterodyne_eigen_residuals(n, [1e-3, 0.5], 0.1),
     "sum_gate": lambda n: fock.sum_gate(n, [0]),
     "sum_gate_circuit": lambda n: fock.sum_gate_circuit(n, [0]),
     "require_block_checks_fit": lambda n: fock.require_block_checks_fit(n, 1),
@@ -1507,6 +1599,7 @@ OPERATOR_BUILDERS = ("quadrature", "displacement", "squeezer", "phase_shift", "m
 OTHER_ARGS = {
     "displaced_identity_doubleket": {"lam": 0.5},
     "heterodyne_eigen_residual": {"lam": 0.5},
+    "heterodyne_eigen_residuals": {"lams": [0.5]},
     "entbs_fidelity": {"x": 0.1, "y": 0.1, "s": 0.5},
     "entbs_fidelities": {"x": 0.1, "y": 0.1, "sharpness": [0.5]},
 }
@@ -1518,6 +1611,7 @@ class TestLibraryBoundary:
         [("displacement", "alpha"), ("squeezer", "r"), ("mode_mixer", "theta"), ("opa", "alpha_param"),
          ("phase_shift", "theta"), ("quadrature", "phi"),
          ("displaced_identity_doubleket", "z"), ("heterodyne_eigen_residual", "z"),
+         ("heterodyne_eigen_residuals", "z"),
          ("identity_doubleket", "lam"), ("lambda_fits", "lam"),
          ("entbs_fidelity", "x"), ("entbs_fidelity", "y"), ("entbs_fidelity", "s"),
          ("entbs_fidelities", "x"), ("entbs_fidelities", "y")],
