@@ -69,20 +69,22 @@ builds a dense two-mode matrix.
 Both SUM-gate routes return the read-only full-height images of the basis
 columns a caller reads. The chain (``sum_gate_circuit``) folds the factor
 list of ``gaussian.circuit_factors``, as the 4x4 route does. Every factor
-conserves the parity of n_a + n_b: a squeezer pair
-moves each mode by an even number of photons, the mixer and the splitter
-conserve n_a + n_b, and the OPA's sector of difference k holds only totals
-of the parity of k. So the chain runs the columns of each parity through
-the sector blocks of that parity only, and its images are exactly zero off
-their parity's rows. The direct ``sum_gate`` writes the amplitude matrix of
-the image of |c, d> as L_c P R_d, from the quadratures' eigenbases up and ux
-and their phase table P: L_c = up diag(conj up[c]) and R_d = diag(conj
-ux[d]) ux^T. So it is one product over the distinct c, a gather and one
-product with ux^T (``_direct_images``). ``sum_gate_block_checks`` runs each
-route once, on the states of total photon number <= block, and the direct
-gate only on the rows a, b <= block: the distance compares the two sets of
-images on the block's rows, and the Gram defect (``unitarity_defect``)
-reads the chain's images, one parity half at a time.
+conserves the parity of n_a + n_b: a squeezer pair moves each mode by an
+even number of photons, the mixer and the splitter conserve n_a + n_b, and
+the OPA's sector of difference k holds only totals of the parity of k. So
+one kernel, ``_chain_halves``, runs the columns of each parity through the
+sector blocks of that parity only, in two buffers reused by every factor,
+and its images are exactly zero off their parity's rows;
+``sum_gate_circuit`` assembles the halves. The direct ``sum_gate`` writes
+the amplitude matrix of the image of |c, d> as L_c P R_d, from the
+quadratures' eigenbases up and ux and their phase table P: L_c = up
+diag(conj up[c]) and R_d = diag(conj ux[d]) ux^T. So it is one product over
+the distinct c, a gather and one product with ux^T (``_direct_images``).
+``sum_gate_block_checks`` runs each route once, on the states of total
+photon number <= block, and the direct gate only on the rows a, b <= block.
+It reads each chain half where the kernel makes it: the block's rows for the
+distance against the direct images, and the half's own parity rows for its
+Gram defect (``unitarity_defect``), so no full-height array is built.
 
 The sector blocks of each factor form one table per cutoff, conserved
 quantity and generator scale: the key ``_TABLE_KEYS`` gives each element
@@ -117,9 +119,8 @@ three image-sized arrays per column, their peak; ``_direct_bytes`` adds
 the direct gate's two eigenbases and phase table, ``_chain_bytes`` the
 chain's three sector tables, held at once, and
 ``require_block_checks_fit``, which refuses a cutoff list up front, counts
-the direct gate, the tables and one more array per block column: the
-chain's images, held while the direct gate runs. The README's guard
-paragraph states the first size each guard refuses.
+the direct gate, the tables and one more real array per block column. The
+README's guard paragraph states the first size each guard refuses.
 
 Every public constructor refuses a cutoff that is not an integer >= 1
 (``is_integer``: a Python or numpy integer, not a bool), and the memo
@@ -470,12 +471,12 @@ def _element_table(cutoff: int, kind: str, param: float) -> tuple:
     return _sector_table(cutoff, *_TABLE_KEYS[kind](param))
 
 
-def _apply_sectors(vectors: np.ndarray, blocks) -> np.ndarray:
+def _apply_sectors(vectors: np.ndarray, blocks, out: np.ndarray | None = None) -> np.ndarray:
     """Apply (states, block) pairs of distinct sectors to the rows of
-    ``vectors``, a two-mode vector or a batch of them as columns; rows that
-    no sector holds are zero in the result. Each sector's rows are a strided
-    view, read and written in place."""
-    out = np.zeros_like(vectors)
+    ``vectors``, a two-mode vector or a batch of them as columns, into
+    ``out`` (a fresh zero array by default), whose other rows are kept. Each
+    sector's rows are a strided view, read and written in place."""
+    out = np.zeros_like(vectors) if out is None else out
     for sl, block in blocks:
         np.matmul(block, vectors[sl], out=out[sl])
     return out
@@ -491,21 +492,22 @@ def _parity_sectors(table: tuple, cutoff: int, parity: int) -> tuple:
 
 
 def _apply_kron_on_parity(a: np.ndarray, b: np.ndarray, vectors: np.ndarray,
-                          parity: int) -> np.ndarray:
+                          parity: int, out: np.ndarray | None = None) -> np.ndarray:
     """kron(a, b) for single-mode factors that conserve the parity of n,
     applied to two-mode columns that hold only states of total photon
-    number of the given parity. An amplitude matrix M of such a column has
-    two nonzero parity blocks, M_rq with q = parity - r (mod 2), and each
-    maps to a_rr M_rq b_qq^T; the other two blocks of the result are zero."""
+    number of the given parity, into ``out`` (a fresh zero array by
+    default). An amplitude matrix M of such a column has two nonzero parity
+    blocks, M_rq with q = parity - r (mod 2), each mapped to a_rr M_rq
+    b_qq^T; ``out``'s other two blocks are kept."""
     n1 = len(a)
     m = vectors.reshape(n1, n1, -1)
-    out = np.zeros_like(m)
+    out = np.zeros_like(vectors) if out is None else out
     for r in (0, 1):
         q = (parity - r) % 2
         block = m[r::2, q::2]
         t = (a[r::2, r::2] @ block.reshape(len(block), -1)).reshape(block.shape)
-        out[r::2, q::2] = np.matmul(b[q::2, q::2], t)
-    return out.reshape(n1 * n1, -1)
+        np.matmul(b[q::2, q::2], t, out=out.reshape(n1, n1, -1)[r::2, q::2])
+    return out
 
 
 def _mixing_expm(cutoff: int, theta: float) -> np.ndarray:
@@ -850,6 +852,44 @@ def _squeezer_pair(cutoff: int, r: float, mode: int) -> tuple[np.ndarray, np.nda
     return (s, s.T) if mode == 0 else (s.T, s)
 
 
+def _chain_halves(cutoff: int, cols: np.ndarray):
+    """Yield ``(parity, half, images)`` for each total parity that a basis
+    state of ``cols`` has: ``half`` indexes those states in ``cols`` and
+    ``images`` holds their full-height images under the chain. A caller
+    drops ``images`` before the next half, so its buffers are freed first.
+
+    In a half the factors act rightmost first: that squeezer pair kron(A,
+    B) on the unit columns as the outer products A[:, c] B[:, d]^T, a
+    two-mode element as its sector blocks of the half's parity, and the
+    other squeezer pair by ``_apply_kron_on_parity``. Each factor reads one
+    of two zeroed buffers and writes only the two parity blocks of each
+    amplitude matrix in the other, so the rows off the parity stay +0.0.
+    """
+    n1 = cutoff + 1
+    *later, (_, (first_a, first_b)) = [
+        (kind, _squeezer_pair(cutoff, *args) if kind == "squeezers"
+         else _element_table(cutoff, kind, *args))
+        for kind, *args in gaussian.circuit_factors(gaussian.decomposition_params())]
+    c, d = np.divmod(cols, n1)
+    for parity in (0, 1):
+        half = np.flatnonzero((c + d) % 2 == parity)
+        if half.size == 0:
+            continue
+        images, spare = np.zeros((2, n1 * n1, half.size))
+        for r in (0, 1):
+            q = (parity - r) % 2
+            np.multiply(first_a[r::2, c[half]][:, None, :], first_b[q::2, d[half]][None, :, :],
+                        out=images.reshape(n1, n1, -1)[r::2, q::2])
+        for kind, operand in reversed(later):
+            if kind == "squeezers":
+                _apply_kron_on_parity(*operand, images, parity, out=spare)
+            else:
+                _apply_sectors(images, _parity_sectors(operand, cutoff, parity), out=spare)
+            images, spare = spare, images
+        yield parity, half, images
+        del images, spare
+
+
 def sum_gate_circuit(cutoff: int, columns) -> np.ndarray:
     """The optical realization of the SUM gate, ``gaussian.circuit_factors``
     at ``gaussian.decomposition_params()``, applied to the basis states
@@ -857,37 +897,17 @@ def sum_gate_circuit(cutoff: int, columns) -> np.ndarray:
     j that of ``columns[j]``.
 
     Every factor conserves the parity of n_a + n_b, so the image of |c, d>
-    lives on the rows of parity c + d, and the columns run in two halves by
-    that parity. In a half the factors act rightmost first: that squeezer
-    pair kron(A, B) on the unit columns as the outer products A[:, c]
-    B[:, d]^T, a two-mode element as its sector blocks of the half's parity,
-    and the other squeezer pair on the two nonzero parity blocks of each
-    amplitude matrix (``_apply_kron_on_parity``), so no factor is built as a
-    two-mode matrix. Every factor is real and unitary to rounding at any
-    cutoff, so the images are float64 and carry no warning: their
-    truncation shows in the block distance of ``sum_gate_block_checks``.
+    lives on the rows of parity c + d: ``_chain_halves`` runs the columns
+    in two halves by that parity, and this assembles them. No factor is
+    built as a two-mode matrix. Every factor is real and unitary to
+    rounding at any cutoff, so the images are float64 and carry no warning:
+    their truncation shows in the block distance of ``sum_gate_block_checks``.
     """
-    n1 = cutoff + 1
     cols = _basis_indices(cutoff, columns, _chain_bytes)
-    *later, (_, (first_a, first_b)) = [
-        (kind, _squeezer_pair(cutoff, *args) if kind == "squeezers"
-         else _element_table(cutoff, kind, *args))
-        for kind, *args in gaussian.circuit_factors(gaussian.decomposition_params())]
-    c, d = np.divmod(cols, n1)
-    out = np.empty((n1 * n1, cols.size))
-    for parity in (0, 1):
-        half = np.flatnonzero((c + d) % 2 == parity)
-        if half.size == 0:
-            continue
-        # in C order, as every later factor reads rows and amplitude blocks
-        images = np.multiply(first_a[:, c[half]][:, None, :], first_b[:, d[half]][None, :, :],
-                             order="C").reshape(n1 * n1, -1)
-        for kind, operand in reversed(later):
-            if kind == "squeezers":
-                images = _apply_kron_on_parity(*operand, images, parity)
-            else:
-                images = _apply_sectors(images, _parity_sectors(operand, cutoff, parity))
+    out = np.empty(((cutoff + 1) ** 2, cols.size))
+    for _, half, images in _chain_halves(cutoff, cols):
         out[:, half] = images
+        del images
     return _read_only(out)
 
 
@@ -919,12 +939,12 @@ def _states_up_to(cutoff: int, max_total: int) -> int:
 def require_block_checks_fit(cutoff: int, block_photons: int) -> None:
     """Refuse, before anything is allocated, a cutoff whose
     :func:`sum_gate_block_checks` arrays would exceed DENSE_BYTES_LIMIT: the
-    chain's three sector tables (splitter, mixer, OPA) and four image-sized
-    arrays per block column, the chain's real images held while the direct
-    gate holds its three complex ones, and the direct gate's two quadrature
-    eigenbases and its (N+1)^2 phase table. The column count is computed,
-    not masked, so that a huge cutoff is refused without an (N+1)^2 mask. A
-    ``block_photons`` that is not an integer >= 0 is refused.
+    chain's three sector tables (splitter, mixer, OPA), four image-sized
+    arrays per block column (the direct gate's three complex ones and a real
+    one, more than the chain's halves hold) and the direct gate's two
+    quadrature eigenbases and its (N+1)^2 phase table. The column count is
+    computed, not masked, so that a huge cutoff is refused without an
+    (N+1)^2 mask. A ``block_photons`` that is not an integer >= 0 is refused.
     """
     _require_cutoff(cutoff)
     if not is_integer(block_photons) or block_photons < 0:
@@ -952,17 +972,16 @@ def sum_gate_block_checks(cutoff: int, block_photons: int) -> tuple[float, float
     """
     require_block_checks_fit(cutoff, block_photons)
     block = np.flatnonzero(block_mask(cutoff, block_photons))
-    images = sum_gate_circuit(cutoff, block)
+    rows_parity = total_photon_numbers(cutoff) % 2
+    chain, defects = np.empty((block.size, block.size)), []
+    for parity, half, images in _chain_halves(cutoff, block):
+        chain[:, half] = images[block]
+        defects.append(unitarity_defect(images[rows_parity == parity]))
+        del images
     rows = min(block_photons, cutoff) + 1
     a, b = np.divmod(block, cutoff + 1)
     direct = _direct_images(cutoff, block, rows)[a * rows + b]
-    distance = phase_aligned_block_distance(direct, images[block])
-    rows_parity, columns_parity = total_photon_numbers(cutoff) % 2, (a + b) % 2
-    gram_defect = float(np.max([
-        unitarity_defect(images[np.ix_(rows_parity == parity, columns_parity == parity)])
-        for parity in (0, 1) if (columns_parity == parity).any()
-    ]))
-    return gram_defect, distance
+    return float(np.max(defects)), phase_aligned_block_distance(direct, chain)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Helpers shared by the test files: the memory a call traces, the
 truncation defect of a Fock operator, the ladder matrix, kron(A, B) applied
 to double-kets, the two-mode references of the Fock oracles, and references
-for the sector tables and the state tails.
+for the sector tables, the state tails and the SUM-gate chain's full-height
+route.
 
 The references are sums of Kronecker terms. A list of terms (w, A, B) stands
 for the sum of w kron(A, B): its entry between |a, b> and |c, d> is the sum
@@ -14,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bellgate import fock
+from bellgate import fock, gaussian
 
 
 def traced_peak(call) -> int:
@@ -130,3 +131,46 @@ def gather_scatter(vectors: np.ndarray, sectors) -> np.ndarray:
     for idx, block in sectors:
         out[idx] = block @ vectors.take(idx, axis=0)
     return out
+
+
+def full_height_chain(cutoff: int, columns) -> np.ndarray:
+    """``fock.sum_gate_circuit`` by the full-height route: each parity half
+    of ``columns`` starts from the whole outer product of the first squeezer
+    pair, every factor writes a fresh zero array, and the half is scattered
+    into one array of (N+1)^2 rows."""
+    n1, cols = cutoff + 1, np.asarray(columns)
+    *later, (_, (first_a, first_b)) = [
+        (kind, fock._squeezer_pair(cutoff, *args) if kind == "squeezers"
+         else fock._element_table(cutoff, kind, *args))
+        for kind, *args in gaussian.circuit_factors(gaussian.decomposition_params())]
+    c, d = np.divmod(cols, n1)
+    out = np.empty((n1 * n1, cols.size))
+    for parity in (0, 1):
+        half = np.flatnonzero((c + d) % 2 == parity)
+        images = np.multiply(first_a[:, c[half]][:, None, :], first_b[:, d[half]][None, :, :],
+                             order="C").reshape(n1 * n1, -1)
+        for kind, operand in reversed(later):
+            if kind == "squeezers":
+                images = fock._apply_kron_on_parity(*operand, images, parity)
+            else:
+                images = fock._apply_sectors(images, fock._parity_sectors(operand, cutoff, parity))
+        out[:, half] = images
+    return out
+
+
+def full_height_block_checks(cutoff: int, block_photons: int) -> tuple[float, float]:
+    """``fock.sum_gate_block_checks`` read off the full-height images: the
+    block's rows by a row gather, and each parity half's Gram input by a
+    gather of its rows and columns."""
+    block = np.flatnonzero(fock.block_mask(cutoff, block_photons))
+    images = full_height_chain(cutoff, block)
+    rows = min(block_photons, cutoff) + 1
+    a, b = np.divmod(block, cutoff + 1)
+    direct = fock._direct_images(cutoff, block, rows)[a * rows + b]
+    distance = fock.phase_aligned_block_distance(direct, images[block])
+    rows_parity, columns_parity = fock.total_photon_numbers(cutoff) % 2, (a + b) % 2
+    gram_defect = float(np.max([
+        fock.unitarity_defect(images[np.ix_(rows_parity == parity, columns_parity == parity)])
+        for parity in (0, 1) if (columns_parity == parity).any()
+    ]))
+    return gram_defect, distance

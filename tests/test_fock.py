@@ -15,8 +15,9 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import (
-    compose, every_state, gather_scatter, kron_apply, ladder, padded_doubleket_tail, refused_peak,
-    sector_indices, su11_terms, term_block, traced_peak, truncation_defect,
+    compose, every_state, full_height_block_checks, full_height_chain, gather_scatter, kron_apply,
+    ladder, padded_doubleket_tail, refused_peak, sector_indices, su11_terms, term_block,
+    traced_peak, truncation_defect,
 )
 
 from bellgate import cli, fock, gaussian
@@ -824,16 +825,16 @@ class TestSumGate:
         assert np.array_equal(rows, fock.sum_gate(n, block)[block])
 
     def test_chain_run_once_on_the_compared_block(self, monkeypatch):
-        # one pass of the chain at N=40, over the 66 columns the distance
-        # compares; the Gram defect reads the same images
+        # one pass of the chain's halves at N=40, over the 66 columns the
+        # distance compares; the Gram defect reads the same images
         calls = []
-        chain = fock.sum_gate_circuit
+        chain = fock._chain_halves
 
-        def counted(cutoff, columns):
-            calls.append(np.array(columns))
-            return chain(cutoff, columns)
+        def counted(cutoff, cols):
+            calls.append(np.array(cols))
+            return chain(cutoff, cols)
 
-        monkeypatch.setattr(fock, "sum_gate_circuit", counted)
+        monkeypatch.setattr(fock, "_chain_halves", counted)
         fock.sum_gate_block_checks(40, 10)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], np.flatnonzero(fock.block_mask(40, 10)))
@@ -911,6 +912,12 @@ class TestSumGate:
         assert d30 > cli.ABLATION_FLOOR and d40 > cli.ABLATION_FLOOR
         assert d30 == pytest.approx(d40, rel=0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [12, 20, 30, 40, 60, 80, 150])
+    def test_block_checks_equal_the_full_height_route(self, n):
+        # the halves read where they are made give the numbers of the
+        # full-height images and their gathers, bit for bit
+        assert fock.sum_gate_block_checks(n, 10) == full_height_block_checks(n, 10)
+
     def test_vacuum_image_agreement(self):
         n = 30
         target = fock.sum_gate(n, [0])[:, 0]
@@ -962,6 +969,19 @@ class TestSumGateColumns:
             fock.sum_gate(n, block), fock.sum_gate(n, every_state(n))[:, block],
             rtol=0, atol=1e-13,
         )
+
+    @pytest.mark.parametrize("n", [12, 20, 40, 80])
+    @pytest.mark.parametrize("order", ["block", "shuffled"])
+    def test_images_bytes_equal_the_full_height_route(self, n, order):
+        # the halves run through two reused buffers; the full-height route
+        # writes a fresh array per factor. Their bytes agree, so the rows
+        # off a column's parity hold +0.0 and never -0.0
+        columns = np.flatnonzero(fock.block_mask(n, 10))
+        if order == "shuffled":
+            columns = np.random.default_rng(n).permutation(columns)
+        images = fock.sum_gate_circuit(n, columns)
+        assert images.tobytes() == full_height_chain(n, columns).tobytes()
+        assert not np.signbit(images[images == 0]).any()
 
     def test_half_block_builds_no_two_mode_matrix(self):
         # the dense route held 1681^2 complex factors: a 172.6 MB peak at N=40
@@ -1122,9 +1142,9 @@ class TestDenseGuard:
     @pytest.mark.parametrize("n", [20, 30, 40, 60, 150])
     def test_block_checks_peak_within_the_guarded_bytes(self, monkeypatch, empty_memo, n):
         # the count is the largest request, the one of require_block_checks_fit:
-        # the chain's images stay alive while the direct gate holds its
-        # arrays; the sector tables and eigenbases are built inside the traced
-        # call. The peak stays below the count, by 0.18 to 21 MiB at n = 20 to 150
+        # the direct gate's arrays and one more real array per column; the
+        # sector tables and eigenbases are built inside the traced call. The
+        # peak stays below the count, by about 0.9 to 54 MiB at n = 20 to 150
         requested = []
         monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
         peak = traced_peak(lambda: fock.sum_gate_block_checks(n, 10))

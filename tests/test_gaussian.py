@@ -249,3 +249,47 @@ class TestHardwareParams:
     def test_negative_gain_is_flagged(self, params):
         assert params.g == pytest.approx(-1.0774, abs=1e-4)
         assert any("negative" in note for note in gaussian.consistency_notes(params))
+
+
+def _unfit(kind: str, value) -> str:
+    return f"x must be a single {kind} number in float range, got {value!r}"
+
+
+# value -> (refusal with complex_ok=False, refusal with complex_ok=True); None accepts
+FINITE_GRID = {
+    "nan": (np.nan, "x must be finite, got nan", "x must be finite, got nan"),
+    "inf": (np.inf, "x must be finite, got inf", "x must be finite, got inf"),
+    "-inf": (-np.inf, "x must be finite, got -inf", "x must be finite, got -inf"),
+    "float64": (np.float64(0.5), None, None),
+    "float64_nan": (np.float64(np.nan), "x must be finite, got np.float64(nan)",
+                    "x must be finite, got np.float64(nan)"),
+    "complex128": (np.complex128(0.5 + 0.5j), "x must be real, got np.complex128(0.5+0.5j)", None),
+    "complex": (0.5j, "x must be real, got 0.5j", None),
+    "complex_inf": (complex(np.inf, 1.0), "x must be real, got (inf+1j)",
+                    "x must be finite, got (inf+1j)"),
+    "bool": (True, None, None),
+    "int": (1, None, None),
+    "huge_int": (10**400, _unfit("real", 10**400), _unfit("complex", 10**400)),
+    "array": (np.array([0.5, 1.0]), _unfit("real", np.array([0.5, 1.0])),
+              _unfit("complex", np.array([0.5, 1.0]))),
+    "none": (None, _unfit("real", None), _unfit("complex", None)),
+}
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("complex_ok", [False, True], ids=["real", "complex_ok"])
+    @pytest.mark.parametrize("case", list(FINITE_GRID))
+    def test_refusal_names_the_parameter_and_value(self, case, complex_ok):
+        # numpy's own errors (an unsupported ufunc input for 10**400 and
+        # None, an ambiguous truth value for an array) never reach the caller
+        value, *messages = FINITE_GRID[case]
+        message = messages[complex_ok]
+        if message is None:
+            gaussian.require_finite("x", value, complex_ok)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                gaussian.require_finite("x", value, complex_ok)
+
+    def test_builder_refuses_a_parameter_beyond_float_range(self):
+        with pytest.raises(ValueError, match="^r must be a single real number in float range"):
+            fock.squeezer(10, 10**400)
