@@ -41,28 +41,28 @@ double-ket as a two-mode squeezed vacuum with weight lambda^n, and quadrature
 eigenvectors as rotated displaced squeezed vacua with sharpness s. The
 double-ket's weights lambda^n/||lambda^n||, its refusal of a lambda so
 large that the tail lambda^(2(N+1)) exceeds 1e-4 and its tail warning are
-one helper's, ``_doubleket_weights``. Each displaced state is the
-one-column case of a core that builds k states at once and shares their
-factors: ``_quad_states`` over sharpness values and
-``_displaced_doublekets`` over lambdas. Both use one helper,
-``_padded_states``: it refuses the padded build's bytes, normalizes each
-column of the cutoff-N build and keeps the tail warning of the identity
-double-ket a column is built from. Only the state constructors,
-``quad_eigenstate_approx``, ``displaced_identity_doubleket`` and
-``entbs_output``, also take the padded tail: the mass the state built at
-N + ``_TAIL_PAD`` holds outside the first N+1 levels of each mode, which
-above 1e-8 attaches a warning. The routes that return bare floats,
-``entbs_fidelities`` and ``heterodyne_eigen_residuals`` with their
-one-column cases, drop every warning, so they build nothing above the
-cutoff. The quadrature states' squeezed vacua S(s)|0>, each column 0 of
-``squeezer``, are the columns of one block; the displacement is two
-products of the block with the displacement's eigenbasis, and the tails
-come from a second build at N + 12. The double-ket's amplitude matrix is
-diag(c), so the displaced one is D diag(c): D = W diag(phases) W^dag is
-formed once from the same eigenbasis and scaled by each lambda's c. Its
-tails are read off the padded displacement's rows m > N alone, formed once
-for every lambda (``_displaced_doubleket_tails``): no second state is
-built. The beam splitter acts on two-mode states sector by sector, and
+one helper's, ``_doubleket_weights``. Three cores build k displaced
+states at once, share their factors and return only the normalized
+amplitudes: ``_quad_states`` over sharpness values, ``_displaced_doublekets``
+over lambdas and ``_entbs_outputs``, the splitter's images of pairs of
+quadrature states. Each core refuses ``_padded_bytes`` before it builds.
+The state constructors, ``quad_eigenstate_approx``,
+``displaced_identity_doubleket`` and ``entbs_output``, are their one-column
+cases and attach their own warnings: the padded tail, the mass the state
+built at N + ``_TAIL_PAD`` holds outside the first N+1 levels of each mode,
+which above 1e-8 warns, and the double-ket's own. The routes that return
+bare floats, ``entbs_fidelities`` and ``heterodyne_eigen_residuals`` with
+their one-column cases, read the cores alone, so they build nothing above
+the cutoff. The quadrature states' squeezed vacua S(s)|0>, each column 0 of
+``squeezer``, are the columns of one block, and the displacement is two
+products of the block with the displacement's eigenbasis
+(``_quad_amplitudes``); a tail is the same build at N + 12
+(``_quad_tail_warning``). The double-ket's amplitude matrix is diag(c), so
+the displaced one is D diag(c): D = W diag(phases) W^dag is formed once
+from the same eigenbasis and scaled by each lambda's c. Its tail is read
+off the padded displacement's rows m > N alone, formed once for every
+lambda (``_displaced_doubleket_tails``): no second state is built. The
+beam splitter acts on two-mode states sector by sector, and
 ``entbs_fidelities`` runs it once over every sharpness, so no state path
 builds a dense two-mode matrix.
 
@@ -107,10 +107,10 @@ N+1 eigenvalues.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
 ``DENSE_BYTES_LIMIT`` before it allocates them: here a real dense matrix
-(a squeezer's), a displacement's eigenbasis, the identity double-ket, the
-padded build of displaced states (the eigenbasis at N + 12 and the
-amplitudes of each column beyond the first, ``_padded_bytes``, counted
-before the cutoff-N build), the SUM-gate column images and a sector
+(a squeezer's), a displacement's eigenbasis, the identity double-ket, a
+batch of displaced states (the eigenbasis at N + 12, which a tail holds,
+and the amplitudes of each column beyond the first, ``_padded_bytes``,
+counted by each core), the SUM-gate column images and a sector
 table's blocks, and also the qudit layer's gate set, its dense V and the
 ``qudit synth`` export. Each count is of what the route holds: 8 bytes an
 entry for the real tables, dense factors and chain images, 16 for the
@@ -603,42 +603,13 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
 
 
 def _padded_bytes(cutoff: int, modes: int, columns: int) -> int:
-    """Bytes a padded build of ``columns`` states of ``modes`` modes counts:
-    the eigenbasis at N + ``_TAIL_PAD``, whose (N+13)^2 vectors are the
-    largest array one column's build holds, and the (N+1)^modes complex
-    amplitudes of each further column. A route that builds no tail, such as
-    ``entbs_fidelities`` and ``heterodyne_eigen_residuals``, counts it too,
-    so every route of a state refuses the same first cutoff."""
+    """Bytes every route of ``columns`` displaced states of ``modes`` modes
+    counts before it builds: the eigenbasis at N + ``_TAIL_PAD``, whose
+    (N+13)^2 vectors are the largest array a state constructor's tail
+    holds, and the (N+1)^modes complex amplitudes of each further column.
+    The cores count it although they build no tail, so every route of a
+    state refuses the same first cutoff."""
     return _eigenbasis_bytes(cutoff + _TAIL_PAD) + 16 * (cutoff + 1) ** modes * (columns - 1)
-
-
-def _padded_states(
-    cutoff: int, modes: int, build: Callable[[int], tuple], label: str, wheres: list[str],
-    tails: Callable[[], np.ndarray] | None = None,
-) -> tuple:
-    """The states ``build(cutoff)``, one per entry of ``wheres``, each
-    normalized in place, and the warnings of each. ``build(n)`` returns the
-    unnormalized amplitudes at cutoff n, a sequence of one array per state
-    with one axis per mode, and the tail warnings of the states each is
-    built from. ``_padded_bytes`` is refused above DENSE_BYTES_LIMIT, naming
-    ``cutoff``, before anything runs.
-
-    Only the state constructors (``quad_eigenstate_approx``,
-    ``displaced_identity_doubleket`` and ``entbs_output``) pass ``tails``:
-    ``tails()`` gives each state's tail, the mass the state built at N +
-    ``_TAIL_PAD`` holds outside the first N+1 levels of each mode, and above
-    ``TAIL_WARN_TOL`` it is added to that state's warnings, at its entry of
-    ``wheres``. The routes that return bare floats pass none, so they build
-    nothing above the cutoff."""
-    _require_cutoff(cutoff)
-    require_memory(f"cutoff {cutoff}", _padded_bytes(cutoff, modes, len(wheres)))
-    columns, warns = build(cutoff)
-    for column in columns:
-        column /= np.linalg.norm(column)
-    if tails is None:
-        return columns, warns
-    return columns, [w + _truncation_warning(label, tail, f"{where}, cutoff {cutoff}")
-                     for w, tail, where in zip(warns, tails(), wheres, strict=True)]
 
 
 def _displaced_doubleket_tails(cutoff: int, lams, z: complex) -> np.ndarray:
@@ -663,34 +634,35 @@ def _displaced_doubleket_tails(cutoff: int, lams, z: complex) -> np.ndarray:
     return tails
 
 
-def _displaced_doublekets(cutoff: int, lams, z: complex, with_tails: bool = False) -> tuple:
-    """The states of ``displaced_identity_doubleket`` at each lambda of
-    ``lams`` and one z: their (N+1) x (N+1) amplitude matrices and the
-    warnings of each, with the tails of ``_displaced_doubleket_tails`` only
-    if ``with_tails``.
+def _displaced_doublekets(cutoff: int, lams, z: complex) -> list[np.ndarray]:
+    """The amplitude matrices of ``displaced_identity_doubleket`` at each
+    lambda of ``lams`` and one z, each (N+1) x (N+1) and normalized in place.
 
-    The double-ket's amplitude matrix is diag(c), with c the weights of
-    ``_doubleket_weights``, so the state's is D diag(c): D = W diag(phases)
-    W^dag is formed once from the eigenbasis and scaled by each lambda's c,
-    the last in place. No (N+1)^2 double-ket is filled.
+    ``_padded_bytes`` is refused before any lambda
+    (``_doubleket_weights``). The double-ket's amplitude matrix is diag(c),
+    with c the weights of ``_doubleket_weights``, so the state's is D
+    diag(c): D = W diag(phases) W^dag is formed once from the eigenbasis and
+    scaled by each lambda's c, the last in place. No (N+1)^2 double-ket is
+    filled, and the k matrices are a list, not one stacked array, so that
+    the last is D itself.
     """
     require_finite("z", z, complex_ok=True)
-
-    def build(n: int) -> tuple[list[np.ndarray], list[tuple[str, ...]]]:
-        weights, warns = _doubleket_weights(n, lams)
-        if z == 0:  # D(0) is exactly the identity, as in ``displacement``
-            return [np.diag(c).astype(complex) for c in weights], warns
-        w, phases = _displacement_basis(n, z)
+    _require_cutoff(cutoff)
+    require_memory(f"cutoff {cutoff}", _padded_bytes(cutoff, 2, len(lams)))
+    weights, _ = _doubleket_weights(cutoff, lams)
+    if z == 0:  # D(0) is exactly the identity, as in ``displacement``
+        states = [np.diag(c).astype(complex) for c in weights]
+    else:
+        w, phases = _displacement_basis(cutoff, z)
         right = w.conj().T
         w *= phases
         d = w @ right
         del w, right
         *first, last = weights
-        return [d * c for c in first] + [np.multiply(d, last, out=d)], warns
-
-    tails = (lambda: _displaced_doubleket_tails(cutoff, lams, z)) if with_tails else None
-    return _padded_states(cutoff, 2, build, "displaced double-ket",
-                          [f"lambda = {lam}, z = {z}" for lam in lams], tails)
+        states = [d * c for c in first] + [np.multiply(d, last, out=d)]
+    for state in states:
+        state /= np.linalg.norm(state)
+    return states
 
 
 def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> RegularizedState:
@@ -701,10 +673,15 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     lambda -> 1, because (I kron B)|I>> = (B^T kron I)|I>> and
     D(w)^T = D(-conj(w)); at lambda < 1 the two differ by a mean offset, so
     their overlap is exp(-s^2 |z|^2 / 2) at the matched lambda (see
-    ``entbs_fidelity``). It is the one-column case of ``_displaced_doublekets``.
+    ``entbs_fidelity``). Its amplitudes are the one-column case of
+    ``_displaced_doublekets``; its warnings are the identity double-ket's
+    and the padded tail of ``_displaced_doubleket_tails``.
     """
-    (amps,), (warns,) = _displaced_doublekets(cutoff, [lam], z, with_tails=True)
-    return RegularizedState(cutoff, 2, amps, warns)
+    (amps,) = _displaced_doublekets(cutoff, [lam], z)
+    (warns,) = _doubleket_weights(cutoff, [lam])[1]
+    (tail,) = _displaced_doubleket_tails(cutoff, [lam], z)
+    return RegularizedState(cutoff, 2, amps, warns + _truncation_warning(
+        "displaced double-ket", tail, f"lambda = {lam}, z = {z}, cutoff {cutoff}"))
 
 
 def heterodyne_eigen_residuals(cutoff: int, lams, z: complex) -> list[float]:
@@ -717,7 +694,7 @@ def heterodyne_eigen_residuals(cutoff: int, lams, z: complex) -> list[float]:
     lams = list(lams)
     if not lams:
         return []
-    states, _ = _displaced_doublekets(cutoff, lams, z)
+    states = _displaced_doublekets(cutoff, lams, z)
     # (a kron I) v = vec(a m) and (I kron b^dag) v = vec(m a) for the ladder a:
     # a m moves row n+1 of m to row n, m a moves column n to n+1, each times
     # sqrt(n+1), both formed in the residual's one array
@@ -744,40 +721,46 @@ def heterodyne_eigen_residual(cutoff: int, lam: float, z: complex) -> float:
     return heterodyne_eigen_residuals(cutoff, [lam], z)[0]
 
 
-def _quad_states(cutoff: int, x: float, phi: float, sharpness, with_tails: bool = False) -> tuple:
-    """The states of ``quad_eigenstate_approx`` at one x and phi and each
-    sharpness of ``sharpness``: the columns of one (N+1) x k array, and the
-    warnings of each, which hold a tail only if ``with_tails``.
+def _quad_amplitudes(n: int, x: float, phi: float, sharpness) -> np.ndarray:
+    """exp(i phi n) D(x) S(s)|0> at cutoff ``n`` for each s of ``sharpness``,
+    unnormalized: the columns of one (n+1) x k array. The squeezed vacua
+    S(s)|0>, column 0 of each ``squeezer``, are the columns of one block, so
+    the displacement is two products of its eigenbasis with the block."""
+    amps = np.empty((n + 1, len(sharpness)))
+    for j, s in enumerate(sharpness):
+        amps[:, j] = squeezer(n, s)[:, 0]  # S(s)|0>
+    if x != 0:  # D(0) is exactly the identity, as in ``displacement``
+        w, phases = _displacement_basis(n, x)
+        amps = w @ (phases[:, None] * (w.conj().T @ amps))
+    return _phases(n, -phi)[:, None] * amps
 
-    The squeezed vacua S(s)|0>, column 0 of each ``squeezer``, are the
-    columns of one block, so the displacement is two products of its
-    eigenbasis with the block; the tails come from one more build at N + 12.
-    """
+
+def _quad_states(cutoff: int, x: float, phi: float, sharpness) -> np.ndarray:
+    """The amplitudes of ``quad_eigenstate_approx`` at one x and phi and each
+    sharpness of ``sharpness``: the columns of one (N+1) x k array
+    (``_quad_amplitudes`` at N), each normalized in place. Every parameter
+    is refused first, then ``_padded_bytes``."""
     require_finite("x", x)
     require_finite("phi", phi)
     for s in sharpness:
         require_finite("s", s)
         if not 0.0 < s <= 1.0:
             raise ValueError("sharpness s must lie in (0, 1]")
+    _require_cutoff(cutoff)
+    require_memory(f"cutoff {cutoff}", _padded_bytes(cutoff, 1, len(sharpness)))
+    amps = _quad_amplitudes(cutoff, x, phi, sharpness)
+    for column in amps.T:
+        column /= np.linalg.norm(column)
+    return amps
 
-    def build(n: int) -> np.ndarray:
-        amps = np.empty((n + 1, len(sharpness)))
-        for j, s in enumerate(sharpness):
-            amps[:, j] = squeezer(n, s)[:, 0]  # S(s)|0>
-        if x != 0:  # D(0) is exactly the identity, as in ``displacement``
-            w, phases = _displacement_basis(n, x)
-            amps = w @ (phases[:, None] * (w.conj().T @ amps))
-        return _phases(n, -phi)[:, None] * amps
 
-    def tails() -> np.ndarray:
-        return (np.abs(build(cutoff + _TAIL_PAD)[cutoff + 1:]) ** 2).sum(axis=0)
-
-    # the rows of the transpose are the states, normalized in place
-    columns, warns = _padded_states(
-        cutoff, 1, lambda n: (build(n).T, [()] * len(sharpness)), "quadrature eigenstate",
-        [f"x = {x}, phi = {phi}, s = {s}" for s in sharpness], tails if with_tails else None,
-    )
-    return columns.T, warns
+def _quad_tail_warning(cutoff: int, x: float, phi: float, s: float) -> tuple[str, ...]:
+    """The tail warning of ``quad_eigenstate_approx``: the mass the state
+    built at N + ``_TAIL_PAD`` (``_quad_amplitudes``) holds above level N."""
+    padded = _quad_amplitudes(cutoff + _TAIL_PAD, x, phi, [s])
+    (tail,) = (np.abs(padded[cutoff + 1:]) ** 2).sum(axis=0)
+    return _truncation_warning("quadrature eigenstate", tail,
+                               f"x = {x}, phi = {phi}, s = {s}, cutoff {cutoff}")
 
 
 def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> RegularizedState:
@@ -786,10 +769,11 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
     Built as exp(i phi n) D(x) S(s) |0>: a squeezed vacuum of X_0 variance
     s^2/4, displaced to mean x, then rotated so the sharp axis lies along
     X_phi with mean <X_phi> = x. Smaller s means a sharper approximation.
-    It is the one-column case of ``_quad_states``.
+    Its amplitudes are the one-column case of ``_quad_states``, and its
+    warning is that of ``_quad_tail_warning``.
     """
-    amps, (warns,) = _quad_states(cutoff, x, phi, [s], with_tails=True)
-    return RegularizedState(cutoff, 1, amps[:, 0], warns)
+    amps = _quad_states(cutoff, x, phi, [s])
+    return RegularizedState(cutoff, 1, amps[:, 0], _quad_tail_warning(cutoff, x, phi, s))
 
 
 # ---------------------------------------------------------------------------
@@ -998,22 +982,21 @@ def matched_lambda(s: float) -> float:
     return (1.0 - s * s) / (1.0 + s * s)
 
 
-def _entbs_outputs(cutoff: int, x: float, y: float, sharpness, with_tails: bool = False) -> tuple:
-    """The states of ``entbs_output`` at one (x, y) and each sharpness of
-    ``sharpness``: the columns of one (N+1)^2 x k array, and the warnings of
-    each, which hold the inputs' tails only if ``with_tails``. The inputs of
-    every s are the columns of one block per mode (``_quad_states``), and
-    the splitter makes one pass over the (re, im) pairs of every column."""
+def _entbs_outputs(cutoff: int, x: float, y: float, sharpness) -> np.ndarray:
+    """The amplitudes of ``entbs_output`` at one (x, y) and each sharpness of
+    ``sharpness``: the columns of one (N+1)^2 x k array. The splitter's
+    table is fetched first, the inputs of every s are the columns of one
+    block per mode (``_quad_states``), and the splitter makes one pass over
+    the (re, im) pairs of every column."""
     require_finite("x", x)
     require_finite("y", y)
     splitter = _element_table(cutoff, "mixer", np.pi / 4)
-    in_a, warns_a = _quad_states(cutoff, x / np.sqrt(2.0), 0.0, sharpness, with_tails)
-    in_b, warns_b = _quad_states(cutoff, y / np.sqrt(2.0), np.pi / 2.0, sharpness, with_tails)
+    in_a = _quad_states(cutoff, x / np.sqrt(2.0), 0.0, sharpness)
+    in_b = _quad_states(cutoff, y / np.sqrt(2.0), np.pi / 2.0, sharpness)
     # column j is kron(in_a[:, j], in_b[:, j])
     product = (in_a[:, None, :] * in_b[None, :, :]).reshape(-1, len(sharpness))
     # the real blocks act on the (re, im) pairs of the complex columns
-    out = _apply_sectors(product.view(np.float64), splitter).view(complex)
-    return out, [a + b for a, b in zip(warns_a, warns_b)]
+    return _apply_sectors(product.view(np.float64), splitter).view(complex)
 
 
 def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
@@ -1022,28 +1005,32 @@ def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
     The 50-50 splitter is applied sector by sector to the product vector, so
     no dense two-mode matrix is built; ``mode_mixer(cutoff, pi/4)`` assembles
     the same blocks. The splitter's table is requested first, so a cutoff
-    whose table is refused builds no state. It is the one-column case of
-    ``_entbs_outputs``.
+    whose table is refused builds no state. Its amplitudes are the
+    one-column case of ``_entbs_outputs``; its warnings are the tail
+    warnings of its two inputs (``_quad_tail_warning``), mode a's first.
     """
-    out, (warns,) = _entbs_outputs(cutoff, x, y, [s], with_tails=True)
+    out = _entbs_outputs(cutoff, x, y, [s])
+    warns = (_quad_tail_warning(cutoff, x / np.sqrt(2.0), 0.0, s)
+             + _quad_tail_warning(cutoff, y / np.sqrt(2.0), np.pi / 2.0, s))
     return RegularizedState(cutoff, 2, out[:, 0], warns)
 
 
 def entbs_fidelities(cutoff: int, x: float, y: float, sharpness) -> list[float]:
     """``entbs_fidelity`` at one (x, y) for each sharpness of ``sharpness``,
-    from one pass: the inputs of every s are the columns of one block, the
-    splitter runs once over them (``_entbs_outputs``), and the references
-    share one D(x + iy) (``_displaced_doublekets``). No tail is built, as no
-    warning is returned. Every s is refused before anything is built, and
-    an empty ``sharpness`` builds nothing."""
+    read once, from one pass: the inputs of every s are the columns of one
+    block, the splitter runs once over them (``_entbs_outputs``), and the
+    references share one D(x + iy) (``_displaced_doublekets``). No tail is
+    built, as no warning is returned. Every s is refused before anything is
+    built, and an empty ``sharpness`` builds nothing."""
+    sharpness = list(sharpness)
     lams = [matched_lambda(s) for s in sharpness]
     require_finite("x", x)
     require_finite("y", y)
     _require_cutoff(cutoff)
     if not lams:
         return []
-    out, _ = _entbs_outputs(cutoff, x, y, sharpness)
-    refs, _ = _displaced_doublekets(cutoff, lams, x + 1j * y)
+    out = _entbs_outputs(cutoff, x, y, sharpness)
+    refs = _displaced_doublekets(cutoff, lams, x + 1j * y)
     # each column copied whole: ``np.vdot`` sums a strided one without the
     # blocked sums it gives a contiguous one, which moved the N = 150
     # fidelities by 1.5e-14

@@ -94,18 +94,21 @@ def su11_pauli_defect(params: DecompositionParams) -> float:
 
 def require_finite(name: str, value: float, complex_ok: bool = False) -> None:
     """Refuse a NaN or infinite parameter, a complex one unless ``complex_ok``,
-    and one that is not a single number in float range (an array, None,
-    10**400), naming it and its value; a plain float takes a scalar test."""
+    and one that is not a single number in float range (an array, even of
+    one entry, None, 10**400), naming it and its value; a plain float takes
+    a scalar test."""
     if type(value) is float or (complex_ok and type(value) is complex):
         finite = cmath.isfinite(value)
     else:
         if not complex_ok and np.iscomplexobj(value):
             raise ValueError(f"{name} must be real, got {value!r}")
         try:
-            finite = np.isfinite(value).item()
+            finite = np.isfinite(value).item() if np.ndim(value) == 0 else None
         except (TypeError, ValueError):
+            finite = None
+        if finite is None:
             raise ValueError(f"{name} must be a single {'complex' if complex_ok else 'real'}"
-                             f" number in float range, got {value!r}") from None
+                             f" number in float range, got {value!r}")
     if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
 

@@ -272,6 +272,11 @@ FINITE_GRID = {
     "huge_int": (10**400, _unfit("real", 10**400), _unfit("complex", 10**400)),
     "array": (np.array([0.5, 1.0]), _unfit("real", np.array([0.5, 1.0])),
               _unfit("complex", np.array([0.5, 1.0]))),
+    # ``np.isfinite(value).item()`` reads an array of one entry as a
+    # scalar, so the rank is checked too
+    "one_entry_list": ([0.5], _unfit("real", [0.5]), _unfit("complex", [0.5])),
+    "one_entry_array": (np.array([0.5]), _unfit("real", np.array([0.5])),
+                        _unfit("complex", np.array([0.5]))),
     "none": (None, _unfit("real", None), _unfit("complex", None)),
 }
 
