@@ -90,18 +90,19 @@ def _graded(strict: float, cutoff: int) -> float:
 # qudit verify
 # ---------------------------------------------------------------------------
 
-def _validate_d_range(d_min: int, d_max: int) -> None:
+def _validate_d_range(d_min: int, d_max: int) -> tuple[int, int]:
     """Refuse a bad range, and a d_max whose checks would not fit in memory,
-    before the first check runs."""
+    before the first check runs; returns the bounds as Python ints."""
     if not (fock.is_integer(d_min) and fock.is_integer(d_max) and 2 <= d_min <= d_max):
         raise ValueError(
             f"invalid dimension range {d_min!r}..{d_max!r}: need integers 2 <= d_min <= d_max"
         )
     qudit.require_checks_fit(d_max)
+    return int(d_min), int(d_max)
 
 
 def run_qudit_verify(d_min: int, d_max: int) -> VerificationReport:
-    _validate_d_range(d_min, d_max)
+    d_min, d_max = _validate_d_range(d_min, d_max)
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
     for d in range(d_min, d_max + 1):
@@ -130,7 +131,9 @@ def run_qudit_verify(d_min: int, d_max: int) -> VerificationReport:
 def validate_cutoffs(cutoffs: list[int]) -> tuple[list[int], int]:
     """Refuse a bad cutoff list, and any cutoff whose SUM-gate checks would
     not fit in memory, before the first check runs; returns the cutoffs as
-    Python ints and the photon number of the SUM-gate block."""
+    Python ints and the photon number of the SUM-gate block. It reads an
+    array or a generator once, as the list of its items."""
+    cutoffs = list(cutoffs)
     if not cutoffs:
         raise ValueError("cutoff list must not be empty")
     if not all(fock.is_integer(n) for n in cutoffs):

@@ -8,9 +8,9 @@ and the vacuum variance is 1/4.
 
 Every Gaussian unitary is the exponential of its generator truncated to the
 cutoff. The displacement's truncated generator r e^{i theta} a^dag - h.c. is
--2i r X_{pi/2} rotated by diag(e^{i theta n}), so every displacement at a
-cutoff is read off one eigenbasis of X_{pi/2}, the same one the direct SUM
-gate uses. Every other truncated generator is block-diagonal in a conserved
+-2i r X_0 rotated by diag(e^{i (theta + pi/2) n}), so every displacement at
+a cutoff is read off one real eigenbasis of X_0, which the direct SUM gate
+reads too. Every other truncated generator is block-diagonal in a conserved
 photon-number quantity, and inside a block it is a tridiagonal chain with
 zero diagonal: the squeezer has two (even and odd n, its "parity"
 sectors), the beam splitter and mode mixer one per sector of total photon
@@ -55,16 +55,16 @@ bare floats, ``entbs_fidelities`` and ``heterodyne_eigen_residuals`` with
 their one-column cases, read the cores alone, so they build nothing above
 the cutoff. The quadrature states' squeezed vacua S(s)|0>, each column 0 of
 ``squeezer``, are the columns of one block, and the displacement is two
-products of the block with the displacement's eigenbasis
+products of the block with the displacement's basis W, turned from X_0's
 (``_quad_amplitudes``); a tail is the same build at N + 12
 (``_quad_tail_warning``). The double-ket's amplitude matrix is diag(c), so
 the displaced one is D diag(c): D = W diag(phases) W^dag is formed once
-from the same eigenbasis and scaled by each lambda's c. Its tail is read
-off the padded displacement's rows m > N alone, formed once for every
-lambda (``_displaced_doubleket_tails``): no second state is built. The
-beam splitter acts on two-mode states sector by sector, and
-``entbs_fidelities`` runs it once over every sharpness, so no state path
-builds a dense two-mode matrix.
+and scaled by each lambda's c. Its tail is read off the padded
+displacement's rows m > N alone, formed once for every lambda
+(``_displaced_doubleket_tails``): no second state is built. The beam
+splitter acts on two-mode states sector by sector, and ``entbs_fidelities``
+runs it once over every sharpness, so no state path builds a dense
+two-mode matrix.
 
 Both SUM-gate routes return the read-only full-height images of the basis
 columns a caller reads. The chain (``sum_gate_circuit``) folds the factor
@@ -76,10 +76,10 @@ one kernel, ``_chain_halves``, runs the columns of each parity through the
 sector blocks of that parity only, in two buffers reused by every factor,
 and its images are exactly zero off their parity's rows;
 ``sum_gate_circuit`` assembles the halves. The direct ``sum_gate`` writes
-the amplitude matrix of the image of |c, d> as L_c P R_d, from the
-quadratures' eigenbases up and ux and their phase table P: L_c = up
-diag(conj up[c]) and R_d = diag(conj ux[d]) ux^T. So it is one product over
-the distinct c, a gather and one product with ux^T (``_direct_images``).
+the image of |c, d> as L_c P R_d, from X_0's eigenbasis (x, ux), X_{pi/2}'s
+up = diag(i^n) ux and their phase table P: L_c = up diag(conj up[c]) and
+R_d = diag(ux[d]) ux^T. So it is one product over the distinct c, a
+gather and one product with ux^T (``_direct_images``).
 ``sum_gate_block_checks`` runs each route once, on the states of total
 photon number <= block, and the direct gate only on the rows a, b <= block.
 It reads each chain half where the kernel makes it: the block's rows for the
@@ -92,41 +92,39 @@ kind of the factor list, which every caller reads (``_element_table``). A
 table is built once, kept read-only in a module-level memo and shared by
 every later call. Every dense factor is assembled from its table by
 ``_assemble``, which refuses the dense matrix before the table is fetched.
-The same memo keeps the eigenbases of X_0 and X_{pi/2} per cutoff, which
-``sum_gate`` reads, and the displacements with it. The memo holds at most
-``DENSE_BYTES_LIMIT`` bytes of entries; a new entry first drops the least
-recently used ones. A table pairs each block with its sector's states as a slice of the
-row-major basis, which holds no array: step 2 in a parity sector, N in a
-total-photon one and N + 2 in a difference one, so ``_apply_sectors`` reads
-and writes each sector as a strided view. A two-mode table holds
-(N+1)(2N^2+4N+3)/3 real entries of 8 bytes, a parity table ceil((N+1)/2)^2 +
-floor((N+1)/2)^2; a table that alone exceeds the limit is refused before
-anything is built, and with a two-mode one ``entbs_output`` and the
-fidelities built on it. An eigenbasis holds (N+1)^2 complex entries and
-N+1 eigenvalues.
+The same memo keeps one real eigenbasis of X_0 per cutoff, (N+1)^2 + N+1
+entries of 8 bytes, which ``sum_gate`` and the displacements read. The memo
+holds at most ``DENSE_BYTES_LIMIT`` bytes of entries; a new entry first
+drops the least recently used ones. A table pairs each block with its
+sector's states as a slice of the row-major basis, which holds no array:
+step 2 in a parity sector, N in a total-photon one and N + 2 in a
+difference one, so ``_apply_sectors`` reads and writes each sector as a
+strided view. A two-mode table holds (N+1)(2N^2+4N+3)/3 real entries of 8
+bytes, a parity table ceil((N+1)/2)^2 + floor((N+1)/2)^2; a table that
+alone exceeds the limit is refused before anything is built, and with a
+two-mode one ``entbs_output`` and the fidelities built on it.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
-``DENSE_BYTES_LIMIT`` before it allocates them: here a real dense matrix
-(a squeezer's), a displacement's eigenbasis, the identity double-ket, a
-batch of displaced states (the eigenbasis at N + 12, which a tail holds,
-and the amplitudes of each column beyond the first, ``_padded_bytes``,
-counted by each core), the SUM-gate column images and a sector
-table's blocks, and also the qudit layer's gate set, its dense V and the
-``qudit synth`` export. Each count is of what the route holds: 8 bytes an
-entry for the real tables, dense factors and chain images, 16 for the
-complex eigenbases, states and direct images. The column routes count
-three image-sized arrays per column, their peak; ``_direct_bytes`` adds
-the direct gate's two eigenbases and phase table, ``_chain_bytes`` the
-chain's three sector tables, held at once, and
-``require_block_checks_fit``, which refuses a cutoff list up front, counts
-the direct gate, the tables and one more real array per block column. The
-README's guard paragraph states the first size each guard refuses.
+``DENSE_BYTES_LIMIT`` before it allocates them: here a real dense matrix (a
+squeezer's), a displacement's basis W, the identity double-ket, a batch of
+displaced states (W at N + 12, which a tail holds, and the amplitudes of
+each column beyond the first, ``_padded_bytes``, counted by each core), the
+SUM-gate column images and a sector table's blocks, and also the qudit
+layer's gate set, its dense V and the ``qudit synth`` export. Each count is
+of what the route holds: 8 bytes an entry for the real tables, dense factors
+and chain images, 16 for the complex bases W and up (``_eigenbasis_bytes``),
+states and direct images. The column routes count three image-sized arrays
+per column, their peak; ``_direct_bytes`` adds the real basis, up and the
+phase table, ``_chain_bytes`` the chain's three sector tables, held at once,
+and ``require_block_checks_fit``, which refuses a cutoff list up front,
+counts the direct gate, the tables and one more real array per block column.
+The README's guard paragraph states the first size each guard refuses.
 
 Every public constructor refuses a cutoff that is not an integer >= 1
 (``is_integer``: a Python or numpy integer, not a bool), and the memo
 refuses one before it is touched. Stored and returned arrays are
 read-only: the builders' operators, the SUM-gate images, the amplitudes of
-the frozen state dataclass, and the memo's blocks and eigenbases.
+the frozen state dataclass, and the memo's blocks and eigenbasis.
 """
 
 from __future__ import annotations
@@ -273,14 +271,15 @@ def _sector_table_bytes(cutoff: int, conserved: str = "total") -> int:
 
 
 def _eigenbasis_bytes(cutoff: int) -> int:
-    """Bytes of one quadrature eigenbasis: (N+1)^2 complex vectors, N+1 real values."""
+    """Bytes of the complex copy W or up a route forms of the quadrature
+    eigenbasis, (N+1)^2 entries, and its N+1 values: the largest array it holds."""
     return 16 * (cutoff + 1) ** 2 + 8 * (cutoff + 1)
 
 
 def _direct_bytes(cutoff: int, columns: int) -> int:
     """Peak bytes of ``sum_gate`` over ``columns`` basis columns: three
-    image-sized arrays per column, the eigenbases of X_{pi/2} and X_0 and the
-    (N+1)^2 table of their phases."""
+    image-sized arrays per column, two basis-sized arrays (the real basis of
+    X_0 and up, X_{pi/2}'s) and the (N+1)^2 table of their phases."""
     return _columns_bytes(cutoff, columns) + 2 * _eigenbasis_bytes(cutoff) + 16 * (cutoff + 1) ** 2
 
 
@@ -320,14 +319,14 @@ def _displacement_basis(cutoff: int, alpha: complex) -> tuple[np.ndarray, np.nda
 
     The truncated generator r e^{i theta} a^dag - r e^{-i theta} a is
     R r(a^dag - a) R^dag with R = diag(e^{i theta n}), and r(a^dag - a) =
-    -2i r X_{pi/2}. So W = R U and phases = e^{-2i r p}, read off the
-    memoized eigenbasis (p, U) of X_{pi/2}, which does not depend on alpha.
-    Refuses the basis the memo would hold, its (N+1)^2 vectors and N+1
-    values, above DENSE_BYTES_LIMIT before the memo is touched.
+    -2i r X_{pi/2} = -2i r Q X_0 Q^dag with Q = diag(i^n). So W = diag(e^{i
+    (theta + pi/2) n}) U and phases = e^{-2i r x}, read off the memoized
+    real eigenbasis (x, U) of X_0. W is refused above DENSE_BYTES_LIMIT
+    before the memo is touched (``_eigenbasis_bytes``).
     """
     require_memory(f"cutoff {cutoff}", _eigenbasis_bytes(cutoff))
-    values, vectors = _quadrature_basis(cutoff, np.pi / 2)
-    w = _phases(cutoff, -np.angle(alpha))[:, None] * vectors
+    values, vectors = _quadrature_basis(cutoff)
+    w = _phases(cutoff, -np.angle(alpha) - np.pi / 2)[:, None] * vectors
     return w, np.exp(-2j * abs(alpha) * values)
 
 
@@ -369,7 +368,7 @@ def phase_shift(cutoff: int, theta: float) -> np.ndarray:
 
 # (entry, nbytes) pairs, least recently used first: the sector tables of the
 # squeezer and the two-mode factors by (cutoff, conserved, scale) and
-# eigenbases by (cutoff, "quadrature", phi), never more than
+# the real eigenbasis of X_0 by (cutoff, "quadrature", 0.0), never more than
 # DENSE_BYTES_LIMIT bytes in all. The lock makes each lookup, eviction
 # and insertion one step for callers on several threads.
 _SECTOR_TABLES: dict[tuple[int, str, float], tuple[tuple, int]] = {}
@@ -395,18 +394,14 @@ def _memoized(key: tuple[int, str, float], nbytes: int, build: Callable[[], obje
         return held[0]
 
 
-def _quadrature_basis(cutoff: int, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(quadrature(cutoff, phi))``, the eigenvalues and the
-    eigenvectors as columns, read-only and built once per cutoff and angle.
-    Its (N+1)^2 + (N+1) entries are guarded by its callers: the
-    displacement's own guard, and ``_direct_bytes`` and
-    ``require_block_checks_fit``, which count both eigenbases."""
-
-    def build() -> tuple[np.ndarray, np.ndarray]:
-        return tuple(map(_read_only, np.linalg.eigh(quadrature(cutoff, phi))))
-
+def _quadrature_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of the real X_0 = ``quadrature(cutoff, 0)``: values
+    x and vectors U as columns, float64, read-only and built once per cutoff.
+    X_{pi/2} = Q X_0 Q^dag with Q = diag(i^n) has the basis (x, Q U), which
+    its readers form and guard (``_eigenbasis_bytes``)."""
     _require_cutoff(cutoff)
-    return _memoized((cutoff, "quadrature", float(phi)), _eigenbasis_bytes(cutoff), build)
+    return _memoized((cutoff, "quadrature", 0.0), 8 * (cutoff + 1) * (cutoff + 2),
+                     lambda: tuple(map(_read_only, np.linalg.eigh(quadrature(cutoff, 0.0).real))))
 
 
 def _build_sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
@@ -604,9 +599,9 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
 
 def _padded_bytes(cutoff: int, modes: int, columns: int) -> int:
     """Bytes every route of ``columns`` displaced states of ``modes`` modes
-    counts before it builds: the eigenbasis at N + ``_TAIL_PAD``, whose
-    (N+13)^2 vectors are the largest array a state constructor's tail
-    holds, and the (N+1)^modes complex amplitudes of each further column.
+    counts before it builds: W at N + ``_TAIL_PAD``, the largest array a
+    state constructor's tail holds (``_eigenbasis_bytes``), and the
+    (N+1)^modes complex amplitudes of each further column.
     The cores count it although they build no tail, so every route of a
     state refuses the same first cutoff."""
     return _eigenbasis_bytes(cutoff + _TAIL_PAD) + 16 * (cutoff + 1) ** modes * (columns - 1)
@@ -799,25 +794,27 @@ def _direct_images(cutoff: int, cols: np.ndarray, rows: int) -> np.ndarray:
     """Rows a, b < ``rows`` of the direct SUM gate's images of the basis states
     ``cols``, row a * rows + b holding |a, b>.
 
-    Both quadratures are Hermitian, so the exponential of the Kronecker
-    product factorizes over their eigenbases: U = W diag(e^{-2i p x}) W^dag
-    with W = kron(up, ux). On the rows a, b < ``rows`` the amplitude matrix
-    of the image of |c, d> is L_c P R_d, with L_c = up[:rows] diag(conj
-    up[c]), the phase table P = e^{-2i p x^T} and R_d = diag(conj ux[d])
+    Both quadratures are Hermitian, so the exponential of the Kronecker product
+    factorizes over their eigenbases kron(up, ux): ux is X_0's real basis
+    (``_quadrature_basis``), and X_{pi/2} has the same values x and up =
+    diag(i^n) ux, from an exact table of i^n. On the rows a, b < ``rows`` the
+    amplitude matrix of the image of |c, d> is L_c P R_d, with L_c = up[:rows]
+    diag(conj up[c]), the phase table P = e^{-2i x x^T} and R_d = diag(ux[d])
     ux[:rows]^T. So L_c P is one product over the distinct c, gathered per
-    column and scaled in place by conj ux[d], and one product with
-    ux[:rows]^T finishes every column: no two-mode matrix and no
-    coefficient array is built. Both eigenbases come from the memo
-    (``_quadrature_basis``). The callers guard the arrays (``_direct_bytes``).
+    column and scaled in place by the real ux[d], and one product with
+    ux[:rows]^T finishes every column: no two-mode matrix and no coefficient
+    array is built. The callers guard the arrays (``_direct_bytes``).
     """
     n1 = cutoff + 1
-    (dp, up), (dx, ux) = _quadrature_basis(cutoff, np.pi / 2), _quadrature_basis(cutoff, 0.0)
+    x, ux = _quadrature_basis(cutoff)
+    up = np.array([1, 1j, -1, -1j])[np.arange(n1) % 4, None] * ux
     firsts, which = np.unique(cols // n1, return_inverse=True)
     left = (up[:rows] * up[firsts].conj()[:, None, :]).reshape(-1, n1)
-    left = (left @ np.exp(-2j * np.outer(dp, dx))).reshape(firsts.size, rows, n1)
+    del up
+    left = (left @ np.exp(-2j * np.outer(x, x))).reshape(firsts.size, rows, n1)
     images = left[which]
     del left  # the gather holds every column's rows
-    images *= ux[cols % n1].conj()[:, None, :]
+    images *= ux[cols % n1][:, None, :]
     return (images.reshape(-1, n1) @ ux[:rows].T).reshape(cols.size, -1).T
 
 
@@ -926,7 +923,7 @@ def require_block_checks_fit(cutoff: int, block_photons: int) -> None:
     chain's three sector tables (splitter, mixer, OPA), four image-sized
     arrays per block column (the direct gate's three complex ones and a real
     one, more than the chain's halves hold) and the direct gate's two
-    quadrature eigenbases and its (N+1)^2 phase table. The column count is
+    basis-sized arrays and its (N+1)^2 phase table. The column count is
     computed, not masked, so that a huge cutoff is refused without an
     (N+1)^2 mask. A ``block_photons`` that is not an integer >= 0 is refused.
     """

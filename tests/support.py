@@ -1,8 +1,8 @@
 """Helpers shared by the test files: the memory a call traces, the
 truncation defect of a Fock operator, the ladder matrix, kron(A, B) applied
 to double-kets, the two-mode references of the Fock oracles, and references
-for the sector tables, the state tails and the SUM-gate chain's full-height
-route.
+for the sector tables, the state tails, the SUM-gate chain's full-height
+route and the two-eigenbasis routes of the displacement and the direct gate.
 
 The references are sums of Kronecker terms. A list of terms (w, A, B) stands
 for the sum of w kron(A, B): its entry between |a, b> and |c, d> is the sum
@@ -156,6 +156,28 @@ def full_height_chain(cutoff: int, columns) -> np.ndarray:
                 images = fock._apply_sectors(images, fock._parity_sectors(operand, cutoff, parity))
         out[:, half] = images
     return out
+
+
+def two_basis_displacement(cutoff: int, alpha: complex) -> np.ndarray:
+    """``fock.displacement`` read off a complex eigh of X_{pi/2}, (p, U):
+    W = diag(e^{i theta n}) U for alpha = r e^{i theta}, and D = W
+    diag(e^{-2i r p}) W^dag."""
+    p, u = np.linalg.eigh(fock.quadrature(cutoff, np.pi / 2))
+    w = np.exp(1j * np.angle(alpha) * np.arange(cutoff + 1))[:, None] * u
+    return (w * np.exp(-2j * abs(alpha) * p)) @ w.conj().T
+
+
+def two_basis_sum_gate(cutoff: int, columns) -> np.ndarray:
+    """``fock.sum_gate`` read off two complex eighs, of X_{pi/2}, (p, up),
+    and of X_0, (x, ux): the image of |c, d> is L_c P R_d, with L_c = up
+    diag(conj up[c]), P = e^{-2i p x^T} and R_d = diag(conj ux[d]) ux^T."""
+    n1, cols = cutoff + 1, np.asarray(columns)
+    p, up = np.linalg.eigh(fock.quadrature(cutoff, np.pi / 2))
+    x, ux = np.linalg.eigh(fock.quadrature(cutoff, 0.0))
+    firsts, which = np.unique(cols // n1, return_inverse=True)
+    left = (up * up[firsts].conj()[:, None, :]).reshape(-1, n1) @ np.exp(-2j * np.outer(p, x))
+    images = left.reshape(firsts.size, n1, n1)[which] * ux[cols % n1].conj()[:, None, :]
+    return (images.reshape(-1, n1) @ ux.T).reshape(cols.size, -1).T
 
 
 def full_height_block_checks(cutoff: int, block_photons: int) -> tuple[float, float]:

@@ -73,6 +73,13 @@ class TestQuditVerify:
         with pytest.raises(ValueError, match=f"dimension range {d_min!r}..3"):
             cli.run_qudit_verify(d_min, d_max)
 
+    def test_numpy_integer_range_accepted(self):
+        # the bounds are kept as Python ints, so the report can be written
+        report = cli.run_qudit_verify(np.int64(2), np.int64(3))
+        assert report.params == {"d_min": 2, "d_max": 3}
+        assert all(type(bound) is int for bound in report.params.values())
+        assert VerificationReport.from_json(report.to_json()) == report
+
     def test_oversized_dimension_refused_before_any_check(self, capsys):
         # seven d x d complex arrays at d = 10^4 would take 11.2 GB
         needs = "d = 10000 needs 11200000000 bytes"
@@ -466,9 +473,15 @@ class TestCvVerify:
 
     def test_cold_report_equals_warm_report(self):
         # from an empty memo every table and eigenbasis is built inside the
-        # run; report equality ignores duration_s
+        # run, one real eigenbasis per cutoff; report equality ignores
+        # duration_s
         fock._SECTOR_TABLES.clear()
         cold = cli.run_cv_verify([20, 30, 40])
+        bases = {key: entry for key, entry in fock._SECTOR_TABLES.items() if key[1] == "quadrature"}
+        assert sorted(key[0] for key in bases) == [20, 30, 40]
+        for (values, vectors), nbytes in bases.values():
+            assert values.dtype == vectors.dtype == np.float64
+            assert nbytes == values.nbytes + vectors.nbytes
         assert cli.run_cv_verify([20, 30, 40]) == cold
 
     def test_origin_row_may_round_below_zero(self):
@@ -522,16 +535,23 @@ class TestCvVerify:
         assert report.params["cutoffs"] == [12] and type(report.params["cutoffs"][0]) is int
         assert VerificationReport.from_json(report.to_json()) == report
 
+    @pytest.mark.parametrize("make", [np.array, lambda cutoffs: (n for n in cutoffs)],
+                             ids=["array", "generator"])
+    def test_cutoffs_read_once_as_a_list(self, make):
+        # an array has no single truth value, and a generator is spent by
+        # its first reading
+        assert cli.run_cv_verify(make([12, 14])) == cli.run_cv_verify([12, 14])
+
     def test_oversized_cutoff_refused_before_allocating(self):
         # the total <= 10 block's 66 columns of length 351^2, four arrays each,
-        # three sector tables, two eigenbases and a phase table would take
+        # three sector tables, two basis-sized arrays and a phase table would take
         # 1153169784 bytes
         needs = "cutoff 350 needs 1153169784 bytes"
         assert refused_peak(lambda: cli.run_cv_verify([350]), needs) < 10 * 2**20
 
     def test_largest_accepted_cutoff(self):
         # 66 block columns at cutoff 340 fit with the three sector tables,
-        # the two eigenbases and the phase table; at 341 they take 1077948432
+        # the two basis-sized arrays and the phase table; at 341 they take 1077948432
         # bytes, and the refusal allocates nothing
         assert cli.validate_cutoffs([20, 340]) == ([20, 340], 10)
         needs = "cutoff 341 needs 1077948432 bytes"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from support import (
     compose, every_state, full_height_block_checks, full_height_chain, gather_scatter, kron_apply,
     ladder, padded_doubleket_tail, refused_peak, sector_indices, su11_terms, term_block,
-    traced_peak, truncation_defect,
+    traced_peak, truncation_defect, two_basis_displacement, two_basis_sum_gate,
 )
 
 from bellgate import cli, fock, gaussian
@@ -154,6 +154,13 @@ class TestQuadratures:
         peak = traced_peak(lambda: fock.quadrature(510, np.pi / 2))
         assert peak <= 1.2 * fock._eigenbasis_bytes(510)
 
+    def test_quadrature_basis_traces_below_its_count(self, empty_memo):
+        # the complex X_0 and the real eigenbasis the memo keeps, 1.50 times
+        # the count of a complex basis at N = 510; the complex eigh of
+        # X_{pi/2} the memo once kept traced 2.00
+        peak = traced_peak(lambda: fock._quadrature_basis(510))
+        assert peak <= 1.6 * fock._eigenbasis_bytes(510)
+
 
 # a chain link: complex, of modulus up to 4, and often exactly 0
 CHAIN_LINKS = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=4))
@@ -242,6 +249,14 @@ class TestDisplacement:
         np.testing.assert_allclose(
             fock.displacement(cutoff, alpha), scipy.linalg.expm(gen), rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("cutoff", [12, 20, 40, 80, 150])
+    @pytest.mark.parametrize("alpha", [0.3, 1 - 0.5j, -0.7j])
+    def test_real_basis_route_matches_the_complex_eigh_route(self, cutoff, alpha):
+        # the memo's real basis of X_0, turned by diag(i^n), against a
+        # complex eigh of X_{pi/2}: 1.0e-14 apart at most here
+        np.testing.assert_allclose(fock.displacement(cutoff, alpha),
+                                   two_basis_displacement(cutoff, alpha), rtol=0, atol=1e-13)
 
 
 class TestSqueezer:
@@ -784,6 +799,15 @@ class TestSumGate:
         out = fock.sum_gate(12, columns)
         np.testing.assert_allclose(out, dense_sum_gate(12)[:, columns], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [12, 20, 40, 80, 150])
+    def test_one_basis_route_matches_the_two_eigh_route(self, n):
+        # up = diag(i^n) ux from the memo's one real basis, against complex
+        # eighs of both quadratures, on the total <= 10 columns and three
+        # more: 9.6e-17 apart at most here
+        cols = np.append(np.flatnonzero(fock.block_mask(n, 10)), [n + 3, n * n, (n + 1) ** 2 - 1])
+        np.testing.assert_allclose(fock.sum_gate(n, cols), two_basis_sum_gate(n, cols),
+                                   rtol=0, atol=1e-13)
+
     def test_circuit_unitary_on_inner_block(self):
         # the Gram defect of the chain's images of the total <= 10 basis columns
         gram_defect, _ = fock.sum_gate_block_checks(20, 10)
@@ -1017,13 +1041,13 @@ class TestDenseGuard:
             (lambda: fock.sum_gate_circuit(400, EVERY_STATE_400),
              3 * 206855692808 + 3 * 343900808),
             # three complex image-sized arrays per column, the direct gate's
-            # peak, its two eigenbases (with their 401 eigenvalues) and its
-            # phase table
+            # peak, two basis-sized arrays, the real basis and up (with 401
+            # eigenvalues each), and its phase table
             (lambda: fock.sum_gate(400, EVERY_STATE_400),
              3 * 413711385616 + 3 * 2572816 + 2 * 8 * 401),
             # the block checks' 66 columns of total <= 10, three complex arrays
-            # each and the chain's real images, the chain's tables, the
-            # eigenbases and the phase table
+            # each and the chain's real images, the chain's tables, the two
+            # basis-sized arrays and the phase table
             (lambda: fock.sum_gate_block_checks(400, 10),
              66 * (3 * 2572816 + 1286408) + 3 * 343900808 + 3 * 2572816 + 2 * 8 * 401),
         ],
@@ -1119,7 +1143,7 @@ class TestDenseGuard:
 
     def test_block_checks_refused_before_the_mask(self):
         # cutoff 340 is the largest whose 66 columns of total <= 10, four
-        # arrays each, three sector tables, two eigenbases and a phase table
+        # arrays each, three sector tables, two basis-sized arrays and a phase table
         # fit; at cutoff 10^5 even the (N+1)^2 block mask would take 10 GB
         fock.require_block_checks_fit(340, 10)
         with pytest.raises(ValueError, match="cutoff 341 needs 1077948432 bytes"):
@@ -1134,9 +1158,9 @@ class TestDenseGuard:
         ids=lambda value: str(value),
     )
     def test_direct_gate_peak_within_the_guarded_bytes(self, monkeypatch, empty_memo, which, n):
-        # three image-sized arrays per column, the two eigenbases and the phase
-        # table bound the direct gate's peak; at N=400 one column's 7.7 MB of
-        # arrays are the smaller part of its 12.9 MB peak
+        # three image-sized arrays per column, the real basis, up and the
+        # phase table bound the direct gate's peak; at N=400 one column's 7.7
+        # MB of arrays are the smaller part of its 9.0 MB peak
         columns = [0] if which == "one_column" else np.flatnonzero(fock.block_mask(n, n // 2))
         requested = []
         monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
@@ -1148,7 +1172,7 @@ class TestDenseGuard:
     def test_block_checks_peak_within_the_guarded_bytes(self, monkeypatch, empty_memo, n):
         # the count is the largest request, the one of require_block_checks_fit:
         # the direct gate's arrays and one more real array per column; the
-        # sector tables and eigenbases are built inside the traced call. The
+        # sector tables and the eigenbasis are built inside the traced call. The
         # peak stays below the count, by about 0.9 to 54 MiB at n = 20 to 150
         requested = []
         monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
@@ -1160,18 +1184,18 @@ class TestStateGuards:
     """The guard contract of the regularized-state routes, and of the
     single-mode factors and the fidelities they are built from, under a
     4 MiB limit. The identity double-ket counts its (N+1)^2 entries; a
-    displaced state counts its padded build's eigenbasis, (N+13)^2 vectors
-    and the largest array it holds, so its peak is a stated multiple of that
-    count: at x or z != 0 the eigenbasis at N and at N + 12, the phased copy
-    of the one at N and the product with it; the heterodyne residual builds
-    no tail and holds one array of the state's size after the state is
-    built. A batch of k states (``_padded_bytes``) also counts the
-    amplitudes of its k - 1 further columns; a batched core builds no tail,
-    only a state constructor does. The squeezer counts its dense real
-    matrix and also holds its parity table; the displacement counts its
-    eigenbasis and also holds the quadrature, the phased copy of the basis
-    and the product; the fidelities count the splitter's sector table, the
-    first they fetch, and also hold the states."""
+    displaced state counts its padded build's complex basis W, (N+13)^2
+    entries and the largest array it holds, so its peak is a stated multiple
+    of that count: at x or z != 0 the real eigenbasis at N and at N + 12, W
+    and W^dag at N and the product; the heterodyne residual builds no tail
+    and holds one array of the state's size after the state is built. A
+    batch of k states (``_padded_bytes``) also counts the amplitudes of its
+    k - 1 further columns; a batched core builds no tail, only a state
+    constructor does. The squeezer counts its dense real matrix and also
+    holds its parity table; the displacement counts W and also holds the
+    real basis, the scaled copy of W, W^dag and the product; the fidelities
+    count the splitter's sector table, the first they fetch, and also hold
+    the states."""
 
     LIMIT = 2**22
 
@@ -1181,20 +1205,20 @@ class TestStateGuards:
          (lambda n: fock.displaced_identity_doubleket(n, 0.5, 1 - 0.5j),
           lambda n: fock._eigenbasis_bytes(n + 12), 498, 4.35),
          (lambda n: fock.heterodyne_eigen_residual(n, 0.5, 1 - 0.5j),
-          lambda n: fock._eigenbasis_bytes(n + 12), 498, 4.25),
+          lambda n: fock._eigenbasis_bytes(n + 12), 498, 3.7),
          (lambda n: fock.quad_eigenstate_approx(n, 0.0, 0.3, 0.5),
           lambda n: fock._eigenbasis_bytes(n + 12), 498, 1.25),
          (lambda n: fock.quad_eigenstate_approx(n, 0.5, 0.3, 0.5),
-          lambda n: fock._eigenbasis_bytes(n + 12), 498, 3.3),
+          lambda n: fock._eigenbasis_bytes(n + 12), 498, 3.0),
          # a batch of four columns counts the three beyond the first
          (lambda n: fock._displaced_doublekets(n, [0.4, 0.5, 0.6, 0.7], 1 - 0.5j),
-          lambda n: fock._padded_bytes(n, 2, 4), 251, 1.35),
+          lambda n: fock._padded_bytes(n, 2, 4), 251, 1.24),
          (lambda n: fock._quad_states(n, 0.5, 0.3, [0.6, 0.5, 0.4, 0.3]),
           lambda n: fock._padded_bytes(n, 1, 4), 497, 3.1),
          (lambda n: fock.squeezer(n, 0.7), lambda n: 8 * (n + 1) ** 2, 723, 2),
-         (lambda n: fock.displacement(n, 1 - 0.5j), fock._eigenbasis_bytes, 510, 5.5),
+         (lambda n: fock.displacement(n, 1 - 0.5j), fock._eigenbasis_bytes, 510, 4.9),
          (lambda n: fock.entbs_fidelities(n, 1.0, -0.5, [0.6, 0.5, 0.4, 0.3]),
-          fock._sector_table_bytes, 91, 1.5)],
+          fock._sector_table_bytes, 91, 1.45)],
         ids=["identity_doubleket", "displaced_identity_doubleket", "heterodyne_eigen_residual",
              "quad_eigenstate_origin", "quad_eigenstate_displaced", "displaced_doublekets_4",
              "quad_states_4", "squeezer", "displacement", "entbs_fidelities"],
@@ -1202,9 +1226,9 @@ class TestStateGuards:
     def test_peak_bounded_and_first_refusal_before_the_build(
             self, monkeypatch, empty_memo, build, count, largest, factor):
         # the largest accepted cutoff traces at most ``factor`` times the
-        # count (4.0 for a displaced double-ket, 3.9 for the heterodyne
-        # residual, 1.2 and 3.0 for a quadrature state at x = 0 and x = 0.5,
-        # 1.3 and 2.9 for the batches of four here, 1.8 for the squeezer, 5.0
+        # count (4.0 for a displaced double-ket, 3.4 for the heterodyne
+        # residual, 1.2 and 2.8 for a quadrature state at x = 0 and x = 0.5,
+        # 1.1 and 2.9 for the batches of four here, 1.8 for the squeezer, 4.5
         # for the displacement and 1.3 for the fidelities); the next is
         # refused before anything is built, naming the cutoff the caller
         # asked for
@@ -1402,31 +1426,41 @@ class TestSectorMemo:
                     block[0, 0] = 7
 
     def test_memoized_quadrature_bases_are_read_only(self):
+        # one real basis of X_0 per cutoff, which the displacements and both
+        # quadratures of the direct gate read; the state's tail reads it at
+        # 12 levels up
         fock.displacement(8, 0.5)
         fock.sum_gate(8, [0])
-        assert sorted(fock._SECTOR_TABLES) == [(8, "quadrature", 0.0), (8, "quadrature", np.pi / 2)]
-        for (values, vectors), nbytes in fock._SECTOR_TABLES.values():
-            assert nbytes == values.nbytes + vectors.nbytes
+        fock.quad_eigenstate_approx(8, 0.5, np.pi / 2, 0.5)
+        bases = sorted(key for key in fock._SECTOR_TABLES if key[1] == "quadrature")
+        assert bases == [(8, "quadrature", 0.0), (20, "quadrature", 0.0)]
+        for key in bases:
+            (values, vectors), nbytes = fock._SECTOR_TABLES[key]
+            assert values.dtype == vectors.dtype == np.float64
+            assert nbytes == values.nbytes + vectors.nbytes == 8 * (key[0] + 1) * (key[0] + 2)
             with pytest.raises(ValueError):
                 values[0] = 7
             with pytest.raises(ValueError):
                 vectors[0, 0] = 7
 
     def test_sum_gate_equals_its_inline_eigh_route(self):
-        # the bases the memo holds are the eigh output the gate once computed
-        # inline: L_c P over the distinct c, gathered per column, scaled by
-        # conj ux[d] and multiplied by ux^T
+        # the basis the memo holds is the output of one real eigh of X_0, and
+        # X_{pi/2}'s is up = diag(i^n) ux from an exact table: L_c P over the
+        # distinct c, gathered per column, scaled by the real ux[d] and
+        # multiplied by ux^T
         n, n1 = 20, 21
         cols = np.flatnonzero(fock.block_mask(n, 10))
-        dp, up = np.linalg.eigh(fock.quadrature(n, np.pi / 2))
-        dx, ux = np.linalg.eigh(fock.quadrature(n, 0.0))
+        x, ux = np.linalg.eigh(fock.quadrature(n, 0.0).real)
+        up = np.array([1, 1j, -1, -1j])[np.arange(n1) % 4, None] * ux
         firsts, which = np.unique(cols // n1, return_inverse=True)
-        left = (up * up[firsts].conj()[:, None, :]).reshape(-1, n1) @ np.exp(-2j * np.outer(dp, dx))
-        images = left.reshape(firsts.size, n1, n1)[which] * ux[cols % n1].conj()[:, None, :]
+        left = (up * up[firsts].conj()[:, None, :]).reshape(-1, n1) @ np.exp(-2j * np.outer(x, x))
+        images = left.reshape(firsts.size, n1, n1)[which] * ux[cols % n1][:, None, :]
         inline = (images.reshape(-1, n1) @ ux.T).reshape(cols.size, -1).T
-        fock.displacement(n, 0.3)  # the displacement's basis first
         for _ in ("cold", "warm"):
             assert np.array_equal(fock.sum_gate(n, cols), inline)
+        fock._SECTOR_TABLES.clear()
+        fock.displacement(n, 0.3)  # the displacement builds the basis first
+        assert np.array_equal(fock.sum_gate(n, cols), inline)
 
     def test_import_builds_nothing(self):
         code = "import bellgate.cli; from bellgate import fock; assert not fock._SECTOR_TABLES"
@@ -1472,7 +1506,7 @@ class TestSectorMemo:
                 for i in range(40):
                     n = 4 + (seed + i) % 9
                     fock._sector_table(n, "total", 0.1 * (i % 3))
-                    fock._quadrature_basis(n, np.pi / 2 * (i % 2))
+                    fock._quadrature_basis(n)
                     held.append(sum(size for _, size in list(fock._SECTOR_TABLES.values())))
             except Exception as exc:  # noqa: BLE001 - reported by the assertion below
                 errors.append(exc)
@@ -1680,8 +1714,8 @@ class TestLibraryBoundary:
 
     @pytest.mark.parametrize("build", sorted(CUTOFF_BUILDERS))
     def test_memo_stays_within_its_limit(self, monkeypatch, empty_memo, build):
-        # under a 64 KiB limit, at cutoff 63, whose eigenbasis's 64^2 vectors
-        # alone reach the limit, at 51, whose padded states reach it 12
+        # under a 64 KiB limit, at cutoff 63, whose complex basis W's 64^2
+        # entries alone reach the limit, at 51, whose padded states reach it 12
         # levels up, and at 20, where the tables and bases of one call
         # evict each other; each call is built or refused, and the memo
         # never holds more than the limit
