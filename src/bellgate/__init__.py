@@ -14,7 +14,6 @@ from .fock import (
     entbs_fidelities,
     entbs_fidelity,
     heterodyne_eigen_residual,
-    heterodyne_eigen_residuals,
     identity_doubleket,
     matched_lambda,
     mode_mixer,

@@ -192,11 +192,9 @@ def heterodyne_rows(cutoff: int) -> list[CheckResult]:
     ``heterodyne_lambda(N)`` at z = 1, and its spread over the z set."""
     n, lam = cutoff, HETERODYNE_BASE_LAMBDA
     lam_hi = heterodyne_lambda(n)
-    # the base-lambda residual at each z, computed once for all three rows;
-    # at z = 1 it shares one D(1) with lam_hi's, in one pass
-    residuals = {z: fock.heterodyne_eigen_residual(n, lam, z)
-                 for z in _HETERODYNE_Z_SET if z != 1.0}
-    residuals[1.0], res_hi = fock.heterodyne_eigen_residuals(n, [lam, lam_hi], 1.0)
+    # the base-lambda residual at each z, computed once for all three rows
+    residuals = {z: fock.heterodyne_eigen_residual(n, lam, z) for z in _HETERODYNE_Z_SET}
+    res_hi = fock.heterodyne_eigen_residual(n, lam_hi, 1.0)
     res_base = residuals[0.0]
     spread = np.max([abs(res - res_base) for res in residuals.values()])
     return [

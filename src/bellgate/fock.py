@@ -36,31 +36,32 @@ from the untruncated operator near the cutoff, which two diagnostics see:
 the SUM gate's block distance in ``sum_gate_block_checks``, and the tail
 masses of the states.
 
-Dirac-like states are only ever represented in regularized form: the identity
-double-ket as a two-mode squeezed vacuum with weight lambda^n, and quadrature
-eigenvectors as rotated displaced squeezed vacua with sharpness s. The
-double-ket's weights lambda^n/||lambda^n||, its refusal of a lambda so
-large that the tail lambda^(2(N+1)) exceeds 1e-4 and its tail warning are
-one helper's, ``_doubleket_weights``. Three cores build k displaced
-states at once, share their factors and return only the normalized
-amplitudes: ``_quad_states`` over sharpness values, ``_displaced_doublekets``
-over lambdas and ``_entbs_outputs``, the splitter's images of pairs of
-quadrature states. Each core refuses ``_padded_bytes`` before it builds.
-The state constructors, ``quad_eigenstate_approx``,
-``displaced_identity_doubleket`` and ``entbs_output``, are their one-column
-cases and attach their own warnings: the padded tail, the mass the state
-built at N + ``_TAIL_PAD`` holds outside the first N+1 levels of each mode,
-which above 1e-8 warns, and the double-ket's own. The routes that return
-bare floats, ``entbs_fidelities`` and ``heterodyne_eigen_residuals`` with
-their one-column cases, read the cores alone, so they build nothing above
-the cutoff. The quadrature states' squeezed vacua S(s)|0>, each column 0 of
-``squeezer``, are the columns of one block, and the displacement is two
-products of the block with the displacement's basis W, turned from X_0's
-(``_quad_amplitudes``); a tail is the same build at N + 12
-(``_quad_tail_warning``). The double-ket's amplitude matrix is diag(c), so
-the displaced one is D diag(c): D = W diag(phases) W^dag is formed once
-and scaled by each lambda's c. Its tail is read off the padded
-displacement's rows m > N alone, formed once for every lambda
+Dirac-like states are only ever represented in regularized form: the
+identity double-ket as a two-mode squeezed vacuum with weight lambda^n, and
+quadrature eigenvectors as rotated displaced squeezed vacua with sharpness
+s. The double-ket's weights lambda^n/||lambda^n||, its refusal of a lambda
+so large that the tail lambda^(2(N+1)) exceeds 1e-4 and its tail warning are
+one helper's, ``_doubleket_weights``. Three cores build k displaced states
+at once, share their factors and return only the normalized amplitudes:
+``_quad_states`` over sharpness values, ``_displaced_doublekets`` over
+lambdas and ``_entbs_outputs``, the splitter's images of pairs of quadrature
+states. Each core refuses ``_padded_bytes`` before it builds. The state
+constructors, ``quad_eigenstate_approx``, ``displaced_identity_doubleket``
+and ``entbs_output``, are their one-column cases and attach their own
+warnings: the padded tail, the mass the state built at N + ``_TAIL_PAD``
+holds outside the first N+1 levels of each mode, which above 1e-8 warns, and
+the double-ket's own. The routes that return bare floats,
+``entbs_fidelities`` with its one-column case and
+``heterodyne_eigen_residual``, read the cores alone, so they build nothing
+above the cutoff. The quadrature states' squeezed vacua S(s)|0>, each
+column 0 of ``squeezer``, are the columns of one block, and the
+displacement is two products of the block with the displacement's basis
+W, turned from X_0's (``_quad_amplitudes``); a tail is the same build at
+N + 12 (``_quad_tail_warning``). The double-ket's amplitude matrix is
+diag(c), so the displaced one is D diag(c): D = W diag(phases) W^dag,
+which ``displacement`` returns too, is formed once (``_displacement``) and
+scaled by each lambda's c. Its tail is read off the padded displacement's
+rows m > N alone, formed once for every lambda
 (``_displaced_doubleket_tails``): no second state is built. The beam
 splitter acts on two-mode states sector by sector, and ``entbs_fidelities``
 runs it once over every sharpness, so no state path builds a dense
@@ -106,19 +107,22 @@ two-mode one ``entbs_output`` and the fidelities built on it.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
 ``DENSE_BYTES_LIMIT`` before it allocates them: here a real dense matrix (a
-squeezer's), a displacement's basis W, the identity double-ket, a batch of
-displaced states (W at N + 12, which a tail holds, and the amplitudes of
-each column beyond the first, ``_padded_bytes``, counted by each core), the
-SUM-gate column images and a sector table's blocks, and also the qudit
-layer's gate set, its dense V and the ``qudit synth`` export. Each count is
-of what the route holds: 8 bytes an entry for the real tables, dense factors
-and chain images, 16 for the complex bases W and up (``_eigenbasis_bytes``),
-states and direct images. The column routes count three image-sized arrays
-per column, their peak; ``_direct_bytes`` adds the real basis, up and the
-phase table, ``_chain_bytes`` the chain's three sector tables, held at once,
-and ``require_block_checks_fit``, which refuses a cutoff list up front,
-counts the direct gate, the tables and one more real array per block column.
-The README's guard paragraph states the first size each guard refuses.
+squeezer's), a complex one (``quadrature``, ``phase_shift``), the photon
+totals (``total_photon_numbers``, ``block_mask``), a displacement's basis W
+at every alpha, the identity double-ket, a batch of displaced states (W at
+N + 12, which a tail holds, and the amplitudes of each column beyond the
+first, ``_padded_bytes``, counted by each core), the SUM-gate column images
+and a sector table's blocks, and also the qudit layer's gate set, its dense
+V and the ``qudit synth`` export. Each count is of what the route holds: 8
+bytes an entry for the real tables, dense factors, chain images and int64
+totals (9 with a mask), 16 for the complex matrices, bases W and up
+(``_eigenbasis_bytes``), states and direct images. The column routes count
+three image-sized arrays per column, their peak; ``_direct_bytes`` adds the
+real basis, up and the phase table, ``_chain_bytes`` the chain's three
+sector tables, held at once, and ``require_block_checks_fit``, which refuses
+a cutoff list up front, counts the direct gate, the tables and one more real
+array per block column. The README's guard paragraph states the first size
+each guard refuses.
 
 Every public constructor refuses a cutoff that is not an integer >= 1
 (``is_integer``: a Python or numpy integer, not a bool), and the memo
@@ -186,17 +190,23 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def quadrature(cutoff: int, phi: float) -> np.ndarray:
-    """Hermitian quadrature (e^{i phi} a^dag + e^{-i phi} a) / 2, written as
-    its off-diagonals x[k+1, k] = e^{i phi} sqrt(k+1) / 2 and their conjugates."""
-    _require_cutoff(cutoff)
-    require_finite("phi", phi)
+def _quadrature(cutoff: int, phi: float) -> np.ndarray:
+    """``quadrature``'s matrix, writable and unguarded: its off-diagonals
+    x[k+1, k] = e^{i phi} sqrt(k+1) / 2 and their conjugates."""
     k = np.arange(cutoff)
     root = np.sqrt(k + 1)
     x = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     x[k + 1, k] = 0.5 * np.exp(1j * phi) * root
     x[k, k + 1] = 0.5 * np.exp(-1j * phi) * root
-    return _read_only(x)
+    return x
+
+
+def quadrature(cutoff: int, phi: float) -> np.ndarray:
+    """Hermitian quadrature (e^{i phi} a^dag + e^{-i phi} a) / 2 (``_quadrature``)."""
+    _require_cutoff(cutoff)
+    require_finite("phi", phi)
+    require_memory(f"cutoff {cutoff}", 16 * (cutoff + 1) ** 2)
+    return _read_only(_quadrature(cutoff, phi))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -321,24 +331,33 @@ def _displacement_basis(cutoff: int, alpha: complex) -> tuple[np.ndarray, np.nda
     R r(a^dag - a) R^dag with R = diag(e^{i theta n}), and r(a^dag - a) =
     -2i r X_{pi/2} = -2i r Q X_0 Q^dag with Q = diag(i^n). So W = diag(e^{i
     (theta + pi/2) n}) U and phases = e^{-2i r x}, read off the memoized
-    real eigenbasis (x, U) of X_0. W is refused above DENSE_BYTES_LIMIT
-    before the memo is touched (``_eigenbasis_bytes``).
+    real eigenbasis (x, U) of X_0. Every caller has counted W
+    (``_eigenbasis_bytes``) before it asks.
     """
-    require_memory(f"cutoff {cutoff}", _eigenbasis_bytes(cutoff))
     values, vectors = _quadrature_basis(cutoff)
     w = _phases(cutoff, -np.angle(alpha) - np.pi / 2)[:, None] * vectors
     return w, np.exp(-2j * abs(alpha) * values)
 
 
+def _displacement(cutoff: int, alpha: complex) -> np.ndarray:
+    """The writable D(alpha) = W diag(phases) W^dag of ``_displacement_basis``,
+    with W scaled in place; alpha = 0 gives exactly the identity."""
+    if alpha == 0:
+        return np.eye(cutoff + 1, dtype=complex)
+    w, phases = _displacement_basis(cutoff, alpha)
+    right = w.conj().T
+    w *= phases
+    return w @ right
+
+
 def displacement(cutoff: int, alpha: complex) -> np.ndarray:
-    """exp(alpha a^dag - conj(alpha) a) at the given cutoff, from the
-    eigenbasis of ``_displacement_basis``; alpha = 0 gives exactly the identity."""
+    """exp(alpha a^dag - conj(alpha) a) at the given cutoff (``_displacement``).
+    At every alpha, 0 included, its basis W is refused above
+    DENSE_BYTES_LIMIT before the memo is touched (``_eigenbasis_bytes``)."""
     _require_cutoff(cutoff)
     require_finite("alpha", alpha, complex_ok=True)
-    if alpha == 0:
-        return _read_only(np.eye(cutoff + 1, dtype=complex))
-    w, phases = _displacement_basis(cutoff, alpha)
-    return _read_only((w * phases) @ w.conj().T)
+    require_memory(f"cutoff {cutoff}", _eigenbasis_bytes(cutoff))
+    return _read_only(_displacement(cutoff, alpha))
 
 
 def squeezer(cutoff: int, r: float) -> np.ndarray:
@@ -363,6 +382,7 @@ def phase_shift(cutoff: int, theta: float) -> np.ndarray:
     """Diagonal phase rotation exp(-i theta n)."""
     _require_cutoff(cutoff)
     require_finite("theta", theta)
+    require_memory(f"cutoff {cutoff}", 16 * (cutoff + 1) ** 2)
     return _read_only(np.diag(_phases(cutoff, theta)))
 
 
@@ -401,7 +421,7 @@ def _quadrature_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     its readers form and guard (``_eigenbasis_bytes``)."""
     _require_cutoff(cutoff)
     return _memoized((cutoff, "quadrature", 0.0), 8 * (cutoff + 1) * (cutoff + 2),
-                     lambda: tuple(map(_read_only, np.linalg.eigh(quadrature(cutoff, 0.0).real))))
+                     lambda: tuple(map(_read_only, np.linalg.eigh(_quadrature(cutoff, 0.0).real))))
 
 
 def _build_sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
@@ -531,12 +551,15 @@ def opa(cutoff: int, alpha_param: float) -> np.ndarray:
 def total_photon_numbers(cutoff: int) -> np.ndarray:
     """Total photon number of each two-mode basis state, in vector order."""
     _require_cutoff(cutoff)
+    require_memory(f"cutoff {cutoff}", 8 * (cutoff + 1) ** 2)
     n = np.arange(cutoff + 1)
     return np.add.outer(n, n).reshape(-1)
 
 
 def block_mask(cutoff: int, max_total: int) -> np.ndarray:
     """Boolean mask selecting two-mode basis states with total photons <= max_total."""
+    _require_cutoff(cutoff)
+    require_memory(f"cutoff {cutoff}", 9 * (cutoff + 1) ** 2)
     return total_photon_numbers(cutoff) <= max_total
 
 
@@ -636,25 +659,17 @@ def _displaced_doublekets(cutoff: int, lams, z: complex) -> list[np.ndarray]:
     ``_padded_bytes`` is refused before any lambda
     (``_doubleket_weights``). The double-ket's amplitude matrix is diag(c),
     with c the weights of ``_doubleket_weights``, so the state's is D
-    diag(c): D = W diag(phases) W^dag is formed once from the eigenbasis and
-    scaled by each lambda's c, the last in place. No (N+1)^2 double-ket is
-    filled, and the k matrices are a list, not one stacked array, so that
-    the last is D itself.
+    diag(c): D (``_displacement``) is formed once and scaled by each
+    lambda's c, the last in place. No (N+1)^2 double-ket is filled, and the
+    k matrices are a list, not one stacked array, so that the last is D itself.
     """
     require_finite("z", z, complex_ok=True)
     _require_cutoff(cutoff)
     require_memory(f"cutoff {cutoff}", _padded_bytes(cutoff, 2, len(lams)))
     weights, _ = _doubleket_weights(cutoff, lams)
-    if z == 0:  # D(0) is exactly the identity, as in ``displacement``
-        states = [np.diag(c).astype(complex) for c in weights]
-    else:
-        w, phases = _displacement_basis(cutoff, z)
-        right = w.conj().T
-        w *= phases
-        d = w @ right
-        del w, right
-        *first, last = weights
-        states = [d * c for c in first] + [np.multiply(d, last, out=d)]
+    d = _displacement(cutoff, z)
+    *first, last = weights
+    states = [d * c for c in first] + [np.multiply(d, last, out=d)]
     for state in states:
         state /= np.linalg.norm(state)
     return states
@@ -679,41 +694,25 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
         "displaced double-ket", tail, f"lambda = {lam}, z = {z}, cutoff {cutoff}"))
 
 
-def heterodyne_eigen_residuals(cutoff: int, lams, z: complex) -> list[float]:
-    """``heterodyne_eigen_residual`` at one z for each lambda of ``lams``,
-    from one pass: the states share one D(z) (``_displaced_doublekets``),
-    and no tail is built, as no warning is returned. Every lambda is refused
-    before anything is built, and an empty ``lams`` builds nothing."""
-    _require_cutoff(cutoff)
-    require_finite("z", z, complex_ok=True)
-    lams = list(lams)
-    if not lams:
-        return []
-    states = _displaced_doublekets(cutoff, lams, z)
-    # (a kron I) v = vec(a m) and (I kron b^dag) v = vec(m a) for the ladder a:
-    # a m moves row n+1 of m to row n, m a moves column n to n+1, each times
-    # sqrt(n+1), both formed in the residual's one array
-    root = np.sqrt(np.arange(1, cutoff + 1))
-    residuals = []
-    for m in states:
-        r = np.zeros_like(m)
-        r[:-1] = root[:, None] * m[1:]
-        r[:, 1:] -= m[:, :-1] * root
-        r -= z * m
-        residuals.append(float(np.linalg.norm(r)))
-    return residuals
-
-
 def heterodyne_eigen_residual(cutoff: int, lam: float, z: complex) -> float:
     """Norm of (a - b^dag - z) applied to the regularized displaced double-ket.
 
     Converges to zero as lambda -> 1 at adequate cutoff, certifying the state
     as a generalized eigenvector of the heterodyne photocurrent a - b^dag; the
     value is independent of z because the displacement commutes through. It
-    is the one-column case of ``heterodyne_eigen_residuals``, and reads the
-    state's amplitude matrix without its tail.
+    reads the state's amplitude matrix (``_displaced_doublekets``) without
+    its tail, as no warning is returned, so it builds nothing above the cutoff.
     """
-    return heterodyne_eigen_residuals(cutoff, [lam], z)[0]
+    (m,) = _displaced_doublekets(cutoff, [lam], z)
+    # (a kron I) v = vec(a m) and (I kron b^dag) v = vec(m a) for the ladder a:
+    # a m moves row n+1 of m to row n, m a moves column n to n+1, each times
+    # sqrt(n+1), both formed in the residual's one array
+    root = np.sqrt(np.arange(1, cutoff + 1))
+    r = np.zeros_like(m)
+    r[:-1] = root[:, None] * m[1:]
+    r[:, 1:] -= m[:, :-1] * root
+    r -= z * m
+    return float(np.linalg.norm(r))
 
 
 def _quad_amplitudes(n: int, x: float, phi: float, sharpness) -> np.ndarray:
@@ -726,7 +725,8 @@ def _quad_amplitudes(n: int, x: float, phi: float, sharpness) -> np.ndarray:
         amps[:, j] = squeezer(n, s)[:, 0]  # S(s)|0>
     if x != 0:  # D(0) is exactly the identity, as in ``displacement``
         w, phases = _displacement_basis(n, x)
-        amps = w @ (phases[:, None] * (w.conj().T @ amps))
+        # amps is real, so W^dag amps = conj(amps^T W)^T, without a copy of W^dag
+        amps = w @ (phases[:, None] * (amps.T @ w).conj().T)
     return _phases(n, -phi)[:, None] * amps
 
 

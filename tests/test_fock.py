@@ -1,6 +1,7 @@
 """Tests for the truncated Fock-space operators and regularized states."""
 
 import functools
+import inspect
 import os
 import pathlib
 import re
@@ -449,27 +450,27 @@ class TestHeterodyneResidual:
         base = fock.heterodyne_eigen_residual(60, 0.5, 0.0)
         assert abs(fock.heterodyne_eigen_residual(60, 0.5, z) - base) <= 1e-8
 
-    @pytest.mark.parametrize("n", [20, 30, 40, 60])
-    def test_residuals_equal_their_one_column_cases(self, n):
-        # the pass of ``cli.heterodyne_rows`` at z = 1: the base lambda and
-        # the sharpest one the cutoff holds share one D(1)
+    @pytest.mark.parametrize(
+        "n, pinned",
+        [(20, ("0x1.279a7ccc52745p-1", "0x1.9487f3b5290f7p-2")),
+         (30, ("0x1.279a745910331p-1", "0x1.57fc50e2746acp-2")),
+         (40, ("0x1.279a74590331bp-1", "0x1.556a1938fa7d6p-2")),
+         (60, ("0x1.279a745903319p-1", "0x1.dfdd860953df1p-3"))],
+        ids=["20", "30", "40", "60"],
+    )
+    def test_z1_residuals_equal_their_pinned_bits(self, n, pinned):
+        # the pair ``cli.heterodyne_rows`` reads at z = 1, the base lambda and
+        # the sharpest one the cutoff holds, as a batched route that shared
+        # one D(1) between them gave them at one and at two BLAS threads
         lams = [cli.HETERODYNE_BASE_LAMBDA, cli.heterodyne_lambda(n)]
-        expected = [fock.heterodyne_eigen_residual(n, lam, 1.0) for lam in lams]
-        assert fock.heterodyne_eigen_residuals(n, lams, 1.0) == expected
-        assert fock.heterodyne_eigen_residuals(n, np.array(lams), 1.0) == expected
-
-    def test_empty_lambdas_build_nothing(self, monkeypatch, empty_memo):
-        requested = []
-        monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
-        assert fock.heterodyne_eigen_residuals(60, [], 1.0) == []
-        assert requested == [] and not empty_memo
+        assert ([fock.heterodyne_eigen_residual(n, lam, 1.0) for lam in lams]
+                == [float.fromhex(value) for value in pinned])
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, 0.99, np.nan])
     def test_residuals_refuse_a_bad_lambda_before_any_build(self, empty_memo, bad):
-        # the bad value is last, after one that would build; 0.99 is too
-        # close to 1 for cutoff 20
+        # 0.99 is too close to 1 for cutoff 20
         with pytest.raises(ValueError, match="^lam"):
-            fock.heterodyne_eigen_residuals(20, [0.5, bad], 1.0)
+            fock.heterodyne_eigen_residual(20, bad, 1.0)
         assert not empty_memo
 
     def test_reshape_route_matches_kron_route(self):
@@ -1068,6 +1069,15 @@ class TestDenseGuard:
             fock.sum_gate_circuit(110, every_state(110))
         assert fock.sum_gate_circuit(110, columns=[0]).shape == (111 ** 2, 1)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_displacement_refused_at_every_alpha(self, monkeypatch, empty_memo, alpha):
+        # W's 401^2 complex vectors and 401 values, counted before the exact
+        # identity of alpha = 0 is formed
+        monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", 2**20)
+        needs = "^cutoff 400 needs 2576024 bytes,"
+        assert refused_peak(lambda: fock.displacement(400, alpha), needs) < 2**20
+        assert not empty_memo
+
     def test_displacement_basis_refused_before_the_memo(self, empty_memo):
         # the basis the memo would hold, 8192^2 complex vectors and 8192
         # values; the largest basis that fits is at cutoff 8190
@@ -1186,16 +1196,16 @@ class TestStateGuards:
     4 MiB limit. The identity double-ket counts its (N+1)^2 entries; a
     displaced state counts its padded build's complex basis W, (N+13)^2
     entries and the largest array it holds, so its peak is a stated multiple
-    of that count: at x or z != 0 the real eigenbasis at N and at N + 12, W
-    and W^dag at N and the product; the heterodyne residual builds no tail
-    and holds one array of the state's size after the state is built. A
-    batch of k states (``_padded_bytes``) also counts the amplitudes of its
-    k - 1 further columns; a batched core builds no tail, only a state
+    of that count: at z != 0 the real eigenbasis at N and at N + 12, W and
+    W^dag at N and the product, and at x != 0 the bases and W alone, which
+    is applied to the state's columns; the heterodyne residual builds no
+    tail and holds one array of the state's size after the state is built.
+    A batch of k states (``_padded_bytes``) also counts the amplitudes of
+    its k - 1 further columns; a batched core builds no tail, only a state
     constructor does. The squeezer counts its dense real matrix and also
     holds its parity table; the displacement counts W and also holds the
-    real basis, the scaled copy of W, W^dag and the product; the fidelities
-    count the splitter's sector table, the first they fetch, and also hold
-    the states."""
+    real basis, W^dag and the product; the fidelities count the splitter's
+    sector table, the first they fetch, and also hold the states."""
 
     LIMIT = 2**22
 
@@ -1209,14 +1219,14 @@ class TestStateGuards:
          (lambda n: fock.quad_eigenstate_approx(n, 0.0, 0.3, 0.5),
           lambda n: fock._eigenbasis_bytes(n + 12), 498, 1.25),
          (lambda n: fock.quad_eigenstate_approx(n, 0.5, 0.3, 0.5),
-          lambda n: fock._eigenbasis_bytes(n + 12), 498, 3.0),
+          lambda n: fock._eigenbasis_bytes(n + 12), 498, 2.0),
          # a batch of four columns counts the three beyond the first
          (lambda n: fock._displaced_doublekets(n, [0.4, 0.5, 0.6, 0.7], 1 - 0.5j),
           lambda n: fock._padded_bytes(n, 2, 4), 251, 1.24),
          (lambda n: fock._quad_states(n, 0.5, 0.3, [0.6, 0.5, 0.4, 0.3]),
-          lambda n: fock._padded_bytes(n, 1, 4), 497, 3.1),
+          lambda n: fock._padded_bytes(n, 1, 4), 497, 2.15),
          (lambda n: fock.squeezer(n, 0.7), lambda n: 8 * (n + 1) ** 2, 723, 2),
-         (lambda n: fock.displacement(n, 1 - 0.5j), fock._eigenbasis_bytes, 510, 4.9),
+         (lambda n: fock.displacement(n, 1 - 0.5j), fock._eigenbasis_bytes, 510, 3.85),
          (lambda n: fock.entbs_fidelities(n, 1.0, -0.5, [0.6, 0.5, 0.4, 0.3]),
           fock._sector_table_bytes, 91, 1.45)],
         ids=["identity_doubleket", "displaced_identity_doubleket", "heterodyne_eigen_residual",
@@ -1227,8 +1237,8 @@ class TestStateGuards:
             self, monkeypatch, empty_memo, build, count, largest, factor):
         # the largest accepted cutoff traces at most ``factor`` times the
         # count (4.0 for a displaced double-ket, 3.4 for the heterodyne
-        # residual, 1.2 and 2.8 for a quadrature state at x = 0 and x = 0.5,
-        # 1.1 and 2.9 for the batches of four here, 1.8 for the squeezer, 4.5
+        # residual, 1.2 and 1.8 for a quadrature state at x = 0 and x = 0.5,
+        # 1.1 and 2.0 for the batches of four here, 1.8 for the squeezer, 3.5
         # for the displacement and 1.3 for the fidelities); the next is
         # refused before anything is built, naming the cutoff the caller
         # asked for
@@ -1627,6 +1637,7 @@ class TestTruncationDiagnostics:
 CUTOFF_BUILDERS = {
     "quadrature": lambda n: fock.quadrature(n, 0.0),
     "displacement": lambda n: fock.displacement(n, 0.1),
+    "displacement_identity": lambda n: fock.displacement(n, 0.0),
     "squeezer": lambda n: fock.squeezer(n, 0.8),
     "phase_shift": lambda n: fock.phase_shift(n, 0.3),
     "mode_mixer": lambda n: fock.mode_mixer(n, 0.3),
@@ -1637,7 +1648,6 @@ CUTOFF_BUILDERS = {
     "displaced_identity_doubleket": lambda n: fock.displaced_identity_doubleket(n, 1e-3, 0.1),
     "quad_eigenstate_approx": lambda n: fock.quad_eigenstate_approx(n, 0.1, 0.0, 0.5),
     "heterodyne_eigen_residual": lambda n: fock.heterodyne_eigen_residual(n, 1e-3, 0.1),
-    "heterodyne_eigen_residuals": lambda n: fock.heterodyne_eigen_residuals(n, [1e-3, 0.5], 0.1),
     "sum_gate": lambda n: fock.sum_gate(n, [0]),
     "sum_gate_circuit": lambda n: fock.sum_gate_circuit(n, [0]),
     "require_block_checks_fit": lambda n: fock.require_block_checks_fit(n, 1),
@@ -1651,14 +1661,14 @@ CUTOFF_BUILDERS = {
 
 
 # the builders of CUTOFF_BUILDERS that return an operator as a plain array
-OPERATOR_BUILDERS = ("quadrature", "displacement", "squeezer", "phase_shift", "mode_mixer", "opa")
+OPERATOR_BUILDERS = ("quadrature", "displacement", "squeezer", "phase_shift", "mode_mixer", "opa",
+                     "displacement_identity")
 
 
 # the arguments besides the one under test, by builder
 OTHER_ARGS = {
     "displaced_identity_doubleket": {"lam": 0.5},
     "heterodyne_eigen_residual": {"lam": 0.5},
-    "heterodyne_eigen_residuals": {"lams": [0.5]},
     "entbs_fidelity": {"x": 0.1, "y": 0.1, "s": 0.5},
     "entbs_fidelities": {"x": 0.1, "y": 0.1, "sharpness": [0.5]},
 }
@@ -1670,7 +1680,6 @@ class TestLibraryBoundary:
         [("displacement", "alpha"), ("squeezer", "r"), ("mode_mixer", "theta"), ("opa", "alpha_param"),
          ("phase_shift", "theta"), ("quadrature", "phi"),
          ("displaced_identity_doubleket", "z"), ("heterodyne_eigen_residual", "z"),
-         ("heterodyne_eigen_residuals", "z"),
          ("identity_doubleket", "lam"), ("lambda_fits", "lam"),
          ("entbs_fidelity", "x"), ("entbs_fidelity", "y"), ("entbs_fidelity", "s"),
          ("entbs_fidelities", "x"), ("entbs_fidelities", "y")],
@@ -1712,6 +1721,23 @@ class TestLibraryBoundary:
         assert empty_memo.keys() == before.keys()
         assert all(empty_memo[key] is table for key, table in before.items())
 
+    # lambda_fits allocates nothing, so it has nothing to refuse
+    @pytest.mark.parametrize("build", sorted(CUTOFF_BUILDERS.keys() - {"lambda_fits"}))
+    def test_refused_before_allocating_at_cutoff_400(self, monkeypatch, empty_memo, build):
+        # under a 1 MiB limit every builder's arrays at cutoff 400 exceed it,
+        # and each is refused, naming the cutoff, before it allocates them or
+        # touches the memo
+        monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", 2**20)
+        assert refused_peak(lambda: CUTOFF_BUILDERS[build](400), "^cutoff 400 needs") < 2**20
+        assert not empty_memo
+
+    def test_every_public_cutoff_function_is_in_the_table(self):
+        public = {name for name, value in vars(fock).items()
+                  if inspect.isfunction(value) and value.__module__ == fock.__name__
+                  and not name.startswith("_")
+                  and next(iter(inspect.signature(value).parameters), None) == "cutoff"}
+        assert public <= CUTOFF_BUILDERS.keys()
+
     @pytest.mark.parametrize("build", sorted(CUTOFF_BUILDERS))
     def test_memo_stays_within_its_limit(self, monkeypatch, empty_memo, build):
         # under a 64 KiB limit, at cutoff 63, whose complex basis W's 64^2
@@ -1727,14 +1753,9 @@ class TestLibraryBoundary:
                 assert f"cutoff {n} needs" in str(exc)
             assert sum(size for _, size in empty_memo.values()) <= 2**16
 
-    @pytest.mark.parametrize(
-        "build",
-        [*(CUTOFF_BUILDERS[name] for name in OPERATOR_BUILDERS),
-         lambda n: fock.displacement(n, 0.0)],
-        ids=[*OPERATOR_BUILDERS, "displacement_identity"],
-    )
+    @pytest.mark.parametrize("build", OPERATOR_BUILDERS)
     def test_builder_arrays_are_read_only(self, build):
-        op = build(4)
+        op = CUTOFF_BUILDERS[build](4)
         assert type(op) is np.ndarray and op.shape in ((5, 5), (25, 25))
         with pytest.raises(ValueError):
             op[0, 0] = 7
