@@ -63,9 +63,19 @@ which ``displacement`` returns too, is formed once (``_displacement``) and
 scaled by each lambda's c. Its tail is read off the padded displacement's
 rows m > N alone, formed once for every lambda
 (``_displaced_doubleket_tails``): no second state is built. The beam
-splitter acts on two-mode states sector by sector, and ``entbs_fidelities``
-runs it once over every sharpness, so no state path builds a dense
-two-mode matrix.
+splitter acts on two-mode states in one stacked product: |a, t - a> sits at
+index t + aN, so a view of the basis with stride N has N rows of N + 2
+states, row t the total-photon sector t and then the sector N + t, and
+only |N, N> is left over (``_splitter_rows_view``). One (N, N+2, N+2)
+stack of the blocks diag(B_t, B_{N+t}) (``_splitter_rows``) is applied by
+one matmul over that view (``_apply_splitter_rows``), and
+``entbs_fidelities`` runs it once over every sharpness, so no state path
+builds a dense two-mode matrix. The stack's zero blocks cost about half
+again the flops, which pays on a state's 2 to 8 real columns, where the
+2N + 1 small per-sector products are bound by their calls; the chain keeps
+its per-sector tables because its 33 or more columns per parity half are
+bound by the flops, and packing its tables the same way took the block
+checks at N = 150 from 41 to 50 ms on a 2-vCPU machine.
 
 Both SUM-gate routes return the read-only full-height images of the basis
 columns a caller reads. The chain (``sum_gate_circuit``) folds the factor
@@ -94,7 +104,10 @@ table is built once, kept read-only in a module-level memo and shared by
 every later call. Every dense factor is assembled from its table by
 ``_assemble``, which refuses the dense matrix before the table is fetched.
 The same memo keeps one real eigenbasis of X_0 per cutoff, (N+1)^2 + N+1
-entries of 8 bytes, which ``sum_gate`` and the displacements read. The memo
+entries of 8 bytes, which ``sum_gate`` and the displacements read, and the
+splitter's rows table for the states, N (N+2)^2 entries of 8 bytes: its
+keys are (cutoff, conserved, scale) for a table, (cutoff, "quadrature",
+0.0) for a basis and (cutoff, "rows", pi/4) for the rows table. The memo
 holds at most ``DENSE_BYTES_LIMIT`` bytes of entries; a new entry first
 drops the least recently used ones. A table pairs each block with its
 sector's states as a slice of the row-major basis, which holds no array:
@@ -102,18 +115,19 @@ step 2 in a parity sector, N in a total-photon one and N + 2 in a
 difference one, so ``_apply_sectors`` reads and writes each sector as a
 strided view. A two-mode table holds (N+1)(2N^2+4N+3)/3 real entries of 8
 bytes, a parity table ceil((N+1)/2)^2 + floor((N+1)/2)^2; a table that
-alone exceeds the limit is refused before anything is built, and with a
-two-mode one ``entbs_output`` and the fidelities built on it.
+alone exceeds the limit is refused before anything is built, and with the
+rows table ``entbs_output`` and the fidelities built on it.
 
 One guard, ``require_memory``, refuses a route whose arrays would exceed
 ``DENSE_BYTES_LIMIT`` before it allocates them: here a real dense matrix (a
 squeezer's), a complex one (``quadrature``, ``phase_shift``), the photon
 totals (``total_photon_numbers``, ``block_mask``), a displacement's basis W
-at every alpha, the identity double-ket, a batch of displaced states (W at
-N + 12, which a tail holds, and the amplitudes of each column beyond the
-first, ``_padded_bytes``, counted by each core), the SUM-gate column images
-and a sector table's blocks, and also the qudit layer's gate set, its dense
-V and the ``qudit synth`` export. Each count is of what the route holds: 8
+at every alpha, the identity double-ket with the state's copy, a batch of
+displaced states (W at N + 12, which a tail holds, and the amplitudes of
+each column beyond the first, ``_padded_bytes``, counted by each core), the
+SUM-gate column images, a sector table's blocks and the splitter's rows
+table, and also the qudit layer's gate set, its dense V and the ``qudit
+synth`` export. Each count is of what the route holds: 8
 bytes an entry for the real tables, dense factors, chain images and int64
 totals (9 with a mask), 16 for the complex matrices, bases W and up
 (``_eigenbasis_bytes``), states and direct images. The column routes count
@@ -128,7 +142,8 @@ Every public constructor refuses a cutoff that is not an integer >= 1
 (``is_integer``: a Python or numpy integer, not a bool), and the memo
 refuses one before it is touched. Stored and returned arrays are
 read-only: the builders' operators, the SUM-gate images, the amplitudes of
-the frozen state dataclass, and the memo's blocks and eigenbasis.
+the frozen state dataclass (a copy it owns of the array it was given), and
+the memo's blocks, rows table and eigenbasis.
 """
 
 from __future__ import annotations
@@ -161,7 +176,8 @@ class RegularizedState:
 
     def __post_init__(self):
         dim = (self.cutoff + 1) ** self.modes
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        # a copy the state owns: a view would change with the caller's array
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != dim:
             raise ValueError("amplitude count inconsistent with cutoff and modes")
         amps.setflags(write=False)
@@ -387,11 +403,12 @@ def phase_shift(cutoff: int, theta: float) -> np.ndarray:
 
 
 # (entry, nbytes) pairs, least recently used first: the sector tables of the
-# squeezer and the two-mode factors by (cutoff, conserved, scale) and
-# the real eigenbasis of X_0 by (cutoff, "quadrature", 0.0), never more than
+# squeezer and the two-mode factors by (cutoff, conserved, scale), the real
+# eigenbasis of X_0 by (cutoff, "quadrature", 0.0) and the 50-50 splitter's
+# rows table for states by (cutoff, "rows", pi/4), never more than
 # DENSE_BYTES_LIMIT bytes in all. The lock makes each lookup, eviction
 # and insertion one step for callers on several threads.
-_SECTOR_TABLES: dict[tuple[int, str, float], tuple[tuple, int]] = {}
+_SECTOR_TABLES: dict[tuple[int, str, float], tuple[object, int]] = {}
 _SECTOR_TABLES_LOCK = threading.Lock()
 
 
@@ -424,39 +441,48 @@ def _quadrature_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
                      lambda: tuple(map(_read_only, np.linalg.eigh(_quadrature(cutoff, 0.0).real))))
 
 
-def _build_sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
-    """The (states, block) pairs of each sector of a conserved quantity: the
-    states are the slice of the basis the sector holds, and the read-only
-    block is the ``_chain_expm`` of the chain with links scale sqrt(link).
+def _sector_links(cutoff: int, conserved: str) -> list:
+    """The (states, links) pairs of each sector of a conserved quantity: the
+    states are the slice of the basis the sector holds, and the links those
+    of its chain before the generator's scale and square root.
 
-    ``conserved`` is "parity" for the one-mode generator scale
-    (a^dag^2 - a^2), whose sectors are the even and the odd n, linked from n
-    to n + 2 by (n + 1)(n + 2). It is "total" for the two-mode generator
-    scale (a^dag b - a b^dag), which conserves n_a + n_b, or "difference"
-    for scale (a^dag b^dag - a b), which conserves n_a - n_b. Ordered by
-    rising n_a, a two-mode sector is a chain whose link from n_a to n_a + 1
-    moves n_b between m and m' and is (n_a + 1) max(m, m'). In the row-major
-    two-mode basis the step from n_a to n_a + 1 is N in a total sector, where
-    n_b falls by one, and N + 2 in a difference sector, where it rises by one.
+    ``conserved`` is "parity" for the one-mode generator (a^dag^2 - a^2),
+    whose sectors are the even and the odd n, linked from n to n + 2 by
+    (n + 1)(n + 2). It is "total" for the two-mode generator (a^dag b - a
+    b^dag), which conserves n_a + n_b, or "difference" for (a^dag b^dag - a
+    b), which conserves n_a - n_b; either lists its sectors by the conserved
+    value rising. Ordered by rising n_a, a two-mode sector is a chain whose
+    link from n_a to n_a + 1 moves n_b between m and m' and is (n_a + 1)
+    max(m, m'). In the row-major two-mode basis the step from n_a to n_a + 1
+    is N in a total sector, where n_b falls by one, and N + 2 in a
+    difference sector, where it rises by one.
     """
     n1 = cutoff + 1
     ks = np.arange(n1)
     if conserved == "parity":
-        sectors = [(slice(p, n1, 2), (ns[:-1] + 1) * (ns[:-1] + 2))
-                   for p, ns in ((0, ks[0::2]), (1, ks[1::2]))]
+        return [(slice(p, n1, 2), (ns[:-1] + 1) * (ns[:-1] + 2))
+                for p, ns in ((0, ks[0::2]), (1, ks[1::2]))]
+    if conserved == "total":
+        mode_b, step = [tot - ks for tot in range(2 * cutoff + 1)], cutoff
     else:
-        if conserved == "total":
-            mode_b, step = [tot - ks for tot in range(2 * cutoff + 1)], cutoff
-        else:
-            mode_b, step = [ks - diff for diff in range(-cutoff, cutoff + 1)], cutoff + 2
-        sectors = []
-        for ms in mode_b:
-            inside = (ms >= 0) & (ms <= cutoff)
-            k, m = ks[inside], ms[inside]
-            first = int(k[0] * n1 + m[0])
-            sectors.append((slice(first, first + step * (k.size - 1) + 1, step),
-                            (k[:-1] + 1) * np.maximum(m[:-1], m[1:])))
-    return tuple((sl, _read_only(_chain_expm(scale * np.sqrt(links)))) for sl, links in sectors)
+        mode_b, step = [ks - diff for diff in range(-cutoff, cutoff + 1)], cutoff + 2
+    sectors = []
+    for ms in mode_b:
+        inside = (ms >= 0) & (ms <= cutoff)
+        k, m = ks[inside], ms[inside]
+        first = int(k[0] * n1 + m[0])
+        sectors.append((slice(first, first + step * (k.size - 1) + 1, step),
+                        (k[:-1] + 1) * np.maximum(m[:-1], m[1:])))
+    return sectors
+
+
+def _build_sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
+    """The (states, block) pairs of each sector of ``_sector_links``: the
+    read-only block is the ``_chain_expm`` of the chain with links scale
+    sqrt(link), for the generator scale (a^dag^2 - a^2), scale (a^dag b - a
+    b^dag) or scale (a^dag b^dag - a b)."""
+    return tuple((sl, _read_only(_chain_expm(scale * np.sqrt(links))))
+                 for sl, links in _sector_links(cutoff, conserved))
 
 
 def _sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
@@ -494,6 +520,56 @@ def _apply_sectors(vectors: np.ndarray, blocks, out: np.ndarray | None = None) -
     out = np.zeros_like(vectors) if out is None else out
     for sl, block in blocks:
         np.matmul(block, vectors[sl], out=out[sl])
+    return out
+
+
+def _splitter_rows_bytes(cutoff: int) -> int:
+    """Bytes of the splitter's rows table: N real blocks of (N+2)^2 entries."""
+    return 8 * cutoff * (cutoff + 2) ** 2
+
+
+def _splitter_rows_view(vectors: np.ndarray, cutoff: int) -> np.ndarray:
+    """The N x (N+2) view of the rows of ``vectors`` (one per two-mode basis
+    state) but the last, |N, N>, over its columns. |a, t - a> sits at
+    t + aN, so row t, read with stride N from index t, holds the total-photon
+    sector t and then, wrapping, the sector N + t, each by rising n_a."""
+    return vectors[:-1].reshape(cutoff + 2, cutoff, -1).swapaxes(0, 1)
+
+
+def _build_splitter_rows(cutoff: int) -> np.ndarray:
+    """The read-only (N, N+2, N+2) stack of the 50-50 splitter's blocks by the
+    rows of ``_splitter_rows_view``: block t is diag(B_t, B_{N+t}), each B
+    the ``_chain_expm`` of ``_build_sector_table``'s total sector at pi/4,
+    and zero elsewhere. Sector 2N, |N, N> alone, has the block [[1.0]] and
+    is left out."""
+    scale = np.pi / 4
+    stack = np.zeros((cutoff, cutoff + 2, cutoff + 2))
+    *sectors, _ = _sector_links(cutoff, "total")
+    for total, (_, links) in enumerate(sectors):
+        high, row = divmod(total, cutoff)
+        at, size = high * (row + 1), links.size + 1
+        stack[row, at:at + size, at:at + size] = _chain_expm(scale * np.sqrt(links))
+    return _read_only(stack)
+
+
+def _splitter_rows(cutoff: int) -> np.ndarray:
+    """The rows table of ``_build_splitter_rows``, built once per cutoff
+    under the key (cutoff, "rows", pi/4), and refused above
+    DENSE_BYTES_LIMIT before it is built."""
+    _require_cutoff(cutoff)
+    nbytes = _splitter_rows_bytes(cutoff)
+    require_memory(f"cutoff {cutoff}", nbytes)
+    return _memoized((cutoff, "rows", np.pi / 4), nbytes, lambda: _build_splitter_rows(cutoff))
+
+
+def _apply_splitter_rows(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The 50-50 splitter on the two-mode columns of ``vectors``, into a
+    fresh array: one matmul of its rows table ``rows`` with the rows view
+    (``_splitter_rows_view``), and |N, N>, whose block is exactly 1, copied."""
+    cutoff = len(rows)
+    out = np.empty_like(vectors)
+    np.matmul(rows, _splitter_rows_view(vectors, cutoff), out=_splitter_rows_view(out, cutoff))
+    out[-1] = vectors[-1]
     return out
 
 
@@ -605,15 +681,15 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     """Normalized two-mode squeezed vacuum sum_n lambda^n |n, n>.
 
     The sharp limit lambda -> 1 recovers the (non-normalizable) identity
-    double-ket. Its (N+1)^2 entries are refused above DENSE_BYTES_LIMIT
-    before anything is allocated; then ``_doubleket_weights`` refuses a
-    lambda outside (0, 1) and one whose truncated tail mass lambda^(2(N+1))
-    exceeds 1e-4, and gives the weights on the diagonal and the warning of
-    a tail above 1e-8.
+    double-ket. Its (N+1)^2 entries, twice, the array it fills and the
+    state's own copy, are refused above DENSE_BYTES_LIMIT before anything is
+    allocated; then ``_doubleket_weights`` refuses a lambda outside (0, 1)
+    and one whose truncated tail mass lambda^(2(N+1)) exceeds 1e-4, and
+    gives the weights on the diagonal and the warning of a tail above 1e-8.
     """
     _require_cutoff(cutoff)
     n1 = cutoff + 1
-    require_memory(f"cutoff {cutoff}", 16 * n1 * n1)
+    require_memory(f"cutoff {cutoff}", 32 * n1 * n1)
     (weights,), (warns,) = _doubleket_weights(cutoff, [lam])
     amps = np.zeros(n1 * n1, dtype=complex)
     amps[:: n1 + 1] = weights
@@ -981,28 +1057,30 @@ def matched_lambda(s: float) -> float:
 
 def _entbs_outputs(cutoff: int, x: float, y: float, sharpness) -> np.ndarray:
     """The amplitudes of ``entbs_output`` at one (x, y) and each sharpness of
-    ``sharpness``: the columns of one (N+1)^2 x k array. The splitter's
-    table is fetched first, the inputs of every s are the columns of one
-    block per mode (``_quad_states``), and the splitter makes one pass over
-    the (re, im) pairs of every column."""
+    ``sharpness``: the columns of one (N+1)^2 x k array. The splitter's rows
+    table (``_splitter_rows``) is fetched first, the inputs of every s are
+    the columns of one block per mode (``_quad_states``), and the splitter
+    is one matmul of the table with the rows view of the (re, im) pairs of
+    every column (``_apply_splitter_rows``)."""
     require_finite("x", x)
     require_finite("y", y)
-    splitter = _element_table(cutoff, "mixer", np.pi / 4)
+    rows = _splitter_rows(cutoff)
     in_a = _quad_states(cutoff, x / np.sqrt(2.0), 0.0, sharpness)
     in_b = _quad_states(cutoff, y / np.sqrt(2.0), np.pi / 2.0, sharpness)
     # column j is kron(in_a[:, j], in_b[:, j])
     product = (in_a[:, None, :] * in_b[None, :, :]).reshape(-1, len(sharpness))
     # the real blocks act on the (re, im) pairs of the complex columns
-    return _apply_sectors(product.view(np.float64), splitter).view(complex)
+    return _apply_splitter_rows(product.view(np.float64), rows).view(complex)
 
 
 def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
     """Beam-splitter image of |x/sqrt2>_0 kron |y/sqrt2>_{pi/2} at sharpness s.
 
-    The 50-50 splitter is applied sector by sector to the product vector, so
+    The 50-50 splitter is applied to the product vector as one stacked
+    product over the rows of the basis, sector t and sector N + t each, so
     no dense two-mode matrix is built; ``mode_mixer(cutoff, pi/4)`` assembles
-    the same blocks. The splitter's table is requested first, so a cutoff
-    whose table is refused builds no state. Its amplitudes are the
+    the same blocks. The splitter's rows table is requested first, so a
+    cutoff whose table is refused builds no state. Its amplitudes are the
     one-column case of ``_entbs_outputs``; its warnings are the tail
     warnings of its two inputs (``_quad_tail_warning``), mode a's first.
     """

@@ -682,6 +682,62 @@ class TestSectorSlices:
                                   gather_scatter(vectors, pairs))
 
 
+class TestSplitterRows:
+    """The 50-50 splitter's rows table for states: read with stride N from
+    index t, the two-mode basis but |N, N> wraps into N rows of N + 2
+    states, row t the total sector t and then the sector N + t, and one
+    stacked product applies diag(B_t, B_{N+t}) to each row."""
+
+    CUTOFFS = [1, 2, 12, 13, 20, 60]
+
+    @pytest.mark.parametrize("n", CUTOFFS)
+    def test_rows_partition_the_basis(self, n):
+        dim = (n + 1) ** 2
+        rows = fock._splitter_rows_view(np.arange(dim)[:, None], n)[..., 0]
+        sectors = sector_indices(n, "total")
+        assert rows.shape == (n, n + 2)
+        for t in range(n):
+            np.testing.assert_array_equal(rows[t], np.concatenate([sectors[t], sectors[n + t]]))
+        np.testing.assert_array_equal(sectors[2 * n], [dim - 1])
+        np.testing.assert_array_equal(np.sort(rows, axis=None), np.arange(dim - 1))
+
+    @pytest.mark.parametrize("n", CUTOFFS)
+    def test_blocks_are_the_sector_tables(self, empty_memo, n):
+        # block t holds B_t on its first t + 1 states and B_{N+t} on the rest,
+        # each bit for bit the sector table's; every other entry is 0.0
+        stack = fock._splitter_rows(n)
+        table = [block for _, block in fock._sector_table(n, "total", np.pi / 4)]
+        assert stack.shape == (n, n + 2, n + 2) and stack.dtype == np.float64
+        inside = np.zeros(stack.shape, dtype=bool)
+        for t in range(n):
+            assert np.array_equal(stack[t, : t + 1, : t + 1], table[t])
+            assert np.array_equal(stack[t, t + 1:, t + 1:], table[n + t])
+            inside[t, : t + 1, : t + 1] = inside[t, t + 1:, t + 1:] = True
+        assert np.all(stack[~inside] == 0.0)
+        assert np.array_equal(table[2 * n], [[1.0]])
+
+    @pytest.mark.parametrize("n", CUTOFFS)
+    def test_table_is_read_only_and_sized_by_the_closed_form(self, empty_memo, n):
+        stack = fock._splitter_rows(n)
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 7
+        nbytes = empty_memo[(n, "rows", np.pi / 4)][1]
+        assert nbytes == stack.nbytes == fock._splitter_rows_bytes(n) == 8 * n * (n + 2) ** 2
+        assert fock._splitter_rows(n) is stack
+
+    @pytest.mark.parametrize("n", CUTOFFS)
+    def test_stacked_product_matches_gather_scatter(self, n):
+        # unit-norm complex columns, the real table on their (re, im) pairs,
+        # against the sector blocks gathered and scattered
+        vectors = _random_complex(np.random.default_rng(n), (n + 1) ** 2, 3)
+        vectors /= np.linalg.norm(vectors, axis=0)
+        pairs = [(idx, block) for idx, (_, block) in zip(
+            sector_indices(n, "total"), fock._sector_table(n, "total", np.pi / 4), strict=True)]
+        out = fock._apply_splitter_rows(vectors.view(np.float64), fock._splitter_rows(n))
+        np.testing.assert_allclose(out.view(complex), gather_scatter(vectors, pairs),
+                                   rtol=0, atol=1e-15)
+
+
 class TestRealFactors:
     """Every optical factor has a real generator with a real parameter, so its
     sector blocks, the chain's images and the dense builders are real."""
@@ -704,7 +760,7 @@ class TestRealFactors:
     def test_dense_builders_are_real(self, build):
         assert build().dtype == np.float64
 
-    @pytest.mark.parametrize("n", [20, 40, 60])
+    @pytest.mark.parametrize("n", [20, 21, 40, 60])
     def test_entbs_pair_view_matches_complex_blocks(self, n):
         # the real splitter blocks on the (re, im) pairs of the complex
         # product state against the blocks cast to complex, gathered and
@@ -1078,6 +1134,13 @@ class TestDenseGuard:
         assert refused_peak(lambda: fock.displacement(400, alpha), needs) < 2**20
         assert not empty_memo
 
+    def test_identity_doubleket_counts_the_states_copy(self):
+        # 5793^2 complex entries twice, the array filled and the state's copy;
+        # cutoff 5791 is the largest that fits
+        needs = "cutoff 5792 needs 1073883168 bytes"
+        assert refused_peak(lambda: fock.identity_doubleket(5792, 0.5), needs) < 2**20
+        assert 32 * 5792**2 <= fock.DENSE_BYTES_LIMIT
+
     def test_displacement_basis_refused_before_the_memo(self, empty_memo):
         # the basis the memo would hold, 8192^2 complex vectors and 8192
         # values; the largest basis that fits is at cutoff 8190
@@ -1193,7 +1256,8 @@ class TestDenseGuard:
 class TestStateGuards:
     """The guard contract of the regularized-state routes, and of the
     single-mode factors and the fidelities they are built from, under a
-    4 MiB limit. The identity double-ket counts its (N+1)^2 entries; a
+    4 MiB limit. The identity double-ket counts its (N+1)^2 entries twice,
+    the array it fills and the state's own copy; a
     displaced state counts its padded build's complex basis W, (N+13)^2
     entries and the largest array it holds, so its peak is a stated multiple
     of that count: at z != 0 the real eigenbasis at N and at N + 12, W and
@@ -1205,13 +1269,13 @@ class TestStateGuards:
     constructor does. The squeezer counts its dense real matrix and also
     holds its parity table; the displacement counts W and also holds the
     real basis, W^dag and the product; the fidelities count the splitter's
-    sector table, the first they fetch, and also hold the states."""
+    rows table, the first they fetch, and also hold the states."""
 
     LIMIT = 2**22
 
     @pytest.mark.parametrize(
         "build, count, largest, factor",
-        [(lambda n: fock.identity_doubleket(n, 0.5), lambda n: 16 * (n + 1) ** 2, 511, 1.01),
+        [(lambda n: fock.identity_doubleket(n, 0.5), lambda n: 32 * (n + 1) ** 2, 361, 1.01),
          (lambda n: fock.displaced_identity_doubleket(n, 0.5, 1 - 0.5j),
           lambda n: fock._eigenbasis_bytes(n + 12), 498, 4.35),
          (lambda n: fock.heterodyne_eigen_residual(n, 0.5, 1 - 0.5j),
@@ -1228,7 +1292,7 @@ class TestStateGuards:
          (lambda n: fock.squeezer(n, 0.7), lambda n: 8 * (n + 1) ** 2, 723, 2),
          (lambda n: fock.displacement(n, 1 - 0.5j), fock._eigenbasis_bytes, 510, 3.85),
          (lambda n: fock.entbs_fidelities(n, 1.0, -0.5, [0.6, 0.5, 0.4, 0.3]),
-          fock._sector_table_bytes, 91, 1.45)],
+          fock._splitter_rows_bytes, 79, 1.3)],
         ids=["identity_doubleket", "displaced_identity_doubleket", "heterodyne_eigen_residual",
              "quad_eigenstate_origin", "quad_eigenstate_displaced", "displaced_doublekets_4",
              "quad_states_4", "squeezer", "displacement", "entbs_fidelities"],
@@ -1239,7 +1303,7 @@ class TestStateGuards:
         # count (4.0 for a displaced double-ket, 3.4 for the heterodyne
         # residual, 1.2 and 1.8 for a quadrature state at x = 0 and x = 0.5,
         # 1.1 and 2.0 for the batches of four here, 1.8 for the squeezer, 3.5
-        # for the displacement and 1.3 for the fidelities); the next is
+        # for the displacement and 1.24 for the fidelities); the next is
         # refused before anything is built, naming the cutoff the caller
         # asked for
         monkeypatch.setattr(fock, "DENSE_BYTES_LIMIT", self.LIMIT)
@@ -1358,7 +1422,7 @@ class TestEntbs:
 
     def test_output_builds_no_two_mode_matrix(self, empty_memo):
         # a dense N=60 two-mode matrix alone is 3721^2 complex entries, 221 MB;
-        # the bound also covers building the 1.2 MB table of splitter blocks
+        # the bound also covers building the 1.8 MB rows table of splitter blocks
         peak = traced_peak(lambda: fock.entbs_output(60, 1.0, -0.5, 0.5))
         assert peak < 20 * 2**20
 
@@ -1546,19 +1610,19 @@ class TestSectorMemo:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: fock.entbs_output(586, 0.0, 0.0, 0.5),
-            lambda: fock.entbs_fidelity(586, 0.0, 0.0, 0.5),
-            lambda: fock.entbs_fidelities(586, 1.0, -0.5, [0.6, 0.5, 0.4, 0.3]),
+            lambda: fock.entbs_output(511, 0.0, 0.0, 0.5),
+            lambda: fock.entbs_fidelity(511, 0.0, 0.0, 0.5),
+            lambda: fock.entbs_fidelities(511, 1.0, -0.5, [0.6, 0.5, 0.4, 0.3]),
         ],
         ids=["entbs_output", "entbs_fidelity", "entbs_fidelities"],
     )
     def test_oversized_splitter_refused_before_the_states(self, build):
-        # the N=586 splitter blocks hold 134841531 real entries; the
+        # the N=511 splitter rows table holds 511 * 513^2 real entries; the
         # quadrature states alone would trace more than 1 MiB
-        assert refused_peak(build, "cutoff 586 needs 1078732248 bytes") < 2**20
+        assert refused_peak(build, "cutoff 511 needs 1075834872 bytes") < 2**20
         assert not fock._SECTOR_TABLES
-        # the largest table that fits
-        assert fock._sector_table_bytes(585) <= fock.DENSE_BYTES_LIMIT
+        # the largest rows table that fits
+        assert fock._splitter_rows_bytes(510) <= fock.DENSE_BYTES_LIMIT
 
 
 class TestSu11Generators:
@@ -1657,6 +1721,7 @@ CUTOFF_BUILDERS = {
     "entbs_fidelities": lambda n: fock.entbs_fidelities(n, 0.1, 0.1, [0.6, 0.5]),
     "lambda_fits": lambda n: fock.lambda_fits(n, 0.5),
     "_sector_table": lambda n: fock._sector_table(n, "total", 0.3),
+    "_splitter_rows": fock._splitter_rows,
 }
 
 
@@ -1759,6 +1824,14 @@ class TestLibraryBoundary:
         assert type(op) is np.ndarray and op.shape in ((5, 5), (25, 25))
         with pytest.raises(ValueError):
             op[0, 0] = 7
+
+    def test_state_owns_its_amplitudes(self):
+        # a write to the caller's array after construction leaves the state
+        source = np.array([1, 0], dtype=complex)
+        state = fock.RegularizedState(1, 1, source)
+        source[0] = 5
+        np.testing.assert_array_equal(state.amplitudes, [1, 0])
+        assert not np.shares_memory(state.amplitudes, source)
 
     def test_stored_arrays_are_read_only(self):
         state = fock.identity_doubleket(4, 0.3)
