@@ -18,7 +18,6 @@ from .fock import (
     matched_lambda,
     mode_mixer,
     opa,
-    phase_shift,
     quad_eigenstate_approx,
     quadrature,
     squeezer,

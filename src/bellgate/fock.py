@@ -1,149 +1,40 @@
 """Truncated Fock-space realization of the bosonic objects.
 
-Single-mode operators live on the first N+1 number states; two-mode operators
-on the Kronecker product with mode a as the slow (row-major) factor, matching
-the double-ket layout. The quadrature convention is X_phi =
-(e^{i phi} a^dag + e^{-i phi} a) / 2, so X_0 and X_{pi/2} have commutator i/2
-and the vacuum variance is 1/4.
+Conventions. Single-mode operators live on the number states n <= N, the
+cutoff, and two-mode ones on their Kronecker product with mode a as the slow
+(row-major) factor: |a, b> sits at index a (N + 1) + b, so a two-mode vector
+is the row-major reshape of its amplitude matrix, the double-ket layout. The
+quadrature is X_phi = (e^{i phi} a^dag + e^{-i phi} a) / 2, so X_0 and
+X_{pi/2} have commutator i/2 and the vacuum variance is 1/4. Every Gaussian
+unitary is the exponential of its generator truncated to the cutoff, which
+is exactly anti-Hermitian: every operator is unitary to rounding and carries
+no warning, and truncation shows only in the states' tail warnings and in
+the SUM gate's block distance. A cutoff is an integer >= 1 (``is_integer``),
+every array returned or memoized is read-only, and every route refuses
+arrays above ``DENSE_BYTES_LIMIT`` before it allocates them
+(``require_memory``).
 
-Every Gaussian unitary is the exponential of its generator truncated to the
-cutoff. The displacement's truncated generator r e^{i theta} a^dag - h.c. is
--2i r X_0 rotated by diag(e^{i (theta + pi/2) n}), so every displacement at
-a cutoff is read off one real eigenbasis of X_0, which the direct SUM gate
-reads too. Every other truncated generator is block-diagonal in a conserved
-photon-number quantity, and inside a block it is a tridiagonal chain with
-zero diagonal: the squeezer has two (even and odd n, its "parity"
-sectors), the beam splitter and mode mixer one per sector of total photon
-number, and the optical parametric amplifier one per sector of
-photon-number difference. A chain links only sites of opposite parity, so
-``_chain_expm``, the one exponential of every sector table, reads exp(G)
-off one SVD of its even-to-odd block X: cos and sin of the singular values
-give the four parity blocks, and a zero chain gives exactly the identity.
+Routes.
 
-Each of those generators is real with a real parameter: a^dag^2 - a^2,
-a^dag b - a b^dag and a^dag b^dag - a b. So their chains have real links,
-every sector block is real orthogonal and is built by a real SVD, and
-every table, dense factor (``squeezer``, ``mode_mixer``, ``opa``) and
-image of the chain is float64. Only the displacement, the direct SUM gate
-and the states are complex; ``entbs_output`` applies the real splitter
-blocks to the (re, im) pairs of its complex state.
-
-The truncated generator is exactly anti-Hermitian, so every factor and every
-sector block is unitary to rounding at any cutoff: the max entry of
-U^dag U - I (``unitarity_defect``) measures rounding, not truncation, and no
-operator carries a warning. The truncation shows instead as a deviation
-from the untruncated operator near the cutoff, which two diagnostics see:
-the SUM gate's block distance in ``sum_gate_block_checks``, and the tail
-masses of the states.
-
-Dirac-like states are only ever represented in regularized form: the
-identity double-ket as a two-mode squeezed vacuum with weight lambda^n, and
-quadrature eigenvectors as rotated displaced squeezed vacua with sharpness
-s. The double-ket's weights lambda^n/||lambda^n||, its refusal of a lambda
-so large that the tail lambda^(2(N+1)) exceeds 1e-4 and its tail warning are
-one helper's, ``_doubleket_weights``. Three cores build k displaced states
-at once, share their factors and return only the normalized amplitudes:
-``_quad_states`` over sharpness values, ``_displaced_doublekets`` over
-lambdas and ``_entbs_outputs``, the splitter's images of pairs of quadrature
-states. Each core refuses ``_padded_bytes`` before it builds. The state
-constructors, ``quad_eigenstate_approx``, ``displaced_identity_doubleket``
-and ``entbs_output``, are their one-column cases and attach their own
-warnings: the padded tail, the mass the state built at N + ``_TAIL_PAD``
-holds outside the first N+1 levels of each mode, which above 1e-8 warns, and
-the double-ket's own. The routes that return bare floats,
-``entbs_fidelities`` with its one-column case and
-``heterodyne_eigen_residual``, read the cores alone, so they build nothing
-above the cutoff. The quadrature states' squeezed vacua S(s)|0>, each
-column 0 of ``squeezer``, are the columns of one block, and the
-displacement is two products of the block with the displacement's basis
-W, turned from X_0's (``_quad_amplitudes``); a tail is the same build at
-N + 12 (``_quad_tail_warning``). The double-ket's amplitude matrix is
-diag(c), so the displaced one is D diag(c): D = W diag(phases) W^dag,
-which ``displacement`` returns too, is formed once (``_displacement``) and
-scaled by each lambda's c. Its tail is read off the padded displacement's
-rows m > N alone, formed once for every lambda
-(``_displaced_doubleket_tails``): no second state is built. The beam
-splitter acts on two-mode states in one stacked product: |a, t - a> sits at
-index t + aN, so a view of the basis with stride N has N rows of N + 2
-states, row t the total-photon sector t and then the sector N + t, and
-only |N, N> is left over (``_splitter_rows_view``). One (N, N+2, N+2)
-stack of the blocks diag(B_t, B_{N+t}) (``_splitter_rows``) is applied by
-one matmul over that view (``_apply_splitter_rows``), and
-``entbs_fidelities`` runs it once over every sharpness, so no state path
-builds a dense two-mode matrix. The stack's zero blocks cost about half
-again the flops, which pays on a state's 2 to 8 real columns, where the
-2N + 1 small per-sector products are bound by their calls; the chain keeps
-its per-sector tables because its 33 or more columns per parity half are
-bound by the flops, and packing its tables the same way took the block
-checks at N = 150 from 41 to 50 ms on a 2-vCPU machine.
-
-Both SUM-gate routes return the read-only full-height images of the basis
-columns a caller reads. The chain (``sum_gate_circuit``) folds the factor
-list of ``gaussian.circuit_factors``, as the 4x4 route does. Every factor
-conserves the parity of n_a + n_b: a squeezer pair moves each mode by an
-even number of photons, the mixer and the splitter conserve n_a + n_b, and
-the OPA's sector of difference k holds only totals of the parity of k. So
-one kernel, ``_chain_halves``, runs the columns of each parity through the
-sector blocks of that parity only, in two buffers reused by every factor,
-and its images are exactly zero off their parity's rows;
-``sum_gate_circuit`` assembles the halves. The direct ``sum_gate`` writes
-the image of |c, d> as L_c P R_d, from X_0's eigenbasis (x, ux), X_{pi/2}'s
-up = diag(i^n) ux and their phase table P: L_c = up diag(conj up[c]) and
-R_d = diag(ux[d]) ux^T. So it is one product over the distinct c, a
-gather and one product with ux^T (``_direct_images``).
-``sum_gate_block_checks`` runs each route once, on the states of total
-photon number <= block, and the direct gate only on the rows a, b <= block.
-It reads each chain half where the kernel makes it: the block's rows for the
-distance against the direct images, and the half's own parity rows for its
-Gram defect (``unitarity_defect``), so no full-height array is built.
-
-The sector blocks of each factor form one table per cutoff, conserved
-quantity and generator scale: the key ``_TABLE_KEYS`` gives each element
-kind of the factor list, which every caller reads (``_element_table``). A
-table is built once, kept read-only in a module-level memo and shared by
-every later call. Every dense factor is assembled from its table by
-``_assemble``, which refuses the dense matrix before the table is fetched.
-The same memo keeps one real eigenbasis of X_0 per cutoff, (N+1)^2 + N+1
-entries of 8 bytes, which ``sum_gate`` and the displacements read, and the
-splitter's rows table for the states, N (N+2)^2 entries of 8 bytes: its
-keys are (cutoff, conserved, scale) for a table, (cutoff, "quadrature",
-0.0) for a basis and (cutoff, "rows", pi/4) for the rows table. The memo
-holds at most ``DENSE_BYTES_LIMIT`` bytes of entries; a new entry first
-drops the least recently used ones. A table pairs each block with its
-sector's states as a slice of the row-major basis, which holds no array:
-step 2 in a parity sector, N in a total-photon one and N + 2 in a
-difference one, so ``_apply_sectors`` reads and writes each sector as a
-strided view. A two-mode table holds (N+1)(2N^2+4N+3)/3 real entries of 8
-bytes, a parity table ceil((N+1)/2)^2 + floor((N+1)/2)^2; a table that
-alone exceeds the limit is refused before anything is built, and with the
-rows table ``entbs_output`` and the fidelities built on it.
-
-One guard, ``require_memory``, refuses a route whose arrays would exceed
-``DENSE_BYTES_LIMIT`` before it allocates them: here a real dense matrix (a
-squeezer's), a complex one (``quadrature``, ``phase_shift``), the photon
-totals (``total_photon_numbers``, ``block_mask``), a displacement's basis W
-at every alpha, the identity double-ket with the state's copy, a batch of
-displaced states (W at N + 12, which a tail holds, and the amplitudes of
-each column beyond the first, ``_padded_bytes``, counted by each core), the
-SUM-gate column images, a sector table's blocks and the splitter's rows
-table, and also the qudit layer's gate set, its dense V and the ``qudit
-synth`` export. Each count is of what the route holds: 8
-bytes an entry for the real tables, dense factors, chain images and int64
-totals (9 with a mask), 16 for the complex matrices, bases W and up
-(``_eigenbasis_bytes``), states and direct images. The column routes count
-three image-sized arrays per column, their peak; ``_direct_bytes`` adds the
-real basis, up and the phase table, ``_chain_bytes`` the chain's three
-sector tables, held at once, and ``require_block_checks_fit``, which refuses
-a cutoff list up front, counts the direct gate, the tables and one more real
-array per block column. The README's guard paragraph states the first size
-each guard refuses.
-
-Every public constructor refuses a cutoff that is not an integer >= 1
-(``is_integer``: a Python or numpy integer, not a bool), and the memo
-refuses one before it is touched. Stored and returned arrays are
-read-only: the builders' operators, the SUM-gate images, the amplitudes of
-the frozen state dataclass (a copy it owns of the array it was given), and
-the memo's blocks, rows table and eigenbasis.
+* Operators: ``quadrature``; ``displacement``, read off the real eigenbasis
+  of X_0 (``_displacement_basis``); ``squeezer``, ``mode_mixer`` and
+  ``opa``, assembled (``_assemble``) from real orthogonal sector blocks, each
+  the ``_chain_expm`` of one chain of a conserved photon-number quantity
+  (``_sector_links``).
+* The memo (``_memoized``) keeps each sector table, X_0's eigenbasis and the
+  50-50 splitter's stacked rows table for states (``_splitter_rows``).
+* States: the cores ``_quad_states``, ``_displaced_doublekets`` and
+  ``_entbs_outputs`` build k regularized states at once and return their
+  normalized amplitudes. The constructors ``quad_eigenstate_approx``,
+  ``identity_doubleket``, ``displaced_identity_doubleket`` and
+  ``entbs_output`` return a ``RegularizedState`` with its tail warnings;
+  ``entbs_fidelities`` and ``heterodyne_eigen_residual`` read the cores
+  alone and return bare floats.
+* The SUM gate exp(-2i X_{pi/2} kron X_0): ``sum_gate`` directly
+  (``_direct_images``) and ``sum_gate_circuit`` as the optical chain of
+  ``gaussian.circuit_factors`` (``_chain_halves``), each applied only to the
+  basis columns a caller reads, and ``sum_gate_block_checks``, which
+  compares the two on a low-photon block.
 """
 
 from __future__ import annotations
@@ -206,23 +97,18 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _quadrature(cutoff: int, phi: float) -> np.ndarray:
-    """``quadrature``'s matrix, writable and unguarded: its off-diagonals
-    x[k+1, k] = e^{i phi} sqrt(k+1) / 2 and their conjugates."""
+def quadrature(cutoff: int, phi: float) -> np.ndarray:
+    """Hermitian quadrature (e^{i phi} a^dag + e^{-i phi} a) / 2: its
+    off-diagonals x[k+1, k] = e^{i phi} sqrt(k+1) / 2 and their conjugates."""
+    _require_cutoff(cutoff)
+    require_finite("phi", phi)
+    require_memory(f"cutoff {cutoff}", 16 * (cutoff + 1) ** 2)
     k = np.arange(cutoff)
     root = np.sqrt(k + 1)
     x = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     x[k + 1, k] = 0.5 * np.exp(1j * phi) * root
     x[k, k + 1] = 0.5 * np.exp(-1j * phi) * root
-    return x
-
-
-def quadrature(cutoff: int, phi: float) -> np.ndarray:
-    """Hermitian quadrature (e^{i phi} a^dag + e^{-i phi} a) / 2 (``_quadrature``)."""
-    _require_cutoff(cutoff)
-    require_finite("phi", phi)
-    require_memory(f"cutoff {cutoff}", 16 * (cutoff + 1) ** 2)
-    return _read_only(_quadrature(cutoff, phi))
+    return _read_only(x)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -331,10 +217,8 @@ def _assemble(cutoff: int, kind: str, param: float) -> np.ndarray:
 
 def _truncation_warning(label: str, tail: float, where: str) -> tuple[str, ...]:
     """The warning "truncation: <label> tail mass <tail> at <where>" when the
-    tail mass a regularized state drops exceeds TAIL_WARN_TOL, else none.
-    It is the only warning the module attaches: the operators are unitary
-    to rounding at every cutoff, so their truncation shows only in states
-    and in the SUM gate's block distance."""
+    tail mass a regularized state drops exceeds TAIL_WARN_TOL, else none:
+    the only warning the module attaches."""
     if tail > TAIL_WARN_TOL:
         return (f"truncation: {label} tail mass {tail:.2e} at {where}",)
     return ()
@@ -390,16 +274,8 @@ def squeezer(cutoff: int, r: float) -> np.ndarray:
 
 
 def _phases(cutoff: int, theta: float) -> np.ndarray:
-    """The diagonal exp(-i theta n) of ``phase_shift``."""
+    """The diagonal exp(-i theta n) of the phase rotation by theta."""
     return np.exp(-1j * theta * np.arange(cutoff + 1))
-
-
-def phase_shift(cutoff: int, theta: float) -> np.ndarray:
-    """Diagonal phase rotation exp(-i theta n)."""
-    _require_cutoff(cutoff)
-    require_finite("theta", theta)
-    require_memory(f"cutoff {cutoff}", 16 * (cutoff + 1) ** 2)
-    return _read_only(np.diag(_phases(cutoff, theta)))
 
 
 # (entry, nbytes) pairs, least recently used first: the sector tables of the
@@ -431,14 +307,23 @@ def _memoized(key: tuple[int, str, float], nbytes: int, build: Callable[[], obje
         return held[0]
 
 
+def _build_quadrature_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of X_0, built real: its off-diagonals sqrt(k+1) / 2,
+    the entries of ``quadrature(cutoff, 0)``, with no complex copy."""
+    k = np.arange(cutoff)
+    x0 = np.zeros((cutoff + 1, cutoff + 1))
+    x0[k + 1, k] = x0[k, k + 1] = 0.5 * np.sqrt(k + 1)
+    return tuple(map(_read_only, np.linalg.eigh(x0)))
+
+
 def _quadrature_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of the real X_0 = ``quadrature(cutoff, 0)``: values
-    x and vectors U as columns, float64, read-only and built once per cutoff.
+    """The real eigenbasis of X_0 (``_build_quadrature_basis``): values x and
+    vectors U as columns, float64, read-only and built once per cutoff.
     X_{pi/2} = Q X_0 Q^dag with Q = diag(i^n) has the basis (x, Q U), which
     its readers form and guard (``_eigenbasis_bytes``)."""
     _require_cutoff(cutoff)
     return _memoized((cutoff, "quadrature", 0.0), 8 * (cutoff + 1) * (cutoff + 2),
-                     lambda: tuple(map(_read_only, np.linalg.eigh(_quadrature(cutoff, 0.0).real))))
+                     lambda: _build_quadrature_basis(cutoff))
 
 
 def _sector_links(cutoff: int, conserved: str) -> list:
@@ -486,11 +371,8 @@ def _build_sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
 
 
 def _sector_table(cutoff: int, conserved: str, scale: float) -> tuple:
-    """The sector table of ``_build_sector_table``, built once per key.
-
-    A table larger than DENSE_BYTES_LIMIT is refused before it is built. To
-    make room for a new one, the least recently used tables are dropped.
-    """
+    """The sector table of ``_build_sector_table``, built once per key and
+    refused above DENSE_BYTES_LIMIT before it is built."""
     _require_cutoff(cutoff)
     nbytes = _sector_table_bytes(cutoff, conserved)
     require_memory(f"cutoff {cutoff}", nbytes)
@@ -512,12 +394,11 @@ def _element_table(cutoff: int, kind: str, param: float) -> tuple:
     return _sector_table(cutoff, *_TABLE_KEYS[kind](param))
 
 
-def _apply_sectors(vectors: np.ndarray, blocks, out: np.ndarray | None = None) -> np.ndarray:
+def _apply_sectors(vectors: np.ndarray, blocks, out: np.ndarray) -> np.ndarray:
     """Apply (states, block) pairs of distinct sectors to the rows of
     ``vectors``, a two-mode vector or a batch of them as columns, into
-    ``out`` (a fresh zero array by default), whose other rows are kept. Each
-    sector's rows are a strided view, read and written in place."""
-    out = np.zeros_like(vectors) if out is None else out
+    ``out``, whose other rows are kept. Each sector's rows are a strided
+    view, read and written in place."""
     for sl, block in blocks:
         np.matmul(block, vectors[sl], out=out[sl])
     return out
@@ -541,7 +422,14 @@ def _build_splitter_rows(cutoff: int) -> np.ndarray:
     rows of ``_splitter_rows_view``: block t is diag(B_t, B_{N+t}), each B
     the ``_chain_expm`` of ``_build_sector_table``'s total sector at pi/4,
     and zero elsewhere. Sector 2N, |N, N> alone, has the block [[1.0]] and
-    is left out."""
+    is left out.
+
+    The zero blocks cost about half again the flops of the 2N + 1 sector
+    products, which pays on a state's 2 to 8 real columns, where those
+    products are bound by their calls. The chain keeps its per-sector tables:
+    its 33 or more columns per parity half are bound by the flops, and
+    packing its tables the same way took the block checks at N = 150 from
+    41 to 50 ms on a 2-vCPU machine."""
     scale = np.pi / 4
     stack = np.zeros((cutoff, cutoff + 2, cutoff + 2))
     *sectors, _ = _sector_links(cutoff, "total")
@@ -583,16 +471,14 @@ def _parity_sectors(table: tuple, cutoff: int, parity: int) -> tuple:
 
 
 def _apply_kron_on_parity(a: np.ndarray, b: np.ndarray, vectors: np.ndarray,
-                          parity: int, out: np.ndarray | None = None) -> np.ndarray:
+                          parity: int, out: np.ndarray) -> np.ndarray:
     """kron(a, b) for single-mode factors that conserve the parity of n,
     applied to two-mode columns that hold only states of total photon
-    number of the given parity, into ``out`` (a fresh zero array by
-    default). An amplitude matrix M of such a column has two nonzero parity
-    blocks, M_rq with q = parity - r (mod 2), each mapped to a_rr M_rq
-    b_qq^T; ``out``'s other two blocks are kept."""
+    number of the given parity, into ``out``. An amplitude matrix M of such
+    a column has two nonzero parity blocks, M_rq with q = parity - r (mod
+    2), each mapped to a_rr M_rq b_qq^T; ``out``'s other two blocks are kept."""
     n1 = len(a)
     m = vectors.reshape(n1, n1, -1)
-    out = np.zeros_like(vectors) if out is None else out
     for r in (0, 1):
         q = (parity - r) % 2
         block = m[r::2, q::2]
@@ -621,25 +507,6 @@ def opa(cutoff: int, alpha_param: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Basis helpers
-# ---------------------------------------------------------------------------
-
-def total_photon_numbers(cutoff: int) -> np.ndarray:
-    """Total photon number of each two-mode basis state, in vector order."""
-    _require_cutoff(cutoff)
-    require_memory(f"cutoff {cutoff}", 8 * (cutoff + 1) ** 2)
-    n = np.arange(cutoff + 1)
-    return np.add.outer(n, n).reshape(-1)
-
-
-def block_mask(cutoff: int, max_total: int) -> np.ndarray:
-    """Boolean mask selecting two-mode basis states with total photons <= max_total."""
-    _require_cutoff(cutoff)
-    require_memory(f"cutoff {cutoff}", 9 * (cutoff + 1) ** 2)
-    return total_photon_numbers(cutoff) <= max_total
-
-
-# ---------------------------------------------------------------------------
 # Regularized Dirac states
 # ---------------------------------------------------------------------------
 
@@ -657,9 +524,8 @@ def lambda_fits(cutoff: int, lam: float) -> bool:
 def _doubleket_weights(cutoff: int, lams) -> tuple[np.ndarray, list[tuple[str, ...]]]:
     """The identity double-ket's weights lambda^n / ||lambda^n|| over n <= N,
     one row per lambda of ``lams``, and the tail warning of each. Every
-    lambda is refused, through ``lambda_fits``, before any row is formed:
-    one outside (0, 1), and one whose truncated tail mass lambda^(2(N+1))
-    exceeds 1e-4; tails above 1e-8 warn."""
+    lambda that ``lambda_fits`` refuses or finds too heavy for the cutoff is
+    refused before any row is formed."""
     warns = []
     for lam in lams:
         fits = lambda_fits(cutoff, lam)
@@ -683,9 +549,8 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     The sharp limit lambda -> 1 recovers the (non-normalizable) identity
     double-ket. Its (N+1)^2 entries, twice, the array it fills and the
     state's own copy, are refused above DENSE_BYTES_LIMIT before anything is
-    allocated; then ``_doubleket_weights`` refuses a lambda outside (0, 1)
-    and one whose truncated tail mass lambda^(2(N+1)) exceeds 1e-4, and
-    gives the weights on the diagonal and the warning of a tail above 1e-8.
+    allocated; then ``_doubleket_weights`` gives the weights on the diagonal
+    and the warning.
     """
     _require_cutoff(cutoff)
     n1 = cutoff + 1
@@ -953,12 +818,13 @@ def sum_gate_circuit(cutoff: int, columns) -> np.ndarray:
     ``columns`` (an array of two-mode indices): the read-only images, column
     j that of ``columns[j]``.
 
-    Every factor conserves the parity of n_a + n_b, so the image of |c, d>
-    lives on the rows of parity c + d: ``_chain_halves`` runs the columns
-    in two halves by that parity, and this assembles them. No factor is
-    built as a two-mode matrix. Every factor is real and unitary to
-    rounding at any cutoff, so the images are float64 and carry no warning:
-    their truncation shows in the block distance of ``sum_gate_block_checks``.
+    Every factor conserves the parity of n_a + n_b: a squeezer pair moves
+    each mode by an even number of photons, the mixer and the splitter
+    conserve n_a + n_b, and the OPA's sector of difference k holds only
+    totals of the parity of k. So the image of |c, d> lives on the rows of
+    parity c + d: ``_chain_halves`` runs the columns in two halves by that
+    parity, and this assembles them. No factor is built as a two-mode
+    matrix, and the images are float64.
     """
     cols = _basis_indices(cutoff, columns, _chain_bytes)
     out = np.empty(((cutoff + 1) ** 2, cols.size))
@@ -1000,8 +866,9 @@ def require_block_checks_fit(cutoff: int, block_photons: int) -> None:
     arrays per block column (the direct gate's three complex ones and a real
     one, more than the chain's halves hold) and the direct gate's two
     basis-sized arrays and its (N+1)^2 phase table. The column count is
-    computed, not masked, so that a huge cutoff is refused without an
-    (N+1)^2 mask. A ``block_photons`` that is not an integer >= 0 is refused.
+    computed (``_states_up_to``), so that a huge cutoff is refused before the
+    (N+1)^2 photon totals are formed. A ``block_photons`` that is not an
+    integer >= 0 is refused.
     """
     _require_cutoff(cutoff)
     if not is_integer(block_photons) or block_photons < 0:
@@ -1024,16 +891,19 @@ def sum_gate_block_checks(cutoff: int, block_photons: int) -> tuple[float, float
     have disjoint rows, so their cross products are exactly zero, and the
     defect is the larger of the two parity halves' own, or NaN if either is.
     The distance, phase-aligned, is between the two routes' images on the
-    block's rows; it is where the truncation shows. The direct gate builds only the rows a,
-    b <= ``block_photons`` (``_direct_images``), which hold the block's.
+    block's rows; it is where the truncation shows. The direct gate builds
+    only the rows a, b <= ``block_photons`` (``_direct_images``), which hold
+    the block's. The block's indices and each half's parity rows are read
+    off one array of the two-mode photon totals.
     """
     require_block_checks_fit(cutoff, block_photons)
-    block = np.flatnonzero(block_mask(cutoff, block_photons))
-    rows_parity = total_photon_numbers(cutoff) % 2
+    levels = np.arange(cutoff + 1)
+    totals = np.add.outer(levels, levels).reshape(-1)
+    block = np.flatnonzero(totals <= block_photons)
     chain, defects = np.empty((block.size, block.size)), []
     for parity, half, images in _chain_halves(cutoff, block):
         chain[:, half] = images[block]
-        defects.append(unitarity_defect(images[rows_parity == parity]))
+        defects.append(unitarity_defect(images[totals % 2 == parity]))
         del images
     rows = min(block_photons, cutoff) + 1
     a, b = np.divmod(block, cutoff + 1)
@@ -1076,13 +946,10 @@ def _entbs_outputs(cutoff: int, x: float, y: float, sharpness) -> np.ndarray:
 def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
     """Beam-splitter image of |x/sqrt2>_0 kron |y/sqrt2>_{pi/2} at sharpness s.
 
-    The 50-50 splitter is applied to the product vector as one stacked
-    product over the rows of the basis, sector t and sector N + t each, so
-    no dense two-mode matrix is built; ``mode_mixer(cutoff, pi/4)`` assembles
-    the same blocks. The splitter's rows table is requested first, so a
-    cutoff whose table is refused builds no state. Its amplitudes are the
-    one-column case of ``_entbs_outputs``; its warnings are the tail
-    warnings of its two inputs (``_quad_tail_warning``), mode a's first.
+    Its amplitudes are the one-column case of ``_entbs_outputs``, so no
+    dense two-mode matrix is built, and a cutoff whose splitter table is
+    refused builds no state; its warnings are the tail warnings of its two
+    inputs (``_quad_tail_warning``), mode a's first.
     """
     out = _entbs_outputs(cutoff, x, y, [s])
     warns = (_quad_tail_warning(cutoff, x / np.sqrt(2.0), 0.0, s)
@@ -1092,11 +959,10 @@ def entbs_output(cutoff: int, x: float, y: float, s: float) -> RegularizedState:
 
 def entbs_fidelities(cutoff: int, x: float, y: float, sharpness) -> list[float]:
     """``entbs_fidelity`` at one (x, y) for each sharpness of ``sharpness``,
-    read once, from one pass: the inputs of every s are the columns of one
-    block, the splitter runs once over them (``_entbs_outputs``), and the
-    references share one D(x + iy) (``_displaced_doublekets``). No tail is
-    built, as no warning is returned. Every s is refused before anything is
-    built, and an empty ``sharpness`` builds nothing."""
+    from one pass of the splitter over every s (``_entbs_outputs``) against
+    references that share one D(x + iy) (``_displaced_doublekets``). No tail
+    is built, as no warning is returned. Every s is refused before anything
+    is built, and an empty ``sharpness`` builds nothing."""
     sharpness = list(sharpness)
     lams = [matched_lambda(s) for s in sharpness]
     require_finite("x", x)

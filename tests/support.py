@@ -1,8 +1,9 @@
 """Helpers shared by the test files: the memory a call traces, the
-truncation defect of a Fock operator, the ladder matrix, kron(A, B) applied
-to double-kets, the two-mode references of the Fock oracles, and references
-for the sector tables, the state tails, the SUM-gate chain's full-height
-route and the two-eigenbasis routes of the displacement and the direct gate.
+two-mode photon totals, the truncation defect of a Fock operator, the ladder
+matrix and the phase shift, kron(A, B) applied to double-kets, the two-mode
+references of the Fock oracles, and references for the sector tables, the
+state tails, the SUM-gate chain's full-height route and the two-eigenbasis
+routes of the displacement and the direct gate.
 
 The references are sums of Kronecker terms. A list of terms (w, A, B) stands
 for the sum of w kron(A, B): its entry between |a, b> and |c, d> is the sum
@@ -41,6 +42,12 @@ def every_state(n: int) -> np.ndarray:
     return np.arange((n + 1) ** 2)
 
 
+def photon_totals(cutoff: int) -> np.ndarray:
+    """Total photon number n_a + n_b of each two-mode basis state, in vector order."""
+    levels = np.arange(cutoff + 1)
+    return np.add.outer(levels, levels).reshape(-1)
+
+
 def truncation_defect(images, cutoff: int, modes: int) -> float:
     """The truncation error of an operator at ``cutoff``: the worst norm of
     the difference between its images of the source states, those of (total)
@@ -54,7 +61,7 @@ def truncation_defect(images, cutoff: int, modes: int) -> float:
         src = levels[: cutoff // 4 + 1]
         small, large = images(cutoff, src), images(cutoff + 8, src)[:n1]
     else:
-        a, b = np.divmod(np.flatnonzero(fock.block_mask(cutoff, cutoff // 4)), n1)
+        a, b = np.divmod(np.flatnonzero(photon_totals(cutoff) <= cutoff // 4), n1)
         small = images(cutoff, a * n1 + b)
         large = images(cutoff + 8, a * big + b)[(levels[:, None] * big + levels).reshape(-1)]
     return float(np.linalg.norm(small - large, axis=0).max())
@@ -66,6 +73,12 @@ def ladder(cutoff: int) -> np.ndarray:
     ns = np.arange(1, cutoff + 1)
     a[ns - 1, ns] = np.sqrt(ns)
     return a
+
+
+def phase_shift(cutoff: int, theta: float) -> np.ndarray:
+    """The phase rotation exp(-i theta n) as a dense diagonal, from the
+    library's phases ``fock._phases``."""
+    return np.diag(fock._phases(cutoff, theta))
 
 
 def kron_apply(a: np.ndarray, b: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -151,9 +164,11 @@ def full_height_chain(cutoff: int, columns) -> np.ndarray:
                              order="C").reshape(n1 * n1, -1)
         for kind, operand in reversed(later):
             if kind == "squeezers":
-                images = fock._apply_kron_on_parity(*operand, images, parity)
+                images = fock._apply_kron_on_parity(*operand, images, parity,
+                                                    np.zeros_like(images))
             else:
-                images = fock._apply_sectors(images, fock._parity_sectors(operand, cutoff, parity))
+                images = fock._apply_sectors(images, fock._parity_sectors(operand, cutoff, parity),
+                                             np.zeros_like(images))
         out[:, half] = images
     return out
 
@@ -184,13 +199,14 @@ def full_height_block_checks(cutoff: int, block_photons: int) -> tuple[float, fl
     """``fock.sum_gate_block_checks`` read off the full-height images: the
     block's rows by a row gather, and each parity half's Gram input by a
     gather of its rows and columns."""
-    block = np.flatnonzero(fock.block_mask(cutoff, block_photons))
+    totals = photon_totals(cutoff)
+    block = np.flatnonzero(totals <= block_photons)
     images = full_height_chain(cutoff, block)
     rows = min(block_photons, cutoff) + 1
     a, b = np.divmod(block, cutoff + 1)
     direct = fock._direct_images(cutoff, block, rows)[a * rows + b]
     distance = fock.phase_aligned_block_distance(direct, images[block])
-    rows_parity, columns_parity = fock.total_photon_numbers(cutoff) % 2, (a + b) % 2
+    rows_parity, columns_parity = totals % 2, (a + b) % 2
     gram_defect = float(np.max([
         fock.unitarity_defect(images[np.ix_(rows_parity == parity, columns_parity == parity)])
         for parity in (0, 1) if (columns_parity == parity).any()

@@ -13,7 +13,7 @@ of the observed value.
 
 import numpy as np
 import pytest
-from support import compose, su11_terms, term_block
+from support import compose, photon_totals, su11_terms, term_block
 
 from bellgate import cli, fock, gaussian, qudit
 
@@ -96,7 +96,8 @@ def test_04_double_ket_identities():
             a, b = a * conserving, b * conserving
             sandwich = np.einsum("im,jn,mn->ij", a, b, c).reshape(-1)
             image = sum(fock._apply_kron_on_parity(
-                a, b, (c * (total_parity == parity)).reshape(-1, 1), parity)[:, 0]
+                a, b, (c * (total_parity == parity)).reshape(-1, 1), parity,
+                np.zeros((d * d, 1), dtype=complex))[:, 0]
                 for parity in (0, 1))
             worst = max(worst, np.abs(image - sandwich).max())
         gs = qudit.make_gateset(d)
@@ -224,7 +225,7 @@ def test_10_su11_commutator_in_fock_space():
     # block alone
     n = 40
     kx, ky, kz = su11_terms(n).values()
-    block = np.flatnonzero(fock.block_mask(n, n - 2))
+    block = np.flatnonzero(photon_totals(n) <= n - 2)
 
     def on_block(terms):
         return term_block(terms, n, block, block)

@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import (
     compose, every_state, full_height_block_checks, full_height_chain, gather_scatter, kron_apply,
-    ladder, padded_doubleket_tail, refused_peak, sector_indices, su11_terms, term_block,
-    traced_peak, truncation_defect, two_basis_displacement, two_basis_sum_gate,
+    ladder, padded_doubleket_tail, phase_shift, photon_totals, refused_peak, sector_indices,
+    su11_terms, term_block, traced_peak, truncation_defect, two_basis_displacement,
+    two_basis_sum_gate,
 )
 
 from bellgate import cli, fock, gaussian
@@ -156,11 +157,19 @@ class TestQuadratures:
         assert peak <= 1.2 * fock._eigenbasis_bytes(510)
 
     def test_quadrature_basis_traces_below_its_count(self, empty_memo):
-        # the complex X_0 and the real eigenbasis the memo keeps, 1.50 times
-        # the count of a complex basis at N = 510; the complex eigh of
-        # X_{pi/2} the memo once kept traced 2.00
+        # the real X_0 and the real eigenbasis the memo keeps, 1.00 times the
+        # count of a complex basis at N = 510; read off a complex X_0 it
+        # traced 1.50, and the complex eigh of X_{pi/2} the memo once kept 2.00
         peak = traced_peak(lambda: fock._quadrature_basis(510))
-        assert peak <= 1.6 * fock._eigenbasis_bytes(510)
+        assert peak <= 1.1 * fock._eigenbasis_bytes(510)
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 40, 400])
+    def test_real_basis_equals_the_complex_quadrature_route(self, n):
+        # X_0 built real holds the real parts of quadrature(n, 0), so its
+        # eigh is the same, bit for bit
+        built = fock._build_quadrature_basis(n)
+        complex_route = np.linalg.eigh(fock.quadrature(n, 0.0).real)
+        assert all(np.array_equal(a, b) for a, b in zip(built, complex_route, strict=True))
 
 
 # a chain link: complex, of modulus up to 4, and often exactly 0
@@ -286,17 +295,29 @@ class TestSqueezer:
 
 class TestPhaseShift:
     def test_zero_angle(self):
-        np.testing.assert_array_equal(fock.phase_shift(5, 0.0), np.eye(6))
+        np.testing.assert_array_equal(phase_shift(5, 0.0), np.eye(6))
 
     def test_quarter_turns_compose(self):
-        quarter = fock.phase_shift(5, np.pi / 2)
+        quarter = phase_shift(5, np.pi / 2)
         np.testing.assert_allclose(
-            quarter @ quarter, fock.phase_shift(5, np.pi), atol=1e-14
+            quarter @ quarter, phase_shift(5, np.pi), atol=1e-14
         )
+
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 2])
+    @pytest.mark.parametrize("alpha", [0.8, 1 - 0.5j])
+    def test_conjugation_turns_the_displacement(self, alpha, theta):
+        # R a^dag R^dag = e^{-i theta} a^dag for R = exp(-i theta n), so R D(alpha)
+        # R^dag = D(e^{-i theta} alpha): the phases the displacement's basis
+        # W is turned by follow the same convention
+        n = 30
+        turn = phase_shift(n, theta)
+        np.testing.assert_allclose(turn @ fock.displacement(n, alpha) @ turn.conj().T,
+                                   fock.displacement(n, np.exp(-1j * theta) * alpha),
+                                   rtol=0, atol=1e-12)
 
     def test_conjugation_inverts_squeezer(self):
         n, r = 40, 1.2
-        quarter = fock.phase_shift(n, np.pi / 2)
+        quarter = phase_shift(n, np.pi / 2)
         conjugated = quarter @ fock.squeezer(n, r) @ quarter.conj().T
         np.testing.assert_allclose(
             conjugated, fock.squeezer(n, 1 / r), atol=1e-9
@@ -323,10 +344,10 @@ class TestBeamSplitter:
         assert fock.unitarity_defect(fock.mode_mixer(12, np.pi / 4)) <= 1e-10
 
     def test_number_conservation(self):
-        n_tot = np.diag(fock.total_photon_numbers(10).astype(complex))
+        n_tot = np.diag(photon_totals(10).astype(complex))
         v = fock.mode_mixer(10, np.pi / 4)
         assert np.abs(v @ n_tot - n_tot @ v).max() <= 1e-12
-        rot = np.kron(np.eye(11), fock.phase_shift(10, np.pi / 2))
+        rot = np.kron(np.eye(11), phase_shift(10, np.pi / 2))
         assert np.abs(rot @ n_tot - n_tot @ rot).max() <= 1e-12
 
     def test_sector_route_matches_dense_expm(self):
@@ -368,7 +389,7 @@ class TestOpa:
             vectors = np.zeros(((n + 1) ** 2, len(columns)), dtype=complex)
             vectors[columns, np.arange(len(columns))] = 1.0
             return fock._apply_sectors(
-                vectors, fock._sector_table(n, "difference", -alpha / 2)
+                vectors, fock._sector_table(n, "difference", -alpha / 2), np.zeros_like(vectors)
             )
 
         defects = [truncation_defect(images, n, 2) for n in (20, 30, 40)]
@@ -678,8 +699,23 @@ class TestSectorSlices:
         rng = np.random.default_rng(n)
         for shape in ((dim,), (dim, 33)):
             vectors = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            assert np.array_equal(fock._apply_sectors(vectors, table),
+            assert np.array_equal(fock._apply_sectors(vectors, table, np.zeros_like(vectors)),
                                   gather_scatter(vectors, pairs))
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_sectors_of_one_parity_keep_the_other_rows_of_out(self, n, parity):
+        # a parity half's sectors write their own rows of ``out`` and no other
+        table = fock._parity_sectors(fock._sector_table(n, "total", 0.37), n, parity)
+        rows = photon_totals(n) % 2 == parity
+        rng = np.random.default_rng(n + parity)
+        vectors = rng.standard_normal(((n + 1) ** 2, 3)) * rows[:, None]
+        out = rng.standard_normal(vectors.shape)
+        before = out.copy()
+        assert fock._apply_sectors(vectors, table, out) is out
+        assert np.array_equal(out[~rows], before[~rows])
+        assert np.array_equal(out[rows],
+                              fock._apply_sectors(vectors, table, np.zeros_like(vectors))[rows])
 
 
 class TestSplitterRows:
@@ -831,9 +867,27 @@ class TestApplyKron:
         in_parity = (np.add.outer(n, n).reshape(-1) % 2 == parity)[:, None]
         vectors = _random_complex(rng, n1 * n1, 3) * in_parity
         np.testing.assert_allclose(
-            fock._apply_kron_on_parity(a, b, vectors, parity),
+            fock._apply_kron_on_parity(a, b, vectors, parity, np.zeros_like(vectors)),
             kron_apply(a, b, vectors), rtol=0, atol=1e-12,
         )
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_parity_route_keeps_the_other_blocks_of_out(self, parity):
+        # the chain's buffers are zeroed once and reused: the kernel writes
+        # only the two parity blocks of each amplitude matrix in ``out``
+        n1 = 6
+        rng = np.random.default_rng(20 + parity)
+        n = np.arange(n1)
+        conserving = (n[:, None] - n) % 2 == 0
+        a, b = (_random_complex(rng, n1, n1) * conserving for _ in range(2))
+        in_parity = (np.add.outer(n, n).reshape(-1) % 2 == parity)
+        vectors = _random_complex(rng, n1 * n1, 3) * in_parity[:, None]
+        out = _random_complex(rng, n1 * n1, 3)
+        before = out.copy()
+        assert fock._apply_kron_on_parity(a, b, vectors, parity, out) is out
+        assert np.array_equal(out[~in_parity], before[~in_parity])
+        np.testing.assert_allclose(out[in_parity], kron_apply(a, b, vectors)[in_parity],
+                                   rtol=0, atol=1e-12)
 
     def test_regularized_state_holds_the_row_major_layout(self):
         # |a, b> sits at index a (N + 1) + b, the entry M[a, b]
@@ -861,7 +915,8 @@ class TestSumGate:
         # up = diag(i^n) ux from the memo's one real basis, against complex
         # eighs of both quadratures, on the total <= 10 columns and three
         # more: 9.6e-17 apart at most here
-        cols = np.append(np.flatnonzero(fock.block_mask(n, 10)), [n + 3, n * n, (n + 1) ** 2 - 1])
+        cols = np.append(np.flatnonzero(photon_totals(n) <= 10),
+                         [n + 3, n * n, (n + 1) ** 2 - 1])
         np.testing.assert_allclose(fock.sum_gate(n, cols), two_basis_sum_gate(n, cols),
                                    rtol=0, atol=1e-13)
 
@@ -881,7 +936,7 @@ class TestSumGate:
         # library's sector, chain or spectral routes: 1.06e-3 both ways at
         # N=20, apart by 1.9e-16
         n = 20
-        block = np.ix_(*[np.flatnonzero(fock.block_mask(n, 10))] * 2)
+        block = np.ix_(*[np.flatnonzero(photon_totals(n) <= 10)] * 2)
         chain = dense_sum_gate_chain(n, gaussian.decomposition_params())
         dense = fock.phase_aligned_block_distance(dense_sum_gate(n)[block], chain[block])
         _, distance = fock.sum_gate_block_checks(n, 10)
@@ -905,7 +960,7 @@ class TestSumGate:
     def test_block_rows_equal_the_direct_gate_on_the_block(self, n):
         # the rows a, b <= block that the block checks build are the rows of
         # the full-height images, bit for bit
-        block = np.flatnonzero(fock.block_mask(n, 10))
+        block = np.flatnonzero(photon_totals(n) <= 10)
         a, b = np.divmod(block, n + 1)
         rows = fock._direct_images(n, block, 11)[a * 11 + b]
         assert np.array_equal(rows, fock.sum_gate(n, block)[block])
@@ -923,7 +978,7 @@ class TestSumGate:
         monkeypatch.setattr(fock, "_chain_halves", counted)
         fock.sum_gate_block_checks(40, 10)
         assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], np.flatnonzero(fock.block_mask(40, 10)))
+        np.testing.assert_array_equal(calls[0], np.flatnonzero(photon_totals(40) <= 10))
 
     def test_gram_defect_read_once_per_parity_half(self, monkeypatch):
         # the 66 columns of total <= 10 at N=40: the 36 of even total on the
@@ -998,11 +1053,17 @@ class TestSumGate:
         assert d30 > cli.ABLATION_FLOOR and d40 > cli.ABLATION_FLOOR
         assert d30 == pytest.approx(d40, rel=0, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [12, 20, 30, 40, 60, 80, 150])
-    def test_block_checks_equal_the_full_height_route(self, n):
+    @pytest.mark.parametrize(
+        "n, block",
+        [(n, 10) for n in (12, 13, 20, 21, 30, 40, 41, 60, 80, 150)] + [(12, 6), (13, 6)],
+        # the ids the 10-photon cases had while only ``n`` was parametrized
+        ids=[*map(str, (12, 13, 20, 21, 30, 40, 41, 60, 80, 150)), "12-block6", "13-block6"],
+    )
+    def test_block_checks_equal_the_full_height_route(self, n, block):
         # the halves read where they are made give the numbers of the
-        # full-height images and their gathers, bit for bit
-        assert fock.sum_gate_block_checks(n, 10) == full_height_block_checks(n, 10)
+        # full-height images and their gathers, bit for bit, at even and odd
+        # cutoffs and with the 6-photon block of a list that starts at 12
+        assert fock.sum_gate_block_checks(n, block) == full_height_block_checks(n, block)
 
     def test_vacuum_image_agreement(self):
         n = 30
@@ -1023,7 +1084,7 @@ class TestSumGateColumns:
     def column_set(n: int, which: str) -> np.ndarray:
         dim = (n + 1) ** 2
         return {
-            "half_block": np.flatnonzero(fock.block_mask(n, n // 2)),
+            "half_block": np.flatnonzero(photon_totals(n) <= n // 2),
             # unsorted, from the top corner |N, N> down to the vacuum
             "scattered": np.array([dim - 1, 3 * (n + 1) + 5, 0, n, 7 * (n + 1)]),
             "all": np.arange(dim),
@@ -1033,7 +1094,7 @@ class TestSumGateColumns:
         # every factor conserves the parity of n_a + n_b, so the image of a
         # basis state is exactly zero on the rows of the other parity
         n, dense = dense_chain
-        parity = fock.total_photon_numbers(n) % 2
+        parity = photon_totals(n) % 2
         assert not dense[np.not_equal.outer(parity, parity)].any()
 
     @pytest.mark.parametrize("which", ["half_block", "scattered", "all"])
@@ -1044,7 +1105,7 @@ class TestSumGateColumns:
         np.testing.assert_allclose(out, dense[:, columns], rtol=0, atol=1e-13)
         # real, and exactly zero off each column's parity, as the dense chain is
         assert out.dtype == np.float64
-        parity = fock.total_photon_numbers(n) % 2
+        parity = photon_totals(n) % 2
         assert not out[np.not_equal.outer(parity, parity[columns])].any()
 
     @pytest.mark.parametrize("n", [12, 20])
@@ -1056,13 +1117,13 @@ class TestSumGateColumns:
             rtol=0, atol=1e-13,
         )
 
-    @pytest.mark.parametrize("n", [12, 20, 40, 80])
+    @pytest.mark.parametrize("n", [12, 13, 20, 21, 40, 41, 80])
     @pytest.mark.parametrize("order", ["block", "shuffled"])
     def test_images_bytes_equal_the_full_height_route(self, n, order):
         # the halves run through two reused buffers; the full-height route
         # writes a fresh array per factor. Their bytes agree, so the rows
         # off a column's parity hold +0.0 and never -0.0
-        columns = np.flatnonzero(fock.block_mask(n, 10))
+        columns = np.flatnonzero(photon_totals(n) <= 10)
         if order == "shuffled":
             columns = np.random.default_rng(n).permutation(columns)
         images = fock.sum_gate_circuit(n, columns)
@@ -1072,7 +1133,7 @@ class TestSumGateColumns:
     def test_half_block_builds_no_two_mode_matrix(self):
         # the dense route held 1681^2 complex factors: a 172.6 MB peak at N=40
         n = 40
-        half = np.flatnonzero(fock.block_mask(n, n // 2))
+        half = np.flatnonzero(photon_totals(n) <= n // 2)
         peak = traced_peak(lambda: fock.sum_gate_circuit(n, columns=half))
         assert peak < 40 * 2**20
 
@@ -1191,8 +1252,8 @@ class TestDenseGuard:
 
     @pytest.mark.parametrize("cutoff, max_total", [(4, 0), (4, 3), (4, 4), (4, 5), (4, 7),
                                                    (4, 8), (4, 9), (13, 6), (13, 20)])
-    def test_state_count_matches_block_mask(self, cutoff, max_total):
-        count = fock.block_mask(cutoff, max_total).sum()
+    def test_state_count_matches_the_photon_totals(self, cutoff, max_total):
+        count = (photon_totals(cutoff) <= max_total).sum()
         assert fock._states_up_to(cutoff, max_total) == count
 
     def test_chain_counts_its_three_tables_with_its_columns(self, monkeypatch):
@@ -1217,7 +1278,7 @@ class TestDenseGuard:
     def test_block_checks_refused_before_the_mask(self):
         # cutoff 340 is the largest whose 66 columns of total <= 10, four
         # arrays each, three sector tables, two basis-sized arrays and a phase table
-        # fit; at cutoff 10^5 even the (N+1)^2 block mask would take 10 GB
+        # fit; at cutoff 10^5 even the (N+1)^2 photon totals would take 80 GB
         fock.require_block_checks_fit(340, 10)
         with pytest.raises(ValueError, match="cutoff 341 needs 1077948432 bytes"):
             fock.require_block_checks_fit(341, 10)
@@ -1234,14 +1295,14 @@ class TestDenseGuard:
         # three image-sized arrays per column, the real basis, up and the
         # phase table bound the direct gate's peak; at N=400 one column's 7.7
         # MB of arrays are the smaller part of its 9.0 MB peak
-        columns = [0] if which == "one_column" else np.flatnonzero(fock.block_mask(n, n // 2))
+        columns = [0] if which == "one_column" else np.flatnonzero(photon_totals(n) <= n // 2)
         requested = []
         monkeypatch.setattr(fock, "require_memory", lambda label, nbytes: requested.append(nbytes))
         peak = traced_peak(lambda: fock.sum_gate(n, columns))
         assert requested == [fock._direct_bytes(n, len(columns))]
         assert peak <= requested[0] + 2**20
 
-    @pytest.mark.parametrize("n", [20, 30, 40, 60, 150])
+    @pytest.mark.parametrize("n", [13, 20, 21, 30, 40, 41, 60, 150])
     def test_block_checks_peak_within_the_guarded_bytes(self, monkeypatch, empty_memo, n):
         # the count is the largest request, the one of require_block_checks_fit:
         # the direct gate's arrays and one more real array per column; the
@@ -1433,7 +1494,7 @@ class TestSectorMemo:
         "build",
         [
             lambda: fock.entbs_output(60, 1, -0.5, 0.5).amplitudes,
-            lambda: fock.sum_gate_circuit(20, np.flatnonzero(fock.block_mask(20, 10))),
+            lambda: fock.sum_gate_circuit(20, np.flatnonzero(photon_totals(20) <= 10)),
             lambda: fock.mode_mixer(12, np.pi / 4),
             lambda: fock.opa(10, 0.7),
             lambda: fock.displaced_identity_doubleket(60, 0.5, 1 - 0.5j).amplitudes,
@@ -1523,7 +1584,7 @@ class TestSectorMemo:
         # distinct c, gathered per column, scaled by the real ux[d] and
         # multiplied by ux^T
         n, n1 = 20, 21
-        cols = np.flatnonzero(fock.block_mask(n, 10))
+        cols = np.flatnonzero(photon_totals(n) <= 10)
         x, ux = np.linalg.eigh(fock.quadrature(n, 0.0).real)
         up = np.array([1, 1j, -1, -1j])[np.arange(n1) % 4, None] * ux
         firsts, which = np.unique(cols // n1, return_inverse=True)
@@ -1629,7 +1690,7 @@ class TestSu11Generators:
     def test_commutator_on_inner_block(self):
         n = 20
         kx, ky, kz = su11_terms(n).values()
-        block = np.flatnonzero(fock.block_mask(n, n - 2))
+        block = np.flatnonzero(photon_totals(n) <= n - 2)
 
         def on_block(terms):
             return term_block(terms, n, block, block)
@@ -1703,11 +1764,8 @@ CUTOFF_BUILDERS = {
     "displacement": lambda n: fock.displacement(n, 0.1),
     "displacement_identity": lambda n: fock.displacement(n, 0.0),
     "squeezer": lambda n: fock.squeezer(n, 0.8),
-    "phase_shift": lambda n: fock.phase_shift(n, 0.3),
     "mode_mixer": lambda n: fock.mode_mixer(n, 0.3),
     "opa": lambda n: fock.opa(n, 0.2),
-    "total_photon_numbers": fock.total_photon_numbers,
-    "block_mask": lambda n: fock.block_mask(n, 1),
     "identity_doubleket": lambda n: fock.identity_doubleket(n, 1e-3),
     "displaced_identity_doubleket": lambda n: fock.displaced_identity_doubleket(n, 1e-3, 0.1),
     "quad_eigenstate_approx": lambda n: fock.quad_eigenstate_approx(n, 0.1, 0.0, 0.5),
@@ -1726,7 +1784,7 @@ CUTOFF_BUILDERS = {
 
 
 # the builders of CUTOFF_BUILDERS that return an operator as a plain array
-OPERATOR_BUILDERS = ("quadrature", "displacement", "squeezer", "phase_shift", "mode_mixer", "opa",
+OPERATOR_BUILDERS = ("quadrature", "displacement", "squeezer", "mode_mixer", "opa",
                      "displacement_identity")
 
 
@@ -1743,7 +1801,7 @@ class TestLibraryBoundary:
     @pytest.mark.parametrize(
         "builder, name",
         [("displacement", "alpha"), ("squeezer", "r"), ("mode_mixer", "theta"), ("opa", "alpha_param"),
-         ("phase_shift", "theta"), ("quadrature", "phi"),
+         ("quadrature", "phi"),
          ("displaced_identity_doubleket", "z"), ("heterodyne_eigen_residual", "z"),
          ("identity_doubleket", "lam"), ("lambda_fits", "lam"),
          ("entbs_fidelity", "x"), ("entbs_fidelity", "y"), ("entbs_fidelity", "s"),
@@ -1756,8 +1814,8 @@ class TestLibraryBoundary:
         if isinstance(value, complex) and name in ("alpha", "z"):
             build()  # the displacement amplitudes are complex
             return
-        # unrefused, quadrature(4, 0.5j) was not Hermitian, phase_shift(4, 0.5j)
-        # not unitary, and a NaN y of entbs_fidelity was refused as x
+        # unrefused, quadrature(4, 0.5j) was not Hermitian, and a NaN y of
+        # entbs_fidelity was refused as x
         reason = "real" if isinstance(value, complex) else "finite"
         with pytest.raises(ValueError, match=f"^{name} must be {reason}"):
             build()

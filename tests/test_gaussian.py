@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from support import every_state, kron_apply, term_block
+from support import every_state, kron_apply, phase_shift, photon_totals, term_block
 
 from bellgate import fock, gaussian
 
@@ -50,7 +50,7 @@ def fock_block_error(images, m: np.ndarray, cutoff: int, kmax: int = 6) -> float
     ``images(block)`` returns C = U[:, block], the images of the block's basis
     columns; the block of U^dag r_i U is C^dag (r_i C), r_i a Kronecker factor.
     """
-    block = np.flatnonzero(fock.block_mask(cutoff, kmax))
+    block = np.flatnonzero(photon_totals(cutoff) <= kmax)
     c = images(block)
     x = fock.quadrature(cutoff, 0.0)
     p = fock.quadrature(cutoff, np.pi / 2)
@@ -145,7 +145,7 @@ class TestElementSymplectics:
                  [(1.0, fock.squeezer(n, 1.3), np.eye(n + 1))], n, every_state(n), block)),
             ("phase_shift", {"theta": np.pi / 2, "mode": 1},
              lambda n, block: term_block(
-                 [(1.0, np.eye(n + 1), fock.phase_shift(n, np.pi / 2))], n, every_state(n),
+                 [(1.0, np.eye(n + 1), phase_shift(n, np.pi / 2))], n, every_state(n),
                  block)),
             ("beam_splitter", {},
              lambda n, block: fock.mode_mixer(n, np.pi / 4)[:, block]),
