@@ -27,9 +27,10 @@ Routes.
   ``_entbs_outputs`` build k regularized states at once and return their
   normalized amplitudes. The constructors ``quad_eigenstate_approx``,
   ``identity_doubleket``, ``displaced_identity_doubleket`` and
-  ``entbs_output`` return a ``RegularizedState`` with its tail warnings;
-  ``entbs_fidelities`` and ``heterodyne_eigen_residual`` read the cores
-  alone and return bare floats.
+  ``entbs_output`` return a ``RegularizedState`` with its tail warnings,
+  a displaced state's read off the rows above N of its displacement at N +
+  ``_TAIL_PAD``; ``entbs_fidelities`` and ``heterodyne_eigen_residual``
+  read the cores alone and return bare floats.
 * The SUM gate exp(-2i X_{pi/2} kron X_0): ``sum_gate`` directly
   (``_direct_images``) and ``sum_gate_circuit`` as the optical chain of
   ``gaussian.circuit_factors`` (``_chain_halves``), each applied only to the
@@ -66,10 +67,18 @@ class RegularizedState:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        dim = (self.cutoff + 1) ** self.modes
-        # a copy the state owns: a view would change with the caller's array
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != dim:
+        _require_cutoff(self.cutoff)
+        if not is_integer(self.modes) or self.modes < 1:
+            raise ValueError(f"modes must be an integer >= 1, got {self.modes!r}")
+        amps = self.amplitudes
+        # held only if no one else can write it: a read-only complex array
+        # that owns its data, as the constructors hand over; any other input
+        # is copied, as a view would change with the caller's array
+        if not (type(amps) is np.ndarray and amps.dtype == complex
+                and amps.flags.owndata and not amps.flags.writeable):
+            amps = np.array(amps, dtype=complex)
+        amps = amps.reshape(-1)
+        if amps.size != (self.cutoff + 1) ** self.modes:
             raise ValueError("amplitude count inconsistent with cutoff and modes")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -521,44 +530,45 @@ def lambda_fits(cutoff: int, lam: float) -> bool:
     return lam ** (2 * (cutoff + 1)) <= TAIL_ERROR_TOL
 
 
-def _doubleket_weights(cutoff: int, lams) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+def _doubleket_weights(cutoff: int, lams) -> np.ndarray:
     """The identity double-ket's weights lambda^n / ||lambda^n|| over n <= N,
-    one row per lambda of ``lams``, and the tail warning of each. Every
-    lambda that ``lambda_fits`` refuses or finds too heavy for the cutoff is
-    refused before any row is formed."""
-    warns = []
+    one row per lambda of ``lams``. Every lambda that ``lambda_fits``
+    refuses or finds too heavy for the cutoff is refused before any row is
+    formed."""
     for lam in lams:
-        fits = lambda_fits(cutoff, lam)
-        tail = lam ** (2 * (cutoff + 1))
-        if not fits:
+        if not lambda_fits(cutoff, lam):
             raise ValueError(
                 f"lambda = {lam} too close to 1 for cutoff {cutoff}:"
-                f" tail mass {tail:.2e}"
+                f" tail mass {lam ** (2 * (cutoff + 1)):.2e}"
             )
-        warns.append(_truncation_warning("identity double-ket", tail,
-                                         f"lambda = {lam}, cutoff {cutoff}"))
     weights = np.array(lams, dtype=float)[:, None] ** np.arange(cutoff + 1)
     for row in weights:
         row /= np.linalg.norm(row)
-    return weights, warns
+    return weights
+
+
+def _doubleket_warning(cutoff: int, lam: float) -> tuple[str, ...]:
+    """The identity double-ket's tail warning: the mass lambda^(2(N+1))
+    that the cutoff drops."""
+    return _truncation_warning("identity double-ket", lam ** (2 * (cutoff + 1)),
+                               f"lambda = {lam}, cutoff {cutoff}")
 
 
 def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     """Normalized two-mode squeezed vacuum sum_n lambda^n |n, n>.
 
     The sharp limit lambda -> 1 recovers the (non-normalizable) identity
-    double-ket. Its (N+1)^2 entries, twice, the array it fills and the
-    state's own copy, are refused above DENSE_BYTES_LIMIT before anything is
-    allocated; then ``_doubleket_weights`` gives the weights on the diagonal
-    and the warning.
+    double-ket. Its (N+1)^2 entries, the array it fills and hands to the
+    state, are refused above DENSE_BYTES_LIMIT before anything is
+    allocated; then ``_doubleket_weights`` gives the weights on the diagonal.
     """
     _require_cutoff(cutoff)
     n1 = cutoff + 1
-    require_memory(f"cutoff {cutoff}", 32 * n1 * n1)
-    (weights,), (warns,) = _doubleket_weights(cutoff, [lam])
+    require_memory(f"cutoff {cutoff}", 16 * n1 * n1)
+    (weights,) = _doubleket_weights(cutoff, [lam])
     amps = np.zeros(n1 * n1, dtype=complex)
     amps[:: n1 + 1] = weights
-    return RegularizedState(cutoff, 2, amps, warns)
+    return RegularizedState(cutoff, 2, _read_only(amps), _doubleket_warning(cutoff, lam))
 
 
 def _padded_bytes(cutoff: int, modes: int, columns: int) -> int:
@@ -569,28 +579,6 @@ def _padded_bytes(cutoff: int, modes: int, columns: int) -> int:
     The cores count it although they build no tail, so every route of a
     state refuses the same first cutoff."""
     return _eigenbasis_bytes(cutoff + _TAIL_PAD) + 16 * (cutoff + 1) ** modes * (columns - 1)
-
-
-def _displaced_doubleket_tails(cutoff: int, lams, z: complex) -> np.ndarray:
-    """Mass of D_P(z) diag(lambda^n)/sqrt(Lambda) outside the first N+1 levels
-    of each mode, for each lambda of ``lams``, at the padded cutoff P = N +
-    ``_TAIL_PAD``, with Lambda = sum_{n<=P} lambda^(2n) its squared norm.
-
-    D_P is unitary to rounding, so each column n > N keeps its whole weight
-    c_n^2 = lambda^(2n)/Lambda, and a column n <= N loses its rows m > N. The
-    mass is sum_{n>N} c_n^2 + sum_{n<=N} c_n^2 sum_{m>N} |D_P[m, n]|^2, and
-    those rows of D_P are W[N+1:] diag(phases) W[:N+1]^dag, read off the
-    memoized eigenbasis (``_displacement_basis``) once for every lambda; at
-    z = 0 they are 0.
-    """
-    weights, _ = _doubleket_weights(cutoff + _TAIL_PAD, lams)
-    weights **= 2
-    tails = weights[:, cutoff + 1:].sum(axis=1)
-    if z != 0:
-        w, phases = _displacement_basis(cutoff + _TAIL_PAD, z)
-        rows = (w[cutoff + 1:] * phases) @ w[: cutoff + 1].conj().T
-        tails += (np.abs(rows) ** 2 @ weights[:, : cutoff + 1].T).sum(axis=0)
-    return tails
 
 
 def _displaced_doublekets(cutoff: int, lams, z: complex) -> list[np.ndarray]:
@@ -607,7 +595,7 @@ def _displaced_doublekets(cutoff: int, lams, z: complex) -> list[np.ndarray]:
     require_finite("z", z, complex_ok=True)
     _require_cutoff(cutoff)
     require_memory(f"cutoff {cutoff}", _padded_bytes(cutoff, 2, len(lams)))
-    weights, _ = _doubleket_weights(cutoff, lams)
+    weights = _doubleket_weights(cutoff, lams)
     d = _displacement(cutoff, z)
     *first, last = weights
     states = [d * c for c in first] + [np.multiply(d, last, out=d)]
@@ -626,13 +614,25 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
     their overlap is exp(-s^2 |z|^2 / 2) at the matched lambda (see
     ``entbs_fidelity``). Its amplitudes are the one-column case of
     ``_displaced_doublekets``; its warnings are the identity double-ket's
-    and the padded tail of ``_displaced_doubleket_tails``.
+    and the padded tail.
+
+    The tail is the mass of D_P(z) diag(c) outside the first N+1 levels of
+    each mode, at P = N + ``_TAIL_PAD`` with c the weights at P. D_P is
+    unitary to rounding, so each column n > N keeps its whole weight c_n^2,
+    and a column n <= N loses its rows m > N: the mass is sum_{n>N} c_n^2 +
+    sum_{n<=N} c_n^2 sum_{m>N} |D_P[m, n]|^2. Those rows of D_P are W[N+1:]
+    diag(phases) W[:N+1]^dag (``_displacement_basis``), and 0 at z = 0.
     """
     (amps,) = _displaced_doublekets(cutoff, [lam], z)
-    (warns,) = _doubleket_weights(cutoff, [lam])[1]
-    (tail,) = _displaced_doubleket_tails(cutoff, [lam], z)
-    return RegularizedState(cutoff, 2, amps, warns + _truncation_warning(
-        "displaced double-ket", tail, f"lambda = {lam}, z = {z}, cutoff {cutoff}"))
+    (weights,) = _doubleket_weights(cutoff + _TAIL_PAD, [lam]) ** 2
+    tail = weights[cutoff + 1:].sum()
+    if z != 0:
+        w, phases = _displacement_basis(cutoff + _TAIL_PAD, z)
+        rows = (w[cutoff + 1:] * phases) @ w[: cutoff + 1].conj().T
+        tail += (np.abs(rows) ** 2 @ weights[: cutoff + 1]).sum()
+    warns = _doubleket_warning(cutoff, lam) + _truncation_warning(
+        "displaced double-ket", tail, f"lambda = {lam}, z = {z}, cutoff {cutoff}")
+    return RegularizedState(cutoff, 2, _read_only(amps), warns)
 
 
 def heterodyne_eigen_residual(cutoff: int, lam: float, z: complex) -> float:
@@ -656,26 +656,13 @@ def heterodyne_eigen_residual(cutoff: int, lam: float, z: complex) -> float:
     return float(np.linalg.norm(r))
 
 
-def _quad_amplitudes(n: int, x: float, phi: float, sharpness) -> np.ndarray:
-    """exp(i phi n) D(x) S(s)|0> at cutoff ``n`` for each s of ``sharpness``,
-    unnormalized: the columns of one (n+1) x k array. The squeezed vacua
-    S(s)|0>, column 0 of each ``squeezer``, are the columns of one block, so
-    the displacement is two products of its eigenbasis with the block."""
-    amps = np.empty((n + 1, len(sharpness)))
-    for j, s in enumerate(sharpness):
-        amps[:, j] = squeezer(n, s)[:, 0]  # S(s)|0>
-    if x != 0:  # D(0) is exactly the identity, as in ``displacement``
-        w, phases = _displacement_basis(n, x)
-        # amps is real, so W^dag amps = conj(amps^T W)^T, without a copy of W^dag
-        amps = w @ (phases[:, None] * (amps.T @ w).conj().T)
-    return _phases(n, -phi)[:, None] * amps
-
-
 def _quad_states(cutoff: int, x: float, phi: float, sharpness) -> np.ndarray:
-    """The amplitudes of ``quad_eigenstate_approx`` at one x and phi and each
-    sharpness of ``sharpness``: the columns of one (N+1) x k array
-    (``_quad_amplitudes`` at N), each normalized in place. Every parameter
-    is refused first, then ``_padded_bytes``."""
+    """The amplitudes exp(i phi n) D(x) S(s)|0> of ``quad_eigenstate_approx``
+    at one x and phi and each s of ``sharpness``: the columns of one (N+1) x
+    k array, each normalized in place. Every parameter is refused first,
+    then ``_padded_bytes``. The squeezed vacua S(s)|0>, column 0 of each
+    ``squeezer``, are the columns of one block, so the displacement is two
+    products of its eigenbasis with the block."""
     require_finite("x", x)
     require_finite("phi", phi)
     for s in sharpness:
@@ -684,18 +671,32 @@ def _quad_states(cutoff: int, x: float, phi: float, sharpness) -> np.ndarray:
             raise ValueError("sharpness s must lie in (0, 1]")
     _require_cutoff(cutoff)
     require_memory(f"cutoff {cutoff}", _padded_bytes(cutoff, 1, len(sharpness)))
-    amps = _quad_amplitudes(cutoff, x, phi, sharpness)
+    amps = np.empty((cutoff + 1, len(sharpness)))
+    for j, s in enumerate(sharpness):
+        amps[:, j] = squeezer(cutoff, s)[:, 0]  # S(s)|0>
+    if x != 0:  # D(0) is exactly the identity, as in ``displacement``
+        w, phases = _displacement_basis(cutoff, x)
+        # amps is real, so W^dag amps = conj(amps^T W)^T, without a copy of W^dag
+        amps = w @ (phases[:, None] * (amps.T @ w).conj().T)
+    amps = _phases(cutoff, -phi)[:, None] * amps
     for column in amps.T:
         column /= np.linalg.norm(column)
     return amps
 
 
 def _quad_tail_warning(cutoff: int, x: float, phi: float, s: float) -> tuple[str, ...]:
-    """The tail warning of ``quad_eigenstate_approx``: the mass the state
-    built at N + ``_TAIL_PAD`` (``_quad_amplitudes``) holds above level N."""
-    padded = _quad_amplitudes(cutoff + _TAIL_PAD, x, phi, [s])
-    (tail,) = (np.abs(padded[cutoff + 1:]) ** 2).sum(axis=0)
-    return _truncation_warning("quadrature eigenstate", tail,
+    """The tail warning of ``quad_eigenstate_approx``: the mass of D(x)
+    S(s)|0> built at P = N + ``_TAIL_PAD`` above level N, as the rotation
+    exp(i phi n) moves none. Its rows m > N are W[N+1:] diag(phases) W^dag
+    S(s)|0> (``_displacement_basis``), or the squeezed vacuum's own at x = 0."""
+    padded = cutoff + _TAIL_PAD
+    vacuum = squeezer(padded, s)[:, 0].copy()  # S(s)|0>, freeing the squeezer
+    if x == 0:
+        rows = vacuum[cutoff + 1:]
+    else:
+        w, phases = _displacement_basis(padded, x)
+        rows = (w[cutoff + 1:] * phases) @ (vacuum @ w).conj()
+    return _truncation_warning("quadrature eigenstate", (np.abs(rows) ** 2).sum(),
                                f"x = {x}, phi = {phi}, s = {s}, cutoff {cutoff}")
 
 
@@ -709,7 +710,7 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
     warning is that of ``_quad_tail_warning``.
     """
     amps = _quad_states(cutoff, x, phi, [s])
-    return RegularizedState(cutoff, 1, amps[:, 0], _quad_tail_warning(cutoff, x, phi, s))
+    return RegularizedState(cutoff, 1, _read_only(amps), _quad_tail_warning(cutoff, x, phi, s))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,11 @@ EVERY_STATE_400 = every_state(400)
 TAIL_GRID = [(n, s, z) for n in (12, 20, 40, 60) for s in (0.6, 0.4, 0.3)
              for z in (0, 0.3, 1 - 0.5j, 2j, 3) if fock.lambda_fits(n, fock.matched_lambda(s))]
 
+# the quadrature states whose tails are held to the full padded build, at
+# the cutoffs and sharpness values of TAIL_GRID
+QUAD_TAIL_GRID = [(n, s, x, phi) for n in (12, 20, 40, 60) for s in (0.6, 0.4, 0.3)
+                  for x, phi in ((0, 0), (1 / np.sqrt(2.0), 0), (-0.35, np.pi / 2), (1.2, 0.3))]
+
 
 def basis_state(cutoff: int, *ns: int) -> np.ndarray:
     """Number state |n> or |n_a, n_b> as a dense vector."""
@@ -87,6 +92,23 @@ def tail_in_warning(warnings: tuple[str, ...], label: str) -> float:
     """The tail mass that the warning on ``label`` reports."""
     (tail,) = [float(w.split("tail mass ")[1].split()[0]) for w in warnings if label in w]
     return tail
+
+
+def handed_tail(build, label: str) -> tuple[object, float]:
+    """``build()`` and the tail mass it hands to ``fock._truncation_warning``
+    for ``label``."""
+    warn, tails = fock._truncation_warning, []
+
+    def record(name, tail, where):
+        if name == label:
+            tails.append(tail)
+        return warn(name, tail, where)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_truncation_warning", record)
+        built = build()
+    (tail,) = tails
+    return built, tail
 
 
 def vacuum_expectation(op: np.ndarray) -> complex:
@@ -590,18 +612,34 @@ class TestPaddedTail:
         # of 1e-40 to 0.19, and print the same warning
         lam = fock.matched_lambda(s)
         reference = padded_doubleket_tail(n, lam, z)
-        (tail,) = fock._displaced_doubleket_tails(n, [lam], z)
+        state, tail = handed_tail(lambda: fock.displaced_identity_doubleket(n, lam, z),
+                                  "displaced double-ket")
         assert tail == pytest.approx(reference, rel=4e-15)
         expected = fock.identity_doubleket(n, lam).warnings + fock._truncation_warning(
             "displaced double-ket", reference, f"lambda = {lam}, z = {z}, cutoff {n}")
-        assert fock.displaced_identity_doubleket(n, lam, z).warnings == expected
+        assert state.warnings == expected
+
+    @pytest.mark.parametrize("n, s, x, phi", QUAD_TAIL_GRID, ids=lambda value: str(value))
+    def test_quadrature_state_tail_matches_the_full_padded_build(self, n, s, x, phi):
+        # the tail read off the padded displacement's rows m > N against the
+        # mass above N of the whole state built at N + 12: they print the
+        # same warning, and agree to 5.2e-13 here wherever the tail warns
+        # (36 of the 48 points)
+        padded = fock.quad_eigenstate_approx(n + fock._TAIL_PAD, x, phi, s).amplitudes
+        reference = float((np.abs(padded[n + 1:]) ** 2).sum())
+        state, tail = handed_tail(lambda: fock.quad_eigenstate_approx(n, x, phi, s),
+                                  "quadrature eigenstate")
+        assert state.warnings == fock._truncation_warning(
+            "quadrature eigenstate", reference, f"x = {x}, phi = {phi}, s = {s}, cutoff {n}")
+        if reference > fock.TAIL_WARN_TOL:
+            assert tail == pytest.approx(reference, rel=1e-11)
 
 
 class TestBareFloatRoutes:
-    """The routes that return bare floats build no tail: no state 12 levels
-    above the cutoff and no padded rows of the displacement. Their values
-    equal the same quantities read off the state constructors, which keep
-    their tail warnings (``TestPaddedTail``)."""
+    """The routes that return bare floats build no tail and form no
+    warning: no padded rows of a displacement 12 levels above the cutoff and
+    no warning text. Their values equal the same quantities read off the
+    state constructors, which keep their tail warnings (``TestPaddedTail``)."""
 
     BUILDS = {
         "entbs_fidelity": lambda: fock.entbs_fidelity(60, 1, -0.5, 0.5),
@@ -612,9 +650,9 @@ class TestBareFloatRoutes:
     @pytest.mark.parametrize("name", sorted(BUILDS))
     def test_nothing_built_above_the_cutoff(self, monkeypatch, empty_memo, name):
         def refuse(*args):
-            raise AssertionError("the padded rows of a displacement were built")
+            raise AssertionError("a truncation warning was formed")
 
-        monkeypatch.setattr(fock, "_displaced_doubleket_tails", refuse)
+        monkeypatch.setattr(fock, "_truncation_warning", refuse)
         self.BUILDS[name]()
         assert empty_memo and {key[0] for key in empty_memo} == {60}
 
@@ -1195,12 +1233,12 @@ class TestDenseGuard:
         assert refused_peak(lambda: fock.displacement(400, alpha), needs) < 2**20
         assert not empty_memo
 
-    def test_identity_doubleket_counts_the_states_copy(self):
-        # 5793^2 complex entries twice, the array filled and the state's copy;
-        # cutoff 5791 is the largest that fits
-        needs = "cutoff 5792 needs 1073883168 bytes"
-        assert refused_peak(lambda: fock.identity_doubleket(5792, 0.5), needs) < 2**20
-        assert 32 * 5792**2 <= fock.DENSE_BYTES_LIMIT
+    def test_identity_doubleket_counts_its_one_array(self):
+        # 8193^2 complex entries, the array filled and handed to the state;
+        # cutoff 8191 is the largest that fits
+        needs = "cutoff 8192 needs 1074003984 bytes"
+        assert refused_peak(lambda: fock.identity_doubleket(8192, 0.5), needs) < 2**20
+        assert 16 * 8192**2 <= fock.DENSE_BYTES_LIMIT
 
     def test_displacement_basis_refused_before_the_memo(self, empty_memo):
         # the basis the memo would hold, 8192^2 complex vectors and 8192
@@ -1317,8 +1355,8 @@ class TestDenseGuard:
 class TestStateGuards:
     """The guard contract of the regularized-state routes, and of the
     single-mode factors and the fidelities they are built from, under a
-    4 MiB limit. The identity double-ket counts its (N+1)^2 entries twice,
-    the array it fills and the state's own copy; a
+    4 MiB limit. The identity double-ket counts its (N+1)^2 entries once,
+    the array it fills and hands to the state; a
     displaced state counts its padded build's complex basis W, (N+13)^2
     entries and the largest array it holds, so its peak is a stated multiple
     of that count: at z != 0 the real eigenbasis at N and at N + 12, W and
@@ -1336,7 +1374,7 @@ class TestStateGuards:
 
     @pytest.mark.parametrize(
         "build, count, largest, factor",
-        [(lambda n: fock.identity_doubleket(n, 0.5), lambda n: 32 * (n + 1) ** 2, 361, 1.01),
+        [(lambda n: fock.identity_doubleket(n, 0.5), lambda n: 16 * (n + 1) ** 2, 511, 1.01),
          (lambda n: fock.displaced_identity_doubleket(n, 0.5, 1 - 0.5j),
           lambda n: fock._eigenbasis_bytes(n + 12), 498, 4.35),
          (lambda n: fock.heterodyne_eigen_residual(n, 0.5, 1 - 0.5j),
@@ -1890,6 +1928,48 @@ class TestLibraryBoundary:
         source[0] = 5
         np.testing.assert_array_equal(state.amplitudes, [1, 0])
         assert not np.shares_memory(state.amplitudes, source)
+
+    def test_state_copies_a_read_only_view_of_a_writable_array(self):
+        # the view cannot be written, but its base still can
+        source = np.array([1, 0], dtype=complex)
+        view = source[:]
+        view.setflags(write=False)
+        state = fock.RegularizedState(1, 1, view)
+        source[0] = 5
+        np.testing.assert_array_equal(state.amplitudes, [1, 0])
+        assert not np.shares_memory(state.amplitudes, source)
+
+    def test_state_holds_a_handed_over_array(self):
+        # a read-only complex array that owns its data: no one else can write it
+        source = np.array([[1, 0], [0, 0]], dtype=complex)
+        source.setflags(write=False)
+        state = fock.RegularizedState(1, 2, source)
+        assert np.shares_memory(state.amplitudes, source)
+        assert state.amplitudes.shape == (4,) and not state.amplitudes.flags.writeable
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: fock.identity_doubleket(12, 0.5),
+         lambda: fock.displaced_identity_doubleket(12, 0.5, 1 - 0.5j),
+         lambda: fock.quad_eigenstate_approx(12, 0.5, 0.3, 0.5)],
+        ids=["identity_doubleket", "displaced_identity_doubleket", "quad_eigenstate_approx"],
+    )
+    def test_constructors_hand_over_their_arrays(self, build):
+        # the state's amplitudes are a view of the array its constructor built
+        amps = build().amplitudes
+        assert amps.base is not None and amps.base.flags.owndata
+        assert not amps.base.flags.writeable
+
+    @pytest.mark.parametrize(
+        "cutoff, modes, amplitudes, name",
+        [(-2, 2, [1], "cutoff"), (0, 1, [1], "cutoff"), (True, 1, [1, 0], "cutoff"),
+         (1, 0, [1], "modes"), (1, 2.0, [1, 0, 0, 0], "modes")],
+        ids=["cutoff-negative", "cutoff-zero", "cutoff-bool", "modes-zero", "modes-float"],
+    )
+    def test_state_refuses_a_bad_cutoff_or_mode_count(self, cutoff, modes, amplitudes, name):
+        # each was accepted while the amplitude count matched (N+1)^modes
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
+            fock.RegularizedState(cutoff, modes, amplitudes)
 
     def test_stored_arrays_are_read_only(self):
         state = fock.identity_doubleket(4, 0.3)
