@@ -41,7 +41,7 @@ Routes.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,22 +65,19 @@ class RegularizedState:
     modes: int
     amplitudes: np.ndarray
     warnings: tuple[str, ...] = ()
+    # set only by the library's constructors, which hand over a complex array
+    # they have just built and then drop; any other input is copied, as its
+    # owner, or a view taken of it, could still write it
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh):
         _require_cutoff(self.cutoff)
         if not is_integer(self.modes) or self.modes < 1:
             raise ValueError(f"modes must be an integer >= 1, got {self.modes!r}")
-        amps = self.amplitudes
-        # held only if no one else can write it: a read-only complex array
-        # that owns its data, as the constructors hand over; any other input
-        # is copied, as a view would change with the caller's array
-        if not (type(amps) is np.ndarray and amps.dtype == complex
-                and amps.flags.owndata and not amps.flags.writeable):
-            amps = np.array(amps, dtype=complex)
-        amps = amps.reshape(-1)
+        amps = self.amplitudes if _fresh else np.array(self.amplitudes, dtype=complex)
+        amps = _read_only(amps).reshape(-1)
         if amps.size != (self.cutoff + 1) ** self.modes:
             raise ValueError("amplitude count inconsistent with cutoff and modes")
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -568,7 +565,7 @@ def identity_doubleket(cutoff: int, lam: float) -> RegularizedState:
     (weights,) = _doubleket_weights(cutoff, [lam])
     amps = np.zeros(n1 * n1, dtype=complex)
     amps[:: n1 + 1] = weights
-    return RegularizedState(cutoff, 2, _read_only(amps), _doubleket_warning(cutoff, lam))
+    return RegularizedState(cutoff, 2, amps, _doubleket_warning(cutoff, lam), _fresh=True)
 
 
 def _padded_bytes(cutoff: int, modes: int, columns: int) -> int:
@@ -632,7 +629,7 @@ def displaced_identity_doubleket(cutoff: int, lam: float, z: complex) -> Regular
         tail += (np.abs(rows) ** 2 @ weights[: cutoff + 1]).sum()
     warns = _doubleket_warning(cutoff, lam) + _truncation_warning(
         "displaced double-ket", tail, f"lambda = {lam}, z = {z}, cutoff {cutoff}")
-    return RegularizedState(cutoff, 2, _read_only(amps), warns)
+    return RegularizedState(cutoff, 2, amps, warns, _fresh=True)
 
 
 def heterodyne_eigen_residual(cutoff: int, lam: float, z: complex) -> float:
@@ -710,7 +707,7 @@ def quad_eigenstate_approx(cutoff: int, x: float, phi: float, s: float) -> Regul
     warning is that of ``_quad_tail_warning``.
     """
     amps = _quad_states(cutoff, x, phi, [s])
-    return RegularizedState(cutoff, 1, _read_only(amps), _quad_tail_warning(cutoff, x, phi, s))
+    return RegularizedState(cutoff, 1, amps, _quad_tail_warning(cutoff, x, phi, s), _fresh=True)
 
 
 # ---------------------------------------------------------------------------

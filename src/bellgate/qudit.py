@@ -35,7 +35,9 @@ keeps it so:
   states the first d each guard refuses);
 * the d^2 Bell vectors are two d x d tables: vector (m, n) sits on the rows
   i*d + (i+n mod d) and holds w^(i m) / sqrt(d) there, the same values for
-  every n.
+  every n. ``_tables`` builds them and the roots w^k once per d, read-only;
+  the gate set's F, v_perm and Z and the three checks all read that one
+  set, and only the last d's set is kept.
 
 The three checks compare these tables, support rows as integers and values
 as d x d arrays, so none of them builds a d^2 x d^2 array. The Bell map
@@ -47,6 +49,7 @@ d = 16.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,24 +75,39 @@ def _roots(d: int, k) -> np.ndarray:
     return np.exp(1j * (2 * np.pi * np.arange(d) / d))[np.asarray(k) % d]
 
 
+@functools.lru_cache(maxsize=1)
+def _tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Bell tables of dimension d, built once and read-only: the roots
+    w^k, the phase table w^(i m) / sqrt(d) at [i, m] and the support table
+    i*d + (i+n mod d) at [i, n]. The gate set and the three checks read
+    them; only the last d asked for is kept, so a sweep holds one set."""
+    k = np.arange(d)
+    roots = _roots(d, k)
+    phases = roots[np.outer(k, k) % d] / np.sqrt(d)
+    supports = k[:, None] * d + (k[:, None] + k) % d
+    for table in (roots, phases, supports):
+        table.setflags(write=False)
+    return roots, phases, supports
+
+
 def _phase_table(d: int) -> np.ndarray:
     """w^(i m) / sqrt(d) at [i, m]: the entries of F, and the values of the
     Bell vector (m, n) on its support rows, for every n."""
-    k = np.arange(d)
-    return _roots(d, np.outer(k, k)) / np.sqrt(d)
+    return _tables(d)[1]
 
 
 def _bell_supports(d: int) -> np.ndarray:
     """Row of U(m, n)[i, i+n] in vec(U(m, n)), at [i, n]: i*d + (i+n mod d)."""
-    i = np.arange(d)[:, None]
-    return i * d + (i + np.arange(d)) % d
+    return _tables(d)[2]
 
 
 def require_checks_fit(d: int) -> None:
     """Refuse, before allocating, a dimension whose gate set and checks would
     exceed ``fock.DENSE_BYTES_LIMIT``. By tracemalloc at d = 128 to 1024,
-    ``make_gateset`` alone peaks at 5.0 d x d complex arrays, and with the
-    three checks of ``qudit verify`` at 7.00."""
+    with the tables of d not yet built, ``make_gateset`` alone peaks at 3.50
+    d x d complex arrays, and with the three checks of ``qudit verify`` at
+    5.50 to 5.53. A range peaks higher, at 6.99 for d - 1..d:
+    d - 1's gate set is held while d's tables and gate set are built."""
     require_memory(f"qudit gate set at d = {d}", 7 * 16 * d * d)
 
 
@@ -104,12 +122,13 @@ def make_gateset(d: int) -> QuditGateSet:
     formulas, refused before allocating when ``require_checks_fit`` refuses d."""
     require_dimension(d)
     require_checks_fit(d)
+    roots, phases, supports = _tables(d)
     k = np.arange(d)
     W = np.zeros((d, d), dtype=complex)
     W[(k + 1) % d, k] = 1.0
-    # the block |i><i| kron W^i sends |i, j> to |i, j+i mod d>
-    v_perm = (k[:, None] * d + (k[:, None] + k) % d).reshape(-1)
-    return QuditGateSet(d=d, Z=np.diag(_roots(d, k)), W=W, F=_phase_table(d), v_perm=v_perm)
+    # the block |i><i| kron W^i sends |i, j> to |i, j+i mod d>, the support
+    # table's entry [i, j]
+    return QuditGateSet(d=d, Z=np.diag(roots), W=W, F=phases, v_perm=supports.reshape(-1))
 
 
 def dense_v(gs: QuditGateSet) -> np.ndarray:
@@ -159,9 +178,9 @@ def bell_map_max_error(gs: QuditGateSet) -> float:
             or z.shape != (d, d) or np.count_nonzero(z) != np.count_nonzero(np.diagonal(z))
             or not np.array_equal(gs.v_perm.reshape(d, d), _bell_supports(d))):
         return float("inf")
-    powers = _roots(d, np.outer(k, k))  # w^(i m), the clock phases w^k in row 1
-    clock = np.abs(np.diagonal(z) - powers[1]).max()
-    return float(np.max([clock, np.linalg.norm(gs.F - powers / np.sqrt(d), axis=0).max()]))
+    roots, phases, _ = _tables(d)
+    clock = np.abs(np.diagonal(z) - roots).max()
+    return float(np.max([clock, np.linalg.norm(gs.F - phases, axis=0).max()]))
 
 
 def orthonormality_max_error(gs: QuditGateSet) -> float:

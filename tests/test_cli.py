@@ -98,6 +98,14 @@ class TestQuditVerify:
         peak = traced_peak(lambda: cli.run_qudit_verify(d, d))
         assert peak <= max(requested) + 2**20
 
+    def test_range_peak_within_the_guarded_bytes(self, monkeypatch):
+        # d - 1's gate set is still held while d's tables and gate set are built
+        requested = []
+        monkeypatch.setattr(qudit, "require_memory", lambda label, nbytes: requested.append(nbytes))
+        qudit._tables.cache_clear()
+        peak = traced_peak(lambda: cli.run_qudit_verify(511, 512))
+        assert peak <= max(requested) + 2**20
+
     def test_report_written_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(

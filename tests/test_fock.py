@@ -1939,13 +1939,26 @@ class TestLibraryBoundary:
         np.testing.assert_array_equal(state.amplitudes, [1, 0])
         assert not np.shares_memory(state.amplitudes, source)
 
-    def test_state_holds_a_handed_over_array(self):
-        # a read-only complex array that owns its data: no one else can write it
+    def test_state_copies_a_read_only_array_its_owner_unfreezes(self):
+        # a read-only array that owns its data can be made writable again
         source = np.array([[1, 0], [0, 0]], dtype=complex)
         source.setflags(write=False)
         state = fock.RegularizedState(1, 2, source)
-        assert np.shares_memory(state.amplitudes, source)
+        source.setflags(write=True)
+        source[0, 0] = 7
+        np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0])
+        assert not np.shares_memory(state.amplitudes, source)
         assert state.amplitudes.shape == (4,) and not state.amplitudes.flags.writeable
+
+    def test_state_copies_a_frozen_array_with_a_writable_view(self):
+        # a view taken before the array was frozen keeps writing to it
+        source = np.array([1, 0], dtype=complex)
+        view = source[:]
+        source.setflags(write=False)
+        state = fock.RegularizedState(1, 1, source)
+        view[0] = 7
+        np.testing.assert_array_equal(state.amplitudes, [1, 0])
+        assert not np.shares_memory(state.amplitudes, source)
 
     @pytest.mark.parametrize(
         "build",

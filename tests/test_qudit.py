@@ -2,7 +2,9 @@
 
 import cmath
 import dataclasses
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +138,57 @@ class TestGateSet:
         qudit.require_checks_fit(3096)  # the largest dimension that fits
         with pytest.raises(ValueError, match="d = 3097 needs 1074237808 bytes"):
             qudit.require_checks_fit(3097)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 64))
+    def test_tables_equal_closed_form_oracle(self, d):
+        # every check reads F and Z's phases from one table, so the table
+        # is held to cmath's phases, not to a second numpy route
+        gs = qudit.make_gateset(d)
+        oracle = np.array([[cmath.rect(1 / np.sqrt(d), 2 * cmath.pi * ((n * j) % d) / d)
+                            for j in range(d)] for n in range(d)])
+        assert np.abs(gs.F - oracle).max() <= PHASE_TOL
+        clock = [cmath.rect(1.0, 2 * cmath.pi * k / d) for k in range(d)]
+        assert np.abs(np.diagonal(gs.Z) - clock).max() <= PHASE_TOL
+
+    def test_tables_are_read_only(self):
+        gs = qudit.make_gateset(5)
+        for table in (*qudit._tables(5), gs.F, gs.v_perm):
+            assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            gs.F[0, 0] = 7
+        with pytest.raises(ValueError):
+            gs.v_perm[0] = 3
+
+    def test_another_dimension_leaves_an_earlier_gateset_unchanged(self):
+        first = qudit.make_gateset(6)
+        before = {name: np.array(getattr(first, name)) for name in ("Z", "W", "F", "v_perm")}
+        qudit.make_gateset(7)
+        qudit.orthonormality_max_error(qudit.make_gateset(8))
+        for name, array in before.items():
+            np.testing.assert_array_equal(getattr(first, name), array)
+        assert qudit.bell_map_max_error(first) == 0.0
+
+    def test_sweep_keeps_only_the_last_dimensions_tables(self):
+        # the tables of d = 2..63 are dropped as the sweep moves on
+        qudit._tables.cache_clear()
+        tracemalloc.start()
+        try:
+            cli.run_qudit_verify(2, 64)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        hits = qudit._tables.cache_info().hits
+        tables = sum(table.nbytes for table in qudit._tables(64))
+        assert qudit._tables.cache_info().hits == hits + 1
+        assert tables <= held < 1.25 * tables
+
+    def test_runs_on_built_and_fresh_tables_report_the_same(self):
+        # the second sweep starts on fresh tables, the last run on d = 16's built ones
+        first, second = cli.run_qudit_verify(2, 16), cli.run_qudit_verify(2, 16)
+        assert first == second
+        assert cli.run_qudit_verify(16, 16).checks == first.checks[-3:]
 
 
 class TestShiftMultiply:
